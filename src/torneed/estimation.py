@@ -17,9 +17,11 @@ import numpy as np
 
 from .frame import (
     CoefficientArray,
-    _phases,
     _pixel_transform,
+    box_half_width,
+    box_index,
     drop_imag,
+    sample_spectrum,
     synthesize,
 )
 from .harmonics import TWO_PI, as_multi_index, as_points, derivative_multiplier, wrap_angles
@@ -117,14 +119,16 @@ def apply_threshold(kind, u, a):
     return float(out) if out.ndim == 0 else out
 
 
-def empirical_coefficients(frame, samples, jmax=None, m=None, method="direct"):
+def empirical_coefficients(frame, samples, jmax=None, m=None):
     """Unbiased coefficient estimates beta^(m)_{j,k} from an i.i.d. sample.
 
         beta^(m)_{j,k} = ((-1)^|m| / n) sum_i psi^(m)_{j,k}(X_i)
 
     (derivative needlets are real, so the conjugate is dropped). The sample
-    reduction is a fixed-order pairwise sum, deterministic for any thread
-    count. Levels 0..jmax are produced.
+    enters only through S_l = sum_i exp(i l . X_i), computed once on the box
+    holding every shell up to jmax and reduced in a fixed block order, so it
+    is deterministic for any thread count. Each level gathers its shell from
+    S and maps it to pixels by FFT. Levels 0..jmax are produced.
     """
     if jmax is None:
         jmax = frame.jmax
@@ -134,18 +138,14 @@ def empirical_coefficients(frame, samples, jmax=None, m=None, method="direct"):
     X = as_sample_array(samples, frame.d)
     n = X.shape[0]
     sign = (-1.0) ** sum(m)
+    L = box_half_width(frame.B, jmax)
+    S = sample_spectrum(X, L)
     levels = []
     for j in range(jmax + 1):
         lev = frame.level(j)
-        # S_l = sum_i exp(i l . X_i), accumulated in fixed chunk order
-        S = np.zeros(lev.freqs.shape[0], dtype=complex)
-        chunk = 1 << 15
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            S += _phases(X[start:stop], lev.freqs, +1.0).sum(axis=0)
         mult = np.atleast_1d(derivative_multiplier(lev.freqs, m))
-        amp = lev.bvals * mult * S
-        raw = _pixel_transform(lev, amp, sign=-1.0, method=method)
+        amp = lev.bvals * mult * S[box_index(lev.freqs, L)]
+        raw = _pixel_transform(lev, amp, sign=-1.0)
         scale = sign / n * math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
         levels.append(drop_imag(scale * raw, what=f"empirical coefficients at level {j}"))
     return CoefficientArray(m, levels, "empirical")

@@ -10,6 +10,22 @@ the system a tight frame on zero-mean functions:
 Derivatives of needlets stay inside the same shell; they only pick up the
 per-frequency multiplier prod_i (i*l_i)**m_i.
 
+Every needlet is a trigonometric polynomial, so every transform goes through
+one spectral core on the box |l_i| <= L, L = ceil(B**(j+1)) - 1 the top of the
+highest shell in use:
+
+- sample_spectrum sums exp(i l.x) over a point set once for the whole box
+  (per-axis phase blocks contracted by a sum or a GEMM); each shell is then a
+  gather from it.
+- spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
+  points, contracting one axis at a time.
+- Pixel transforms in both directions are FFTs on the level's cubature cube,
+  whose points are xi_k = 2 pi k / N.
+
+Synthesis therefore maps each live level's pixels back to its shell by FFT,
+adds every level into one box spectrum and evaluates that spectrum once.
+Phase blocks are cut into row blocks of at most PHASE_BLOCK_BYTES each.
+
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
 orders m != 0 this is immaterial; for m = 0 density work the known mean
@@ -37,8 +53,8 @@ from .harmonics import (
 
 IMAG_RESIDUE_TOL = 1e-9
 
-# chunk sizes for the dense exponential matrices, to bound peak memory
-_POINT_CHUNK = 1 << 15
+# bytes of one complex phase block; every row-blocked loop sizes its rows from it
+PHASE_BLOCK_BYTES = 1 << 22
 
 
 def drop_imag(values, tol=IMAG_RESIDUE_TOL, what="evaluation"):
@@ -225,41 +241,146 @@ def build_frame(B, d, jmax, window=None, max_points=10**8):
     return NeedletFrame(B, d, jmax, window=window, max_points=max_points)
 
 
-def _phases(points, freqs, sign, chunk=_POINT_CHUNK):
-    """exp(sign * i * points @ freqs.T), evaluated in row chunks.
+def block_rows(n, width):
+    """Rows per block so that a (rows, width) complex block fits PHASE_BLOCK_BYTES.
 
-    Chunking keeps peak memory bounded; each chunk is a plain vectorized
-    numpy op, so results do not depend on the chunk size... they do not
-    depend on thread count either, which the reproducibility contract needs.
+    Never below one row, never above n.
     """
-    n = points.shape[0]
-    out = np.empty((n, freqs.shape[0]), dtype=complex)
-    ft = freqs.T.astype(float)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        out[start:stop] = np.exp(1j * sign * (points[start:stop] @ ft))
+    return max(1, min(int(n), PHASE_BLOCK_BYTES // (16 * max(int(width), 1))))
+
+
+def _cis(angles):
+    """exp(i * angles), built from cos and sin of the real array."""
+    out = np.empty(np.shape(angles), dtype=complex)
+    np.cos(angles, out=out.real)
+    np.sin(angles, out=out.imag)
     return out
 
 
-def _pixel_transform(level, amplitudes, sign=-1.0, method="direct"):
-    """sum_l amplitudes_l * exp(sign * i * <l, xi_k>) for every cubature point k.
+def _phases(points, freqs, sign):
+    """exp(sign * i * points @ freqs.T), evaluated in row blocks.
 
-    The FFT path fills the shell amplitudes into an N^d cube indexed by
-    l mod N (residues are distinct because per-coordinate frequencies stay
-    below N/2) and runs fftn; it must agree with the direct path to 1e-10.
+    Blocking bounds the temporaries; each block is a plain vectorized numpy
+    op, so results depend neither on the block size nor on the thread count,
+    which the reproducibility contract needs.
     """
-    if method == "direct":
-        return _phases(level.cubature.points, level.freqs, sign) @ amplitudes
-    if method == "fft":
-        npts = level.cubature.npts_per_dim
-        d = level.freqs.shape[1]
-        cube = np.zeros((npts,) * d, dtype=complex)
-        idx = tuple(np.mod(level.freqs[:, i], npts) for i in range(d))
-        cube[idx] = amplitudes
-        if sign < 0:
-            return np.fft.fftn(cube).reshape(-1)
-        return (np.fft.ifftn(cube) * cube.size).reshape(-1)
-    raise ValueError(f"unknown method {method!r}")
+    n = points.shape[0]
+    out = np.empty((n, freqs.shape[0]), dtype=complex)
+    ft = sign * freqs.T.astype(float)
+    rows = block_rows(n, freqs.shape[0])
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        out[start:stop] = _cis(points[start:stop] @ ft)
+    return out
+
+
+def box_half_width(B, j):
+    """L = ceil(B**(j+1)) - 1: every shell up to level j lies in the box |l_i| <= L."""
+    return math.ceil(B ** (j + 1)) - 1
+
+
+def spectrum_block_shape(n, d, L):
+    """(rows, width) of the widest phase block the spectral core forms for n points.
+
+    The width is that of the leading-axes block: 2L+1 columns per axis
+    before the last one (2L+1 in all for d = 1).
+    """
+    width = (2 * L + 1) ** max(d - 1, 1)
+    return block_rows(n, width), width
+
+
+def sample_spectrum(points, L):
+    """Type-1 sum S_l = sum_i exp(i l . x_i) on the box |l_i| <= L.
+
+    Returns a complex array of shape (2L+1,)*d indexed by l + L. Per row
+    block, each coordinate gets one phase block exp(i x_a l_a); they are
+    contracted by a column sum in d=1, one GEMM in d=2, and an outer product
+    of the leading axes followed by a GEMM in d>=3. The last axis runs over
+    l_d >= 0 only: the points are real, so S_{-l} = conj(S_l) supplies the rest.
+    Blocks are reduced in a fixed order, so the sum does not depend on the
+    thread count.
+    """
+    n, d = points.shape
+    W = 2 * L + 1
+    freqs = np.arange(-L, L + 1, dtype=float)
+    half = freqs[L:]
+    S = np.zeros((W ** (d - 1), L + 1), dtype=complex)
+    rows, _ = spectrum_block_shape(n, d, L)
+    for start in range(0, n, rows):
+        block = points[start : start + rows]
+        last = _cis(np.multiply.outer(block[:, -1], half))
+        if d == 1:
+            S[0] += last.sum(axis=0)
+            continue
+        lead = _cis(np.multiply.outer(block[:, 0], freqs))
+        for a in range(1, d - 1):
+            axis = _cis(np.multiply.outer(block[:, a], freqs))
+            lead = (lead[:, :, None] * axis[:, None, :]).reshape(block.shape[0], -1)
+        S += lead.T @ last
+    S = S.reshape((W,) * (d - 1) + (L + 1,))
+    box = np.empty((W,) * d, dtype=complex)
+    box[..., L:] = S
+    box[..., :L] = np.conj(np.flip(S)[..., :L])
+    return box
+
+
+def spectrum_values(box, points):
+    """Adjoint of sample_spectrum: sum_l box[l + L] exp(i l . x) at every row x of points.
+
+    Contracts one axis at a time: a GEMM against the first axis, then a
+    row-wise product and sum per remaining axis. Returns a complex (n,) array.
+    """
+    d = box.ndim
+    W = box.shape[0]
+    L = (W - 1) // 2
+    freqs = np.arange(-L, L + 1, dtype=float)
+    n = points.shape[0]
+    flat = box.reshape(W, -1)
+    out = np.empty(n, dtype=complex)
+    rows, _ = spectrum_block_shape(n, d, L)
+    for start in range(0, n, rows):
+        block = points[start : start + rows]
+        r = block.shape[0]
+        acc = _cis(np.multiply.outer(block[:, 0], freqs)) @ flat
+        for a in range(1, d):
+            axis = _cis(np.multiply.outer(block[:, a], freqs))
+            acc = np.einsum("rw,rwk->rk", axis, acc.reshape(r, W, -1))
+        out[start : start + r] = acc.reshape(r)
+    return out
+
+
+def box_index(freqs, L):
+    """Index tuple of the shell frequencies in a (2L+1,)*d box spectrum."""
+    return tuple(freqs[:, i] + L for i in range(freqs.shape[1]))
+
+
+def _cube_index(freqs, npts):
+    """Index tuple of the frequencies in an npts**d FFT cube (l mod npts per axis).
+
+    Residues are distinct because per-coordinate frequencies stay below npts/2.
+    """
+    return tuple(np.mod(freqs[:, i], npts) for i in range(freqs.shape[1]))
+
+
+def _pixel_transform(level, amplitudes, sign=-1.0):
+    """Shell to pixels: sum_l amplitudes_l * exp(sign * i * <l, xi_k>) at every cubature point k.
+
+    Fills the shell amplitudes into the level's N**d cube at l mod N and runs
+    fftn (sign -1) or N**d * ifftn (sign +1).
+    """
+    npts = level.cubature.npts_per_dim
+    cube = np.zeros((npts,) * level.freqs.shape[1], dtype=complex)
+    cube[_cube_index(level.freqs, npts)] = amplitudes
+    if sign < 0:
+        return np.fft.fftn(cube).reshape(-1)
+    return (np.fft.ifftn(cube) * cube.size).reshape(-1)
+
+
+def _shell_transform(level, pixels):
+    """Pixels to shell: sum_k pixels_k * exp(-i <l, xi_k>) for every shell frequency l."""
+    npts = level.cubature.npts_per_dim
+    spectrum = np.fft.fftn(np.reshape(pixels, (npts,) * level.freqs.shape[1]))
+    return spectrum[_cube_index(level.freqs, npts)]
 
 
 @dataclasses.dataclass(eq=False)
@@ -373,8 +494,9 @@ def needlet_matrix(frame, j, theta, m=None):
     scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
     out = np.empty((pts.shape[0], lev.cubature.K))
     centers = _phases(lev.cubature.points, lev.freqs, -1.0)  # (K, nf)
-    for start in range(0, pts.shape[0], _POINT_CHUNK):
-        stop = min(start + _POINT_CHUNK, pts.shape[0])
+    rows = block_rows(pts.shape[0], max(lev.freqs.shape[0], lev.cubature.K))
+    for start in range(0, pts.shape[0], rows):
+        stop = min(start + rows, pts.shape[0])
         block = _phases(pts[start:stop], lev.freqs, +1.0) * (lev.bvals * mult)
         out[start:stop] = drop_imag(
             scale * (block @ centers.T), what=f"needlet matrix at level {j}"
@@ -382,12 +504,12 @@ def needlet_matrix(frame, j, theta, m=None):
     return out
 
 
-def _fourier_coefficients(frame, f, jmax, band_limit=None, grid_points=None, method="direct"):
+def _fourier_coefficients(frame, f, jmax, band_limit=None, grid_points=None):
     """Raw Fourier coefficients a_l = <f, e_l> for every shell frequency up to jmax.
 
-    Quadrature on a uniform grid; exact once the grid resolves the shell
-    band plus the declared band of f. Returns (freq -> coefficient) dicts
-    per level, as arrays aligned with the shells.
+    FFT quadrature on a uniform grid; exact once the grid resolves the shell
+    band plus the declared band of f. Returns one array per level, aligned
+    with the shells.
     """
     band = int(band_limit) if band_limit else 0
     min_pts = 2 * math.ceil(frame.B ** (jmax + 1)) + 1
@@ -400,29 +522,12 @@ def _fourier_coefficients(frame, f, jmax, band_limit=None, grid_points=None, met
         raise ValueError("function evaluation returned a wrong shape")
     if not np.all(np.isfinite(fvals)):
         raise ValueError("function evaluation produced non-finite values")
-    cell = (TWO_PI / npts) ** frame.d
-    norm = cell * TWO_PI ** (-frame.d / 2.0)
-    per_level = []
-    if method == "fft":
-        spectrum = np.fft.fftn(fvals.reshape((npts,) * frame.d))
-        for j in range(jmax + 1):
-            freqs = frame.shell(j)
-            idx = tuple(np.mod(freqs[:, i], npts) for i in range(frame.d))
-            per_level.append(norm * spectrum[idx])
-    elif method == "direct":
-        for j in range(jmax + 1):
-            freqs = frame.shell(j)
-            acc = np.zeros(freqs.shape[0], dtype=complex)
-            for start in range(0, grid.shape[0], _POINT_CHUNK):
-                stop = min(start + _POINT_CHUNK, grid.shape[0])
-                acc += _phases(grid[start:stop], freqs, -1.0).T @ fvals[start:stop]
-            per_level.append(norm * acc)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return per_level
+    norm = (TWO_PI / npts) ** frame.d * TWO_PI ** (-frame.d / 2.0)
+    spectrum = np.fft.fftn(fvals.reshape((npts,) * frame.d))
+    return [norm * spectrum[_cube_index(frame.shell(j), npts)] for j in range(jmax + 1)]
 
 
-def analyze(frame, f, m=None, jmax=None, band_limit=None, grid_points=None, method="direct"):
+def analyze(frame, f, m=None, jmax=None, band_limit=None, grid_points=None):
     """Needlet coefficients of the m-th derivative of f, by exact quadrature.
 
     Integration by parts moves the derivative onto the needlet, so only f
@@ -434,9 +539,6 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None, grid_points=None, meth
     where a_l are the Fourier coefficients of f. Accepts a plain callable or
     an object with a `pdf` attribute (a test density); a `band_limit`
     attribute, when present, widens the quadrature grid accordingly.
-
-    method selects the reference direct summation or the FFT fast path; the
-    two agree to 1e-10 and differ only in speed.
     """
     if jmax is None:
         jmax = frame.jmax
@@ -447,7 +549,7 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None, grid_points=None, meth
     if band_limit is None:
         band_limit = getattr(f, "band_limit", None)
     coeffs_per_level = _fourier_coefficients(
-        frame, fn, jmax, band_limit=band_limit, grid_points=grid_points, method=method
+        frame, fn, jmax, band_limit=band_limit, grid_points=grid_points
     )
     levels = []
     for j in range(jmax + 1):
@@ -457,34 +559,35 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None, grid_points=None, meth
         # (-1)^|m| of the integration by parts cancels against the conjugated
         # multiplier, so no sign factor remains here
         amp = lev.bvals * mult * coeffs_per_level[j]
-        raw = _pixel_transform(lev, amp, sign=+1.0, method=method)
+        raw = _pixel_transform(lev, amp, sign=+1.0)
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d / 2.0)
         levels.append(drop_imag(scale * raw, what=f"analysis coefficients at level {j}"))
     return CoefficientArray(m, levels, "exact-quadrature")
 
 
-def synthesize(frame, coeffs, grid, method="direct"):
+def synthesize(frame, coeffs, grid):
     """sum_{j,k} c_{j,k} psi_{j,k}(theta) over the grid points.
 
     Synthesis always uses underived needlets; derivative content lives in the
-    coefficients. grid is an (n, d) array (or anything `as_points` accepts).
+    coefficients. grid is an (n, d) array (or anything `as_points` accepts),
+    on or off any uniform grid. Each level with a nonzero coefficient maps its
+    pixels to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k) by FFT, adds
+    sqrt(lambda_j) (2pi)^-d b_l T_l into one box spectrum, and that spectrum
+    is evaluated once at the points.
     """
     check_structure(frame, coeffs)
     pts = as_points(grid, frame.d)
-    out = np.zeros(pts.shape[0])
-    for j, cvec in enumerate(coeffs.levels):
-        if not np.any(cvec):
-            continue
+    live = [j for j, cvec in enumerate(coeffs.levels) if np.any(cvec)]
+    if not live:
+        return np.zeros(pts.shape[0])
+    L = box_half_width(frame.B, live[-1])
+    box = np.zeros((2 * L + 1,) * frame.d, dtype=complex)
+    for j in live:
         lev = frame.level(j)
-        # T_l = sum_k c_k conj(e_l(xi_k)); then add sqrt(lambda) sum_l b_l T_l e_l(theta)
-        T = _phases(lev.cubature.points, lev.freqs, -1.0).T @ cvec
-        amp = lev.bvals * T
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
-        for start in range(0, pts.shape[0], _POINT_CHUNK):
-            stop = min(start + _POINT_CHUNK, pts.shape[0])
-            block = scale * (_phases(pts[start:stop], lev.freqs, +1.0) @ amp)
-            out[start:stop] += drop_imag(block, what=f"synthesis at level {j}")
-    return out
+        T = _shell_transform(lev, coeffs.levels[j])
+        box[box_index(lev.freqs, L)] += scale * lev.bvals * T
+    return drop_imag(spectrum_values(box, pts), what="synthesis")
 
 
 def besov_sequence_norm(coeffs, s, r, q, B, d):

@@ -254,6 +254,24 @@ def test_run_experiment_thread_count_is_invisible():
     assert solo.risk_rows == pooled.risk_rows
 
 
+def test_run_experiment_thread_count_is_invisible_d2():
+    # d=2 contracts the sample spectrum with a GEMM and synthesizes through
+    # a two-axis box; neither may depend on how replications are scheduled
+    over = {
+        "density": "product(wrapped_normal(1.0),wrapped_normal(1.0))",
+        "d": 2,
+        "m": [1, 0],
+        "J": 2,
+        "grid": 17,
+        "replications": 4,
+        "rules": ["hard", "soft"],
+    }
+    solo = run(over)
+    pooled = run(over, threads=2)
+    assert solo.count_rows == pooled.count_rows
+    assert solo.risk_rows == pooled.risk_rows
+
+
 def test_run_experiment_survivors_nonincreasing_in_kappa0():
     report = run({"replications": 3, "kappa0": [0.5, 1.0, 2.5, 5.0], "n": 2000, "J": 3})
     frac = {}

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,6 +231,16 @@ def test_bench_outputs_and_thread_determinism(tmp_path, capsys):
     payload = tn.load_report(one / "bench_report.json")
     assert len(payload["counts"]) == 4  # 2 reps x 2 levels
     assert len(payload["risks"]) == 2
+
+
+def test_paper_table3_bench_report_identical_across_threads(tmp_path):
+    # the paper's own config: the reproducibility contract covers the sample
+    # spectrum's blocked contractions, so the report may not change by a byte
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "paper_table3.json"
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["bench", str(cfg), "--out", str(one), "--threads", "1"]) == 0
+    assert main(["bench", str(cfg), "--out", str(two), "--threads", "2"]) == 0
+    assert (one / "bench_report.json").read_bytes() == (two / "bench_report.json").read_bytes()
 
 
 def test_bench_seed_override(tmp_path):
