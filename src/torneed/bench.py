@@ -127,7 +127,11 @@ def config_from_dict(data):
             return None
         value = data[key]
         if kind is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                errors.append(f"{key} {why}")
+                return None
         bad_type = not isinstance(value, kind) or (isinstance(value, bool) and kind is int)
         if bad_type or (check is not None and not check(value)):
             errors.append(f"{key} {why}")
@@ -136,7 +140,7 @@ def config_from_dict(data):
 
     density = _get("density", str, lambda v: bool(v.strip()), "must be a nonempty name")
     d = _get("d", int, lambda v: v >= 1, "must be a positive integer")
-    B = _get("B", float, lambda v: v > 1, "must exceed 1")
+    B = _get("B", float, lambda v: 1 < v < math.inf, "must be finite and exceed 1")
     n = _get("n", int, lambda v: v >= 3, "must be at least 3")
     reps = _get("replications", int, lambda v: v >= 1, "must be at least 1")
     grid = _get("grid", int, lambda v: v >= 1, "must be a positive integer")
@@ -171,7 +175,10 @@ def config_from_dict(data):
         ):
             errors.append("kappa0 must be a nonempty list of positive numbers")
         else:
-            kappa0 = tuple(float(v) for v in raw)
+            try:
+                kappa0 = tuple(float(v) for v in raw)
+            except OverflowError:
+                errors.append("kappa0 entries must fit in a float")
 
     rules = None
     if "rules" in data:
@@ -198,7 +205,7 @@ def config_from_dict(data):
             p = tuple(_norm_p(v) for v in raw)
             if any(v < 1 for v in p):
                 raise ValueError
-        except (ValueError, TypeError):
+        except (ValueError, TypeError, OverflowError):
             errors.append('p must be a nonempty list of exponents >= 1 (or "inf")')
             p = None
 
@@ -210,10 +217,14 @@ def config_from_dict(data):
         except ValueError as exc:
             errors.append(str(exc))
     if None not in (n, d, m, B, J, grid):
-        j_resolved = truncation_level(n, d, sum(m), B) if J == "auto" else J
-        min_grid = 2 * math.ceil(B ** (j_resolved + 1)) + 1
-        if grid < min_grid:
-            errors.append(f"grid must be at least {min_grid} to resolve level J={j_resolved}")
+        try:
+            j_resolved = truncation_level(n, d, sum(m), B) if J == "auto" else J
+            min_grid = 2 * math.ceil(B ** (j_resolved + 1)) + 1
+        except OverflowError:
+            errors.append(f"J={J} with B={B:g} overflows a float (in n / ln n or B**(J+1))")
+        else:
+            if grid < min_grid:
+                errors.append(f"grid must be at least {min_grid} to resolve level J={j_resolved}")
 
     if errors:
         raise ConfigError("invalid experiment config:\n  - " + "\n  - ".join(errors))

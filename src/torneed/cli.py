@@ -63,37 +63,48 @@ def _check_base_flags(args):
 def _load_samples(path, d):
     """Parse a headerless CSV of d angle columns; wrap angles into [0, 2pi).
 
+    Blank lines are skipped and every token goes through Python's float().
     Malformed rows abort with their line numbers. Returns (points, number of
     rows that needed wrapping).
     """
-    bad, rows = [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            try:
-                vals = [float(v) for v in parts]
-            except ValueError:
-                bad.append(lineno)
-                continue
-            if len(vals) != d or not all(math.isfinite(v) for v in vals):
-                bad.append(lineno)
-                continue
-            rows.append(vals)
-    if bad:
-        shown = ", ".join(str(b) for b in bad[:20])
-        more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
-        raise DataError(
-            f"{path}: malformed rows (need {d} finite comma-separated angles) "
-            f"at line {shown}{more}"
-        )
+        lines = fh.read().split("\n")
+    rows = [text for text in map(str.strip, lines) if text]
     if not rows:
         raise DataError(f"{path}: no sample rows")
-    X = np.asarray(rows, dtype=float)
+    X = None
+    if all(text.count(",") == d - 1 for text in rows):
+        tokens = ",".join(rows).split(",")
+        try:
+            X = np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, d)
+        except ValueError:
+            pass
+    if X is None or not np.all(np.isfinite(X)):
+        raise DataError(_malformed_rows_message(path, lines, d))
     outside = int(np.count_nonzero(np.any((X < 0) | (X >= TWO_PI), axis=1)))
     return wrap_angles(X), outside
+
+
+def _malformed_rows_message(path, lines, d):
+    """Name the first 20 nonblank lines that are not d finite comma-separated floats."""
+    bad = []
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            vals = [float(v) for v in text.split(",")]
+        except ValueError:
+            bad.append(lineno)
+            continue
+        if len(vals) != d or not all(math.isfinite(v) for v in vals):
+            bad.append(lineno)
+    shown = ", ".join(str(b) for b in bad[:20])
+    more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
+    return (
+        f"{path}: malformed rows (need {d} finite comma-separated angles) "
+        f"at line {shown}{more}"
+    )
 
 
 def _grid_and_values(est, grid_size, density):

@@ -14,7 +14,6 @@ import re
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy.optimize import minimize_scalar
 
 from .harmonics import TWO_PI, as_multi_index, as_points
 
@@ -85,6 +84,23 @@ def _gaussian_derivative(order, x, sigma):
     return (-1.0) ** order * sigma ** (-order) * hermite_e.hermeval(u, coeffs) * gauss
 
 
+def _refine_max(fn, at, span):
+    """Largest value of a vectorized fn found by zooming in on [at - span, at + span].
+
+    Each round evaluates fn at 65 equispaced points and re-centres the
+    bracket on the best one with a half-width of two grid steps, so it
+    shrinks 16-fold per round until it is below 1e-12. Deterministic.
+    """
+    best = -math.inf
+    while span > 1e-12:
+        t = np.linspace(at - span, at + span, 65)
+        vals = fn(t)
+        i = int(np.argmax(vals))
+        at, best = t[i], max(best, float(vals[i]))
+        span /= 16.0
+    return best
+
+
 def wrapped_normal(sigma=1.0, terms=10, literal=False):
     """Normal distribution wrapped around the circle, centered at 0 (d = 1).
 
@@ -97,10 +113,16 @@ def wrapped_normal(sigma=1.0, terms=10, literal=False):
     runs that used it verbatim. The sampler always draws from the normalized
     law: wrap an exact normal draw modulo 2pi.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     if terms < 1:
         raise ValueError("need at least one wrap term")
+    # Fourier coefficients decay like exp(-l^2 sigma^2 / 2); cut where they
+    # drop below 1e-18 relative
+    reach = math.sqrt(2.0 * 18.0 * math.log(10.0)) / sigma
+    if reach > 2**62:
+        raise ValueError(f"sigma={sigma:g} is too small: its band limit exceeds 2**62")
+    band = int(math.ceil(reach)) + 1
     prefactor = 1.0 / TWO_PI if literal else 1.0 / (sigma * math.sqrt(2.0 * math.pi))
     shifts = TWO_PI * np.arange(-terms, terms + 1)
 
@@ -124,18 +146,8 @@ def wrapped_normal(sigma=1.0, terms=10, literal=False):
     probe = np.linspace(0.0, TWO_PI, 4097)
     vals = pdf(probe)
     at = probe[int(np.argmax(vals))]
-    span = TWO_PI / 4096
-    res = minimize_scalar(
-        lambda t: -float(pdf(np.array([t]))[0]),
-        bounds=(at - span, at + span),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    sup_norm = max(float(-res.fun), float(vals.max()))
+    sup_norm = max(_refine_max(pdf, at, TWO_PI / 4096), float(vals.max()))
 
-    # Fourier coefficients decay like exp(-l^2 sigma^2 / 2); cut where they
-    # drop below 1e-18 relative
-    band = int(math.ceil(math.sqrt(2.0 * 18.0 * math.log(10.0)) / sigma)) + 1
     name = f"wrapped_normal_literal({sigma:g})" if literal else f"wrapped_normal({sigma:g})"
     return TestDensity(
         name=name,

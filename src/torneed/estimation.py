@@ -20,6 +20,7 @@ from .frame import (
     _pixel_transform,
     box_half_width,
     box_index,
+    dense_levels,
     drop_imag,
     sample_spectrum,
     synthesize,
@@ -263,11 +264,13 @@ def write_estimator_meta(est, path):
 
 
 def read_estimator_csv(path):
-    """Parse an estimator CSV back into level arrays.
+    """Parse an estimator CSV back into level arrays in one pass.
 
     Returns (raw levels, thresholded levels, taus) as lists indexed by j.
+    Rows may come in any order; gaps and repeats are rejected as in
+    frame.dense_levels.
     """
-    rows = []
+    by_level = {}
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "j,k,raw,thresholded,tau":
@@ -275,12 +278,11 @@ def read_estimator_csv(path):
         for line in fh:
             if line.strip():
                 j_s, k_s, raw_s, kept_s, tau_s = line.strip().split(",")
-                rows.append((int(j_s), int(k_s), float(raw_s), float(kept_s), float(tau_s)))
-    nlevels = max((r[0] for r in rows), default=-1) + 1
+                row = (int(k_s), float(raw_s), float(kept_s), float(tau_s))
+                by_level.setdefault(int(j_s), []).append(row)
     raw_levels, kept_levels, taus = [], [], []
-    for j in range(nlevels):
-        level_rows = sorted((r for r in rows if r[0] == j), key=lambda r: r[1])
-        raw_levels.append(np.array([r[2] for r in level_rows]))
-        kept_levels.append(np.array([r[3] for r in level_rows]))
-        taus.append(level_rows[0][4] if level_rows else 0.0)
+    for raw, kept, tau in dense_levels(path, by_level):
+        raw_levels.append(raw)
+        kept_levels.append(kept)
+        taus.append(float(tau[0]))
     return raw_levels, kept_levels, taus

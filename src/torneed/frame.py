@@ -38,8 +38,7 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from numpy.polynomial.legendre import leggauss
 
 from .harmonics import (
     TWO_PI,
@@ -72,6 +71,32 @@ def drop_imag(values, tol=IMAG_RESIDUE_TOL, what="evaluation"):
     return np.ascontiguousarray(values.real)
 
 
+# Gauss-Legendre rule on [-1, 1]: the ramp integrates the bump over one grid
+# cell (or part of one) with it, the moments integrate b^2 over each panel.
+# Doubling the nodes or quadrupling the panels moves nothing beyond rounding.
+_GL_NODES, _GL_WEIGHTS = leggauss(8)
+# equal panels on each side of u = 1 in the moment quadrature
+_MOMENT_PANELS = 64
+
+
+def _bump(t):
+    """psi0(t) = exp(-1/(1-t^2)) on (-1, 1), 0 outside."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 1.0
+    ti = t[inside]
+    out[inside] = np.exp(-1.0 / ((1.0 - ti) * (1.0 + ti)))
+    return out
+
+
+def _gauss_legendre(fn, lo, hi):
+    """integral of fn over [lo, hi] elementwise (broadcast), by the fixed Gauss-Legendre rule."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    half = 0.5 * (hi - lo)
+    nodes = (lo + half)[..., None] + half[..., None] * _GL_NODES
+    return half * (fn(nodes) @ _GL_WEIGHTS)
+
+
 class NeedletWindow:
     """Smooth Littlewood-Paley window b supported on [1/B, B].
 
@@ -85,24 +110,28 @@ class NeedletWindow:
     b(c/B**j)^2 telescopes over j, so sum_{j>=0} b(c/B**j)^2 = 1 for every
     c > 1 holds to machine precision: it only needs phi to be exactly 1 and 0
     on its plateaus, not an accurate interior integral.
+
+    Psi is integrated exactly up to rounding: the integral of psi0 over each
+    cell of a uniform ramp_nodes grid on [-1, 1] is tabulated once by
+    Gauss-Legendre and accumulated, and Psi(u) adds the same rule on the
+    partial cell [x_k, u].
     """
 
     def __init__(self, B, ramp_nodes=4097):
         if B <= 1:
             raise ValueError("scale B must exceed 1")
         self.B = float(B)
-        grid = np.linspace(-1.0, 1.0, int(ramp_nodes))
-        bump = np.zeros_like(grid)
-        inside = np.abs(grid) < 1.0
-        bump[inside] = np.exp(-1.0 / (1.0 - grid[inside] ** 2))
-        # antiderivative of the spline integrates the fit exactly and stays smooth
-        self._ramp = CubicSpline(grid, bump).antiderivative()
-        self._ramp_total = float(self._ramp(1.0))
+        self._grid = np.linspace(-1.0, 1.0, int(ramp_nodes))
+        cells = _gauss_legendre(_bump, self._grid[:-1], self._grid[1:])
+        self._cumulative = np.concatenate(([0.0], np.cumsum(cells)))
         self._moments: dict[int, float] = {}
 
     def _smooth_step(self, u):
         u = np.clip(np.asarray(u, dtype=float), -1.0, 1.0)
-        return self._ramp(u) / self._ramp_total
+        k = np.clip(np.searchsorted(self._grid, u, side="right") - 1, 0, self._grid.size - 2)
+        x_k = self._grid[k]
+        ramp = self._cumulative[k] + _gauss_legendre(_bump, x_k, u)
+        return ramp / self._cumulative[-1]
 
     def _plateau(self, t):
         t = np.asarray(t, dtype=float)
@@ -114,28 +143,34 @@ class NeedletWindow:
         val = np.where(t >= 1.0, 0.0, val)
         return val
 
-    def __call__(self, t):
+    def _squared(self, t):
+        """b(t)^2 = max(phi(t/B) - phi(t), 0), elementwise."""
         t = np.asarray(t, dtype=float)
-        sq = self._plateau(t / self.B) - self._plateau(t)
-        out = np.sqrt(np.maximum(sq, 0.0))  # clip sub-epsilon negatives
+        return np.maximum(self._plateau(t / self.B) - self._plateau(t), 0.0)
+
+    def __call__(self, t):
+        out = np.sqrt(self._squared(t))  # max() above clips sub-epsilon negatives
         return float(out) if out.ndim == 0 else out
 
     def moment(self, q):
-        """I_q = integral of u**q b(u)^2 over [1/B, B], cached per q."""
+        """I_q = integral of u**q b(u)^2 over [1/B, B], cached per q.
+
+        Composite Gauss-Legendre on equal panels of [1/B, 1] and [1, B]; b^2
+        is C-infinity on each piece (1 - phi(u) on the first, phi(u/B) on the
+        second).
+        """
         q = int(q)
         if q < 0:
             raise ValueError("moment order q must be nonnegative")
         if q not in self._moments:
-            val, _ = quad(
-                lambda u: u**q * float(self(u)) ** 2,
-                1.0 / self.B,
-                self.B,
-                points=[1.0],
-                limit=200,
-                epsabs=1e-12,
-                epsrel=1e-12,
+            edges = np.concatenate(
+                (
+                    np.linspace(1.0 / self.B, 1.0, _MOMENT_PANELS + 1),
+                    np.linspace(1.0, self.B, _MOMENT_PANELS + 1)[1:],
+                )
             )
-            self._moments[q] = float(val)
+            pieces = _gauss_legendre(lambda u: u**q * self._squared(u), edges[:-1], edges[1:])
+            self._moments[q] = float(np.sum(pieces))
         return self._moments[q]
 
 
@@ -428,6 +463,7 @@ class CoefficientArray:
 
     @classmethod
     def from_csv(cls, path, m, provenance):
+        """Read `j,k,value` rows in any order; a level missing or repeating a k is an error."""
         by_level = {}
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
@@ -437,15 +473,34 @@ class CoefficientArray:
                 if not line.strip():
                     continue
                 j_s, k_s, v_s = line.strip().split(",")
-                by_level.setdefault(int(j_s), {})[int(k_s)] = float(v_s)
-        levels = []
-        for j in range(max(by_level) + 1 if by_level else 0):
-            entries = by_level.get(j, {})
-            arr = np.zeros(max(entries) + 1 if entries else 0)
-            for k, v in entries.items():
-                arr[k] = v
-            levels.append(arr)
-        return cls(m, levels, provenance)
+                by_level.setdefault(int(j_s), []).append((int(k_s), float(v_s)))
+        return cls(m, [columns[0] for columns in dense_levels(path, by_level)], provenance)
+
+
+def dense_levels(path, by_level):
+    """Levels 0..max j of CSV rows grouped as {j: [(k, value, ...), ...]}.
+
+    Returns one entry per level: a float array per value column, sorted by
+    k. Every level must hold each k = 0..K-1 exactly once with K >= 1; a
+    negative j, an empty level, or a missing, repeated or negative k is an
+    error that names the level.
+    """
+    if min(by_level, default=0) < 0:
+        raise ValueError(f"{path}: negative level j={min(by_level)}")
+    levels = []
+    for j in range(max(by_level, default=-1) + 1):
+        rows = sorted(by_level.get(j, []), key=lambda row: row[0])
+        if not rows:
+            raise ValueError(f"{path}: level {j} has no rows")
+        for expected, (k, *_) in enumerate(rows):
+            if k > expected:
+                raise ValueError(f"{path}: level {j} is missing k={expected}")
+            if k < 0:
+                raise ValueError(f"{path}: level {j} has negative k={k}")
+            if k < expected:
+                raise ValueError(f"{path}: level {j} repeats k={k}")
+        levels.append(np.array([row[1:] for row in rows], dtype=float).T.copy())
+    return levels
 
 
 def check_structure(frame, coeffs):

@@ -2,12 +2,16 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torneed as tn
 from torneed.bench import ConfigError, RiskReport
+from torneed.cli import main
 
 
 def base_config(**over):
@@ -104,6 +108,65 @@ def test_config_auto_truncation():
     cfg = tn.config_from_dict(base_config(J="auto"))
     assert cfg.J == "auto"
     assert cfg.resolved_J() == 2  # truncation_level(500, 1, 1, 2)
+
+
+def test_config_overflowing_level_is_config_error(tmp_path, capsys):
+    # B**(J+1) leaves float range: a validation error, not an OverflowError
+    with pytest.raises(ConfigError, match="J=5000"):
+        tn.config_from_dict(base_config(J=5000))
+    with pytest.raises(ConfigError, match="J=auto with B=2 overflows"):
+        tn.config_from_dict(base_config(n=10**400, J="auto"))
+    config = Path(__file__).resolve().parent.parent / "configs" / "paper_table3.json"
+    data = json.loads(config.read_text())
+    data["J"] = 5000
+    path = tmp_path / "huge_j.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["bench", str(path), "--out", str(out)]) == 2
+    assert "J=5000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=8,
+)
+# values that pass the type checks but sit at the edges of float range
+_EDGE_VALUES = st.sampled_from(
+    [
+        0, 1, 2, 3, 5000, 2**63, 10**400, 1.0000001, 1e-320, 1e308, math.inf, math.nan,
+        "auto", "inf", "uniform", "wrapped_normal(1e-320)", "wrapped_normal(nan)",
+        "wrapped_normal(inf)", "product(uniform,uniform)", [1], [0, 1], [5000],
+        [10**400], [1e308], [math.inf], [math.nan], ["inf"], ["soft"],
+    ]
+)
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """A valid config with a few keys replaced by edge or arbitrary values, dropped or added."""
+    data = base_config()
+    keys = draw(st.lists(st.sampled_from(sorted(data) + ["extra"]), min_size=1, max_size=3))
+    for key in keys:
+        if draw(st.integers(0, 5)) == 0:
+            data.pop(key, None)
+        else:
+            data[key] = draw(_EDGE_VALUES | _JSON_VALUES)
+    return data
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_fuzzed_configs() | _JSON_VALUES | st.dictionaries(st.text(max_size=8), _JSON_VALUES))
+def test_config_fuzz_raises_only_config_error(data):
+    try:
+        cfg = tn.config_from_dict(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, tn.ExperimentConfig)
 
 
 def test_config_validates_density_name():

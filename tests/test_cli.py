@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torneed as tn
-from torneed.cli import main
+from torneed.cli import DataError, _load_samples, main
+from torneed.harmonics import wrap_angles
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +180,86 @@ def test_estimate_malformed_rows_name_line_numbers(tmp_path, capsys):
     assert not list(tmp_path.glob("x_*"))
 
 
+def _load_samples_by_line(path, d):
+    """Reference reader: the straightforward per-line loop _load_samples must agree with."""
+    bad, rows = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                vals = [float(v) for v in text.split(",")]
+            except ValueError:
+                bad.append(lineno)
+                continue
+            if len(vals) != d or not all(math.isfinite(v) for v in vals):
+                bad.append(lineno)
+                continue
+            rows.append(vals)
+    if bad:
+        shown = ", ".join(str(b) for b in bad[:20])
+        more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
+        raise DataError(
+            f"{path}: malformed rows (need {d} finite comma-separated angles) "
+            f"at line {shown}{more}"
+        )
+    if not rows:
+        raise DataError(f"{path}: no sample rows")
+    X = np.asarray(rows, dtype=float)
+    outside = int(np.count_nonzero(np.any((X < 0) | (X >= tn.TWO_PI), axis=1)))
+    return wrap_angles(X), outside
+
+
+def _outcome(reader, path, d):
+    try:
+        X, outside = reader(path, d)
+    except DataError as exc:
+        return str(exc)
+    return X.tobytes(), X.shape, outside
+
+
+def _assert_same_parse(path, text, d):
+    Path(path).write_text(text, encoding="utf-8")
+    assert _outcome(_load_samples, path, d) == _outcome(_load_samples_by_line, path, d)
+
+
+@pytest.mark.parametrize(
+    "text, d",
+    [
+        ("0.5\n\n  \n1.0\n7.5\n-1\n", 1),  # blank and whitespace-only lines
+        ("0.5,1\r\n 1.5 , 2\r\n\r\n3,1_0\n", 2),  # CRLF, padding, digit separators
+        ("0.5,1\n2\n1,2,3\n", 2),  # wrong widths
+        ("0.5\nabc\n1.0\n\n0x1\n1,\n", 1),  # bad tokens
+        ("0.5\nnan\n-inf\n1e999\n2\n", 1),  # non-finite values
+        ("\n".join(["x"] * 25 + ["0.5"]), 1),  # more than 20 bad lines
+        ("\n".join(["x"] * 20 + ["0.5"]), 1),  # exactly 20 bad lines
+        ("\n \n\n", 1),  # no rows at all
+        ("0.25,6.5,-0.5\n1,2,3", 3),  # last line without newline
+    ],
+)
+def test_load_samples_matches_line_reader(tmp_path, text, d):
+    _assert_same_parse(tmp_path / "s.csv", text, d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    lines=st.lists(
+        st.lists(
+            st.sampled_from(["0.5", " 1.5", "7 ", "-2.25", "1_0", "nan", "inf", "", "x", "1e999"]),
+            min_size=1,
+            max_size=3,
+        ).map(",".join)
+        | st.sampled_from(["", "  ", "\t"]),
+        max_size=30,
+    ),
+    d=st.integers(1, 3),
+)
+def test_load_samples_matches_line_reader_on_random_files(tmp_path_factory, lines, d):
+    path = tmp_path_factory.mktemp("fuzz") / "s.csv"
+    _assert_same_parse(path, "\n".join(lines), d)
+
+
 def test_estimate_needs_enough_samples(tmp_path, capsys):
     data = tmp_path / "tiny.csv"
     data.write_text("0.5\n1.0\n")
@@ -313,6 +399,19 @@ def test_eval_grid_missing_artifacts(tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+def test_eval_grid_rejects_coefficient_gap(kept_artifacts, tmp_path, capsys):
+    # drop one row of level 2: a hole in k, not a silently zero coefficient
+    stem = str(tmp_path / "holed")
+    with open(f"{stem}_meta.json", "w") as fh:
+        fh.write(open(f"{kept_artifacts}_meta.json").read())
+    lines = open(f"{kept_artifacts}_coefficients.csv").read().split("\n")
+    with open(f"{stem}_coefficients.csv", "w") as fh:
+        fh.write("\n".join(line for line in lines if not line.startswith("2,3,")))
+    assert main(["eval-grid", stem, "--grid", "17", "--out", str(tmp_path / "v")]) == 2
+    assert "level 2 is missing k=3" in capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_eval_grid_detects_level_mismatch(kept_artifacts, tmp_path, capsys):
     # copy the artifacts, then claim one more level than the CSV holds
     meta = json.loads(open(f"{kept_artifacts}_meta.json").read())
@@ -325,3 +424,39 @@ def test_eval_grid_detects_level_mismatch(kept_artifacts, tmp_path, capsys):
     assert main(["eval-grid", stem, "--grid", "17", "--out", str(tmp_path / "v")]) == 1
     assert "expected coefficients for 5 level(s)" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+# ---------------------------------------------------------------- runtime dependencies
+
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+import numpy as np
+from torneed.cli import main
+
+work = sys.argv[1]
+assert main(["frame-info", "--B", "2", "--d", "1", "--J", "2"]) == 0
+np.savetxt(f"{work}/x.csv", np.random.default_rng(5).uniform(0, 6.28, 200), fmt="%.17g")
+assert main([
+    "estimate", f"{work}/x.csv", "--m", "1", "--kappa0", "1", "--M", "0.4",
+    "--J", "2", "--out", f"{work}/e",
+]) == 0
+assert main(["eval-grid", f"{work}/e", "--grid", "9", "--out", f"{work}/g.csv"]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    env = dict(os.environ)
+    src = str(Path(tn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().split("\n")[-1] == "['scipy']"  # only the None placeholder
+    assert (tmp_path / "g.csv").read_text().count("\n") == 10

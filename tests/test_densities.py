@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import torneed as tn
-from torneed.densities import _gaussian_derivative
+from torneed.densities import _gaussian_derivative, _refine_max
 from torneed.harmonics import TWO_PI
 
 
@@ -121,6 +121,36 @@ def test_wrapped_normal_sup_norm_is_peak():
     assert wn.sup_norm >= np.max(wn.pdf(grid)) - 1e-12
     # sigma=1 wrapping correction is tiny: peak close to 1/sqrt(2 pi)
     assert wn.sup_norm == pytest.approx(1.0 / math.sqrt(TWO_PI), abs=1e-3)
+
+
+def test_wrapped_normal_sup_norm_frozen_values():
+    # the peak sits at theta = 0, which the probe grid contains
+    assert tn.wrapped_normal(1.0).sup_norm == pytest.approx(0.39894228253600367, rel=1e-15)
+    assert tn.wrapped_normal(0.5).sup_norm == pytest.approx(0.7978845608028654, rel=1e-15)
+    literal = tn.wrapped_normal(1.0, literal=True)
+    assert literal.sup_norm == pytest.approx(0.15915494394346597, rel=1e-15)
+
+
+def test_refine_max_finds_a_peak_between_probe_points():
+    # a spike of width 1e-3 whose top lies 0.2 probe steps off the nearest probe point
+    top = 1.2345678901234
+
+    def spike(t):
+        return np.exp(-(((t - top) / 1e-3) ** 2))
+
+    probe = np.linspace(0.0, TWO_PI, 4097)
+    at = probe[int(np.argmax(spike(probe)))]
+    assert spike(at) < 0.95
+    assert _refine_max(spike, at, TWO_PI / 4096) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_wrapped_normal_rejects_unusable_sigma():
+    for sigma in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            tn.wrapped_normal(sigma)
+    # a band limit beyond any integer grid
+    with pytest.raises(ValueError, match="too small"):
+        tn.wrapped_normal(1e-320)
 
 
 def test_wrapped_normal_band_limit_truncates_spectrum():

@@ -290,6 +290,30 @@ def test_estimator_csv_and_meta_round_trip(frame, tmp_path):
         assert fh.readline().strip() == "j,k,raw,thresholded,tau"
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0,1,1,0.5\n0,2,3,3,0.5\n", "level 0 is missing k=1"),
+        ("0,0,1,1,0.5\n1,0,2,0,0.7\n1,0,2,0,0.7\n", "level 1 repeats k=0"),
+    ],
+)
+def test_read_estimator_csv_rejects_gaps_and_duplicates(tmp_path, rows, message):
+    path = tmp_path / "holes.csv"
+    path.write_text("j,k,raw,thresholded,tau\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        tn.read_estimator_csv(path)
+
+
+def test_read_estimator_csv_sorts_rows_by_k(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("j,k,raw,thresholded,tau\n0,1,2,0,0.5\n1,0,7,7,0.9\n0,0,1,1,0.5\n")
+    raw_levels, kept_levels, taus = tn.read_estimator_csv(path)
+    np.testing.assert_array_equal(raw_levels[0], [1.0, 2.0])
+    np.testing.assert_array_equal(kept_levels[0], [1.0, 0.0])
+    np.testing.assert_array_equal(raw_levels[1], [7.0])
+    assert taus == [0.5, 0.9]
+
+
 def test_read_estimator_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

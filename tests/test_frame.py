@@ -65,7 +65,7 @@ def test_window_moments_against_analytic_and_trapezoid():
     # dense trapezoid of b(t)^2 t^q, an independent quadrature route
     for B in (2.0, 3.0):
         w = tn.build_window(B)
-        assert w.moment(0) == pytest.approx((B**2 - 1) / (2 * B), abs=1e-9)
+        assert w.moment(0) == pytest.approx((B**2 - 1) / (2 * B), rel=1e-13)
         ts = np.linspace(1.0 / B - 1e-9, B + 1e-9, 400_001)
         b2 = w(ts) ** 2
         for q in (1, 2):
@@ -75,9 +75,22 @@ def test_window_moments_against_analytic_and_trapezoid():
 
 def test_window_moment_frozen_values():
     w = tn.build_window(2.0)
-    assert w.moment(0) == pytest.approx(0.75, abs=1e-9)
-    assert w.moment(1) == pytest.approx(0.8585731533997301, abs=1e-9)
-    assert w.moment(2) == pytest.approx(1.0362560368990565, abs=1e-9)
+    assert w.moment(0) == pytest.approx(0.75, rel=1e-12)
+    assert w.moment(1) == pytest.approx(0.8585731533997301, rel=1e-12)
+    assert w.moment(2) == pytest.approx(1.0362560368990565, rel=1e-12)
+
+
+def test_window_interior_frozen_values():
+    # b(3/4) at B=2 sits where the ramp is at its midpoint: b^2 = Psi(0) = 1/2
+    w = tn.build_window(2.0)
+    assert w(0.75) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    assert w(1.0) == 1.0
+    assert w(0.6) == pytest.approx(0.26344585876438403, rel=1e-12)
+    assert w(1.3) == pytest.approx(0.9015942736681688, rel=1e-12)
+    assert w(1.7) == pytest.approx(0.4325826691960368, rel=1e-12)
+    w = tn.build_window(1.5)
+    assert w(0.8) == pytest.approx(0.5801056054133314, rel=1e-12)
+    assert w(1.2) == pytest.approx(0.8145412737044284, rel=1e-12)
 
 
 def test_build_window_rejects_bad_base():
@@ -311,6 +324,31 @@ def test_coefficient_array_csv_roundtrip(tmp_path, frame1):
     assert len(back.levels) == len(coeffs.levels)
     for a, b in zip(coeffs.levels, back.levels):
         np.testing.assert_array_equal(a, b)  # 17 digits round-trips float64 exactly
+
+
+def test_coefficient_array_csv_reads_rows_in_any_order(tmp_path):
+    path = tmp_path / "shuffled.csv"
+    path.write_text("j,k,value\n1,1,4\n0,2,3\n0,0,1\n\n1,0,5\n0,1,2\n")
+    back = tn.CoefficientArray.from_csv(path, (1,), "empirical")
+    np.testing.assert_array_equal(back.levels[0], [1.0, 2.0, 3.0])
+    np.testing.assert_array_equal(back.levels[1], [5.0, 4.0])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("0,0,1\n0,2,3\n1,0,5\n", "level 0 is missing k=1"),
+        ("0,0,1\n1,0,5\n1,1,4\n1,1,6\n", "level 1 repeats k=1"),
+        ("0,0,1\n2,0,5\n", "level 1 has no rows"),
+        ("0,-1,1\n0,0,5\n", "level 0 has negative k=-1"),
+        ("0,0,1\n-1,0,5\n", "negative level j=-1"),
+    ],
+)
+def test_coefficient_array_csv_rejects_gaps_and_duplicates(tmp_path, rows, message):
+    path = tmp_path / "holes.csv"
+    path.write_text("j,k,value\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        tn.CoefficientArray.from_csv(path, (1,), "empirical")
 
 
 # ---------------------------------------------------------------- norms
