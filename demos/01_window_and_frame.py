@@ -11,7 +11,7 @@ import torneed as tn
 
 B = 2.0
 
-window = tn.build_window(B)
+window = tn.NeedletWindow(B)
 
 # b lives on [1/B, B], rises from 0 to 1, and equals 1 exactly at t = 1
 ts = np.array([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0])

@@ -30,7 +30,15 @@ from .estimation import (
     threshold_value,
     truncation_level,
 )
-from .frame import CoefficientArray, NeedletFrame, analyze, uniform_grid
+from .frame import (
+    MAX_GRID_POINTS,
+    CoefficientArray,
+    NeedletFrame,
+    analysis_grid_size,
+    analyze,
+    exceeds_grid_cap,
+    uniform_grid,
+)
 from .harmonics import TWO_PI
 
 _MASK64 = (1 << 64) - 1
@@ -211,9 +219,10 @@ def config_from_dict(data):
 
     if method == "coefficient-proxy" and p is not None and any(v != 2 for v in p):
         errors.append("coefficient-proxy risk is defined for p = 2 only")
+    band = None
     if density is not None and d is not None:
         try:
-            density_from_name(density, d)
+            band = density_from_name(density, d).band_limit
         except ValueError as exc:
             errors.append(str(exc))
     if None not in (n, d, m, B, J, grid):
@@ -225,6 +234,18 @@ def config_from_dict(data):
         else:
             if grid < min_grid:
                 errors.append(f"grid must be at least {min_grid} to resolve level J={j_resolved}")
+            if exceeds_grid_cap(grid, d):
+                errors.append(
+                    f"evaluation grid of {grid}^{d} points exceeds the cap {MAX_GRID_POINTS}"
+                )
+            # the coefficient proxy analyzes the density on levels 0..J-1
+            if method in ("coefficient-proxy", "both") and band is not None and j_resolved >= 1:
+                npts = analysis_grid_size(B, j_resolved - 1, band)
+                if exceeds_grid_cap(npts, d):
+                    errors.append(
+                        f"analysis grid of {npts}^{d} points for {density} at J={j_resolved}"
+                        f" exceeds the cap {MAX_GRID_POINTS}"
+                    )
 
     if errors:
         raise ConfigError("invalid experiment config:\n  - " + "\n  - ".join(errors))

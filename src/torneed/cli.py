@@ -28,12 +28,13 @@ from .estimation import (
     write_estimator_meta,
 )
 from .frame import (
+    MAX_GRID_POINTS,
     CoefficientArray,
     NeedletFrame,
+    exceeds_grid_cap,
     needlet_l2_norm,
     synthesize,
     uniform_grid,
-    window_moment,
 )
 from .harmonics import TWO_PI, as_multi_index, wrap_angles
 
@@ -45,6 +46,10 @@ class DataError(RuntimeError):
 def _require(cond, message):
     if not cond:
         raise ValueError(message)
+
+
+def _grid_cap_message(grid, d):
+    return f"--grid {grid} in d={d} asks for {grid}^{d} points, above the cap {MAX_GRID_POINTS}"
 
 
 def _parse_m(text, d):
@@ -134,7 +139,7 @@ def _cmd_frame_info(args):
     _require(args.J >= 0, f"--J must be nonnegative, got {args.J}")
     m = _parse_m(args.m, args.d) if args.m else as_multi_index(None, args.d)
     frame = NeedletFrame(args.B, args.d, jmax=args.J)
-    moments = [window_moment(frame.window, q) for q in (0, 1, 2)]
+    moments = [frame.window.moment(q) for q in (0, 1, 2)]
     print(f"B={args.B:g}  d={args.d}  jmax={args.J}  m=({','.join(str(v) for v in m)})")
     print(
         f"window moments: I0={moments[0]:.12g}  I1={moments[1]:.12g}  I2={moments[2]:.12g}"
@@ -165,6 +170,7 @@ def _cmd_estimate(args):
         _require(args.J >= 0, f"--J must be nonnegative, got {args.J}")
     if args.grid is not None:
         _require(args.grid >= 1, "--grid must be a positive integer")
+        _require(not exceeds_grid_cap(args.grid, args.d), _grid_cap_message(args.grid, args.d))
     density = density_from_name(args.density, args.d) if args.density else None
 
     X, outside = _load_samples(args.data, args.d)
@@ -232,6 +238,7 @@ def _cmd_eval_grid(args):
     for key in ("B", "d", "m", "n", "kappa", "rule", "J"):
         _require(key in meta, f"{meta_path}: missing key {key!r}")
     d, J = int(meta["d"]), int(meta["J"])
+    _require(not exceeds_grid_cap(args.grid, d), _grid_cap_message(args.grid, d))
     m = as_multi_index(meta["m"], d)
     _require(meta["B"] > 1, f"{meta_path}: B must exceed 1")
     density = density_from_name(args.density, d) if args.density else None

@@ -15,7 +15,7 @@ one spectral core on the box |l_i| <= L, L = ceil(B**(j+1)) - 1 the top of the
 highest shell in use:
 
 - sample_spectrum sums exp(i l.x) over a point set once for the whole box
-  (per-axis phase blocks contracted by a sum or a GEMM); each shell is then a
+  (per-axis phase tables contracted by a sum or a GEMM); each shell is then a
   gather from it.
 - spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
   points, contracting one axis at a time.
@@ -24,7 +24,15 @@ highest shell in use:
 
 Synthesis therefore maps each live level's pixels back to its shell by FFT,
 adds every level into one box spectrum and evaluates that spectrum once.
-Phase blocks are cut into row blocks of at most PHASE_BLOCK_BYTES each.
+
+Every phase is read from a per-axis power table (_axis_phases): one cos and
+one sin per coordinate give exp(i x), doubling products give exp(i l x) for
+l = 0..L, conjugates the negative l. It is the only place the module takes
+cos/sin of a phase angle. Tables are frequency-major, (2L+1, rows); their
+error grows about linearly in |l| and stays below (|l|+1) * 1e-15, below
+that of cos/sin of the rounded angle l*x. Needlet evaluation (_phases)
+gathers the shell's rows from them. Phase tables and blocks are cut into
+row blocks of at most PHASE_BLOCK_BYTES each.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -54,6 +62,18 @@ IMAG_RESIDUE_TOL = 1e-9
 
 # bytes of one complex phase block; every row-blocked loop sizes its rows from it
 PHASE_BLOCK_BYTES = 1 << 22
+
+# most points a cubature, analysis or evaluation grid may hold
+MAX_GRID_POINTS = 10**8
+
+
+def exceeds_grid_cap(per_axis, d):
+    """True when a grid of per_axis**d points holds more than MAX_GRID_POINTS.
+
+    Never forms a huge power: two or more points per axis in as many
+    dimensions as the cap has bits are already past it.
+    """
+    return per_axis > 1 and (d >= MAX_GRID_POINTS.bit_length() or per_axis**d > MAX_GRID_POINTS)
 
 
 def drop_imag(values, tol=IMAG_RESIDUE_TOL, what="evaluation"):
@@ -174,16 +194,6 @@ class NeedletWindow:
         return self._moments[q]
 
 
-def build_window(B):
-    """Window function for scale B; see NeedletWindow."""
-    return NeedletWindow(B)
-
-
-def window_moment(window, q):
-    """I_q = integral of u**q b(u)^2 over the window support."""
-    return window.moment(q)
-
-
 def uniform_grid(npts, d):
     """Uniform tensor grid on [0, 2pi)^d with npts points per dimension, as (npts**d, d) rows."""
     if npts < 1:
@@ -206,10 +216,6 @@ class CubatureLevel:
     def K(self):
         return self.points.shape[0]
 
-    @property
-    def weights(self):
-        return np.full(self.K, self.weight)
-
 
 @dataclasses.dataclass(frozen=True)
 class _Level:
@@ -226,7 +232,7 @@ class NeedletFrame:
     are precomputed per level.
     """
 
-    def __init__(self, B, d, jmax, window=None, max_points=10**8):
+    def __init__(self, B, d, jmax, window=None, max_points=MAX_GRID_POINTS):
         if d < 1:
             raise ValueError("dimension d must be at least 1")
         if jmax < 0:
@@ -271,7 +277,7 @@ class NeedletFrame:
         return [lev.cubature.K for lev in self._levels]
 
 
-def build_frame(B, d, jmax, window=None, max_points=10**8):
+def build_frame(B, d, jmax, window=None, max_points=MAX_GRID_POINTS):
     """Construct a NeedletFrame; see the class docstring."""
     return NeedletFrame(B, d, jmax, window=window, max_points=max_points)
 
@@ -284,28 +290,51 @@ def block_rows(n, width):
     return max(1, min(int(n), PHASE_BLOCK_BYTES // (16 * max(int(width), 1))))
 
 
-def _cis(angles):
-    """exp(i * angles), built from cos and sin of the real array."""
-    out = np.empty(np.shape(angles), dtype=complex)
-    np.cos(angles, out=out.real)
-    np.sin(angles, out=out.imag)
+def _axis_phases(x, L, full=True):
+    """exp(i l x) for l = -L..L (full) or l = 0..L, frequency-major.
+
+    Returns a complex (2L+1, n) array indexed by l + L, or (L+1, n) indexed
+    by l. Row 1 is cos(x) + i sin(x), the only transcendental call; the
+    positive powers follow by doubling (rows k+1..2k are rows 1..k times row
+    k, one in-place multiply per doubling) and the negative rows are their
+    conjugates. The error grows about linearly in |l|, below (|l|+1) * 1e-15.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((2 * L + 1 if full else L + 1, x.shape[0]), dtype=complex)
+    pos = out[L:] if full else out
+    pos[0] = 1.0
+    if L >= 1:
+        np.cos(x, out=pos[1].real)
+        np.sin(x, out=pos[1].imag)
+    k = 1
+    while k < L:
+        top = min(2 * k, L)
+        np.multiply(pos[1 : top - k + 1], pos[k], out=pos[k + 1 : top + 1])
+        k = top
+    if full:
+        np.conjugate(pos[:0:-1], out=out[:L])
     return out
 
 
 def _phases(points, freqs, sign):
     """exp(sign * i * points @ freqs.T), evaluated in row blocks.
 
-    Blocking bounds the temporaries; each block is a plain vectorized numpy
-    op, so results depend neither on the block size nor on the thread count,
-    which the reproducibility contract needs.
+    Each block gathers the rows l_a + L of one phase table per axis and
+    multiplies the gathers. Blocking bounds the temporaries; each block is a
+    plain vectorized numpy op, so results depend neither on the block size
+    nor on the thread count, which the reproducibility contract needs.
     """
-    n = points.shape[0]
+    n, d = points.shape
+    L = int(np.max(np.abs(freqs), initial=0))
+    index = freqs + L
     out = np.empty((n, freqs.shape[0]), dtype=complex)
-    ft = sign * freqs.T.astype(float)
-    rows = block_rows(n, freqs.shape[0])
+    rows = block_rows(n, max(freqs.shape[0], 2 * L + 1))
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        out[start:stop] = _cis(points[start:stop] @ ft)
+        block = points[start : start + rows]
+        prod = _axis_phases(block[:, 0], L)[index[:, 0]]
+        for a in range(1, d):
+            prod *= _axis_phases(block[:, a], L)[index[:, a]]
+        out[start : start + block.shape[0]] = prod.T if sign > 0 else np.conj(prod.T)
     return out
 
 
@@ -328,30 +357,28 @@ def sample_spectrum(points, L):
     """Type-1 sum S_l = sum_i exp(i l . x_i) on the box |l_i| <= L.
 
     Returns a complex array of shape (2L+1,)*d indexed by l + L. Per row
-    block, each coordinate gets one phase block exp(i x_a l_a); they are
-    contracted by a column sum in d=1, one GEMM in d=2, and an outer product
-    of the leading axes followed by a GEMM in d>=3. The last axis runs over
-    l_d >= 0 only: the points are real, so S_{-l} = conj(S_l) supplies the rest.
-    Blocks are reduced in a fixed order, so the sum does not depend on the
-    thread count.
+    block, each coordinate gets one frequency-major phase table
+    exp(i l_a x_a) (_axis_phases); they are contracted by a row sum in d=1,
+    one GEMM in d=2, and an outer product of the leading axes followed by a
+    GEMM in d>=3. The last axis runs over l_d >= 0 only: the points are
+    real, so S_{-l} = conj(S_l) supplies the rest. Blocks are reduced in a
+    fixed order, so the sum does not depend on the thread count.
     """
     n, d = points.shape
     W = 2 * L + 1
-    freqs = np.arange(-L, L + 1, dtype=float)
-    half = freqs[L:]
     S = np.zeros((W ** (d - 1), L + 1), dtype=complex)
     rows, _ = spectrum_block_shape(n, d, L)
     for start in range(0, n, rows):
         block = points[start : start + rows]
-        last = _cis(np.multiply.outer(block[:, -1], half))
+        last = _axis_phases(block[:, -1], L, full=False)
         if d == 1:
-            S[0] += last.sum(axis=0)
+            S[0] += last.sum(axis=1)
             continue
-        lead = _cis(np.multiply.outer(block[:, 0], freqs))
+        lead = _axis_phases(block[:, 0], L)
         for a in range(1, d - 1):
-            axis = _cis(np.multiply.outer(block[:, a], freqs))
-            lead = (lead[:, :, None] * axis[:, None, :]).reshape(block.shape[0], -1)
-        S += lead.T @ last
+            axis = _axis_phases(block[:, a], L)
+            lead = (lead[:, None, :] * axis[None, :, :]).reshape(-1, block.shape[0])
+        S += lead @ last.T
     S = S.reshape((W,) * (d - 1) + (L + 1,))
     box = np.empty((W,) * d, dtype=complex)
     box[..., L:] = S
@@ -362,13 +389,13 @@ def sample_spectrum(points, L):
 def spectrum_values(box, points):
     """Adjoint of sample_spectrum: sum_l box[l + L] exp(i l . x) at every row x of points.
 
-    Contracts one axis at a time: a GEMM against the first axis, then a
-    row-wise product and sum per remaining axis. Returns a complex (n,) array.
+    Contracts one axis at a time: a GEMM of the first axis's phase table
+    against the box, then a row-wise product and sum per remaining axis.
+    Returns a complex (n,) array.
     """
     d = box.ndim
     W = box.shape[0]
     L = (W - 1) // 2
-    freqs = np.arange(-L, L + 1, dtype=float)
     n = points.shape[0]
     flat = box.reshape(W, -1)
     out = np.empty(n, dtype=complex)
@@ -376,10 +403,10 @@ def spectrum_values(box, points):
     for start in range(0, n, rows):
         block = points[start : start + rows]
         r = block.shape[0]
-        acc = _cis(np.multiply.outer(block[:, 0], freqs)) @ flat
+        acc = _axis_phases(block[:, 0], L).T @ flat
         for a in range(1, d):
-            axis = _cis(np.multiply.outer(block[:, a], freqs))
-            acc = np.einsum("rw,rwk->rk", axis, acc.reshape(r, W, -1))
+            axis = _axis_phases(block[:, a], L)
+            acc = np.einsum("wr,rwk->rk", axis, acc.reshape(r, W, -1))
         out[start : start + r] = acc.reshape(r)
     return out
 
@@ -533,7 +560,7 @@ def needlet_eval(frame, j, k, theta, m=None):
     xi = lev.cubature.points[k]
     # sqrt(lambda) * sum_l b_l mult_l conj(e_l(xi)) e_l(theta), with the
     # (2pi)^(-d/2) of each basis factor folded into one constant
-    amp = lev.bvals * mult * np.exp(-1j * (lev.freqs.astype(float) @ xi))
+    amp = lev.bvals * mult * _phases(xi[None, :], lev.freqs, -1.0)[0]
     scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
     vals = scale * (_phases(pts, lev.freqs, +1.0) @ amp)
     out = drop_imag(vals, what=f"needlet ({j},{k}) evaluation")
@@ -559,6 +586,11 @@ def needlet_matrix(frame, j, theta, m=None):
     return out
 
 
+def analysis_grid_size(B, jmax, band_limit=None):
+    """Points per axis of the FFT grid analyze uses: levels 0..jmax plus the band of f."""
+    return 2 * math.ceil(B ** (jmax + 1)) + 1 + 2 * (int(band_limit) if band_limit else 0)
+
+
 def _fourier_coefficients(frame, f, jmax, band_limit=None, grid_points=None):
     """Raw Fourier coefficients a_l = <f, e_l> for every shell frequency up to jmax.
 
@@ -566,11 +598,14 @@ def _fourier_coefficients(frame, f, jmax, band_limit=None, grid_points=None):
     band plus the declared band of f. Returns one array per level, aligned
     with the shells.
     """
-    band = int(band_limit) if band_limit else 0
-    min_pts = 2 * math.ceil(frame.B ** (jmax + 1)) + 1
-    npts = grid_points if grid_points is not None else min_pts + 2 * band
+    min_pts = analysis_grid_size(frame.B, jmax)
+    npts = grid_points if grid_points is not None else analysis_grid_size(frame.B, jmax, band_limit)
     if npts < min_pts:
         raise ValueError(f"analysis grid {npts} cannot resolve level {jmax} (needs >= {min_pts})")
+    if exceeds_grid_cap(npts, frame.d):
+        raise ValueError(
+            f"analysis grid of {npts}^{frame.d} points exceeds the cap {MAX_GRID_POINTS}"
+        )
     grid = uniform_grid(npts, frame.d)
     fvals = np.asarray(f(grid[:, 0] if frame.d == 1 else grid), dtype=float)
     if fvals.shape != (grid.shape[0],):

@@ -101,12 +101,6 @@ def fourier_basis(freqs, theta):
     return TWO_PI ** (-d / 2.0) * np.exp(1j * phase)
 
 
-def fourier_basis_eval(freq, theta):
-    """Single basis value e_l(theta) as a complex scalar."""
-    freq = np.atleast_1d(np.asarray(freq, dtype=np.int64))
-    return complex(fourier_basis(freq.reshape(1, -1), theta)[0, 0])
-
-
 def derivative_multiplier(freqs, m):
     """Factor turning e_l into its m-th partial derivative: prod_i (i*l_i)**m_i.
 

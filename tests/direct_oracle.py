@@ -30,6 +30,15 @@ def pixel_transform(level, amplitudes, sign):
     return phases(level.cubature.points, level.freqs, sign) @ amplitudes
 
 
+def needlet_matrix(frame, j, points, m=None):
+    """[t, k] = psi^(m)_{j,k}(points_t), with both phase factors as dense matrices."""
+    lev = frame.level(j)
+    amp = lev.bvals * np.atleast_1d(derivative_multiplier(lev.freqs, as_multi_index(m, frame.d)))
+    scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
+    centers = phases(lev.cubature.points, lev.freqs, -1.0)
+    return scale * (phases(points, lev.freqs, +1.0) * amp) @ centers.T
+
+
 def fourier_coefficients(frame, f, jmax, npts):
     """a_l = <f, e_l> for every shell frequency up to jmax, by a direct quadrature sum."""
     grid = uniform_grid(npts, frame.d)

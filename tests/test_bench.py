@@ -127,6 +127,38 @@ def test_config_overflowing_level_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_rejects_analysis_grid_above_cap(tmp_path, capsys):
+    # the coefficient proxy analyzes the density on an FFT grid wide enough
+    # for its band; validation refuses grids past the cap without building them
+    huge_band = base_config(density="wrapped_normal(1e-10)", risk_method="coefficient-proxy")
+    with pytest.raises(ConfigError, match=r"analysis grid of 182091255547\^1 points .* the cap"):
+        tn.config_from_dict(huge_band)
+    cube = base_config(
+        density="product(wrapped_normal(0.01),wrapped_normal(0.01),wrapped_normal(0.01))",
+        d=3, m=[1, 0, 0], J=2, grid=17, risk_method="both",
+    )  # fmt: skip
+    with pytest.raises(ConfigError, match=r"analysis grid of 1833\^3 points"):
+        tn.config_from_dict(cube)
+    # the same densities pass when only the grid risk runs: nothing is analyzed
+    tn.config_from_dict({**huge_band, "risk_method": "grid-quadrature"})
+    tn.config_from_dict({**cube, "risk_method": "grid-quadrature"})
+    path = tmp_path / "huge_band.json"
+    path.write_text(json.dumps(huge_band))
+    out = tmp_path / "out"
+    assert main(["bench", str(path), "--out", str(out)]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_rejects_evaluation_grid_above_cap():
+    plane = base_config(density="uniform", d=2, m=[1, 0])
+    tn.config_from_dict({**plane, "grid": 10**4})  # 10^8 points: at the cap
+    with pytest.raises(ConfigError, match=r"evaluation grid of 10001\^2 points exceeds"):
+        tn.config_from_dict({**plane, "grid": 10**4 + 1})
+    with pytest.raises(ConfigError, match="evaluation grid"):
+        tn.config_from_dict(base_config(grid=10**8 + 1, risk_method="coefficient-proxy"))
+
+
 _JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12)
 )

@@ -394,6 +394,21 @@ def test_eval_grid_truth_column(kept_artifacts, tmp_path):
     assert all(line.split(",")[2] == "0" for line in lines[1:])
 
 
+def test_grid_above_the_point_cap_is_a_usage_error(
+    kept_artifacts, uniform_8000, tmp_path, capsys
+):
+    # 10^12 points would be refused by the allocator after estimate had
+    # written its coefficients; the cap stops both commands before any output
+    stem = str(tmp_path / "huge")
+    base = ["estimate", str(uniform_8000), "--m", "1", "--kappa", "0", "--out", stem]
+    assert main(base + ["--grid", str(10**12)]) == 2
+    assert "above the cap 100000000" in capsys.readouterr().err
+    assert not list(tmp_path.glob("huge_*"))
+    assert main(["eval-grid", kept_artifacts, "--grid", str(10**8 + 1), "--out", stem]) == 2
+    assert "--grid 100000001 in d=1 asks for 100000001^1 points" in capsys.readouterr().err
+    assert not list(tmp_path.glob("huge*"))
+
+
 def test_eval_grid_missing_artifacts(tmp_path, capsys):
     assert main(["eval-grid", str(tmp_path / "ghost"), "--grid", "17", "--out", str(tmp_path / "v")]) == 1
     assert not (tmp_path / "v").exists()

@@ -77,7 +77,7 @@ def test_threshold_value_literal_schedule():
 
 def test_calibrated_rule_constant():
     # kappa = kappa0 * M * I_|m| with I_q the q-th window moment
-    window = tn.build_window(2.0)
+    window = tn.NeedletWindow(2.0)
     sup = 1.0 / TWO_PI
     rule = tn.calibrated_rule("hard", 5.0, sup, window, (1,), 8000, 2.0)
     assert window.moment(1) == pytest.approx(0.8585731533997301, rel=1e-12)

@@ -7,7 +7,7 @@ import pytest
 
 import direct_oracle as oracle
 import torneed as tn
-from torneed.frame import drop_imag
+from torneed.frame import MAX_GRID_POINTS, drop_imag, exceeds_grid_cap
 from torneed.harmonics import TWO_PI
 
 
@@ -25,7 +25,7 @@ def frame2():
 
 
 def test_window_support_and_plateau_values():
-    w = tn.build_window(2.0)
+    w = tn.NeedletWindow(2.0)
     assert w(0.4) == 0.0  # below 1/B
     assert w(0.5) == 0.0
     assert w(2.0) == 0.0  # at and above B
@@ -38,12 +38,12 @@ def test_window_support_and_plateau_values():
 
 def test_window_midpoint_symmetry():
     # the ramp is built from a symmetric bump, so its midpoint is exactly 1/2
-    w = tn.build_window(2.0)
+    w = tn.NeedletWindow(2.0)
     assert w(1.5) == pytest.approx(math.sqrt(0.5), abs=1e-12)
 
 
 def test_window_partition_of_unity():
-    w = tn.build_window(2.0)
+    w = tn.NeedletWindow(2.0)
     ts = np.concatenate([np.linspace(1.0, 100.0, 4001), [1.0, 2.0, 4.0, 64.0]])
     total = np.zeros_like(ts)
     for j in range(12):
@@ -52,7 +52,7 @@ def test_window_partition_of_unity():
 
 
 def test_window_partition_other_base():
-    w = tn.build_window(1.7)
+    w = tn.NeedletWindow(1.7)
     ts = np.linspace(1.0, 40.0, 1501)
     total = np.zeros_like(ts)
     for j in range(12):
@@ -64,7 +64,7 @@ def test_window_moments_against_analytic_and_trapezoid():
     # I0 = (B^2-1)/(2B) exactly for a symmetric bump; I1, I2 against a
     # dense trapezoid of b(t)^2 t^q, an independent quadrature route
     for B in (2.0, 3.0):
-        w = tn.build_window(B)
+        w = tn.NeedletWindow(B)
         assert w.moment(0) == pytest.approx((B**2 - 1) / (2 * B), rel=1e-13)
         ts = np.linspace(1.0 / B - 1e-9, B + 1e-9, 400_001)
         b2 = w(ts) ** 2
@@ -74,7 +74,7 @@ def test_window_moments_against_analytic_and_trapezoid():
 
 
 def test_window_moment_frozen_values():
-    w = tn.build_window(2.0)
+    w = tn.NeedletWindow(2.0)
     assert w.moment(0) == pytest.approx(0.75, rel=1e-12)
     assert w.moment(1) == pytest.approx(0.8585731533997301, rel=1e-12)
     assert w.moment(2) == pytest.approx(1.0362560368990565, rel=1e-12)
@@ -82,20 +82,20 @@ def test_window_moment_frozen_values():
 
 def test_window_interior_frozen_values():
     # b(3/4) at B=2 sits where the ramp is at its midpoint: b^2 = Psi(0) = 1/2
-    w = tn.build_window(2.0)
+    w = tn.NeedletWindow(2.0)
     assert w(0.75) == pytest.approx(math.sqrt(0.5), rel=1e-15)
     assert w(1.0) == 1.0
     assert w(0.6) == pytest.approx(0.26344585876438403, rel=1e-12)
     assert w(1.3) == pytest.approx(0.9015942736681688, rel=1e-12)
     assert w(1.7) == pytest.approx(0.4325826691960368, rel=1e-12)
-    w = tn.build_window(1.5)
+    w = tn.NeedletWindow(1.5)
     assert w(0.8) == pytest.approx(0.5801056054133314, rel=1e-12)
     assert w(1.2) == pytest.approx(0.8145412737044284, rel=1e-12)
 
 
-def test_build_window_rejects_bad_base():
+def test_window_rejects_bad_base():
     with pytest.raises(ValueError):
-        tn.build_window(1.0)
+        tn.NeedletWindow(1.0)
 
 
 # ---------------------------------------------------------------- cubature
@@ -446,3 +446,23 @@ def test_build_frame_and_validation():
 def test_frame_memory_guard():
     with pytest.raises(ValueError):
         tn.NeedletFrame(2.0, 3, jmax=8, max_points=10**6)
+
+
+def test_exceeds_grid_cap_is_exact_and_cheap():
+    assert MAX_GRID_POINTS == 10**8
+    assert not exceeds_grid_cap(10**4, 2) and exceeds_grid_cap(10**4 + 1, 2)
+    assert not exceeds_grid_cap(10, 8) and exceeds_grid_cap(10, 9)
+    # a power with 10^18 factors is never formed
+    assert exceeds_grid_cap(2, 10**18) and not exceeds_grid_cap(1, 10**18)
+
+
+def test_analysis_grid_guard_raises_before_allocating():
+    # band limit 91 045 627 765: the grid would hold 1.8e11 points (d=1), or
+    # 1833^3 = 6.2e9 for a d=3 product at sigma 0.01; both raise before any grid is built
+    with pytest.raises(ValueError, match=r"analysis grid of 182091255563\^1 points exceeds the cap"):
+        tn.analyze(tn.NeedletFrame(2.0, 1, jmax=3), tn.wrapped_normal(1e-10))
+    cube = tn.density_from_name(
+        "product(wrapped_normal(0.01),wrapped_normal(0.01),wrapped_normal(0.01))", 3
+    )
+    with pytest.raises(ValueError, match=r"analysis grid of 1833\^3 points"):
+        tn.analyze(tn.NeedletFrame(2.0, 3, jmax=1), cube)

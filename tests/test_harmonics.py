@@ -12,11 +12,16 @@ from torneed.harmonics import (
     derivative_multiplier,
     eigenvalue,
     fourier_basis,
-    fourier_basis_eval,
     frequency_shell,
     geodesic_distance,
     wrap_angles,
 )
+
+
+def fourier_basis_eval(freq, theta):
+    """Single basis value e_l(theta) as a complex scalar."""
+    freq = np.atleast_1d(np.asarray(freq, dtype=np.int64))
+    return complex(fourier_basis(freq.reshape(1, -1), theta)[0, 0])
 
 
 def test_wrap_angles_range_and_identity():

@@ -20,6 +20,7 @@ import torneed as tn
 from torneed import frame as frame_mod
 from torneed.frame import (
     PHASE_BLOCK_BYTES,
+    _axis_phases,
     block_rows,
     box_half_width,
     sample_spectrum,
@@ -152,6 +153,41 @@ def test_block_rows_bounds():
     assert block_rows(3, 1) == 3  # never more rows than there are
     assert block_rows(10**9, 10**9) == 1  # never fewer than one
     assert block_rows(10**9, 4) == PHASE_BLOCK_BYTES // 64
+
+
+# ---------------------------------------------------------------- per-axis phase tables
+
+
+@pytest.mark.parametrize("full", [True, False])
+@pytest.mark.parametrize("L", [0, 1, 2, 15, 255, 16383])
+def test_axis_phases_match_long_double_reference(L, full):
+    x = np.random.default_rng(L).uniform(0.0, TWO_PI, 64)
+    got = _axis_phases(x, L, full=full)
+    freqs = np.arange(-L if full else 0, L + 1)
+    assert got.shape == (freqs.size, x.size)
+    angles = np.multiply.outer(freqs.astype(np.longdouble), x.astype(np.longdouble))
+    err = np.maximum(np.abs(got.real - np.cos(angles)), np.abs(got.imag - np.sin(angles)))
+    # the doubling products lose accuracy about linearly in |l|, never faster
+    assert float(np.max(err)) <= (L + 1) * 1e-15
+    assert np.all(got[freqs == 0] == 1.0)
+
+
+@pytest.mark.parametrize("full", [True, False])
+def test_axis_phases_of_no_points(full):
+    assert _axis_phases(np.empty(0), 4, full=full).shape == (9 if full else 5, 0)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[1] in (2.0, 1.5)])
+def test_needlet_eval_and_matrix_match_oracle(case):
+    frame = frame_for(case)
+    d, j = case[0], frame.jmax
+    m = (1,) + (0,) * (d - 1)
+    pts = np.vstack([np.random.default_rng(d).uniform(-9.0, 9.0, (40, d)), tn.uniform_grid(4, d)])
+    want = oracle.needlet_matrix(frame, j, pts, m)
+    assert_rel_close([tn.needlet_matrix(frame, j, pts, m)], [want.real])
+    K = frame.cubature(j).K
+    for k in (0, K // 3, K - 1):
+        assert_rel_close([tn.needlet_eval(frame, j, k, pts, m)], [want[:, k].real])
 
 
 # ---------------------------------------------------------------- properties against the oracle
