@@ -34,7 +34,7 @@ print(f"  closed form for I_0: {(B**2 - 1) / (2 * B):.12f}")
 
 # frame layout: level j draws on frequencies B^(j-1) < |l| < B^(j+1) and
 # anchors one needlet at each cubature node
-frame = tn.build_frame(B, 1, 5)
+frame = tn.NeedletFrame(B, 1, 5)
 print("\nper-level layout (d=1)")
 print(f"  {'j':>2} {'frequencies':>12} {'needlets':>9} {'weight':>10}")
 for j in range(frame.jmax + 1):
@@ -42,7 +42,7 @@ for j in range(frame.jmax + 1):
     print(f"  {j:>2} {frame.shell(j).shape[0]:>12} {cub.K:>9} {cub.weight:>10.6f}")
 
 # in d=2 the shells are euclidean annuli, so their sizes grow like B^(2j)
-frame2 = tn.build_frame(B, 2, 3)
+frame2 = tn.NeedletFrame(B, 2, 3)
 print("\nper-level layout (d=2)")
 for j in range(frame2.jmax + 1):
     print(f"  j={j}: {frame2.shell(j).shape[0]:>4} frequencies, {frame2.cubature(j).K:>5} needlets")

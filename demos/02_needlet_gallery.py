@@ -10,7 +10,7 @@ import numpy as np
 import torneed as tn
 from torneed.harmonics import TWO_PI, geodesic_distance
 
-frame = tn.build_frame(2.0, 1, 5)
+frame = tn.NeedletFrame(2.0, 1, 5)
 
 # a needlet is real, peaks at its own cubature node, and integrates to zero
 j, k = 3, 7

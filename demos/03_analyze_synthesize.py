@@ -11,7 +11,7 @@ import numpy as np
 import torneed as tn
 from torneed.harmonics import TWO_PI
 
-frame = tn.build_frame(2.0, 1, 3)
+frame = tn.NeedletFrame(2.0, 1, 3)
 grid = tn.uniform_grid(512, 1)
 
 # energy conservation: for f = cos, ||f||^2 = pi and the coefficient energy
@@ -50,7 +50,7 @@ fd = np.gradient(wn.pdf(grid[:, 0]), grid[:, 0], edge_order=2)
 print(f"\nsynthesized f' vs numerical gradient, sup error: {np.max(np.abs(lhs - fd)):.2e}")
 
 # the two-dimensional torus works the same way
-frame2 = tn.build_frame(2.0, 2, 2)
+frame2 = tn.NeedletFrame(2.0, 2, 2)
 grid2 = tn.uniform_grid(48, 2)
 
 

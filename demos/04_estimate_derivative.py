@@ -18,7 +18,7 @@ X = wn.sampler(rng, n)
 
 # the rule of thumb picks the truncation level from n alone
 J = tn.truncation_level(n, d, sum(m), B)
-frame = tn.build_frame(B, d, max(J, 1))
+frame = tn.NeedletFrame(B, d, max(J - 1, 0))
 print(f"n = {n}, truncation level J = {J} (levels 0..{J - 1} estimated)")
 
 rule = tn.calibrated_rule("hard", 1.0, wn.sup_norm, frame.window, m, n, B)

@@ -23,20 +23,20 @@ import numpy as np
 
 from .densities import density_from_name
 from .estimation import (
-    DerivativeEstimator,
-    apply_threshold,
+    apply_threshold,  # noqa: F401  (perfbench/spans.py wraps bench.apply_threshold)
     calibrated_rule,
     empirical_coefficients,
-    threshold_value,
+    thresholded_estimator,
     truncation_level,
 )
 from .frame import (
     MAX_GRID_POINTS,
-    CoefficientArray,
     NeedletFrame,
     analysis_grid_size,
     analyze,
+    cubature_size,
     exceeds_grid_cap,
+    min_grid_size,
     uniform_grid,
 )
 from .harmonics import TWO_PI
@@ -228,18 +228,25 @@ def config_from_dict(data):
     if None not in (n, d, m, B, J, grid):
         try:
             j_resolved = truncation_level(n, d, sum(m), B) if J == "auto" else J
-            min_grid = 2 * math.ceil(B ** (j_resolved + 1)) + 1
+            jmax = max(j_resolved - 1, 0)
+            min_grid = min_grid_size(B, j_resolved)
+            top = cubature_size(B, jmax)
         except OverflowError:
-            errors.append(f"J={J} with B={B:g} overflows a float (in n / ln n or B**(J+1))")
+            errors.append(f"J={J} with B={B:g} overflows a float (in n / ln n or B**J)")
         else:
             if grid < min_grid:
-                errors.append(f"grid must be at least {min_grid} to resolve level J={j_resolved}")
+                errors.append(f"grid must be at least {min_grid} to resolve J={j_resolved} levels")
             if exceeds_grid_cap(grid, d):
                 errors.append(
                     f"evaluation grid of {grid}^{d} points exceeds the cap {MAX_GRID_POINTS}"
                 )
+            if exceeds_grid_cap(top, d):
+                errors.append(
+                    f"cubature of {top}^{d} points at level {jmax}"
+                    f" exceeds the cap {MAX_GRID_POINTS}"
+                )
             # the coefficient proxy analyzes the density on levels 0..J-1
-            if method in ("coefficient-proxy", "both") and band is not None and j_resolved >= 1:
+            if method in ("coefficient-proxy", "both") and band is not None:
                 npts = analysis_grid_size(B, j_resolved - 1, band)
                 if exceeds_grid_cap(npts, d):
                     errors.append(
@@ -366,23 +373,20 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     grid-quadrature: ((2pi)^d/G^d sum |est - truth|^p)^(1/p) on the uniform
     G-per-dimension grid (max for p = inf). coefficient-proxy: the l2 norm of
     the coefficient differences over levels < J (p = 2 only). For m = 0 the
-    known mean of the density is added to the synthesized estimator.
+    estimator includes the density mean (DerivativeEstimator.evaluate).
     """
     d = est.frame.d
     if method == "coefficient-proxy":
         if p != 2:
             raise ValueError("coefficient-proxy risk is defined for p = 2 only")
-        true_coeffs = analyze(est.frame, truth, est.m, jmax=est.J - 1) if est.J >= 1 else None
-        return _proxy_distance(est, true_coeffs) if est.J >= 1 else 0.0
+        return _proxy_distance(est, analyze(est.frame, truth, est.m, jmax=est.J - 1))
     if method != "grid-quadrature":
         raise ValueError(f"unknown risk method {method!r}")
-    min_grid = 2 * math.ceil(est.frame.B**est.J) - 1
+    min_grid = min_grid_size(est.frame.B, est.J)
     if grid_size < min_grid:
         raise ValueError(f"grid {grid_size} cannot resolve the estimator band (needs >= {min_grid})")
     grid = uniform_grid(grid_size, d)
     est_vals = est.evaluate(grid)
-    if sum(est.m) == 0:
-        est_vals = est_vals + truth.mass * TWO_PI ** (-d)
     truth_vals = truth.derivative(est.m, grid[:, 0] if d == 1 else grid)
     return _lp_from_values(est_vals, truth_vals, p, d, grid_size)
 
@@ -391,7 +395,7 @@ def run_experiment(config, threads=1):
     """Execute the Monte Carlo protocol; deterministic for a given master seed."""
     density = density_from_name(config.density, config.d)
     J = config.resolved_J()
-    frame = NeedletFrame(config.B, config.d, jmax=max(J, 0))
+    frame = NeedletFrame(config.B, config.d, jmax=max(J - 1, 0))
     m = config.m
     rules = {
         (kind, k0): calibrated_rule(
@@ -413,34 +417,21 @@ def run_experiment(config, threads=1):
     truth_vals = None
     if need_grid:
         truth_vals = density.derivative(m, grid_pts[:, 0] if config.d == 1 else grid_pts)
-    true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy and J >= 1 else None
-    mean_value = density.mass * TWO_PI ** (-config.d)
+    true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
 
     def one_replication(r):
         rng = np.random.default_rng(child_seed(config.seed, r))
         X = density.sampler(rng, config.n)
-        if J >= 1:
-            raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
-        else:
-            raw = CoefficientArray(m, [], "empirical")
+        raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
         counts, risks = [], []
         for k0 in config.kappa0:
             for kind in config.rules:
                 try:
-                    rule = rules[(kind, k0)]
-                    taus = tuple(threshold_value(rule, j) for j in range(J))
-                    kept = [
-                        apply_threshold(kind, lv, taus[j]) for j, lv in enumerate(raw.levels)
-                    ]
-                    est = DerivativeEstimator(
-                        frame, m, rule, J, raw, CoefficientArray(m, kept, "empirical"), taus
-                    )
+                    est = thresholded_estimator(frame, raw, rules[(kind, k0)])
                     for j, alive, total, frac in est.surviving_counts():
                         counts.append(CountRow(kind, k0, r, j, alive, total, frac))
                     if need_grid:
                         est_vals = est.evaluate(grid_pts)
-                        if sum(m) == 0:
-                            est_vals = est_vals + mean_value
                         for p in config.p:
                             risks.append(
                                 RiskRow(
@@ -453,7 +444,7 @@ def run_experiment(config, threads=1):
                                 )
                             )
                     if need_proxy and 2.0 in config.p:
-                        proxy = _proxy_distance(est, true_coeffs) if J >= 1 else 0.0
+                        proxy = _proxy_distance(est, true_coeffs)
                         risks.append(RiskRow(kind, k0, r, 2.0, proxy, "coefficient-proxy"))
                 except Exception as exc:
                     raise RuntimeError(

@@ -24,6 +24,7 @@ from .estimation import (
     estimate,
     read_estimator_csv,
     truncation_level,
+    with_density_mean,
     write_estimator_csv,
     write_estimator_meta,
 )
@@ -79,7 +80,8 @@ def _load_samples(path, d):
         raise DataError(f"{path}: no sample rows")
     X = None
     if all(text.count(",") == d - 1 for text in rows):
-        tokens = ",".join(rows).split(",")
+        # one column: every stripped row already is a token
+        tokens = rows if d == 1 else ",".join(rows).split(",")
         try:
             X = np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, d)
         except ValueError:
@@ -110,16 +112,6 @@ def _malformed_rows_message(path, lines, d):
         f"{path}: malformed rows (need {d} finite comma-separated angles) "
         f"at line {shown}{more}"
     )
-
-
-def _grid_and_values(est, grid_size, density):
-    grid = uniform_grid(grid_size, est.frame.d)
-    vals = est.evaluate(grid)
-    if sum(est.m) == 0:
-        # the frame only sees the zero-mean part; a probability density adds its mean back
-        vals = vals + TWO_PI ** (-est.frame.d)
-    truth = density.derivative(est.m, grid) if density is not None else None
-    return grid, vals, truth
 
 
 def _write_grid_csv(path, grid, vals, truth):
@@ -180,7 +172,7 @@ def _cmd_estimate(args):
     if n < 3:
         raise DataError(f"{args.data}: need at least 3 samples, got {n}")
     J = args.J if args.J is not None else truncation_level(n, args.d, sum(m), args.B)
-    frame = NeedletFrame(args.B, args.d, jmax=max(J, 0))
+    frame = NeedletFrame(args.B, args.d, jmax=max(J - 1, 0))
     if args.kappa is not None:
         rule = ThresholdRule(
             args.rule, args.kappa, m, n, args.B, scale_with_n=not args.literal_paper_kappa
@@ -202,8 +194,9 @@ def _cmd_estimate(args):
     write_estimator_meta(est, f"{args.out}_meta.json")
     written = [f"{args.out}_coefficients.csv", f"{args.out}_meta.json"]
     if args.grid is not None:
-        grid, vals, truth = _grid_and_values(est, args.grid, density)
-        _write_grid_csv(f"{args.out}_grid.csv", grid, vals, truth)
+        grid = uniform_grid(args.grid, args.d)
+        truth = density.derivative(m, grid) if density is not None else None
+        _write_grid_csv(f"{args.out}_grid.csv", grid, est.evaluate(grid), truth)
         written.append(f"{args.out}_grid.csv")
     print(f"n={n}  J={est.J}  kappa={est.rule.kappa:.6g}  rule={est.rule.kind}")
     for j, alive, total, frac in est.surviving_counts():
@@ -251,9 +244,7 @@ def _cmd_eval_grid(args):
     frame = NeedletFrame(float(meta["B"]), d, jmax=max(J - 1, 0))
     coeffs = CoefficientArray(m, [np.asarray(lv, dtype=float) for lv in kept_levels], "empirical")
     grid = uniform_grid(args.grid, d)
-    vals = synthesize(frame, coeffs, grid)
-    if sum(m) == 0:
-        vals = vals + TWO_PI ** (-d)
+    vals = with_density_mean(synthesize(frame, coeffs, grid), m)
     truth = density.derivative(m, grid) if density is not None else None
     _write_grid_csv(args.out, grid, vals, truth)
     print(f"wrote {args.out}")

@@ -24,8 +24,7 @@ class TestDensity:
 
     pdf(theta) and derivative(m, theta) accept an (n, d) array, or (n,) when
     d == 1, and return (n,). sampler(rng, n) returns (n, d) points in
-    [0, 2pi). mass is 1 for genuine densities; literal display shapes kept
-    for comparison runs record their true integral here.
+    [0, 2pi).
     """
 
     name: str
@@ -36,7 +35,6 @@ class TestDensity:
     sampler: object
     max_derivative_order: int
     band_limit: int = 0
-    mass: float = 1.0
 
 
 def uniform_density(d=1):
@@ -158,7 +156,6 @@ def wrapped_normal(sigma=1.0, terms=10, literal=False):
         sampler=sampler,
         max_derivative_order=6,
         band_limit=band,
-        mass=1.0 if not literal else sigma / math.sqrt(2.0 * math.pi),
     )
 
 
@@ -199,7 +196,6 @@ def product_density(components):
         sampler=sampler,
         max_derivative_order=min(comp.max_derivative_order for comp in components),
         band_limit=max(comp.band_limit for comp in components),
-        mass=float(np.prod([comp.mass for comp in components])),
     )
 
 

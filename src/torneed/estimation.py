@@ -25,17 +25,21 @@ from .frame import (
     sample_spectrum,
     synthesize,
 )
-from .harmonics import TWO_PI, as_multi_index, as_points, derivative_multiplier, wrap_angles
+from .harmonics import TWO_PI, as_multi_index, as_points, derivative_multiplier
 
 
 def as_sample_array(samples, d):
-    """Coerce samples to an (n, d) array of torus points, wrapping into [0, 2pi)."""
+    """Coerce samples to a nonempty, finite (n, d) array of torus points.
+
+    Angles are not reduced into [0, 2pi): every phase is 2pi-periodic, so a
+    sample and its reduction give the same coefficients up to rounding.
+    """
     pts = as_points(samples, d)
     if pts.shape[0] < 1:
         raise ValueError("sample set is empty")
     if not np.all(np.isfinite(pts)):
         raise ValueError("samples contain non-finite values")
-    return wrap_angles(pts)
+    return pts
 
 
 def truncation_level(n, d, m_total, B):
@@ -129,7 +133,8 @@ def empirical_coefficients(frame, samples, jmax=None, m=None):
     enters only through S_l = sum_i exp(i l . X_i), computed once on the box
     holding every shell up to jmax and reduced in a fixed block order, so it
     is deterministic for any thread count. Each level gathers its shell from
-    S and maps it to pixels by FFT. Levels 0..jmax are produced.
+    S and maps it to pixels by FFT. Levels 0..jmax are produced; jmax = -1
+    gives none.
     """
     if jmax is None:
         jmax = frame.jmax
@@ -152,14 +157,24 @@ def empirical_coefficients(frame, samples, jmax=None, m=None):
     return CoefficientArray(m, levels, "empirical")
 
 
+def with_density_mean(values, m):
+    """Add the mean (2pi)^-d of a probability density to m = 0 values; else return them.
+
+    Needlets carry no zero frequency, so a synthesized density estimate is
+    its zero-mean part. The samples come from a law of mass 1, whatever
+    shape the truth is compared against.
+    """
+    return values + TWO_PI ** (-len(m)) if sum(m) == 0 else values
+
+
 @dataclasses.dataclass(eq=False)
 class DerivativeEstimator:
     """Thresholded needlet estimator of the m-th density derivative.
 
     Holds raw and thresholded coefficients for levels 0..J-1 and the
     per-level thresholds actually applied. Evaluation synthesizes the
-    thresholded coefficients with underived needlets; for m = 0 the caller
-    adds the known mean 1/(2pi)^d back when a full density is wanted.
+    thresholded coefficients with underived needlets; for m = 0 it adds the
+    density mean (2pi)^-d (with_density_mean), so it is the full density.
     """
 
     frame: object
@@ -171,7 +186,7 @@ class DerivativeEstimator:
     taus: tuple
 
     def evaluate(self, grid):
-        return synthesize(self.frame, self.coeffs, grid)
+        return with_density_mean(synthesize(self.frame, self.coeffs, grid), self.m)
 
     def surviving_counts(self):
         """Per level: (j, surviving, total, fraction of nonzero thresholded coefficients)."""
@@ -193,14 +208,28 @@ class DerivativeEstimator:
         }
 
 
+def thresholded_estimator(frame, raw, rule):
+    """Threshold raw coefficients of levels 0..J-1 level by level into an estimator.
+
+    J is the number of raw levels; level j keeps or shrinks its coefficients
+    by tau_j = threshold_value(rule, j).
+    """
+    J = raw.njlevels
+    taus = tuple(threshold_value(rule, j) for j in range(J))
+    kept = [apply_threshold(rule.kind, lv, tau) for lv, tau in zip(raw.levels, taus)]
+    coeffs = CoefficientArray(raw.m, kept, raw.provenance)
+    return DerivativeEstimator(frame, raw.m, rule, J, raw, coeffs, taus)
+
+
 def estimate(frame, samples, m, rule, J_override=None):
     """Build the thresholded estimator from a sample.
 
     J is the rule-of-thumb truncation level unless J_override is given;
-    levels 0..J-1 are estimated and thresholded with tau_{j} from the rule.
+    levels 0..J-1 are estimated and thresholded with tau_{j} from the rule,
+    which needs a frame with jmax >= J-1.
     """
     m = as_multi_index(m, frame.d)
-    X = as_sample_array(samples, frame.d)
+    X = as_points(samples, frame.d)  # empirical_coefficients checks the values
     n = X.shape[0]
     if n < 3:
         raise ValueError("estimation needs n >= 3")
@@ -209,16 +238,12 @@ def estimate(frame, samples, m, rule, J_override=None):
     if rule.n != n:
         raise ValueError(f"rule was built for n={rule.n}, sample has n={n}")
     J = J_override if J_override is not None else truncation_level(n, frame.d, sum(m), frame.B)
-    if J > frame.jmax:
-        raise ValueError(f"truncation level J={J} needs a frame with jmax >= {J}, got {frame.jmax}")
-    if J < 1:
-        empty = CoefficientArray(m, [], "empirical")
-        return DerivativeEstimator(frame, m, rule, int(J), empty, empty, ())
+    if J - 1 > frame.jmax:
+        raise ValueError(
+            f"truncation level J={J} needs a frame with jmax >= {J - 1}, got {frame.jmax}"
+        )
     raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
-    taus = tuple(threshold_value(rule, j) for j in range(J))
-    kept = [apply_threshold(rule.kind, lv, taus[j]) for j, lv in enumerate(raw.levels)]
-    coeffs = CoefficientArray(m, kept, "empirical")
-    return DerivativeEstimator(frame, m, rule, int(J), raw, coeffs, taus)
+    return thresholded_estimator(frame, raw, rule)
 
 
 def diagnostic_bandwidth(s, m_total, d, B, n, zone, r=None):

@@ -36,8 +36,11 @@ row blocks of at most PHASE_BLOCK_BYTES each.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
-orders m != 0 this is immaterial; for m = 0 density work the known mean
-1/(2pi)**d is added back by the caller.
+orders m != 0 this is immaterial; for m = 0 the estimator adds the mean
+1/(2pi)**d of a probability density back (estimation.with_density_mean).
+
+An estimator with J levels uses levels 0..J-1 on a frame with jmax =
+max(J-1, 0); min_grid_size(B, J) uniform points per axis resolve it.
 """
 
 from __future__ import annotations
@@ -229,30 +232,30 @@ class NeedletFrame:
     """Toroidal needlet system at scale B, dimension d, levels 0..jmax.
 
     Immutable after construction; shells, window values and cubature grids
-    are precomputed per level.
+    are precomputed per level. A level-jmax cubature above MAX_GRID_POINTS
+    is refused.
     """
 
-    def __init__(self, B, d, jmax, window=None, max_points=MAX_GRID_POINTS):
+    def __init__(self, B, d, jmax):
         if d < 1:
             raise ValueError("dimension d must be at least 1")
         if jmax < 0:
             raise ValueError("jmax must be nonnegative")
-        if window is not None and abs(window.B - B) > 1e-12:
-            raise ValueError("window scale does not match frame scale")
         self.B = float(B)
         self.d = int(d)
         self.jmax = int(jmax)
-        self.window = window if window is not None else NeedletWindow(B)
-        top_n = 2 * math.ceil(self.B ** (self.jmax + 1)) + 1
-        if top_n**self.d > max_points:
+        self.window = NeedletWindow(B)
+        top_n = cubature_size(self.B, self.jmax)
+        if exceeds_grid_cap(top_n, self.d):
             raise ValueError(
-                f"level {jmax} needs {top_n**self.d} cubature points, above the cap {max_points}"
+                f"level {jmax} needs {top_n}^{self.d} cubature points,"
+                f" above the cap {MAX_GRID_POINTS}"
             )
         self._levels = []
         for j in range(self.jmax + 1):
             freqs = frequency_shell(j, self.B, self.d)
             bvals = np.asarray(self.window(eigenvalue(freqs) / self.B**j), dtype=float)
-            npts = 2 * math.ceil(self.B ** (j + 1)) + 1
+            npts = cubature_size(self.B, j)
             pts = uniform_grid(npts, self.d)
             weight = TWO_PI**self.d / pts.shape[0]
             self._levels.append(
@@ -270,16 +273,8 @@ class NeedletFrame:
     def cubature(self, j):
         return self.level(j).cubature
 
-    def window_values(self, j):
-        return self.level(j).bvals
-
     def level_sizes(self):
         return [lev.cubature.K for lev in self._levels]
-
-
-def build_frame(B, d, jmax, window=None, max_points=MAX_GRID_POINTS):
-    """Construct a NeedletFrame; see the class docstring."""
-    return NeedletFrame(B, d, jmax, window=window, max_points=max_points)
 
 
 def block_rows(n, width):
@@ -341,6 +336,20 @@ def _phases(points, freqs, sign):
 def box_half_width(B, j):
     """L = ceil(B**(j+1)) - 1: every shell up to level j lies in the box |l_i| <= L."""
     return math.ceil(B ** (j + 1)) - 1
+
+
+def cubature_size(B, j):
+    """Points per axis of level j's cubature: 2 ceil(B**(j+1)) + 1."""
+    return 2 * math.ceil(B ** (j + 1)) + 1
+
+
+def min_grid_size(B, J):
+    """Fewest uniform points per axis that resolve an estimator with levels 0..J-1.
+
+    Its band is the box |l_i| <= box_half_width(B, J-1), so the grid needs
+    2 * box_half_width(B, J-1) + 1 = 2 ceil(B**J) - 1 points (1 for J = 0).
+    """
+    return 2 * box_half_width(B, J - 1) + 1
 
 
 def spectrum_block_shape(n, d, L):
@@ -471,15 +480,6 @@ class CoefficientArray:
     def njlevels(self):
         return len(self.levels)
 
-    def level(self, j):
-        return self.levels[j]
-
-    def total_count(self):
-        return int(sum(lv.size for lv in self.levels))
-
-    def scaled(self, c):
-        return CoefficientArray(self.m, [c * lv for lv in self.levels], self.provenance)
-
     def to_csv(self, path):
         """Write `j,k,value` rows, levels ascending, k ascending, 17 significant digits."""
         with open(path, "w", encoding="utf-8") as fh:
@@ -588,7 +588,7 @@ def needlet_matrix(frame, j, theta, m=None):
 
 def analysis_grid_size(B, jmax, band_limit=None):
     """Points per axis of the FFT grid analyze uses: levels 0..jmax plus the band of f."""
-    return 2 * math.ceil(B ** (jmax + 1)) + 1 + 2 * (int(band_limit) if band_limit else 0)
+    return cubature_size(B, jmax) + 2 * (int(band_limit) if band_limit else 0)
 
 
 def _fourier_coefficients(frame, f, jmax, band_limit=None, grid_points=None):

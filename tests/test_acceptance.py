@@ -34,7 +34,7 @@ def reference_run():
 
 def test_criterion_1_tight_frame_energy():
     start = time.perf_counter()
-    frame = tn.build_frame(2.0, 1, 3)
+    frame = tn.NeedletFrame(2.0, 1, 3)
     coeffs = tn.analyze(frame, np.cos, band_limit=1)
     total = sum(float(np.sum(lv**2)) for lv in coeffs.levels)
     elapsed = time.perf_counter() - start
@@ -48,7 +48,7 @@ def test_criterion_1_tight_frame_energy():
 
 def test_criterion_2_reconstruction_of_band_limited_functions():
     start = time.perf_counter()
-    frame = tn.build_frame(2.0, 1, 3)
+    frame = tn.NeedletFrame(2.0, 1, 3)
     grid = tn.uniform_grid(512, 1)
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -79,7 +79,7 @@ def test_criterion_2_reconstruction_of_band_limited_functions():
 
 def test_criterion_3_derivative_needlets_match_finite_differences():
     start = time.perf_counter()
-    frame = tn.build_frame(2.0, 1, 4)
+    frame = tn.NeedletFrame(2.0, 1, 4)
     rng = np.random.default_rng(333)
     worst = {1: 0.0, 2: 0.0}
     for _ in range(100):
@@ -106,7 +106,7 @@ def test_criterion_3_derivative_needlets_match_finite_differences():
 
 
 def test_criterion_4_derivative_coefficient_identity():
-    frame = tn.build_frame(2.0, 1, 3)
+    frame = tn.NeedletFrame(2.0, 1, 3)
     wn = tn.wrapped_normal(1.0)
     plain = tn.analyze(frame, wn)
     derived = tn.analyze(frame, wn, m=(1,))
@@ -125,7 +125,7 @@ def test_criterion_4_derivative_coefficient_identity():
 
 
 def test_criterion_5_norm_scaling_across_levels():
-    frame = tn.build_frame(2.0, 1, 4)
+    frame = tn.NeedletFrame(2.0, 1, 4)
     spreads = []
     for m in ((0,), (1,)):
         for p in (1.0, 2.0, 4.0):
@@ -144,7 +144,7 @@ def test_criterion_5_norm_scaling_across_levels():
 
 def test_criterion_6_empirical_coefficients_unbiased_with_bounded_variance():
     start = time.perf_counter()
-    frame = tn.build_frame(2.0, 1, 2)
+    frame = tn.NeedletFrame(2.0, 1, 2)
     wn = tn.wrapped_normal(1.0)
     truth = tn.analyze(frame, wn, m=(1,)).levels[2]
     reps, n = 2000, 200

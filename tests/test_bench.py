@@ -100,8 +100,10 @@ def test_config_proxy_requires_p2():
 
 
 def test_config_grid_must_resolve_band():
-    with pytest.raises(ConfigError, match="grid must be at least 33"):
-        tn.config_from_dict(base_config(grid=17))
+    # J=3 levels at B=2 live on |l| <= 7: 2*ceil(2^3) - 1 = 15 points resolve them
+    tn.config_from_dict(base_config(grid=17))
+    with pytest.raises(ConfigError, match="grid must be at least 15"):
+        tn.config_from_dict(base_config(grid=13))
 
 
 def test_config_auto_truncation():
@@ -157,6 +159,21 @@ def test_config_rejects_evaluation_grid_above_cap():
         tn.config_from_dict({**plane, "grid": 10**4 + 1})
     with pytest.raises(ConfigError, match="evaluation grid"):
         tn.config_from_dict(base_config(grid=10**8 + 1, risk_method="coefficient-proxy"))
+
+
+def test_config_rejects_cubature_above_cap():
+    # ceil(B^2) = 5000: levels 0..1 need 2*5000 - 1 = 9999 grid points per
+    # axis, within the cap in d=2, but level 1's cubature has 10001^2 points
+    B = math.sqrt(4999.5)
+    assert math.ceil(B**2) == 5000
+    plane = base_config(
+        density="product(wrapped_normal(1.0),wrapped_normal(1.0))", d=2, m=[1, 0], B=B, J=2
+    )
+    with pytest.raises(ConfigError, match=r"cubature of 10001\^2 points at level 1") as exc:
+        tn.config_from_dict({**plane, "grid": 9999})
+    assert "grid must be" not in str(exc.value) and "evaluation grid" not in str(exc.value)
+    with pytest.raises(ValueError, match=r"10001\^2 cubature points"):
+        tn.NeedletFrame(B, 2, 1)
 
 
 _JSON_SCALARS = (
@@ -230,13 +247,13 @@ def wn():
 
 @pytest.fixture(scope="module")
 def frame4():
-    return tn.build_frame(2.0, 1, 4)
+    return tn.NeedletFrame(2.0, 1, 4)
 
 
 def exact_estimator(density, J, m=(1,)):
     # estimator whose coefficients are the exact quadrature values: no noise,
     # only truncation bias
-    frame = tn.build_frame(2.0, 1, max(J - 1, 0))
+    frame = tn.NeedletFrame(2.0, 1, max(J - 1, 0))
     coeffs = tn.analyze(frame, density, m, jmax=J - 1)
     rule = tn.ThresholdRule("hard", 0.0, m, 1000, 2.0)
     return tn.DerivativeEstimator(frame, m, rule, J, coeffs, coeffs, tuple(0.0 for _ in range(J)))
@@ -244,7 +261,7 @@ def exact_estimator(density, J, m=(1,)):
 
 def test_lp_distance_zero_truth_zero_estimator():
     uni = tn.uniform_density(1)
-    frame = tn.build_frame(2.0, 1, 2)
+    frame = tn.NeedletFrame(2.0, 1, 2)
     rule = tn.ThresholdRule("hard", 1e9, (1,), 100, 2.0)
     rng = np.random.default_rng(4)
     est = tn.estimate(frame, rng.uniform(0, 2 * np.pi, (100, 1)), (1,), rule, J_override=2)
@@ -252,6 +269,31 @@ def test_lp_distance_zero_truth_zero_estimator():
         assert tn.lp_distance(est, uni, p, 129) == 0.0
     # the proxy integrates the flat density numerically, leaving roundoff
     assert tn.lp_distance(est, uni, 2.0, 129, method="coefficient-proxy") < 1e-12
+
+
+@pytest.mark.parametrize("B", [2.0, 1.5])
+def test_grid_bound_at_the_boundary(B, wn):
+    # J=3 levels live on |l| <= ceil(B^3) - 1: 15 points at B=2, 7 at B=1.5
+    J = 3
+    need = 2 * math.ceil(B**J) - 1
+    assert tn.frame.min_grid_size(B, J) == need
+    tn.config_from_dict(base_config(B=B, grid=need))
+    with pytest.raises(ConfigError, match=f"grid must be at least {need} "):
+        tn.config_from_dict(base_config(B=B, grid=need - 1))
+    X = wn.sampler(np.random.default_rng(3), 500)
+    rule = tn.ThresholdRule("hard", 0.0, (1,), 500, B)
+    est = tn.estimate(tn.NeedletFrame(B, 1, J - 1), X, (1,), rule, J_override=J)
+    assert tn.lp_distance(est, wn, 2.0, need) > 0
+    with pytest.raises(ValueError, match=f"needs >= {need}"):
+        tn.lp_distance(est, wn, 2.0, need - 1)
+
+    # need points integrate the square of the estimate exactly, one fewer does not
+    def energy(npts):
+        return tn.TWO_PI / npts * float(np.sum(est.evaluate(tn.uniform_grid(npts, 1)) ** 2))
+
+    fine = energy(8 * need + 3)
+    assert energy(need) == pytest.approx(fine, rel=1e-12)
+    assert energy(need - 1) != pytest.approx(fine, rel=1e-6)
 
 
 def test_lp_distance_validation(wn):

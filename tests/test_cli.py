@@ -375,12 +375,63 @@ def test_eval_grid_matches_estimate_grid(kept_artifacts, tmp_path):
     assert len(lines) == 66
     # synthesizing the stored coefficients reproduces the library evaluation
     raw_levels, kept_levels, _ = tn.read_estimator_csv(f"{kept_artifacts}_coefficients.csv")
-    frame = tn.build_frame(2.0, 1, 3)
+    frame = tn.NeedletFrame(2.0, 1, 3)
     coeffs = tn.CoefficientArray((1,), kept_levels, "empirical")
     grid = tn.uniform_grid(65, 1)
     expect = tn.synthesize(frame, coeffs, grid)
     got = np.array([float(line.split(",")[1]) for line in lines[1:]])
     np.testing.assert_allclose(got, expect, atol=1e-12)
+
+
+@pytest.mark.parametrize("density", ["wrapped_normal(1.0)", "wrapped_normal_literal(1.0)"])
+def test_density_estimate_carries_the_mean_once(density, tmp_path):
+    # m = 0: every path adds the mean (2pi)^-1 of a probability density, also
+    # when the truth column shows the literal shape of mass 1/sqrt(2pi)
+    truth = tn.density_from_name(density, 1)
+    X = truth.sampler(np.random.default_rng(17), 2000)
+    data = tmp_path / "sample.csv"
+    np.savetxt(data, X, fmt="%.17g")
+    stem, evaluated = str(tmp_path / "m0"), str(tmp_path / "eval.csv")
+    flags = ["--grid", "65", "--density", density]
+    estimate_args = ["estimate", str(data), "--m", "0", "--kappa", "0.5", "--J", "3"]
+    assert main([*estimate_args, *flags, "--out", stem]) == 0
+    assert main(["eval-grid", stem, *flags, "--out", evaluated]) == 0
+    from_estimate = np.loadtxt(f"{stem}_grid.csv", delimiter=",", skiprows=1)
+    from_eval = np.loadtxt(evaluated, delimiter=",", skiprows=1)
+
+    rule = tn.ThresholdRule("hard", 0.5, (0,), 2000, 2.0)
+    est = tn.estimate(tn.NeedletFrame(2.0, 1, 2), X, (0,), rule, J_override=3)
+    grid = tn.uniform_grid(65, 1)
+    values = est.evaluate(grid)
+    assert np.mean(values) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
+    np.testing.assert_allclose(from_estimate[:, 1], values, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(from_eval[:, 1], values, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(from_estimate[:, 2], truth.pdf(grid[:, 0]))
+    # the risk compares that same estimate with the truth as given
+    gap = math.sqrt(2 * math.pi / 65 * np.sum((values - truth.pdf(grid[:, 0])) ** 2))
+    assert tn.lp_distance(est, truth, 2.0, 65) == pytest.approx(gap, rel=1e-12)
+
+
+def test_estimator_frames_hold_levels_0_to_j_minus_1(uniform_8000, tmp_path, monkeypatch):
+    built = []
+
+    class Recording(tn.NeedletFrame):
+        def __init__(self, B, d, jmax):
+            built.append(jmax)
+            super().__init__(B, d, jmax)
+
+    monkeypatch.setattr(tn.cli, "NeedletFrame", Recording)
+    monkeypatch.setattr(tn.bench, "NeedletFrame", Recording)
+    for J in (0, 1, 3):
+        stem = str(tmp_path / f"j{J}")
+        common = ["--grid", "17", "--out"]
+        estimate_args = ["estimate", str(uniform_8000), "--m", "1", "--kappa", "0", "--J", str(J)]
+        assert main([*estimate_args, *common, stem]) == 0
+        assert main(["eval-grid", stem, *common, str(tmp_path / f"j{J}.csv")]) == 0
+        config = tn.config_from_dict(bench_config(J=J, replications=1))
+        tn.run_experiment(config)
+        assert built == [max(J - 1, 0)] * 3
+        built.clear()
 
 
 def test_eval_grid_truth_column(kept_artifacts, tmp_path):

@@ -1,5 +1,8 @@
 """Test thresholding rules, empirical coefficients, and the estimator pipeline."""
 
+import ast
+import importlib
+import inspect
 import json
 import math
 
@@ -14,7 +17,7 @@ from torneed.harmonics import TWO_PI
 
 @pytest.fixture(scope="module")
 def frame():
-    return tn.build_frame(2.0, 1, 3)
+    return tn.NeedletFrame(2.0, 1, 3)
 
 
 # ---------------------------------------------------------------- truncation level
@@ -113,13 +116,28 @@ def test_apply_threshold_scalar_and_errors():
 # ---------------------------------------------------------------- sample coercion
 
 
-def test_as_sample_array_wraps_and_validates():
+def test_as_sample_array_validates_without_wrapping():
+    # angles outside [0, 2pi) pass through: every phase is 2pi-periodic
     pts = as_sample_array([-0.5, TWO_PI + 0.25], 1)
-    np.testing.assert_allclose(pts.ravel(), [TWO_PI - 0.5, 0.25])
+    np.testing.assert_array_equal(pts, [[-0.5], [TWO_PI + 0.25]])
     with pytest.raises(ValueError, match="empty"):
         as_sample_array(np.empty((0, 1)), 1)
     with pytest.raises(ValueError, match="finite"):
         as_sample_array([0.1, np.nan], 1)
+    with pytest.raises(ValueError, match="2 coordinates"):
+        as_sample_array(np.zeros((4, 3)), 2)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_empirical_coefficients_are_2pi_periodic(d):
+    frame = tn.NeedletFrame(2.0, d, 3 if d == 1 else 2)
+    X = np.random.default_rng(8 + d).uniform(0, TWO_PI, (2000, d))
+    m = (1,) + (0,) * (d - 1)
+    base = tn.empirical_coefficients(frame, X, m=m)
+    for k in (-3, 1, 5):
+        shifted = tn.empirical_coefficients(frame, X + TWO_PI * k, m=m)
+        for lv, ref in zip(shifted.levels, base.levels):
+            np.testing.assert_allclose(lv, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 # ---------------------------------------------------------------- empirical coefficients
@@ -237,8 +255,51 @@ def test_estimate_rejects_mismatched_rule(frame):
 def test_estimate_rejects_j_beyond_frame(frame):
     X = [0.1, 0.2, 0.3, 0.4]
     rule = tn.ThresholdRule("hard", 1.0, (1,), 4, 2.0)
-    with pytest.raises(ValueError, match="jmax >= 5"):
+    with pytest.raises(ValueError, match="jmax >= 4"):
         tn.estimate(frame, X, (1,), rule, J_override=5)
+
+
+def test_estimate_needs_a_frame_with_jmax_j_minus_1():
+    # J levels are 0..J-1, so jmax = J-1 is the smallest frame that holds them
+    X = np.random.default_rng(5).uniform(0, TWO_PI, (500, 1))
+    rule = tn.ThresholdRule("hard", 0.5, (1,), 500, 2.0)
+    est = tn.estimate(tn.NeedletFrame(2.0, 1, 2), X, (1,), rule, J_override=3)
+    assert est.J == 3 and len(est.coeffs.levels) == 3
+    roomy = tn.estimate(tn.NeedletFrame(2.0, 1, 5), X, (1,), rule, J_override=3)
+    for a, b in zip(est.coeffs.levels, roomy.coeffs.levels):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(ValueError, match="jmax >= 2, got 1"):
+        tn.estimate(tn.NeedletFrame(2.0, 1, 1), X, (1,), rule, J_override=3)
+
+
+def _callers(module, names):
+    """Qualified names of the innermost functions of module that call any of names."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            call = isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+            if call and child.func.id in names:
+                found.add(f"{module.__name__}.{owner}")
+            visit(child, owner)
+
+    visit(ast.parse(inspect.getsource(module)), "<module>")
+    return found
+
+
+def test_thresholds_and_the_mean_have_one_home():
+    names = ("bench", "cli", "densities", "estimation", "frame", "harmonics")
+    modules = [importlib.import_module(f"torneed.{name}") for name in names]
+    thresholds = {"apply_threshold", "threshold_value"}
+    thresholding = set().union(*(_callers(mod, thresholds) for mod in modules))
+    assert thresholding == {"torneed.estimation.thresholded_estimator"}
+    assert "taus" not in inspect.getsource(modules[0])
+    mean = set().union(*(_callers(mod, {"with_density_mean"}) for mod in modules))
+    assert mean == {"torneed.estimation.evaluate", "torneed.cli._cmd_eval_grid"}
+    assert not hasattr(tn.wrapped_normal(1.0), "mass")
 
 
 def test_estimate_tiny_sample_gives_empty_estimator(frame):

@@ -433,7 +433,7 @@ def test_localization_far_field_is_small(frame1):
 
 
 def test_build_frame_and_validation():
-    frame = tn.build_frame(2.0, 1, 2)
+    frame = tn.NeedletFrame(2.0, 1, 2)
     assert frame.jmax == 2
     with pytest.raises(ValueError):
         tn.NeedletFrame(1.0, 1, jmax=2)
@@ -444,8 +444,9 @@ def test_build_frame_and_validation():
 
 
 def test_frame_memory_guard():
-    with pytest.raises(ValueError):
-        tn.NeedletFrame(2.0, 3, jmax=8, max_points=10**6)
+    # level 8 needs 1025^3 = 1.1e9 cubature points, past MAX_GRID_POINTS
+    with pytest.raises(ValueError, match=r"1025\^3 cubature points"):
+        tn.NeedletFrame(2.0, 3, jmax=8)
 
 
 def test_exceeds_grid_cap_is_exact_and_cheap():
