@@ -15,12 +15,10 @@ from .bench import (
     config_from_dict,
     emit_report,
     load_config,
-    load_report,
     lp_distance,
     run_experiment,
 )
 from .densities import (
-    TestDensity,
     density_from_name,
     product_density,
     uniform_density,
@@ -42,12 +40,10 @@ from .estimation import (
 )
 from .frame import (
     CoefficientArray,
-    CubatureLevel,
     NeedletFrame,
     NeedletWindow,
     analyze,
     besov_sequence_norm,
-    check_structure,
     localization_profile,
     needlet_eval,
     needlet_l2_norm,
@@ -58,9 +54,6 @@ from .frame import (
 )
 from .harmonics import (
     TWO_PI,
-    derivative_multiplier,
-    eigenvalue,
-    fourier_basis,
     frequency_shell,
     geodesic_distance,
     wrap_angles,
@@ -72,33 +65,26 @@ __all__ = [
     "TWO_PI",
     "CoefficientArray",
     "ConfigError",
-    "CubatureLevel",
     "DerivativeEstimator",
     "ExperimentConfig",
     "NeedletFrame",
     "NeedletWindow",
     "RiskReport",
-    "TestDensity",
     "ThresholdRule",
     "analyze",
     "apply_threshold",
     "besov_sequence_norm",
     "calibrated_rule",
-    "check_structure",
     "child_seed",
     "config_from_dict",
     "density_from_name",
-    "derivative_multiplier",
     "diagnostic_bandwidth",
-    "eigenvalue",
     "emit_report",
     "empirical_coefficients",
     "estimate",
-    "fourier_basis",
     "frequency_shell",
     "geodesic_distance",
     "load_config",
-    "load_report",
     "localization_profile",
     "lp_distance",
     "needlet_eval",

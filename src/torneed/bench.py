@@ -498,50 +498,36 @@ def _write_risks_csv(report, path, method):
             )
 
 
-def emit_report(report, format, destination):
-    """Write the report under the destination directory.
+def emit_report(report, destination):
+    """Write the report's CSVs and JSON under the destination directory.
 
-    csv: bench_counts.csv plus the companion bench_risks.csv (and
-    bench_risks_proxy.csv when both risk methods ran; a proxy-only run
-    writes its rows to bench_risks.csv). json: bench_report.json mirroring
-    rows, aggregates, config, and seed provenance.
+    bench_counts.csv, bench_risks.csv (the grid risks, or the proxy risks
+    of a proxy-only run), bench_risks_proxy.csv when both risk methods ran,
+    and bench_report.json mirroring rows, aggregates, config, and seed
+    provenance.
     """
     os.makedirs(destination, exist_ok=True)
-    if format == "csv":
-        _write_counts_csv(report, os.path.join(destination, "bench_counts.csv"))
-        primary = (
-            "coefficient-proxy"
-            if report.config.risk_method == "coefficient-proxy"
-            else "grid-quadrature"
+    _write_counts_csv(report, os.path.join(destination, "bench_counts.csv"))
+    method = report.config.risk_method
+    primary = method if method == "coefficient-proxy" else "grid-quadrature"
+    _write_risks_csv(report, os.path.join(destination, "bench_risks.csv"), primary)
+    if method == "both":
+        _write_risks_csv(
+            report, os.path.join(destination, "bench_risks_proxy.csv"), "coefficient-proxy"
         )
-        _write_risks_csv(report, os.path.join(destination, "bench_risks.csv"), primary)
-        if report.config.risk_method == "both":
-            _write_risks_csv(
-                report, os.path.join(destination, "bench_risks_proxy.csv"), "coefficient-proxy"
-            )
-    elif format == "json":
-        payload = {
-            "config": report.config.to_dict(),
-            "child_seeds": [str(s) for s in report.child_seeds],
-            "counts": [row._asdict() for row in report.count_rows],
-            "risks": [
-                {**row._asdict(), "p": "inf" if math.isinf(row.p) else row.p}
-                for row in report.risk_rows
-            ],
-            "aggregates": {
-                "risks": report.risk_aggregates(),
-                "counts": report.count_aggregates(),
-            },
-        }
-        path = os.path.join(destination, "bench_report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise ValueError(f"unknown report format {format!r}")
-
-
-def load_report(path):
-    """Read back an emitted JSON report as a plain dict."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    payload = {
+        "config": report.config.to_dict(),
+        "child_seeds": [str(s) for s in report.child_seeds],
+        "counts": [row._asdict() for row in report.count_rows],
+        "risks": [
+            {**row._asdict(), "p": "inf" if math.isinf(row.p) else row.p}
+            for row in report.risk_rows
+        ],
+        "aggregates": {
+            "risks": report.risk_aggregates(),
+            "counts": report.count_aggregates(),
+        },
+    }
+    with open(os.path.join(destination, "bench_report.json"), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")

@@ -40,6 +40,10 @@ from .frame import (
 from .harmonics import TWO_PI, as_multi_index, wrap_angles
 
 
+# bytes of text _load_samples parses at a time (whole lines, so a little more)
+_CHUNK_BYTES = 1 << 18
+
+
 class DataError(RuntimeError):
     """Unusable input data (as opposed to bad usage); exits with code 1."""
 
@@ -70,42 +74,49 @@ def _load_samples(path, d):
     """Parse a headerless CSV of d angle columns; wrap angles into [0, 2pi).
 
     Blank lines are skipped and every token goes through Python's float().
-    Malformed rows abort with their line numbers. Returns (points, number of
-    rows that needed wrapping).
+    Lines are parsed in chunks of about _CHUNK_BYTES, so only one chunk's
+    strings are alive at once. Malformed rows abort with their line numbers,
+    found by reading the file again. Returns (points, number of rows that
+    needed wrapping).
     """
+    chunks = []
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    rows = [text for text in map(str.strip, lines) if text]
-    if not rows:
+        while lines := fh.readlines(_CHUNK_BYTES):
+            rows = [text for text in map(str.strip, lines) if text]
+            if not rows:
+                continue
+            if any(text.count(",") != d - 1 for text in rows):
+                raise DataError(_malformed_rows_message(path, d))
+            # one column: every stripped row already is a token
+            tokens = rows if d == 1 else ",".join(rows).split(",")
+            try:
+                chunks.append(np.fromiter(map(float, tokens), dtype=float, count=len(tokens)))
+            except ValueError:
+                raise DataError(_malformed_rows_message(path, d)) from None
+    X = np.concatenate(chunks).reshape(-1, d) if chunks else np.empty((0, d))
+    if X.shape[0] == 0:
         raise DataError(f"{path}: no sample rows")
-    X = None
-    if all(text.count(",") == d - 1 for text in rows):
-        # one column: every stripped row already is a token
-        tokens = rows if d == 1 else ",".join(rows).split(",")
-        try:
-            X = np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, d)
-        except ValueError:
-            pass
-    if X is None or not np.all(np.isfinite(X)):
-        raise DataError(_malformed_rows_message(path, lines, d))
+    if not np.all(np.isfinite(X)):
+        raise DataError(_malformed_rows_message(path, d))
     outside = int(np.count_nonzero(np.any((X < 0) | (X >= TWO_PI), axis=1)))
     return wrap_angles(X), outside
 
 
-def _malformed_rows_message(path, lines, d):
+def _malformed_rows_message(path, d):
     """Name the first 20 nonblank lines that are not d finite comma-separated floats."""
     bad = []
-    for lineno, line in enumerate(lines, start=1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            vals = [float(v) for v in text.split(",")]
-        except ValueError:
-            bad.append(lineno)
-            continue
-        if len(vals) != d or not all(math.isfinite(v) for v in vals):
-            bad.append(lineno)
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            try:
+                vals = [float(v) for v in text.split(",")]
+            except ValueError:
+                bad.append(lineno)
+                continue
+            if len(vals) != d or not all(math.isfinite(v) for v in vals):
+                bad.append(lineno)
     shown = ", ".join(str(b) for b in bad[:20])
     more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
     return (
@@ -130,14 +141,15 @@ def _cmd_frame_info(args):
     _check_base_flags(args)
     _require(args.J >= 0, f"--J must be nonnegative, got {args.J}")
     m = _parse_m(args.m, args.d) if args.m else as_multi_index(None, args.d)
-    frame = NeedletFrame(args.B, args.d, jmax=args.J)
+    # J counts levels, as in estimate and the bench configs: rows 0..J-1
+    frame = NeedletFrame(args.B, args.d, jmax=max(args.J - 1, 0))
     moments = [frame.window.moment(q) for q in (0, 1, 2)]
-    print(f"B={args.B:g}  d={args.d}  jmax={args.J}  m=({','.join(str(v) for v in m)})")
+    print(f"B={args.B:g}  d={args.d}  J={args.J}  m=({','.join(str(v) for v in m)})")
     print(
         f"window moments: I0={moments[0]:.12g}  I1={moments[1]:.12g}  I2={moments[2]:.12g}"
     )
     print(f"{'j':>3} {'shell':>8} {'pixels':>8} {'weight':>14} {'psi_l2_norm':>14}")
-    for j in range(args.J + 1):
+    for j in range(args.J):
         cub = frame.cubature(j)
         print(
             f"{j:>3} {frame.shell(j).shape[0]:>8} {cub.K:>8} "
@@ -213,8 +225,7 @@ def _cmd_bench(args):
         _require(args.seed >= 0, "--seed must be nonnegative")
         config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config, threads=args.threads)
-    emit_report(report, "csv", args.out)
-    emit_report(report, "json", args.out)
+    emit_report(report, args.out)
     print(
         f"ran {config.replications} replication(s): "
         f"{len(report.count_rows)} count rows, {len(report.risk_rows)} risk rows -> {args.out}"
@@ -242,7 +253,7 @@ def _cmd_eval_grid(args):
             f"{coeff_path}: expected coefficients for {J} level(s), found {len(kept_levels)}"
         )
     frame = NeedletFrame(float(meta["B"]), d, jmax=max(J - 1, 0))
-    coeffs = CoefficientArray(m, [np.asarray(lv, dtype=float) for lv in kept_levels], "empirical")
+    coeffs = CoefficientArray(m, kept_levels)
     grid = uniform_grid(args.grid, d)
     vals = with_density_mean(synthesize(frame, coeffs, grid), m)
     truth = density.derivative(m, grid) if density is not None else None
@@ -261,7 +272,9 @@ def build_parser():
     info = sub.add_parser("frame-info", help="print per-level frame quantities")
     info.add_argument("--B", type=float, required=True, help="dilation base, B > 1")
     info.add_argument("--d", type=int, required=True, help="torus dimension")
-    info.add_argument("--J", type=int, required=True, help="highest level to report")
+    info.add_argument(
+        "--J", type=int, required=True, help="number of levels to report (levels 0..J-1)"
+    )
     info.add_argument("--m", type=str, default=None, help="derivative multi-index, e.g. 1 or 1,0")
     info.set_defaults(func=_cmd_frame_info)
 

@@ -33,7 +33,6 @@ class TestDensity:
     derivative: object
     sup_norm: float
     sampler: object
-    max_derivative_order: int
     band_limit: int = 0
 
 
@@ -62,8 +61,6 @@ def uniform_density(d=1):
         derivative=derivative,
         sup_norm=value,
         sampler=sampler,
-        max_derivative_order=99,
-        band_limit=0,
     )
 
 
@@ -80,6 +77,10 @@ def _gaussian_derivative(order, x, sigma):
     coeffs = np.zeros(order + 1)
     coeffs[order] = 1.0
     return (-1.0) ** order * sigma ** (-order) * hermite_e.hermeval(u, coeffs) * gauss
+
+
+# the wrapped normal sums its series over the shifts 2pi k, k = -10..10
+_WRAP_TERMS = 10
 
 
 def _refine_max(fn, at, span):
@@ -99,22 +100,22 @@ def _refine_max(fn, at, span):
     return best
 
 
-def wrapped_normal(sigma=1.0, terms=10, literal=False):
+def wrapped_normal(sigma=1.0, literal=False):
     """Normal distribution wrapped around the circle, centered at 0 (d = 1).
 
-    pdf(theta) = prefactor * sum_{k=-terms..terms} exp(-(theta+2pi k)^2 / (2 sigma^2))
+    pdf(theta) = prefactor * sum_{k=-10..10} exp(-(theta+2pi k)^2 / (2 sigma^2))
 
-    with prefactor 1/(sigma sqrt(2pi)), which makes the mass exactly 1 up to
-    the series tail (below 1e-80 for sigma = 1, terms = 10). literal=True
-    swaps in the prefactor 1/(2pi) instead; that shape integrates to
+    for theta reduced to [0, 2pi), with prefactor 1/(sigma sqrt(2pi)). The
+    21-term series makes the mass exactly 1 up to its tail (below 1e-80 for
+    sigma = 1), and band_limit = ceil(sqrt(36 ln 10) / sigma) + 1 is where
+    the Fourier coefficients fall below 1e-18 relative. literal=True swaps
+    in the prefactor 1/(2pi) instead; that shape integrates to
     sigma/sqrt(2pi), is NOT a density, and exists only for comparing against
     runs that used it verbatim. The sampler always draws from the normalized
     law: wrap an exact normal draw modulo 2pi.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    if terms < 1:
-        raise ValueError("need at least one wrap term")
     # Fourier coefficients decay like exp(-l^2 sigma^2 / 2); cut where they
     # drop below 1e-18 relative
     reach = math.sqrt(2.0 * 18.0 * math.log(10.0)) / sigma
@@ -122,7 +123,7 @@ def wrapped_normal(sigma=1.0, terms=10, literal=False):
         raise ValueError(f"sigma={sigma:g} is too small: its band limit exceeds 2**62")
     band = int(math.ceil(reach)) + 1
     prefactor = 1.0 / TWO_PI if literal else 1.0 / (sigma * math.sqrt(2.0 * math.pi))
-    shifts = TWO_PI * np.arange(-terms, terms + 1)
+    shifts = TWO_PI * np.arange(-_WRAP_TERMS, _WRAP_TERMS + 1)
 
     def _series(order, theta):
         th = np.mod(as_points(theta, 1)[:, 0], TWO_PI)
@@ -154,7 +155,6 @@ def wrapped_normal(sigma=1.0, terms=10, literal=False):
         derivative=derivative,
         sup_norm=sup_norm,
         sampler=sampler,
-        max_derivative_order=6,
         band_limit=band,
     )
 
@@ -194,7 +194,6 @@ def product_density(components):
         derivative=derivative,
         sup_norm=float(np.prod([comp.sup_norm for comp in components])),
         sampler=sampler,
-        max_derivative_order=min(comp.max_derivative_order for comp in components),
         band_limit=max(comp.band_limit for comp in components),
     )
 

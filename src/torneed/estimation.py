@@ -20,7 +20,6 @@ from .frame import (
     _pixel_transform,
     box_half_width,
     box_index,
-    dense_levels,
     drop_imag,
     sample_spectrum,
     synthesize,
@@ -154,7 +153,7 @@ def empirical_coefficients(frame, samples, jmax=None, m=None):
         raw = _pixel_transform(lev, amp, sign=-1.0)
         scale = sign / n * math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
         levels.append(drop_imag(scale * raw, what=f"empirical coefficients at level {j}"))
-    return CoefficientArray(m, levels, "empirical")
+    return CoefficientArray(m, levels)
 
 
 def with_density_mean(values, m):
@@ -217,7 +216,7 @@ def thresholded_estimator(frame, raw, rule):
     J = raw.njlevels
     taus = tuple(threshold_value(rule, j) for j in range(J))
     kept = [apply_threshold(rule.kind, lv, tau) for lv, tau in zip(raw.levels, taus)]
-    coeffs = CoefficientArray(raw.m, kept, raw.provenance)
+    coeffs = CoefficientArray(raw.m, kept)
     return DerivativeEstimator(frame, raw.m, rule, J, raw, coeffs, taus)
 
 
@@ -292,8 +291,7 @@ def read_estimator_csv(path):
     """Parse an estimator CSV back into level arrays in one pass.
 
     Returns (raw levels, thresholded levels, taus) as lists indexed by j.
-    Rows may come in any order; gaps and repeats are rejected as in
-    frame.dense_levels.
+    Rows may come in any order; gaps and repeats are rejected (dense_levels).
     """
     by_level = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -311,3 +309,29 @@ def read_estimator_csv(path):
         kept_levels.append(kept)
         taus.append(float(tau[0]))
     return raw_levels, kept_levels, taus
+
+
+def dense_levels(path, by_level):
+    """Levels 0..max j of CSV rows grouped as {j: [(k, value, ...), ...]}.
+
+    Returns one entry per level: a float array per value column, sorted by
+    k. Every level must hold each k = 0..K-1 exactly once with K >= 1; a
+    negative j, an empty level, or a missing, repeated or negative k is an
+    error that names the level.
+    """
+    if min(by_level, default=0) < 0:
+        raise ValueError(f"{path}: negative level j={min(by_level)}")
+    levels = []
+    for j in range(max(by_level, default=-1) + 1):
+        rows = sorted(by_level.get(j, []), key=lambda row: row[0])
+        if not rows:
+            raise ValueError(f"{path}: level {j} has no rows")
+        for expected, (k, *_) in enumerate(rows):
+            if k > expected:
+                raise ValueError(f"{path}: level {j} is missing k={expected}")
+            if k < 0:
+                raise ValueError(f"{path}: level {j} has negative k={k}")
+            if k < expected:
+                raise ValueError(f"{path}: level {j} repeats k={k}")
+        levels.append(np.array([row[1:] for row in rows], dtype=float).T.copy())
+    return levels

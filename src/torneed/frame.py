@@ -41,6 +41,13 @@ orders m != 0 this is immaterial; for m = 0 the estimator adds the mean
 
 An estimator with J levels uses levels 0..J-1 on a frame with jmax =
 max(J-1, 0); min_grid_size(B, J) uniform points per axis resolve it.
+
+Fixed constants: the window ramp is tabulated on _RAMP_NODES = 4097 nodes
+with an 8-node Gauss-Legendre rule per cell, the window moments use
+_MOMENT_PANELS = 64 panels per side of u = 1, drop_imag refuses an
+imaginary residue above IMAG_RESIDUE_TOL = 1e-9, localization_profile
+samples 2048 points over its rays, and needlet_lp_norm integrates level j
+on max(64, 8 ceil(B**(j+1))) points per axis.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ def exceeds_grid_cap(per_axis, d):
     return per_axis > 1 and (d >= MAX_GRID_POINTS.bit_length() or per_axis**d > MAX_GRID_POINTS)
 
 
-def drop_imag(values, tol=IMAG_RESIDUE_TOL, what="evaluation"):
+def drop_imag(values, what="evaluation"):
     """Assert the imaginary residue of a nominally real array is tiny, then drop it.
 
     Raises instead of truncating silently: a large residue means a broken
@@ -89,8 +96,10 @@ def drop_imag(values, tol=IMAG_RESIDUE_TOL, what="evaluation"):
     if not np.iscomplexobj(values):
         return np.asarray(values, dtype=float)
     residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    if residue > tol:
-        raise ValueError(f"imaginary residue {residue:.3e} exceeds {tol:g} in {what}")
+    if residue > IMAG_RESIDUE_TOL:
+        raise ValueError(
+            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:g} in {what}"
+        )
     return np.ascontiguousarray(values.real)
 
 
@@ -100,6 +109,8 @@ def drop_imag(values, tol=IMAG_RESIDUE_TOL, what="evaluation"):
 _GL_NODES, _GL_WEIGHTS = leggauss(8)
 # equal panels on each side of u = 1 in the moment quadrature
 _MOMENT_PANELS = 64
+# uniform nodes on [-1, 1] at which the window ramp is tabulated
+_RAMP_NODES = 4097
 
 
 def _bump(t):
@@ -135,16 +146,16 @@ class NeedletWindow:
     on its plateaus, not an accurate interior integral.
 
     Psi is integrated exactly up to rounding: the integral of psi0 over each
-    cell of a uniform ramp_nodes grid on [-1, 1] is tabulated once by
+    cell of a uniform _RAMP_NODES grid on [-1, 1] is tabulated once by
     Gauss-Legendre and accumulated, and Psi(u) adds the same rule on the
     partial cell [x_k, u].
     """
 
-    def __init__(self, B, ramp_nodes=4097):
+    def __init__(self, B):
         if B <= 1:
             raise ValueError("scale B must exceed 1")
         self.B = float(B)
-        self._grid = np.linspace(-1.0, 1.0, int(ramp_nodes))
+        self._grid = np.linspace(-1.0, 1.0, _RAMP_NODES)
         cells = _gauss_legendre(_bump, self._grid[:-1], self._grid[1:])
         self._cumulative = np.concatenate(([0.0], np.cumsum(cells)))
         self._moments: dict[int, float] = {}
@@ -272,9 +283,6 @@ class NeedletFrame:
 
     def cubature(self, j):
         return self.level(j).cubature
-
-    def level_sizes(self):
-        return [lev.cubature.K for lev in self._levels]
 
 
 def block_rows(n, width):
@@ -459,19 +467,14 @@ class CoefficientArray:
     """Per-level needlet coefficients for one derivative order.
 
     levels[j] is the length-K_j float array of coefficients at level j.
-    provenance records how the values were obtained: "exact-quadrature"
-    for analysis of a known function, "empirical" for sample averages.
     """
 
     m: tuple
     levels: list
-    provenance: str
 
     def __post_init__(self):
         self.m = tuple(int(v) for v in self.m)
         self.levels = [np.asarray(lv, dtype=float) for lv in self.levels]
-        if self.provenance not in ("exact-quadrature", "empirical"):
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         for lv in self.levels:
             if lv.ndim != 1 or not np.all(np.isfinite(lv)):
                 raise ValueError("coefficient levels must be 1-d finite arrays")
@@ -480,57 +483,8 @@ class CoefficientArray:
     def njlevels(self):
         return len(self.levels)
 
-    def to_csv(self, path):
-        """Write `j,k,value` rows, levels ascending, k ascending, 17 significant digits."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("j,k,value\n")
-            for j, lv in enumerate(self.levels):
-                for k, val in enumerate(lv):
-                    fh.write(f"{j},{k},{val:.17g}\n")
 
-    @classmethod
-    def from_csv(cls, path, m, provenance):
-        """Read `j,k,value` rows in any order; a level missing or repeating a k is an error."""
-        by_level = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if header != "j,k,value":
-                raise ValueError(f"unexpected coefficient CSV header {header!r} in {path}")
-            for line in fh:
-                if not line.strip():
-                    continue
-                j_s, k_s, v_s = line.strip().split(",")
-                by_level.setdefault(int(j_s), []).append((int(k_s), float(v_s)))
-        return cls(m, [columns[0] for columns in dense_levels(path, by_level)], provenance)
-
-
-def dense_levels(path, by_level):
-    """Levels 0..max j of CSV rows grouped as {j: [(k, value, ...), ...]}.
-
-    Returns one entry per level: a float array per value column, sorted by
-    k. Every level must hold each k = 0..K-1 exactly once with K >= 1; a
-    negative j, an empty level, or a missing, repeated or negative k is an
-    error that names the level.
-    """
-    if min(by_level, default=0) < 0:
-        raise ValueError(f"{path}: negative level j={min(by_level)}")
-    levels = []
-    for j in range(max(by_level, default=-1) + 1):
-        rows = sorted(by_level.get(j, []), key=lambda row: row[0])
-        if not rows:
-            raise ValueError(f"{path}: level {j} has no rows")
-        for expected, (k, *_) in enumerate(rows):
-            if k > expected:
-                raise ValueError(f"{path}: level {j} is missing k={expected}")
-            if k < 0:
-                raise ValueError(f"{path}: level {j} has negative k={k}")
-            if k < expected:
-                raise ValueError(f"{path}: level {j} repeats k={k}")
-        levels.append(np.array([row[1:] for row in rows], dtype=float).T.copy())
-    return levels
-
-
-def check_structure(frame, coeffs):
+def _check_structure(frame, coeffs):
     """Reject coefficient arrays whose level sizes do not match the frame."""
     if coeffs.njlevels > frame.jmax + 1:
         raise ValueError(
@@ -591,33 +545,7 @@ def analysis_grid_size(B, jmax, band_limit=None):
     return cubature_size(B, jmax) + 2 * (int(band_limit) if band_limit else 0)
 
 
-def _fourier_coefficients(frame, f, jmax, band_limit=None, grid_points=None):
-    """Raw Fourier coefficients a_l = <f, e_l> for every shell frequency up to jmax.
-
-    FFT quadrature on a uniform grid; exact once the grid resolves the shell
-    band plus the declared band of f. Returns one array per level, aligned
-    with the shells.
-    """
-    min_pts = analysis_grid_size(frame.B, jmax)
-    npts = grid_points if grid_points is not None else analysis_grid_size(frame.B, jmax, band_limit)
-    if npts < min_pts:
-        raise ValueError(f"analysis grid {npts} cannot resolve level {jmax} (needs >= {min_pts})")
-    if exceeds_grid_cap(npts, frame.d):
-        raise ValueError(
-            f"analysis grid of {npts}^{frame.d} points exceeds the cap {MAX_GRID_POINTS}"
-        )
-    grid = uniform_grid(npts, frame.d)
-    fvals = np.asarray(f(grid[:, 0] if frame.d == 1 else grid), dtype=float)
-    if fvals.shape != (grid.shape[0],):
-        raise ValueError("function evaluation returned a wrong shape")
-    if not np.all(np.isfinite(fvals)):
-        raise ValueError("function evaluation produced non-finite values")
-    norm = (TWO_PI / npts) ** frame.d * TWO_PI ** (-frame.d / 2.0)
-    spectrum = np.fft.fftn(fvals.reshape((npts,) * frame.d))
-    return [norm * spectrum[_cube_index(frame.shell(j), npts)] for j in range(jmax + 1)]
-
-
-def analyze(frame, f, m=None, jmax=None, band_limit=None, grid_points=None):
+def analyze(frame, f, m=None, jmax=None, band_limit=None):
     """Needlet coefficients of the m-th derivative of f, by exact quadrature.
 
     Integration by parts moves the derivative onto the needlet, so only f
@@ -638,21 +566,36 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None, grid_points=None):
     fn = f.pdf if hasattr(f, "pdf") else f
     if band_limit is None:
         band_limit = getattr(f, "band_limit", None)
-    coeffs_per_level = _fourier_coefficients(
-        frame, fn, jmax, band_limit=band_limit, grid_points=grid_points
-    )
+    if band_limit is not None and band_limit < 0:
+        raise ValueError(f"band_limit must be nonnegative, got {band_limit}")
+    # a_l by FFT quadrature, exact once the grid resolves the shell band plus
+    # the declared band of f
+    npts = analysis_grid_size(frame.B, jmax, band_limit)
+    if exceeds_grid_cap(npts, frame.d):
+        raise ValueError(
+            f"analysis grid of {npts}^{frame.d} points exceeds the cap {MAX_GRID_POINTS}"
+        )
+    grid = uniform_grid(npts, frame.d)
+    fvals = np.asarray(fn(grid[:, 0] if frame.d == 1 else grid), dtype=float)
+    if fvals.shape != (grid.shape[0],):
+        raise ValueError("function evaluation returned a wrong shape")
+    if not np.all(np.isfinite(fvals)):
+        raise ValueError("function evaluation produced non-finite values")
+    norm = (TWO_PI / npts) ** frame.d * TWO_PI ** (-frame.d / 2.0)
+    spectrum = np.fft.fftn(fvals.reshape((npts,) * frame.d))
     levels = []
     for j in range(jmax + 1):
         lev = frame.level(j)
+        a = norm * spectrum[_cube_index(lev.freqs, npts)]
         mult = np.atleast_1d(derivative_multiplier(lev.freqs, m))
         # beta^(m)_{j,k} = sqrt(lambda) sum_l b_l mult_l a_l e_l(xi_jk); the
         # (-1)^|m| of the integration by parts cancels against the conjugated
         # multiplier, so no sign factor remains here
-        amp = lev.bvals * mult * coeffs_per_level[j]
+        amp = lev.bvals * mult * a
         raw = _pixel_transform(lev, amp, sign=+1.0)
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d / 2.0)
         levels.append(drop_imag(scale * raw, what=f"analysis coefficients at level {j}"))
-    return CoefficientArray(m, levels, "exact-quadrature")
+    return CoefficientArray(m, levels)
 
 
 def synthesize(frame, coeffs, grid):
@@ -665,7 +608,7 @@ def synthesize(frame, coeffs, grid):
     sqrt(lambda_j) (2pi)^-d b_l T_l into one box spectrum, and that spectrum
     is evaluated once at the points.
     """
-    check_structure(frame, coeffs)
+    _check_structure(frame, coeffs)
     pts = as_points(grid, frame.d)
     live = [j for j, cvec in enumerate(coeffs.levels) if np.any(cvec)]
     if not live:
@@ -718,10 +661,9 @@ def needlet_l2_norm(frame, j, m=None):
     return math.sqrt(lev.cubature.weight * TWO_PI ** (-frame.d) * total)
 
 
-def needlet_lp_norm(frame, j, m=None, p=2, grid_per_dim=None):
-    """Quadrature L^p norm of psi^(m)_{j,k} on a uniform grid (k-independent)."""
-    if grid_per_dim is None:
-        grid_per_dim = max(64, 8 * math.ceil(frame.B ** (j + 1)))
+def needlet_lp_norm(frame, j, m=None, p=2):
+    """Quadrature L^p norm of psi^(m)_{j,k} on max(64, 8 ceil(B**(j+1))) points per axis."""
+    grid_per_dim = max(64, 8 * math.ceil(frame.B ** (j + 1)))
     grid = uniform_grid(grid_per_dim, frame.d)
     vals = np.abs(needlet_eval(frame, j, 0, grid, m=m))
     cell = (TWO_PI / grid_per_dim) ** frame.d
@@ -743,11 +685,12 @@ class LocalizationProfile:
     constant: float
 
 
-def localization_profile(frame, j, k, m=None, exponent=3.0, samples=2048):
+def localization_profile(frame, j, k, m=None, exponent=3.0):
     """Fit the smallest c with |psi^(m)| <= c B^{j(|m|+d/2)} / (1 + B^j dist)^exponent.
 
-    Samples along each coordinate axis ray from the needlet's own center plus
-    the main diagonal, out to the torus injectivity radius.
+    Samples 2048 points in all, split over the rays from the needlet's own
+    center along each coordinate axis and the main diagonal, out to the
+    torus injectivity radius.
     """
     m = as_multi_index(m, frame.d)
     lev = frame.level(j)
@@ -755,7 +698,7 @@ def localization_profile(frame, j, k, m=None, exponent=3.0, samples=2048):
     directions = [np.eye(frame.d)[i] for i in range(frame.d)]
     if frame.d > 1:
         directions.append(np.ones(frame.d) / math.sqrt(frame.d))
-    radii = np.linspace(0.0, np.pi, max(2, samples // len(directions)))
+    radii = np.linspace(0.0, np.pi, 2048 // len(directions))
     dists, vals = [], []
     for direction in directions:
         pts = wrap_angles(xi[None, :] + radii[:, None] * direction[None, :])

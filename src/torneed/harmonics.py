@@ -82,25 +82,6 @@ def frequency_shell(j, B, d):
     return grid[keep]
 
 
-def fourier_basis(freqs, theta):
-    """Matrix of basis values e_l(theta) = (2pi)**(-d/2) * exp(i <l, theta>).
-
-    Parameters
-    ----------
-    freqs : (nf, d) integer array
-    theta : (nt, d) float array (or anything `as_points` accepts)
-
-    Returns
-    -------
-    (nt, nf) complex array with entry [t, f] = e_{freqs[f]}(theta[t]).
-    """
-    freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
-    d = freqs.shape[1]
-    pts = as_points(theta, d)
-    phase = pts @ freqs.T.astype(float)
-    return TWO_PI ** (-d / 2.0) * np.exp(1j * phase)
-
-
 def derivative_multiplier(freqs, m):
     """Factor turning e_l into its m-th partial derivative: prod_i (i*l_i)**m_i.
 

@@ -58,7 +58,7 @@ def analyze(frame, f, m=None, band_limit=0):
         amp = lev.bvals * np.atleast_1d(derivative_multiplier(lev.freqs, m)) * a[j]
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d / 2.0)
         levels.append((scale * pixel_transform(lev, amp, +1.0)).real)
-    return CoefficientArray(m, levels, "exact-quadrature")
+    return CoefficientArray(m, levels)
 
 
 def empirical_coefficients(frame, samples, jmax, m=None):
@@ -73,7 +73,7 @@ def empirical_coefficients(frame, samples, jmax, m=None):
         amp = lev.bvals * np.atleast_1d(derivative_multiplier(lev.freqs, m)) * S
         scale = sign / X.shape[0] * math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
         levels.append((scale * pixel_transform(lev, amp, -1.0)).real)
-    return CoefficientArray(m, levels, "empirical")
+    return CoefficientArray(m, levels)
 
 
 def synthesize(frame, coeffs, grid):

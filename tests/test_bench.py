@@ -445,7 +445,7 @@ def test_risk_aggregates_mean_and_stderr():
 def test_emit_csv_files_and_header_only_when_empty(tmp_path):
     cfg = tn.config_from_dict(base_config())
     empty = RiskReport(cfg, [], [], ())
-    tn.emit_report(empty, "csv", tmp_path)
+    tn.emit_report(empty, tmp_path)
     counts = (tmp_path / "bench_counts.csv").read_text()
     risks = (tmp_path / "bench_risks.csv").read_text()
     assert counts == "density,n,m,rule,kappa0,replication,j,surviving,total,fraction\n"
@@ -455,7 +455,7 @@ def test_emit_csv_files_and_header_only_when_empty(tmp_path):
 
 def test_emit_csv_row_contents(tmp_path):
     report = run({"replications": 1})
-    tn.emit_report(report, "csv", tmp_path)
+    tn.emit_report(report, tmp_path)
     lines = (tmp_path / "bench_counts.csv").read_text().strip().split("\n")
     assert len(lines) == 4  # header + 3 levels
     cells = lines[1].split(",")
@@ -467,7 +467,7 @@ def test_emit_csv_row_contents(tmp_path):
 
 def test_emit_csv_proxy_companion(tmp_path):
     report = run({"risk_method": "both", "replications": 1})
-    tn.emit_report(report, "csv", tmp_path)
+    tn.emit_report(report, tmp_path)
     proxy = (tmp_path / "bench_risks_proxy.csv").read_text().strip().split("\n")
     assert len(proxy) == 2
     assert proxy[0] == "density,n,m,rule,kappa0,replication,p,risk"
@@ -476,16 +476,16 @@ def test_emit_csv_proxy_companion(tmp_path):
 def test_emit_csv_is_byte_stable(tmp_path):
     report = run({"replications": 2})
     one, two = tmp_path / "one", tmp_path / "two"
-    tn.emit_report(report, "csv", one)
-    tn.emit_report(report, "csv", two)
-    for name in ("bench_counts.csv", "bench_risks.csv"):
+    tn.emit_report(report, one)
+    tn.emit_report(report, two)
+    for name in ("bench_counts.csv", "bench_risks.csv", "bench_report.json"):
         assert (one / name).read_bytes() == (two / name).read_bytes()
 
 
 def test_emit_json_round_trip(tmp_path):
     report = run({"replications": 2, "p": [2, "inf"]})
-    tn.emit_report(report, "json", tmp_path)
-    payload = tn.load_report(tmp_path / "bench_report.json")
+    tn.emit_report(report, tmp_path)
+    payload = json.loads((tmp_path / "bench_report.json").read_text())
     assert payload["config"] == report.config.to_dict()
     assert payload["child_seeds"] == [str(s) for s in report.child_seeds]
     assert len(payload["counts"]) == len(report.count_rows)
@@ -493,9 +493,3 @@ def test_emit_json_round_trip(tmp_path):
     assert ps == {2.0, "inf"}
     assert payload["aggregates"]["risks"] == report.risk_aggregates()
     assert payload["aggregates"]["counts"] == report.count_aggregates()
-
-
-def test_emit_rejects_unknown_format(tmp_path):
-    report = run({"replications": 1})
-    with pytest.raises(ValueError, match="format"):
-        tn.emit_report(report, "parquet", tmp_path)

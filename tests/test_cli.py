@@ -40,17 +40,21 @@ def kept_artifacts(uniform_8000, tmp_path_factory):
 
 
 def test_frame_info_level_table(capsys):
-    assert main(["frame-info", "--B", "2", "--d", "1", "--J", "1"]) == 0
+    # --J counts levels, as in estimate: --J 2 prints levels 0 and 1
+    assert main(["frame-info", "--B", "2", "--d", "1", "--J", "2"]) == 0
     out = capsys.readouterr().out
     lines = out.strip().split("\n")
-    assert lines[0].startswith("B=2  d=1  jmax=1")
+    assert lines[0].startswith("B=2  d=1  J=2")
     assert lines[1].startswith("window moments: I0=0.75")
     rows = [line.split() for line in lines[3:]]
     assert [r[:3] for r in rows] == [["0", "2", "5"], ["1", "4", "9"]]
+    assert main(["frame-info", "--B", "2", "--d", "1", "--J", "0"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert len(lines) == 3 and lines[1].startswith("window moments: I0=0.75")
 
 
 def test_frame_info_single_level(capsys):
-    assert main(["frame-info", "--B", "2", "--d", "2", "--J", "0", "--m", "1,0"]) == 0
+    assert main(["frame-info", "--B", "2", "--d", "2", "--J", "1", "--m", "1,0"]) == 0
     out = capsys.readouterr().out
     rows = [line for line in out.strip().split("\n")[3:]]
     assert len(rows) == 1
@@ -314,7 +318,7 @@ def test_bench_outputs_and_thread_determinism(tmp_path, capsys):
         assert (one / name).read_bytes() == (four / name).read_bytes()
     out = capsys.readouterr().out
     assert "ran 2 replication(s)" in out
-    payload = tn.load_report(one / "bench_report.json")
+    payload = json.loads((one / "bench_report.json").read_text())
     assert len(payload["counts"]) == 4  # 2 reps x 2 levels
     assert len(payload["risks"]) == 2
 
@@ -333,7 +337,7 @@ def test_bench_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bench_config()))
     assert main(["bench", str(cfg), "--out", str(tmp_path / "o"), "--seed", "9"]) == 0
-    payload = tn.load_report(tmp_path / "o" / "bench_report.json")
+    payload = json.loads((tmp_path / "o" / "bench_report.json").read_text())
     assert payload["config"]["seed"] == 9
     assert payload["child_seeds"][0] == str(tn.child_seed(9, 0))
 
@@ -376,7 +380,7 @@ def test_eval_grid_matches_estimate_grid(kept_artifacts, tmp_path):
     # synthesizing the stored coefficients reproduces the library evaluation
     raw_levels, kept_levels, _ = tn.read_estimator_csv(f"{kept_artifacts}_coefficients.csv")
     frame = tn.NeedletFrame(2.0, 1, 3)
-    coeffs = tn.CoefficientArray((1,), kept_levels, "empirical")
+    coeffs = tn.CoefficientArray((1,), kept_levels)
     grid = tn.uniform_grid(65, 1)
     expect = tn.synthesize(frame, coeffs, grid)
     got = np.array([float(line.split(",")[1]) for line in lines[1:]])

@@ -177,7 +177,7 @@ def test_empirical_fft_matches_direct(frame):
 
 def test_empirical_provenance_and_jmax(frame):
     emp = tn.empirical_coefficients(frame, [1.0, 2.0, 3.0], jmax=1)
-    assert emp.provenance == "empirical"
+    assert emp.m == (0,)
     assert len(emp.levels) == 2
     with pytest.raises(ValueError, match="jmax"):
         tn.empirical_coefficients(frame, [1.0], jmax=frame.jmax + 1)
@@ -356,6 +356,11 @@ def test_estimator_csv_and_meta_round_trip(frame, tmp_path):
     [
         ("0,0,1,1,0.5\n0,2,3,3,0.5\n", "level 0 is missing k=1"),
         ("0,0,1,1,0.5\n1,0,2,0,0.7\n1,0,2,0,0.7\n", "level 1 repeats k=0"),
+        ("1,0,5,5,0.9\n0,0,1,1,0.5\n0,2,3,3,0.5\n", "level 0 is missing k=1"),
+        ("0,0,1,1,0.5\n1,0,5,5,0.9\n1,1,4,4,0.9\n1,1,6,6,0.9\n", "level 1 repeats k=1"),
+        ("0,0,1,1,0.5\n2,0,5,5,0.9\n", "level 1 has no rows"),
+        ("0,-1,1,1,0.5\n0,0,5,5,0.5\n", "level 0 has negative k=-1"),
+        ("0,0,1,1,0.5\n-1,0,5,5,0.5\n", "negative level j=-1"),
     ],
 )
 def test_read_estimator_csv_rejects_gaps_and_duplicates(tmp_path, rows, message):

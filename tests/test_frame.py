@@ -7,7 +7,7 @@ import pytest
 
 import direct_oracle as oracle
 import torneed as tn
-from torneed.frame import MAX_GRID_POINTS, drop_imag, exceeds_grid_cap
+from torneed.frame import MAX_GRID_POINTS, _check_structure, drop_imag, exceeds_grid_cap
 from torneed.harmonics import TWO_PI
 
 
@@ -103,7 +103,7 @@ def test_window_rejects_bad_base():
 
 def test_cubature_sizes_d1():
     frame = tn.NeedletFrame(2.0, 1, jmax=5)
-    assert frame.level_sizes() == [5, 9, 17, 33, 65, 129]
+    assert [frame.cubature(j).K for j in range(6)] == [5, 9, 17, 33, 65, 129]
     for j in range(6):
         cub = frame.cubature(j)
         assert cub.npts_per_dim == 2 * math.ceil(2.0 ** (j + 1)) + 1
@@ -276,14 +276,14 @@ def test_analyze_fft_matches_direct_d2(frame2):
 
 
 def test_analyze_grid_points_override(frame1):
-    # a denser caller-declared grid changes nothing once the band resolves
+    # a denser grid, from a larger declared band, changes nothing once the band resolves
     f = lambda th: np.cos(np.asarray(th).ravel())
-    ca = tn.analyze(frame1, f, band_limit=1, grid_points=129)
+    ca = tn.analyze(frame1, f, band_limit=32)
     cb = tn.analyze(frame1, f, band_limit=1)
     for a, b in zip(ca.levels, cb.levels):
         np.testing.assert_allclose(a, b, atol=1e-12)
-    with pytest.raises(ValueError):
-        tn.analyze(frame1, f, band_limit=1, grid_points=33)  # under the level band
+    with pytest.raises(ValueError, match="band_limit"):
+        tn.analyze(frame1, f, band_limit=-3)  # would shrink the grid under the level band
 
 
 def test_analyze_rejects_nonfinite(frame1):
@@ -298,57 +298,17 @@ def test_analyze_rejects_nonfinite(frame1):
 
 
 def test_synthesize_rejects_mismatched_structure(frame1):
-    coeffs = tn.CoefficientArray((0,), [np.zeros(4)], "empirical")  # K_0 is 5, not 4
+    coeffs = tn.CoefficientArray((0,), [np.zeros(4)])  # K_0 is 5, not 4
     with pytest.raises(ValueError):
-        tn.check_structure(frame1, coeffs)
+        _check_structure(frame1, coeffs)
     with pytest.raises(ValueError):
         tn.synthesize(frame1, coeffs, tn.uniform_grid(8, 1))
-    with pytest.raises(ValueError):
-        tn.CoefficientArray((0,), [np.zeros(5)], "made-up-provenance")
 
 
 def test_drop_imag_guards_residue():
     assert drop_imag(np.array([1.0 + 1e-12j]))[0] == pytest.approx(1.0)
     with pytest.raises(ValueError):
         drop_imag(np.array([1.0 + 1e-6j]))
-
-
-# ---------------------------------------------------------------- coefficient arrays
-
-
-def test_coefficient_array_csv_roundtrip(tmp_path, frame1):
-    coeffs = tn.analyze(frame1, lambda th: np.cos(np.asarray(th).ravel()), band_limit=1)
-    path = tmp_path / "coeffs.csv"
-    coeffs.to_csv(path)
-    back = tn.CoefficientArray.from_csv(path, coeffs.m, coeffs.provenance)
-    assert len(back.levels) == len(coeffs.levels)
-    for a, b in zip(coeffs.levels, back.levels):
-        np.testing.assert_array_equal(a, b)  # 17 digits round-trips float64 exactly
-
-
-def test_coefficient_array_csv_reads_rows_in_any_order(tmp_path):
-    path = tmp_path / "shuffled.csv"
-    path.write_text("j,k,value\n1,1,4\n0,2,3\n0,0,1\n\n1,0,5\n0,1,2\n")
-    back = tn.CoefficientArray.from_csv(path, (1,), "empirical")
-    np.testing.assert_array_equal(back.levels[0], [1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(back.levels[1], [5.0, 4.0])
-
-
-@pytest.mark.parametrize(
-    "rows, message",
-    [
-        ("0,0,1\n0,2,3\n1,0,5\n", "level 0 is missing k=1"),
-        ("0,0,1\n1,0,5\n1,1,4\n1,1,6\n", "level 1 repeats k=1"),
-        ("0,0,1\n2,0,5\n", "level 1 has no rows"),
-        ("0,-1,1\n0,0,5\n", "level 0 has negative k=-1"),
-        ("0,0,1\n-1,0,5\n", "negative level j=-1"),
-    ],
-)
-def test_coefficient_array_csv_rejects_gaps_and_duplicates(tmp_path, rows, message):
-    path = tmp_path / "holes.csv"
-    path.write_text("j,k,value\n" + rows)
-    with pytest.raises(ValueError, match=message):
-        tn.CoefficientArray.from_csv(path, (1,), "empirical")
 
 
 # ---------------------------------------------------------------- norms
@@ -390,7 +350,7 @@ def test_l2_norm_vs_moment_scale(frame1):
 def test_besov_sequence_norm_hand_case():
     lv0 = np.array([3.0, 4.0])  # l2 norm 5
     lv1 = np.array([1.0, 1.0, 1.0, 1.0])  # l2 norm 2
-    coeffs = tn.CoefficientArray((0,), [lv0, lv1], "empirical")
+    coeffs = tn.CoefficientArray((0,), [lv0, lv1])
     got = tn.besov_sequence_norm(coeffs, s=1.0, r=2, q=2, B=2.0, d=1)
     # weights B^{j(s + d(1/2 - 1/2))} = 2^j: sqrt(5^2 + (2*2)^2)
     assert got == pytest.approx(math.hypot(5.0, 4.0))
@@ -400,9 +360,9 @@ def test_besov_sequence_norm_hand_case():
 
 
 def test_besov_norm_empty_and_validation():
-    empty = tn.CoefficientArray((0,), [], "empirical")
+    empty = tn.CoefficientArray((0,), [])
     assert tn.besov_sequence_norm(empty, 1.0, 2, 2, 2.0, 1) == 0.0
-    some = tn.CoefficientArray((0,), [np.ones(2)], "empirical")
+    some = tn.CoefficientArray((0,), [np.ones(2)])
     with pytest.raises(ValueError):
         tn.besov_sequence_norm(some, 1.0, 0.5, 2, 2.0, 1)
 

@@ -11,11 +11,22 @@ from torneed.harmonics import (
     as_points,
     derivative_multiplier,
     eigenvalue,
-    fourier_basis,
     frequency_shell,
     geodesic_distance,
     wrap_angles,
 )
+
+
+def fourier_basis(freqs, theta):
+    """Matrix of basis values e_l(theta) = (2pi)**(-d/2) * exp(i <l, theta>).
+
+    freqs is an (nf, d) integer array, theta anything `as_points` accepts;
+    entry [t, f] is e_{freqs[f]}(theta[t]).
+    """
+    freqs = np.atleast_2d(np.asarray(freqs, dtype=np.int64))
+    d = freqs.shape[1]
+    phase = as_points(theta, d) @ freqs.T.astype(float)
+    return TWO_PI ** (-d / 2.0) * np.exp(1j * phase)
 
 
 def fourier_basis_eval(freq, theta):

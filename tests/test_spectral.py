@@ -101,7 +101,7 @@ def coefficient_case(draw):
         levels.append(lv)
     if not any(np.any(lv) for lv in levels):
         levels[-1] = rng.normal(size=levels[-1].size)
-    return frame, tn.CoefficientArray((0,) * case[0], levels, "empirical")
+    return frame, tn.CoefficientArray((0,) * case[0], levels)
 
 
 # ---------------------------------------------------------------- the two core functions
