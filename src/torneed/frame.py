@@ -19,11 +19,16 @@ highest shell in use:
   gather from it.
 - spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
   points, contracting one axis at a time.
+- grid_values evaluates the same sum on the uniform grid x_k = 2 pi k / G
+  (uniform_grid(G, d)) by one inverse FFT: there exp(i l x_k) depends only
+  on l mod G, so the box folds into a G**d cube, for any G >= 1.
 - Pixel transforms in both directions are FFTs on the level's cubature cube,
   whose points are xi_k = 2 pi k / N.
 
 Synthesis therefore maps each live level's pixels back to its shell by FFT,
-adds every level into one box spectrum and evaluates that spectrum once.
+adds every level into one box spectrum and evaluates that spectrum once:
+by grid_values when the points are exactly uniform_grid(G, d) for some G
+(same rows, same order, equal coordinates), by spectrum_values otherwise.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
@@ -45,14 +50,16 @@ max(J-1, 0); min_grid_size(B, J) uniform points per axis resolve it.
 Fixed constants: the window ramp is tabulated on _RAMP_NODES = 4097 nodes
 with an 8-node Gauss-Legendre rule per cell, the window moments use
 _MOMENT_PANELS = 64 panels per side of u = 1, drop_imag refuses an
-imaginary residue above IMAG_RESIDUE_TOL = 1e-9, localization_profile
-samples 2048 points over its rays, and needlet_lp_norm integrates level j
-on max(64, 8 ceil(B**(j+1))) points per axis.
+imaginary residue above IMAG_RESIDUE_TOL = 1e-9 (on both synthesis
+paths), localization_profile samples 2048 points over its rays, and
+needlet_lp_norm integrates level j on the uniform grid of
+max(64, 8 ceil(B**(j+1))) points per axis, by grid_values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -208,13 +215,36 @@ class NeedletWindow:
         return self._moments[q]
 
 
+def _grid_axis(npts):
+    """The coordinates 2 pi k / npts, k = 0..npts-1, of every uniform grid axis."""
+    return np.arange(npts) * (TWO_PI / npts)
+
+
 def uniform_grid(npts, d):
     """Uniform tensor grid on [0, 2pi)^d with npts points per dimension, as (npts**d, d) rows."""
     if npts < 1:
         raise ValueError("grid needs at least one point per dimension")
-    axis = np.arange(npts) * (TWO_PI / npts)
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    mesh = np.meshgrid(*([_grid_axis(npts)] * d), indexing="ij")
     return np.stack(mesh, axis=-1).reshape(-1, d)
+
+
+def _uniform_grid_size(points):
+    """G when points equals uniform_grid(G, d) row for row and coordinate for coordinate, else None.
+
+    Only the exact layout counts: shuffled rows, a shifted or unreduced
+    copy of the grid, or a coordinate one ulp off is a plain point set.
+    """
+    n, d = points.shape
+    npts = round(n ** (1.0 / d)) if n else 0
+    if npts < 1 or npts**d != n:
+        return None
+    axis = _grid_axis(npts)
+    cube = points.reshape((npts,) * d + (d,))
+    for a in range(d):
+        along = axis.reshape([npts if b == a else 1 for b in range(d)])
+        if not (cube[..., a] == along).all():
+            return None
+    return npts
 
 
 @dataclasses.dataclass(frozen=True)
@@ -428,6 +458,38 @@ def spectrum_values(box, points):
     return out
 
 
+def _fold_runs(width, L, npts):
+    """(box slice, bin slice) pairs sending box index i, l = i - L, to bin l mod npts.
+
+    Each pair is one contiguous run of bins; runs that reach the same bin
+    are the frequencies that alias on an npts-point grid.
+    """
+    runs, i = [], 0
+    while i < width:
+        b = (i - L) % npts
+        run = min(width - i, npts - b)
+        runs.append((slice(i, i + run), slice(b, b + run)))
+        i += run
+    return runs
+
+
+def grid_values(box, npts):
+    """sum_l box[l + L] exp(i l . x) at every point x of uniform_grid(npts, d), in its row order.
+
+    On that grid exp(i l x_k) = exp(2 pi i (l mod npts) k / npts), so the box
+    is folded into an npts**d cube, each l added into bin l mod npts (any
+    npts >= 1, also below 2L+1), and one unnormalized inverse FFT, computed
+    in place, gives every value. Returns a complex (npts**d,) array.
+    """
+    box = np.asarray(box, dtype=complex)
+    runs = _fold_runs(box.shape[0], (box.shape[0] - 1) // 2, npts)
+    cube = np.zeros((npts,) * box.ndim, dtype=complex)
+    for combo in itertools.product(runs, repeat=box.ndim):
+        src, dst = zip(*combo)
+        cube[dst] += box[src]
+    return np.fft.ifftn(cube, norm="forward", out=cube).reshape(-1)
+
+
 def box_index(freqs, L):
     """Index tuple of the shell frequencies in a (2L+1,)*d box spectrum."""
     return tuple(freqs[:, i] + L for i in range(freqs.shape[1]))
@@ -606,7 +668,11 @@ def synthesize(frame, coeffs, grid):
     on or off any uniform grid. Each level with a nonzero coefficient maps its
     pixels to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k) by FFT, adds
     sqrt(lambda_j) (2pi)^-d b_l T_l into one box spectrum, and that spectrum
-    is evaluated once at the points.
+    is evaluated once at the points. Points that are exactly
+    uniform_grid(G, d) for some G (same row count, same row order, equal
+    coordinates) take one inverse FFT (grid_values); any other point set,
+    shuffled or shifted grids included, takes spectrum_values. Both paths
+    check the imaginary residue before dropping it.
     """
     _check_structure(frame, coeffs)
     pts = as_points(grid, frame.d)
@@ -620,7 +686,9 @@ def synthesize(frame, coeffs, grid):
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
         T = _shell_transform(lev, coeffs.levels[j])
         box[box_index(lev.freqs, L)] += scale * lev.bvals * T
-    return drop_imag(spectrum_values(box, pts), what="synthesis")
+    npts = _uniform_grid_size(pts)
+    values = spectrum_values(box, pts) if npts is None else grid_values(box, npts)
+    return drop_imag(values, what="synthesis")
 
 
 def besov_sequence_norm(coeffs, s, r, q, B, d):
@@ -662,10 +730,21 @@ def needlet_l2_norm(frame, j, m=None):
 
 
 def needlet_lp_norm(frame, j, m=None, p=2):
-    """Quadrature L^p norm of psi^(m)_{j,k} on max(64, 8 ceil(B**(j+1))) points per axis."""
+    """Quadrature L^p norm of psi^(m)_{j,k} on max(64, 8 ceil(B**(j+1))) points per axis.
+
+    The norm is the same for every k, so it is taken for psi_{j,0}, centred
+    at xi_0 = 0. Its box spectrum is sqrt(lambda_j) (2pi)^-d b_l mult_l(m)
+    on the shell, and grid_values evaluates it on the whole quadrature grid
+    by one inverse FFT: no grid points and no phase table are formed.
+    """
+    lev = frame.level(j)
+    m = as_multi_index(m, frame.d)
+    L = box_half_width(frame.B, j)
+    box = np.zeros((2 * L + 1,) * frame.d, dtype=complex)
+    scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
+    box[box_index(lev.freqs, L)] = scale * lev.bvals * derivative_multiplier(lev.freqs, m)
     grid_per_dim = max(64, 8 * math.ceil(frame.B ** (j + 1)))
-    grid = uniform_grid(grid_per_dim, frame.d)
-    vals = np.abs(needlet_eval(frame, j, 0, grid, m=m))
+    vals = np.abs(drop_imag(grid_values(box, grid_per_dim), what=f"needlet ({j},0) norm"))
     cell = (TWO_PI / grid_per_dim) ** frame.d
     if math.isinf(p):
         return float(np.max(vals))

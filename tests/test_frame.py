@@ -1,6 +1,7 @@
 """Window, cubature, needlet evaluation, analysis/synthesis, and norms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,33 @@ def test_l2_norm_exact_vs_quadrature(frame1):
             exact = tn.needlet_l2_norm(frame1, j, m=m)
             quad = tn.needlet_lp_norm(frame1, j, m=m, p=2)
             assert quad == pytest.approx(exact, rel=1e-10)
+
+
+def _peak_bytes(fn):
+    """Peak bytes allocated while fn runs, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synthesis_on_a_uniform_grid_stays_near_its_points_bytes():
+    # d=2, four levels live, G=257: the inverse FFT needs one complex cube
+    # (the points' bytes) and the real result (half of them); the same points
+    # through the phase tables (spectrum_values) peak near 13 times
+    frame = tn.NeedletFrame(2.0, 2, 3)
+    rng = np.random.default_rng(4)
+    coeffs = tn.CoefficientArray((0, 0), [rng.normal(size=frame.cubature(j).K) for j in range(4)])
+    grid = tn.uniform_grid(257, 2)
+    assert _peak_bytes(lambda: tn.synthesize(frame, coeffs, grid)) <= 1.75 * grid.nbytes
+
+
+def test_lp_norm_memory_is_bounded():
+    # d=2, j=3: one needlet on a 128^2 grid; needlet_eval's dense
+    # (points x shell) phase matrix for the same grid takes about 195 MiB
+    assert _peak_bytes(lambda: tn.needlet_lp_norm(tn.NeedletFrame(2, 2, 3), 3)) <= 16 * 2**20
 
 
 def test_lp_norm_scaling_stability(frame1):

@@ -23,6 +23,7 @@ from torneed.frame import (
     _axis_phases,
     block_rows,
     box_half_width,
+    grid_values,
     sample_spectrum,
     spectrum_block_shape,
     spectrum_values,
@@ -51,21 +52,24 @@ def frame_for(case):
     return _FRAMES[case]
 
 
-def assert_rel_close(got, want):
-    """Largest deviation over all arrays, relative to the largest reference magnitude."""
+def assert_rel_close(got, want, floor=0.0):
+    """Largest deviation over all arrays, relative to the largest reference magnitude (or floor)."""
     got = np.concatenate([np.ravel(v) for v in got])
     want = np.concatenate([np.ravel(v) for v in want])
-    err, scale = float(np.max(np.abs(got - want))), float(np.max(np.abs(want)))
+    err = float(np.max(np.abs(got - want)))
+    scale = max(float(np.max(np.abs(want))), floor)
     # an identically zero reference (e.g. m kills every frequency of a shell) needs exact zeros
     assert err <= REL_TOL * scale, f"deviation {err:.3e} against reference magnitude {scale:.3e}"
 
 
 def assert_synthesis_matches(frame, coeffs, pts):
-    # a fixed probe grid brings the function's magnitude into the scale, so
-    # points drawn where it happens to be near zero do not tighten the tolerance
-    probe = np.vstack([pts, tn.uniform_grid(6, frame.d)])
-    got = tn.synthesize(frame, coeffs, probe)
-    assert_rel_close([got], [oracle.synthesize(frame, coeffs, probe)])
+    # synthesize sees exactly pts, so a uniform grid takes its own path; the
+    # oracle on a fixed probe grid brings the function's magnitude into the
+    # scale, so points where it happens to be near zero do not tighten the
+    # tolerance
+    probe = np.max(np.abs(oracle.synthesize(frame, coeffs, tn.uniform_grid(6, frame.d))))
+    got = tn.synthesize(frame, coeffs, pts)
+    assert_rel_close([got], [oracle.synthesize(frame, coeffs, pts)], floor=probe)
 
 
 def angles(n, d):
@@ -153,6 +157,95 @@ def test_block_rows_bounds():
     assert block_rows(3, 1) == 3  # never more rows than there are
     assert block_rows(10**9, 10**9) == 1  # never fewer than one
     assert block_rows(10**9, 4) == PHASE_BLOCK_BYTES // 64
+
+
+@st.composite
+def folded_box_case(draw):
+    """A random complex box (not Hermitian) and a grid size from 1 to above 2L+1."""
+    d = draw(st.integers(1, 3))
+    L = draw(st.integers(0, (7, 5, 3)[d - 1]))
+    npts = draw(st.integers(1, 2 * L + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (2 * L + 1,) * d
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape), npts
+
+
+@PROPERTY
+@given(folded_box_case())
+def test_grid_values_match_spectrum_values_on_the_grid(case):
+    box, npts = case
+    want = spectrum_values(box, tn.uniform_grid(npts, box.ndim))
+    # below 2L+1 points frequencies alias into one bin and the values can
+    # cancel; the box's l2 norm (the values' rms when nothing aliases) then
+    # keeps the scale
+    assert_rel_close([grid_values(box, npts)], [want], floor=float(np.linalg.norm(box)))
+
+
+def _spy_on_paths(monkeypatch):
+    """List that records which evaluator synthesize calls: the inverse FFT or the phase tables."""
+    taken = []
+    for name in ("grid_values", "spectrum_values"):
+        original = getattr(frame_mod, name)
+        monkeypatch.setattr(
+            frame_mod, name, lambda *args, _n=name, _f=original: taken.append(_n) or _f(*args)
+        )
+    return taken
+
+
+def _layouts(npts, d):
+    """Point sets that hold uniform_grid's coordinates, or nearly, but not its exact layout."""
+    grid = tn.uniform_grid(npts, d)
+    nudged = grid.copy()
+    nudged[-1, -1] = np.nextafter(nudged[-1, -1], np.inf)
+    shuffled = grid[np.random.default_rng(npts).permutation(grid.shape[0])]
+    axis = np.linspace(0.0, TWO_PI, npts, endpoint=False)
+    shifted = np.linspace(-np.pi, np.pi, npts, endpoint=False)
+    cases = {
+        "one ulp": nudged,
+        "shuffled rows": shuffled,
+        "shifted by -pi": np.stack(np.meshgrid(*[shifted] * d, indexing="ij"), -1).reshape(-1, d),
+        "unreduced": grid + TWO_PI,
+    }
+    if d > 1:
+        cases["linspace, xy order"] = np.stack(np.meshgrid(*[axis] * d), -1).reshape(-1, d)
+    return cases
+
+
+@pytest.mark.parametrize("case", [(1, 2.0), (2, 2.0), (3, 1.5)])
+def test_only_the_exact_uniform_grid_takes_the_fft_path(monkeypatch, case):
+    frame = frame_for(case)
+    rng = np.random.default_rng(case[0])
+    coeffs = tn.CoefficientArray(
+        (0,) * frame.d, [rng.normal(size=frame.cubature(j).K) for j in range(frame.jmax + 1)]
+    )
+    npts = 9
+    grid = tn.uniform_grid(npts, frame.d)
+    taken = _spy_on_paths(monkeypatch)
+    assert_synthesis_matches(frame, coeffs, grid)
+    assert taken == ["grid_values"]
+    # np.linspace(endpoint=False) in meshgrid "ij" order forms k * (2pi/G)
+    # on numpy 2.x, the very coordinates of uniform_grid; the rule is
+    # coordinate equality, whatever built the array
+    axis = np.linspace(0.0, TWO_PI, npts, endpoint=False)
+    same = np.stack(np.meshgrid(*[axis] * frame.d, indexing="ij"), -1).reshape(-1, frame.d)
+    taken.clear()
+    assert_synthesis_matches(frame, coeffs, same)
+    assert taken == ["grid_values" if np.array_equal(same, grid) else "spectrum_values"]
+    for label, pts in _layouts(npts, frame.d).items():
+        taken.clear()
+        assert_synthesis_matches(frame, coeffs, pts)
+        assert taken == ["spectrum_values"], label
+
+
+def test_grid_path_keeps_the_imaginary_residue_guard(monkeypatch):
+    frame = frame_for((1, 2.0))
+    coeffs = tn.CoefficientArray((0,), [np.ones(frame.cubature(j).K) for j in range(3)])
+    original = frame_mod.grid_values
+    monkeypatch.setattr(frame_mod, "grid_values", lambda box, npts: original(box, npts) + 1e-6j)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        tn.synthesize(frame, coeffs, tn.uniform_grid(64, 1))
+    with pytest.raises(ValueError, match="imaginary residue"):
+        tn.needlet_lp_norm(frame, 2)
 
 
 # ---------------------------------------------------------------- per-axis phase tables
