@@ -21,7 +21,7 @@ for offset in (0.0, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0):
     print(f"  psi(center + {offset:4.2f}) = {val:10.4f}")
 
 grid = tn.uniform_grid(1024, 1)
-vals = tn.needlet_matrix(frame, j, grid)[:, k]
+vals = tn.needlet_eval(frame, j, k, grid)
 print(f"  integral over the circle = {np.mean(vals) * TWO_PI:.2e}")
 
 # derivatives: one call per order, exact up to roundoff

@@ -48,7 +48,6 @@ from .frame import (
     needlet_eval,
     needlet_l2_norm,
     needlet_lp_norm,
-    needlet_matrix,
     synthesize,
     uniform_grid,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "needlet_eval",
     "needlet_l2_norm",
     "needlet_lp_norm",
-    "needlet_matrix",
     "product_density",
     "read_estimator_csv",
     "run_experiment",

@@ -233,6 +233,26 @@ def _cmd_bench(args):
     return 0
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _estimator_shape(meta, meta_path):
+    """(B, d, J, m) from a parsed _meta.json, each checked against what write_estimator_meta writes."""
+    B, d, J, m = meta["B"], meta["d"], meta["J"], meta["m"]
+    _require(
+        (isinstance(B, float) or _is_int(B)) and math.isfinite(B) and B > 1,
+        f"{meta_path}: 'B' must be a finite number above 1, got {B!r}",
+    )
+    _require(_is_int(d) and d >= 1, f"{meta_path}: 'd' must be an integer >= 1, got {d!r}")
+    _require(_is_int(J) and J >= 0, f"{meta_path}: 'J' must be an integer >= 0, got {J!r}")
+    _require(
+        isinstance(m, list) and len(m) == d and all(_is_int(v) and v >= 0 for v in m),
+        f"{meta_path}: 'm' must be a list of {d} nonnegative integers, got {m!r}",
+    )
+    return float(B), d, J, tuple(m)
+
+
 def _cmd_eval_grid(args):
     _require(args.grid >= 1, "--grid must be a positive integer")
     meta_path = f"{args.stem}_meta.json"
@@ -241,10 +261,8 @@ def _cmd_eval_grid(args):
         meta = json.load(fh)
     for key in ("B", "d", "m", "n", "kappa", "rule", "J"):
         _require(key in meta, f"{meta_path}: missing key {key!r}")
-    d, J = int(meta["d"]), int(meta["J"])
+    B, d, J, m = _estimator_shape(meta, meta_path)
     _require(not exceeds_grid_cap(args.grid, d), _grid_cap_message(args.grid, d))
-    m = as_multi_index(meta["m"], d)
-    _require(meta["B"] > 1, f"{meta_path}: B must exceed 1")
     density = density_from_name(args.density, d) if args.density else None
 
     _, kept_levels, _ = read_estimator_csv(coeff_path)
@@ -252,7 +270,7 @@ def _cmd_eval_grid(args):
         raise DataError(
             f"{coeff_path}: expected coefficients for {J} level(s), found {len(kept_levels)}"
         )
-    frame = NeedletFrame(float(meta["B"]), d, jmax=max(J - 1, 0))
+    frame = NeedletFrame(B, d, jmax=max(J - 1, 0))
     coeffs = CoefficientArray(m, kept_levels)
     grid = uniform_grid(args.grid, d)
     vals = with_density_mean(synthesize(frame, coeffs, grid), m)

@@ -20,10 +20,15 @@ highest shell in use:
 - spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
   points, contracting one axis at a time.
 - grid_values evaluates the same sum on the uniform grid x_k = 2 pi k / G
-  (uniform_grid(G, d)) by one inverse FFT: there exp(i l x_k) depends only
-  on l mod G, so the box folds into a G**d cube, for any G >= 1.
+  (uniform_grid(G, d)) as a tensor product: one (2L+1, G) phase table
+  serves every axis, contracted against the box one axis at a time; any
+  G >= 1 works, the table aliasing frequencies when G < 2L+1.
+- Needlets are translates: psi_{j,k}(x) = psi_{j,0}(x - xi_k), and the box
+  spectrum of psi_{j,0} (_needlet_box) is evaluated by spectrum_values
+  (needlet_eval) or grid_values (needlet_lp_norm).
 - Pixel transforms in both directions are FFTs on the level's cubature cube,
-  whose points are xi_k = 2 pi k / N.
+  whose points are xi_k = 2 pi k / N; analyze's quadrature is one more FFT.
+  These are the only FFTs.
 
 Synthesis therefore maps each live level's pixels back to its shell by FFT,
 adds every level into one box spectrum and evaluates that spectrum once:
@@ -35,9 +40,9 @@ one sin per coordinate give exp(i x), doubling products give exp(i l x) for
 l = 0..L, conjugates the negative l. It is the only place the module takes
 cos/sin of a phase angle. Tables are frequency-major, (2L+1, rows); their
 error grows about linearly in |l| and stays below (|l|+1) * 1e-15, below
-that of cos/sin of the rounded angle l*x. Needlet evaluation (_phases)
-gathers the shell's rows from them. Phase tables and blocks are cut into
-row blocks of at most PHASE_BLOCK_BYTES each.
+that of cos/sin of the rounded angle l*x. sample_spectrum and
+spectrum_values cut their tables into row blocks of at most
+PHASE_BLOCK_BYTES each; grid_values needs one table of G columns.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -50,8 +55,8 @@ max(J-1, 0); min_grid_size(B, J) uniform points per axis resolve it.
 Fixed constants: the window ramp is tabulated on _RAMP_NODES = 4097 nodes
 with an 8-node Gauss-Legendre rule per cell, the window moments use
 _MOMENT_PANELS = 64 panels per side of u = 1, drop_imag refuses an
-imaginary residue above IMAG_RESIDUE_TOL = 1e-9 (on both synthesis
-paths), localization_profile samples 2048 points over its rays, and
+imaginary residue above IMAG_RESIDUE_TOL = 1e-9 (on every evaluation
+path), localization_profile samples 2048 points over its rays, and
 needlet_lp_norm integrates level j on the uniform grid of
 max(64, 8 ceil(B**(j+1))) points per axis, by grid_values.
 """
@@ -59,7 +64,6 @@ max(64, 8 ceil(B**(j+1))) points per axis, by grid_values.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -349,28 +353,6 @@ def _axis_phases(x, L, full=True):
     return out
 
 
-def _phases(points, freqs, sign):
-    """exp(sign * i * points @ freqs.T), evaluated in row blocks.
-
-    Each block gathers the rows l_a + L of one phase table per axis and
-    multiplies the gathers. Blocking bounds the temporaries; each block is a
-    plain vectorized numpy op, so results depend neither on the block size
-    nor on the thread count, which the reproducibility contract needs.
-    """
-    n, d = points.shape
-    L = int(np.max(np.abs(freqs), initial=0))
-    index = freqs + L
-    out = np.empty((n, freqs.shape[0]), dtype=complex)
-    rows = block_rows(n, max(freqs.shape[0], 2 * L + 1))
-    for start in range(0, n, rows):
-        block = points[start : start + rows]
-        prod = _axis_phases(block[:, 0], L)[index[:, 0]]
-        for a in range(1, d):
-            prod *= _axis_phases(block[:, a], L)[index[:, a]]
-        out[start : start + block.shape[0]] = prod.T if sign > 0 else np.conj(prod.T)
-    return out
-
-
 def box_half_width(B, j):
     """L = ceil(B**(j+1)) - 1: every shell up to level j lies in the box |l_i| <= L."""
     return math.ceil(B ** (j + 1)) - 1
@@ -458,36 +440,24 @@ def spectrum_values(box, points):
     return out
 
 
-def _fold_runs(width, L, npts):
-    """(box slice, bin slice) pairs sending box index i, l = i - L, to bin l mod npts.
-
-    Each pair is one contiguous run of bins; runs that reach the same bin
-    are the frequencies that alias on an npts-point grid.
-    """
-    runs, i = [], 0
-    while i < width:
-        b = (i - L) % npts
-        run = min(width - i, npts - b)
-        runs.append((slice(i, i + run), slice(b, b + run)))
-        i += run
-    return runs
-
-
 def grid_values(box, npts):
     """sum_l box[l + L] exp(i l . x) at every point x of uniform_grid(npts, d), in its row order.
 
-    On that grid exp(i l x_k) = exp(2 pi i (l mod npts) k / npts), so the box
-    is folded into an npts**d cube, each l added into bin l mod npts (any
-    npts >= 1, also below 2L+1), and one unnormalized inverse FFT, computed
-    in place, gives every value. Returns a complex (npts**d,) array.
+    The tensor-product form of spectrum_values: every axis of the grid holds
+    the same npts coordinates, so one (2L+1, npts) phase table serves all d
+    axes, and the box is contracted against it one axis at a time (d GEMMs).
+    Each contraction moves the finished grid axis to the back, so the last
+    one leaves the values in row-major grid order. Any npts >= 1 works,
+    also below 2L+1, where the table itself aliases the frequencies. Returns
+    a complex (npts**d,) array.
     """
     box = np.asarray(box, dtype=complex)
-    runs = _fold_runs(box.shape[0], (box.shape[0] - 1) // 2, npts)
-    cube = np.zeros((npts,) * box.ndim, dtype=complex)
-    for combo in itertools.product(runs, repeat=box.ndim):
-        src, dst = zip(*combo)
-        cube[dst] += box[src]
-    return np.fft.ifftn(cube, norm="forward", out=cube).reshape(-1)
+    W = box.shape[0]
+    table = _axis_phases(_grid_axis(npts), (W - 1) // 2)
+    out = box
+    for _ in range(box.ndim):
+        out = out.reshape(W, -1).T @ table
+    return out.reshape(-1)
 
 
 def box_index(freqs, L):
@@ -558,12 +528,29 @@ def _check_structure(frame, coeffs):
             raise ValueError(f"level {j} holds {lv.size} coefficients, frame cubature has {K}")
 
 
+def _needlet_box(frame, j, m):
+    """Box spectrum of psi^(m)_{j,k} centred at xi = 0, on |l_i| <= box_half_width(B, j).
+
+    sqrt(lambda_j) (2pi)^-d b_l mult_l(m) on the shell, zero elsewhere: the
+    (2pi)^(-d/2) of both basis factors folded into one constant. Every other
+    needlet of the level is a translate, psi_{j,k}(x) = psi_{j,0}(x - xi_k).
+    """
+    lev = frame.level(j)
+    L = box_half_width(frame.B, j)
+    box = np.zeros((2 * L + 1,) * frame.d, dtype=complex)
+    scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
+    box[box_index(lev.freqs, L)] = scale * lev.bvals * derivative_multiplier(lev.freqs, m)
+    return box
+
+
 def needlet_eval(frame, j, k, theta, m=None):
     """Evaluate the derivative needlet psi^(m)_{j,k} at one or more points.
 
-    Returns a float for a single point, else a 1-d array. The sum over the
-    shell is conjugate-symmetric, hence real; the imaginary residue is
-    checked against 1e-9 and dropped.
+    The needlet is the centred one translated to xi_k, so its box spectrum
+    (_needlet_box) is evaluated at theta - xi_k by spectrum_values, in row
+    blocks. Returns a float for a single point, else a 1-d array. The sum
+    over the shell is conjugate-symmetric, hence real; the imaginary residue
+    is checked against 1e-9 and dropped.
     """
     lev = frame.level(j)
     K = lev.cubature.K
@@ -572,34 +559,9 @@ def needlet_eval(frame, j, k, theta, m=None):
     m = as_multi_index(m, frame.d)
     pts = as_points(theta, frame.d)
     single = pts.shape[0] == 1 and np.ndim(theta) <= 1
-    mult = np.atleast_1d(derivative_multiplier(lev.freqs, m))
-    xi = lev.cubature.points[k]
-    # sqrt(lambda) * sum_l b_l mult_l conj(e_l(xi)) e_l(theta), with the
-    # (2pi)^(-d/2) of each basis factor folded into one constant
-    amp = lev.bvals * mult * _phases(xi[None, :], lev.freqs, -1.0)[0]
-    scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
-    vals = scale * (_phases(pts, lev.freqs, +1.0) @ amp)
+    vals = spectrum_values(_needlet_box(frame, j, m), pts - lev.cubature.points[k])
     out = drop_imag(vals, what=f"needlet ({j},{k}) evaluation")
     return float(out[0]) if single else out
-
-
-def needlet_matrix(frame, j, theta, m=None):
-    """Matrix [t, k] = psi^(m)_{j,k}(theta_t) for all pixels k of level j."""
-    lev = frame.level(j)
-    m = as_multi_index(m, frame.d)
-    pts = as_points(theta, frame.d)
-    mult = np.atleast_1d(derivative_multiplier(lev.freqs, m))
-    scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
-    out = np.empty((pts.shape[0], lev.cubature.K))
-    centers = _phases(lev.cubature.points, lev.freqs, -1.0)  # (K, nf)
-    rows = block_rows(pts.shape[0], max(lev.freqs.shape[0], lev.cubature.K))
-    for start in range(0, pts.shape[0], rows):
-        stop = min(start + rows, pts.shape[0])
-        block = _phases(pts[start:stop], lev.freqs, +1.0) * (lev.bvals * mult)
-        out[start:stop] = drop_imag(
-            scale * (block @ centers.T), what=f"needlet matrix at level {j}"
-        )
-    return out
 
 
 def analysis_grid_size(B, jmax, band_limit=None):
@@ -670,9 +632,9 @@ def synthesize(frame, coeffs, grid):
     sqrt(lambda_j) (2pi)^-d b_l T_l into one box spectrum, and that spectrum
     is evaluated once at the points. Points that are exactly
     uniform_grid(G, d) for some G (same row count, same row order, equal
-    coordinates) take one inverse FFT (grid_values); any other point set,
-    shuffled or shifted grids included, takes spectrum_values. Both paths
-    check the imaginary residue before dropping it.
+    coordinates) take the tensor-product form (grid_values); any other point
+    set, shuffled or shifted grids included, takes spectrum_values. Both
+    paths check the imaginary residue before dropping it.
     """
     _check_structure(frame, coeffs)
     pts = as_points(grid, frame.d)
@@ -733,17 +695,12 @@ def needlet_lp_norm(frame, j, m=None, p=2):
     """Quadrature L^p norm of psi^(m)_{j,k} on max(64, 8 ceil(B**(j+1))) points per axis.
 
     The norm is the same for every k, so it is taken for psi_{j,0}, centred
-    at xi_0 = 0. Its box spectrum is sqrt(lambda_j) (2pi)^-d b_l mult_l(m)
-    on the shell, and grid_values evaluates it on the whole quadrature grid
-    by one inverse FFT: no grid points and no phase table are formed.
+    at xi_0 = 0: grid_values evaluates its box spectrum (_needlet_box) on
+    the whole quadrature grid without forming the grid's points.
     """
-    lev = frame.level(j)
     m = as_multi_index(m, frame.d)
-    L = box_half_width(frame.B, j)
-    box = np.zeros((2 * L + 1,) * frame.d, dtype=complex)
-    scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
-    box[box_index(lev.freqs, L)] = scale * lev.bvals * derivative_multiplier(lev.freqs, m)
     grid_per_dim = max(64, 8 * math.ceil(frame.B ** (j + 1)))
+    box = _needlet_box(frame, j, m)
     vals = np.abs(drop_imag(grid_values(box, grid_per_dim), what=f"needlet ({j},0) norm"))
     cell = (TWO_PI / grid_per_dim) ** frame.d
     if math.isinf(p):

@@ -113,8 +113,11 @@ def test_criterion_4_derivative_coefficient_identity():
     grid = tn.uniform_grid(512, 1)
     worst = 0.0
     for j in range(4):
-        lhs = tn.needlet_matrix(frame, j, grid) @ derived.levels[j]
-        rhs = tn.needlet_matrix(frame, j, grid, m=(1,)) @ plain.levels[j]
+        # K_j <= 33 columns of needlet_eval: psi_{j,k} and its derivative on the grid
+        psi = [tn.needlet_eval(frame, j, k, grid) for k in range(frame.cubature(j).K)]
+        dpsi = [tn.needlet_eval(frame, j, k, grid, m=(1,)) for k in range(frame.cubature(j).K)]
+        lhs = np.column_stack(psi) @ derived.levels[j]
+        rhs = np.column_stack(dpsi) @ plain.levels[j]
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     report(
         4,

@@ -106,7 +106,7 @@ def test_estimate_calibrated_thresholds_kill_uniform_noise(uniform_8000, tmp_pat
     assert all(np.all(lv == 0) for lv in kept_levels)
     assert any(np.any(lv != 0) for lv in raw_levels)
 
-    meta = json.loads(open(f"{stem}_meta.json").read())
+    meta = json.loads(Path(f"{stem}_meta.json").read_text())
     assert meta["J"] == 4 and meta["rule"] == "hard" and meta["n"] == 8000
     assert meta["kappa"] == pytest.approx(0.6832308068478159, rel=1e-12)
 
@@ -123,7 +123,7 @@ def test_estimate_default_truncation_level(uniform_8000, tmp_path, capsys):
     stem = str(tmp_path / "auto")
     code = main(["estimate", str(uniform_8000), "--m", "1", "--kappa", "0.5", "--out", stem])
     assert code == 0
-    assert json.loads(open(f"{stem}_meta.json").read())["J"] == 3
+    assert json.loads(Path(f"{stem}_meta.json").read_text())["J"] == 3
     assert "J=3" in capsys.readouterr().out
 
 
@@ -150,7 +150,7 @@ def test_estimate_grid_output_with_truth(uniform_8000, tmp_path):
         ]
     )
     assert code == 0
-    lines = open(f"{stem}_grid.csv").read().strip().split("\n")
+    lines = Path(f"{stem}_grid.csv").read_text().strip().split("\n")
     assert lines[0] == "theta_1,value,truth"
     assert len(lines) == 34
     cells = np.array([line.split(",") for line in lines[1:]], dtype=float)
@@ -473,8 +473,8 @@ def test_eval_grid_rejects_coefficient_gap(kept_artifacts, tmp_path, capsys):
     # drop one row of level 2: a hole in k, not a silently zero coefficient
     stem = str(tmp_path / "holed")
     with open(f"{stem}_meta.json", "w") as fh:
-        fh.write(open(f"{kept_artifacts}_meta.json").read())
-    lines = open(f"{kept_artifacts}_coefficients.csv").read().split("\n")
+        fh.write(Path(f"{kept_artifacts}_meta.json").read_text())
+    lines = Path(f"{kept_artifacts}_coefficients.csv").read_text().split("\n")
     with open(f"{stem}_coefficients.csv", "w") as fh:
         fh.write("\n".join(line for line in lines if not line.startswith("2,3,")))
     assert main(["eval-grid", stem, "--grid", "17", "--out", str(tmp_path / "v")]) == 2
@@ -482,15 +482,50 @@ def test_eval_grid_rejects_coefficient_gap(kept_artifacts, tmp_path, capsys):
     assert not (tmp_path / "v").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("B", "2"),
+        ("B", None),
+        ("B", True),
+        ("B", float("inf")),
+        ("B", 1.0),
+        ("d", None),
+        ("d", 1.0),
+        ("d", 0),
+        ("J", 2.5),
+        ("J", -1),
+        ("m", None),
+        ("m", [1.5]),
+        ("m", [-1]),
+        ("m", [1, 0]),
+        ("m", 1),
+    ],
+)
+def test_eval_grid_rejects_mistyped_meta(kept_artifacts, tmp_path, capsys, key, value):
+    # the artifacts of kept_artifacts with one field of _meta.json replaced
+    meta = json.loads(Path(f"{kept_artifacts}_meta.json").read_text())
+    meta[key] = value
+    stem = str(tmp_path / "mistyped")
+    Path(f"{stem}_meta.json").write_text(json.dumps(meta))
+    Path(f"{stem}_coefficients.csv").write_text(
+        Path(f"{kept_artifacts}_coefficients.csv").read_text()
+    )
+    out = tmp_path / "v.csv"
+    assert main(["eval-grid", stem, "--grid", "17", "--out", str(out)]) == 2
+    assert f"'{key}' must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_grid_detects_level_mismatch(kept_artifacts, tmp_path, capsys):
     # copy the artifacts, then claim one more level than the CSV holds
-    meta = json.loads(open(f"{kept_artifacts}_meta.json").read())
+    meta = json.loads(Path(f"{kept_artifacts}_meta.json").read_text())
     meta["J"] = meta["J"] + 1
     stem = str(tmp_path / "broken")
     with open(f"{stem}_meta.json", "w") as fh:
         json.dump(meta, fh)
     with open(f"{stem}_coefficients.csv", "w") as fh:
-        fh.write(open(f"{kept_artifacts}_coefficients.csv").read())
+        fh.write(Path(f"{kept_artifacts}_coefficients.csv").read_text())
     assert main(["eval-grid", stem, "--grid", "17", "--out", str(tmp_path / "v")]) == 1
     assert "expected coefficients for 5 level(s)" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()

@@ -156,15 +156,6 @@ def test_needlet_integral_vanishes(frame1):
     assert abs(np.mean(vals) * TWO_PI) < 1e-12
 
 
-def test_needlet_matrix_matches_eval(frame1):
-    grid = tn.uniform_grid(64, 1)
-    mat = tn.needlet_matrix(frame1, 2, grid, m=(1,))
-    K = frame1.cubature(2).K
-    assert mat.shape == (64, K)
-    for k in (0, 7, K - 1):
-        np.testing.assert_allclose(mat[:, k], tn.needlet_eval(frame1, 2, k, grid, m=(1,)))
-
-
 def test_needlet_translation_invariance(frame1):
     # psi_{j,k}(theta) depends only on theta - xi_{j,k}
     cub = frame1.cubature(2)
@@ -335,9 +326,9 @@ def _peak_bytes(fn):
 
 
 def test_synthesis_on_a_uniform_grid_stays_near_its_points_bytes():
-    # d=2, four levels live, G=257: the inverse FFT needs one complex cube
-    # (the points' bytes) and the real result (half of them); the same points
-    # through the phase tables (spectrum_values) peak near 13 times
+    # d=2, four levels live, G=257: the grid path's last contraction forms one
+    # complex (G, G) array (the points' bytes) and the real result (half of
+    # them); the same points through spectrum_values peak near 13 times
     frame = tn.NeedletFrame(2.0, 2, 3)
     rng = np.random.default_rng(4)
     coeffs = tn.CoefficientArray((0, 0), [rng.normal(size=frame.cubature(j).K) for j in range(4)])
@@ -346,9 +337,18 @@ def test_synthesis_on_a_uniform_grid_stays_near_its_points_bytes():
 
 
 def test_lp_norm_memory_is_bounded():
-    # d=2, j=3: one needlet on a 128^2 grid; needlet_eval's dense
-    # (points x shell) phase matrix for the same grid takes about 195 MiB
+    # d=2, j=3: one needlet on a 128^2 grid; a dense (points x shell) phase
+    # matrix for the same grid would take about 195 MiB
     assert _peak_bytes(lambda: tn.needlet_lp_norm(tn.NeedletFrame(2, 2, 3), 3)) <= 16 * 2**20
+
+
+def test_needlet_eval_memory_is_bounded():
+    # d=2, j=3 on the 129^2 grid: the box spectrum goes through row-blocked
+    # phase tables, never a (points x shell) matrix, which would take 197 MiB
+    frame = tn.NeedletFrame(2, 2, 3)
+    grid = tn.uniform_grid(129, 2)
+    k = frame.cubature(3).K // 2
+    assert _peak_bytes(lambda: tn.needlet_eval(frame, 3, k, grid)) <= 16 * 2**20
 
 
 def test_lp_norm_scaling_stability(frame1):

@@ -146,7 +146,7 @@ def test_phase_blocks_stay_under_the_byte_budget():
         rows, width = spectrum_block_shape(n, d, L)
         assert 1 <= rows < n
         assert 16 * rows * width <= PHASE_BLOCK_BYTES
-    nf = tn.frequency_shell(3, 2.0, 3).shape[0]  # the level-3 shell _phases would span
+    nf = tn.frequency_shell(3, 2.0, 3).shape[0]  # block_rows caps any width, a level-3 shell's too
     rows = block_rows(n, nf)
     assert 16 * rows * nf <= PHASE_BLOCK_BYTES
     # a fixed 32768-row chunk of that shell would need gigabytes
@@ -174,15 +174,23 @@ def folded_box_case(draw):
 @given(folded_box_case())
 def test_grid_values_match_spectrum_values_on_the_grid(case):
     box, npts = case
-    want = spectrum_values(box, tn.uniform_grid(npts, box.ndim))
+    d, L = box.ndim, (box.shape[0] - 1) // 2
+    grid = tn.uniform_grid(npts, d)
+    # both evaluators read _axis_phases, so the reference is the dense np.exp
+    # sum of the oracle; spectrum_values, which synthesize takes off the
+    # grid, must agree with it too
+    freqs = np.array(list(itertools.product(range(-L, L + 1), repeat=d)), dtype=np.int64)
+    want = oracle.phases(grid, freqs, +1.0) @ box.reshape(-1)
     # below 2L+1 points frequencies alias into one bin and the values can
     # cancel; the box's l2 norm (the values' rms when nothing aliases) then
     # keeps the scale
-    assert_rel_close([grid_values(box, npts)], [want], floor=float(np.linalg.norm(box)))
+    floor = float(np.linalg.norm(box))
+    assert_rel_close([grid_values(box, npts)], [want], floor=floor)
+    assert_rel_close([spectrum_values(box, grid)], [want], floor=floor)
 
 
 def _spy_on_paths(monkeypatch):
-    """List that records which evaluator synthesize calls: the inverse FFT or the phase tables."""
+    """List that records which evaluator synthesize calls: the grid's tensor product or arbitrary points."""
     taken = []
     for name in ("grid_values", "spectrum_values"):
         original = getattr(frame_mod, name)
@@ -212,7 +220,7 @@ def _layouts(npts, d):
 
 
 @pytest.mark.parametrize("case", [(1, 2.0), (2, 2.0), (3, 1.5)])
-def test_only_the_exact_uniform_grid_takes_the_fft_path(monkeypatch, case):
+def test_only_the_exact_uniform_grid_takes_the_grid_path(monkeypatch, case):
     frame = frame_for(case)
     rng = np.random.default_rng(case[0])
     coeffs = tn.CoefficientArray(
@@ -248,6 +256,18 @@ def test_grid_path_keeps_the_imaginary_residue_guard(monkeypatch):
         tn.needlet_lp_norm(frame, 2)
 
 
+def test_point_path_keeps_the_imaginary_residue_guard(monkeypatch):
+    frame = frame_for((1, 2.0))
+    coeffs = tn.CoefficientArray((0,), [np.ones(frame.cubature(j).K) for j in range(3)])
+    original = frame_mod.spectrum_values
+    monkeypatch.setattr(frame_mod, "spectrum_values", lambda box, pts: original(box, pts) + 1e-6j)
+    pts = np.linspace(0.1, 6.0, 7)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        tn.synthesize(frame, coeffs, pts)
+    with pytest.raises(ValueError, match="imaginary residue"):
+        tn.needlet_eval(frame, 2, 3, pts)
+
+
 # ---------------------------------------------------------------- per-axis phase tables
 
 
@@ -272,15 +292,23 @@ def test_axis_phases_of_no_points(full):
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[1] in (2.0, 1.5)])
 def test_needlet_eval_and_matrix_match_oracle(case):
+    # needlet_eval evaluates the centred needlet at theta - xi_k; its columns
+    # are held to the oracle's dense (points x pixels) matrix, each point set
+    # in a call of its own
     frame = frame_for(case)
     d, j = case[0], frame.jmax
     m = (1,) + (0,) * (d - 1)
-    pts = np.vstack([np.random.default_rng(d).uniform(-9.0, 9.0, (40, d)), tn.uniform_grid(4, d)])
-    want = oracle.needlet_matrix(frame, j, pts, m)
-    assert_rel_close([tn.needlet_matrix(frame, j, pts, m)], [want.real])
+    grid = tn.uniform_grid(4, d)
+    point_sets = [
+        np.random.default_rng(d).uniform(-9.0, 9.0, (40, d)),
+        grid,  # a bare uniform grid, as synthesize's grid path sees it
+        grid + np.where(np.arange(d) % 2, -TWO_PI, 2 * TWO_PI),  # unreduced by +4pi / -2pi
+    ]
+    want = [oracle.needlet_matrix(frame, j, pts, m).real for pts in point_sets]
     K = frame.cubature(j).K
     for k in (0, K // 3, K - 1):
-        assert_rel_close([tn.needlet_eval(frame, j, k, pts, m)], [want[:, k].real])
+        got = [tn.needlet_eval(frame, j, k, pts, m) for pts in point_sets]
+        assert_rel_close(got, [w[:, k] for w in want])
 
 
 # ---------------------------------------------------------------- properties against the oracle
