@@ -1,9 +1,9 @@
 """Seeded Monte Carlo benchmark: estimate density derivatives, record risks.
 
 One experiment draws R independent samples of size n from a named test
-density, builds the thresholded estimator once per replication, reuses the
-same empirical coefficients across the whole kappa0 grid (same data, varying
-threshold), and records per-level surviving counts plus L^p risks.
+density. Per replication it thresholds one set of empirical coefficients by
+every (rule, kappa0) at once into an estimator family (same data, varying
+threshold) and scores all members together: surviving counts and L^p risks.
 
 Reproducibility contract: every replication r derives its own RNG stream
 from a documented integer hash of (master seed, r), so results are identical
@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -217,6 +218,10 @@ def config_from_dict(data):
             errors.append('p must be a nonempty list of exponents >= 1 (or "inf")')
             p = None
 
+    # rows are keyed by (rule, kappa0, p); a repeat (1 and 1.0 are one) pools copies as draws
+    for name, values in (("kappa0", kappa0), ("rules", rules), ("p", p)):
+        repeats = [v for v, count in Counter(values or ()).items() if count > 1]
+        errors.extend(f"{name} lists {v!r} more than once" for v in repeats)
     if method == "coefficient-proxy" and p is not None and any(v != 2 for v in p):
         errors.append("coefficient-proxy risk is defined for p = 2 only")
     band = None
@@ -352,19 +357,20 @@ class RiskReport:
 
 
 def _lp_from_values(est_vals, truth_vals, p, d, grid_per_dim):
+    """Grid L^p distance along the last axis: a scalar for (G^d,) values, (R,) for (R, G^d)."""
     diff = np.abs(est_vals - truth_vals)
     if math.isinf(p):
-        return float(np.max(diff)) if diff.size else 0.0
+        return np.max(diff, axis=-1, initial=0.0)
     cell = (TWO_PI / grid_per_dim) ** d
-    return float((cell * np.sum(diff**p)) ** (1.0 / p))
+    return (cell * np.sum(diff**p, axis=-1)) ** (1.0 / p)
 
 
-def _proxy_distance(est, true_coeffs):
+def _proxy_distance(kept, true_coeffs):
+    """l2 distance of thresholded to true coefficients, level by level, per row of kept's stacks."""
     total = 0.0
-    for j in range(est.J):
-        delta = est.coeffs.levels[j] - true_coeffs.levels[j]
-        total += float(np.sum(delta**2))
-    return math.sqrt(total)
+    for lv, true in zip(kept.levels, true_coeffs.levels):
+        total = total + np.sum((lv - true) ** 2, axis=-1)
+    return np.sqrt(total)
 
 
 def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
@@ -379,7 +385,7 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     if method == "coefficient-proxy":
         if p != 2:
             raise ValueError("coefficient-proxy risk is defined for p = 2 only")
-        return _proxy_distance(est, analyze(est.frame, truth, est.m, jmax=est.J - 1))
+        return float(_proxy_distance(est.coeffs, analyze(est.frame, truth, est.m, jmax=est.J - 1)))
     if method != "grid-quadrature":
         raise ValueError(f"unknown risk method {method!r}")
     min_grid = min_grid_size(est.frame.B, est.J)
@@ -388,7 +394,7 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     grid = uniform_grid(grid_size, d)
     est_vals = est.evaluate(grid)
     truth_vals = truth.derivative(est.m, grid[:, 0] if d == 1 else grid)
-    return _lp_from_values(est_vals, truth_vals, p, d, grid_size)
+    return float(_lp_from_values(est_vals, truth_vals, p, d, grid_size))
 
 
 def run_experiment(config, threads=1):
@@ -397,8 +403,10 @@ def run_experiment(config, threads=1):
     J = config.resolved_J()
     frame = NeedletFrame(config.B, config.d, jmax=max(J - 1, 0))
     m = config.m
-    rules = {
-        (kind, k0): calibrated_rule(
+    # one family row per member, kappa0 outer: the order its rows are emitted in
+    members = [(k0, kind) for k0 in config.kappa0 for kind in config.rules]
+    rules = [
+        calibrated_rule(
             kind,
             k0,
             density.sup_norm,
@@ -408,14 +416,14 @@ def run_experiment(config, threads=1):
             config.B,
             drop_sample_factor=config.literal_paper_kappa,
         )
-        for kind in config.rules
-        for k0 in config.kappa0
-    }
+        for k0, kind in members
+    ]
     need_grid = config.risk_method in ("grid-quadrature", "both")
-    need_proxy = config.risk_method in ("coefficient-proxy", "both")
-    grid_pts = uniform_grid(config.grid, config.d) if need_grid else None
-    truth_vals = None
+    need_proxy = config.risk_method in ("coefficient-proxy", "both") and 2.0 in config.p
+    columns = [(p, "grid-quadrature") for p in config.p] if need_grid else []
+    columns += [(2.0, "coefficient-proxy")] if need_proxy else []
     if need_grid:
+        grid_pts = uniform_grid(config.grid, config.d)
         truth_vals = density.derivative(m, grid_pts[:, 0] if config.d == 1 else grid_pts)
     true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
 
@@ -423,34 +431,25 @@ def run_experiment(config, threads=1):
         rng = np.random.default_rng(child_seed(config.seed, r))
         X = density.sampler(rng, config.n)
         raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
-        counts, risks = [], []
-        for k0 in config.kappa0:
-            for kind in config.rules:
-                try:
-                    est = thresholded_estimator(frame, raw, rules[(kind, k0)])
-                    for j, alive, total, frac in est.surviving_counts():
-                        counts.append(CountRow(kind, k0, r, j, alive, total, frac))
-                    if need_grid:
-                        est_vals = est.evaluate(grid_pts)
-                        for p in config.p:
-                            risks.append(
-                                RiskRow(
-                                    kind,
-                                    k0,
-                                    r,
-                                    p,
-                                    _lp_from_values(est_vals, truth_vals, p, config.d, config.grid),
-                                    "grid-quadrature",
-                                )
-                            )
-                    if need_proxy and 2.0 in config.p:
-                        proxy = _proxy_distance(est, true_coeffs)
-                        risks.append(RiskRow(kind, k0, r, 2.0, proxy, "coefficient-proxy"))
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"replication {r} failed at kappa0={k0}, rule={kind}"
-                    ) from exc
-        return counts, risks
+        try:
+            family = thresholded_estimator(frame, raw, rules)
+            risks = np.empty((len(members), len(columns)))
+            if need_grid:
+                est_vals = family.evaluate(grid_pts)
+                for c, p in enumerate(config.p):
+                    risks[:, c] = _lp_from_values(est_vals, truth_vals, p, config.d, config.grid)
+            if need_proxy:
+                risks[:, -1] = _proxy_distance(family.coeffs, true_coeffs)
+        except Exception as exc:
+            raise RuntimeError(f"replication {r} failed") from exc
+        alive = family.survivors().tolist()
+        counts, risk_rows = [], []
+        for i, (k0, kind) in enumerate(members):
+            for j, lv in enumerate(raw.levels):
+                counts.append(CountRow(kind, k0, r, j, alive[i][j], lv.size, alive[i][j] / lv.size))
+            for c, (p, method) in enumerate(columns):
+                risk_rows.append(RiskRow(kind, k0, r, p, float(risks[i, c]), method))
+        return counts, risk_rows
 
     R = config.replications
     if threads > 1:

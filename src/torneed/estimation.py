@@ -109,9 +109,11 @@ def calibrated_rule(kind, kappa0, sup_norm, window, m, n, B, drop_sample_factor=
 def apply_threshold(kind, u, a):
     """Hard keeps u iff |u| >= a (boundary kept); soft shrinks |u| by a.
 
-    Vectorized over u; scalar in, scalar out.
+    Vectorized over u and a, which broadcast against each other: an (R, 1)
+    column of thresholds against a (K,) level gives the (R, K) stack of R
+    thresholded copies. Scalar in, scalar out.
     """
-    if a < 0:
+    if (np.asarray(a) < 0).any():
         raise ValueError("threshold must be nonnegative")
     arr = np.asarray(u, dtype=float)
     if kind == "hard":
@@ -171,9 +173,10 @@ class DerivativeEstimator:
     """Thresholded needlet estimator of the m-th density derivative.
 
     Holds raw and thresholded coefficients for levels 0..J-1 and the
-    per-level thresholds actually applied. Evaluation synthesizes the
-    thresholded coefficients with underived needlets; for m = 0 it adds the
-    density mean (2pi)^-d (with_density_mean), so it is the full density.
+    per-level thresholds actually applied: one row of an EstimatorFamily
+    (EstimatorFamily.member). Evaluation synthesizes the thresholded
+    coefficients with underived needlets; for m = 0 it adds the density mean
+    (2pi)^-d (with_density_mean), so it is the full density.
     """
 
     frame: object
@@ -207,17 +210,66 @@ class DerivativeEstimator:
         }
 
 
-def thresholded_estimator(frame, raw, rule):
-    """Threshold raw coefficients of levels 0..J-1 level by level into an estimator.
+@dataclasses.dataclass(eq=False)
+class EstimatorFamily:
+    """Thresholded estimators that share one set of raw coefficients, one row per rule.
 
-    J is the number of raw levels; level j keeps or shrinks its coefficients
-    by tau_j = threshold_value(rule, j).
+    Row i thresholds raw by rules[i]: coeffs.levels[j] is the (R, K_j) stack
+    of thresholded coefficients at level j, taus the (R, J) thresholds
+    applied. Every row is evaluated in one synthesis pass.
     """
+
+    frame: object
+    m: tuple
+    rules: tuple
+    J: int
+    raw: CoefficientArray
+    coeffs: CoefficientArray
+    taus: np.ndarray
+
+    def evaluate(self, grid):
+        """(R, npts) values of every row at the points; the density mean is added for m = 0."""
+        values = synthesize(self.frame, self.coeffs, grid)
+        # without levels the stack holds no rows: every row is the zero function
+        rows = np.broadcast_to(values, (len(self.rules), values.shape[-1]))
+        return with_density_mean(rows, self.m)
+
+    def survivors(self):
+        """(R, J) counts of nonzero thresholded coefficients, per row and level."""
+        alive = np.zeros((len(self.rules), self.J), dtype=np.int64)
+        for j, lv in enumerate(self.coeffs.levels):
+            alive[:, j] = np.count_nonzero(lv, axis=-1)
+        return alive
+
+    def member(self, i):
+        """Row i as a DerivativeEstimator."""
+        kept = CoefficientArray(self.m, [lv[i] for lv in self.coeffs.levels])
+        return DerivativeEstimator(
+            self.frame, self.m, self.rules[i], self.J, self.raw, kept, tuple(self.taus[i].tolist())
+        )
+
+
+def thresholded_estimator(frame, raw, rules):
+    """Threshold raw coefficients of levels 0..J-1 by every rule at once into an EstimatorFamily.
+
+    J is the number of raw levels. Row i keeps or shrinks level j by
+    tau_{i,j} = threshold_value(rules[i], j); the taus form an (R, J) array.
+    Rows of one kind are thresholded together: one apply_threshold call per
+    (kind, level) on that level's raw coefficients, with the kind's taus as
+    a column, gives their (R_kind, K_j) stack. A single estimator is a
+    family of one (estimate).
+    """
+    rules = tuple(rules)
     J = raw.njlevels
-    taus = tuple(threshold_value(rule, j) for j in range(J))
-    kept = [apply_threshold(rule.kind, lv, tau) for lv, tau in zip(raw.levels, taus)]
+    taus = np.array([[threshold_value(rule, j) for j in range(J)] for rule in rules])
+    kinds = np.array([rule.kind for rule in rules])
+    kept = [np.empty((len(rules), lv.size)) for lv in raw.levels]
+    for kind in dict.fromkeys(kinds.tolist()):
+        rows = kinds == kind
+        for j, lv in enumerate(raw.levels):
+            kept[j][rows] = apply_threshold(kind, lv, taus[rows, j][:, None])
     coeffs = CoefficientArray(raw.m, kept)
-    return DerivativeEstimator(frame, raw.m, rule, J, raw, coeffs, taus)
+    return EstimatorFamily(frame, raw.m, rules, J, raw, coeffs, taus)
 
 
 def estimate(frame, samples, m, rule, J_override=None):
@@ -242,7 +294,7 @@ def estimate(frame, samples, m, rule, J_override=None):
             f"truncation level J={J} needs a frame with jmax >= {J - 1}, got {frame.jmax}"
         )
     raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
-    return thresholded_estimator(frame, raw, rule)
+    return thresholded_estimator(frame, raw, (rule,)).member(0)
 
 
 def diagnostic_bandwidth(s, m_total, d, B, n, zone, r=None):

@@ -34,6 +34,11 @@ Synthesis therefore maps each live level's pixels back to its shell by FFT,
 adds every level into one box spectrum and evaluates that spectrum once:
 by grid_values when the points are exactly uniform_grid(G, d) for some G
 (same rows, same order, equal coordinates), by spectrum_values otherwise.
+A family of R coefficient sets, stacked as (R, K_j) per level (the
+estimators of one replication, one per threshold rule), takes the same
+single pass: one FFT per level over the stack, one box with the family axis
+trailing, one layout check and one phase table, evaluated in chunks of rows
+that fit PHASE_BLOCK_BYTES. One coefficient set is a family of one.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
@@ -97,21 +102,28 @@ def exceeds_grid_cap(per_axis, d):
     return per_axis > 1 and (d >= MAX_GRID_POINTS.bit_length() or per_axis**d > MAX_GRID_POINTS)
 
 
-def drop_imag(values, what="evaluation"):
-    """Assert the imaginary residue of a nominally real array is tiny, then drop it.
+def _checked_real(values, what):
+    """Real part of a nominally real array (a view of complex input), once its residue is checked.
 
     Raises instead of truncating silently: a large residue means a broken
-    conjugate-symmetric sum, not a rounding artifact.
+    conjugate-symmetric sum, not a rounding artifact. The residue is the
+    larger of the imaginary part's max and -min, so no temporary is formed.
     """
     values = np.asarray(values)
     if not np.iscomplexobj(values):
         return np.asarray(values, dtype=float)
-    residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
+    imag = values.imag
+    residue = max(float(imag.max()), -float(imag.min())) if values.size else 0.0
     if residue > IMAG_RESIDUE_TOL:
         raise ValueError(
             f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:g} in {what}"
         )
-    return np.ascontiguousarray(values.real)
+    return values.real
+
+
+def drop_imag(values, what="evaluation"):
+    """Assert the imaginary residue of a nominally real array is tiny, then drop it."""
+    return np.ascontiguousarray(_checked_real(values, what))
 
 
 # Gauss-Legendre rule on [-1, 1]: the ramp integrates the bump over one grid
@@ -418,17 +430,20 @@ def sample_spectrum(points, L):
 def spectrum_values(box, points):
     """Adjoint of sample_spectrum: sum_l box[l + L] exp(i l . x) at every row x of points.
 
-    Contracts one axis at a time: a GEMM of the first axis's phase table
-    against the box, then a row-wise product and sum per remaining axis.
-    Returns a complex (n,) array.
+    The box holds d = points.shape[1] frequency axes, optionally followed by
+    a family axis of R spectra, and the values have shape box.shape[d:] +
+    (n,): (n,) for one spectrum, (R, n) for a family. Contracts one axis at a
+    time: a GEMM of the first axis's phase table against the box, then a
+    row-wise product and sum per remaining axis, all R spectra at once. Row
+    blocks are sized so that the phase table and the partial sums each fit
+    PHASE_BLOCK_BYTES.
     """
-    d = box.ndim
+    n, d = points.shape
     W = box.shape[0]
     L = (W - 1) // 2
-    n = points.shape[0]
     flat = box.reshape(W, -1)
-    out = np.empty(n, dtype=complex)
-    rows, _ = spectrum_block_shape(n, d, L)
+    out = np.empty((flat.shape[1] // W ** (d - 1), n), dtype=complex)
+    rows = block_rows(n, max(W, flat.shape[1]))
     for start in range(0, n, rows):
         block = points[start : start + rows]
         r = block.shape[0]
@@ -436,28 +451,31 @@ def spectrum_values(box, points):
         for a in range(1, d):
             axis = _axis_phases(block[:, a], L)
             acc = np.einsum("wr,rwk->rk", axis, acc.reshape(r, W, -1))
-        out[start : start + r] = acc.reshape(r)
-    return out
+        out[:, start : start + r] = acc.T
+    return out.reshape(box.shape[d:] + (n,))
 
 
 def grid_values(box, npts):
-    """sum_l box[l + L] exp(i l . x) at every point x of uniform_grid(npts, d), in its row order.
+    """sum_l box[l + L, i] exp(i l . x) for each spectrum i at every point x of uniform_grid(npts, d).
 
-    The tensor-product form of spectrum_values: every axis of the grid holds
-    the same npts coordinates, so one (2L+1, npts) phase table serves all d
-    axes, and the box is contracted against it one axis at a time (d GEMMs).
-    Each contraction moves the finished grid axis to the back, so the last
-    one leaves the values in row-major grid order. Any npts >= 1 works,
-    also below 2L+1, where the table itself aliases the frequencies. Returns
-    a complex (npts**d,) array.
+    box is a family of R box spectra stacked on a trailing axis, (2L+1,)*d +
+    (R,), and the values come back as (R, npts**d), each row in uniform_grid's
+    row order; one spectrum is a family of one. The tensor-product form of
+    spectrum_values: every axis of the grid holds the same npts coordinates,
+    so one (2L+1, npts) phase table serves all d axes and all R spectra, and
+    the box is contracted against it one axis at a time (d GEMMs). Each
+    contraction moves the finished grid axis to the back, so after the last
+    one the family axis leads and the grid follows in row-major order. Any
+    npts >= 1 works, also below 2L+1, where the table itself aliases the
+    frequencies. Returns a complex array.
     """
     box = np.asarray(box, dtype=complex)
     W = box.shape[0]
     table = _axis_phases(_grid_axis(npts), (W - 1) // 2)
     out = box
-    for _ in range(box.ndim):
+    for _ in range(box.ndim - 1):
         out = out.reshape(W, -1).T @ table
-    return out.reshape(-1)
+    return out.reshape(box.shape[-1], -1)
 
 
 def box_index(freqs, L):
@@ -488,17 +506,26 @@ def _pixel_transform(level, amplitudes, sign=-1.0):
 
 
 def _shell_transform(level, pixels):
-    """Pixels to shell: sum_k pixels_k * exp(-i <l, xi_k>) for every shell frequency l."""
+    """Pixels to shell for every row of an (R, K) stack: sum_k pixels_k * exp(-i <l, xi_k>).
+
+    The d-dimensional FFT of each row's (N,)*d cube, one axis at a time over
+    the whole stack, last axis first as fftn does; returns (R, nf).
+    """
     npts = level.cubature.npts_per_dim
-    spectrum = np.fft.fftn(np.reshape(pixels, (npts,) * level.freqs.shape[1]))
-    return spectrum[_cube_index(level.freqs, npts)]
+    d = level.freqs.shape[1]
+    spectrum = np.reshape(pixels, (-1,) + (npts,) * d)
+    for axis in range(d, 0, -1):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    return spectrum[(slice(None),) + _cube_index(level.freqs, npts)]
 
 
 @dataclasses.dataclass(eq=False)
 class CoefficientArray:
     """Per-level needlet coefficients for one derivative order.
 
-    levels[j] is the length-K_j float array of coefficients at level j.
+    levels[j] is the length-K_j float array of coefficients at level j, or
+    an (R, K_j) stack of R coefficient sets, one per row, with the same R at
+    every level (an estimator family; synthesize evaluates every row).
     """
 
     m: tuple
@@ -508,8 +535,10 @@ class CoefficientArray:
         self.m = tuple(int(v) for v in self.m)
         self.levels = [np.asarray(lv, dtype=float) for lv in self.levels]
         for lv in self.levels:
-            if lv.ndim != 1 or not np.all(np.isfinite(lv)):
-                raise ValueError("coefficient levels must be 1-d finite arrays")
+            if lv.ndim not in (1, 2) or not np.all(np.isfinite(lv)):
+                raise ValueError("coefficient levels must be 1-d finite arrays or (R, K_j) stacks")
+            if lv.shape[:-1] != self.levels[0].shape[:-1]:
+                raise ValueError("coefficient stacks must hold the same rows at every level")
 
     @property
     def njlevels(self):
@@ -524,8 +553,8 @@ def _check_structure(frame, coeffs):
         )
     for j, lv in enumerate(coeffs.levels):
         K = frame.cubature(j).K
-        if lv.size != K:
-            raise ValueError(f"level {j} holds {lv.size} coefficients, frame cubature has {K}")
+        if lv.shape[-1] != K:
+            raise ValueError(f"level {j} holds {lv.shape[-1]} coefficients, frame cubature has {K}")
 
 
 def _needlet_box(frame, j, m):
@@ -623,34 +652,52 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
 
 
 def synthesize(frame, coeffs, grid):
-    """sum_{j,k} c_{j,k} psi_{j,k}(theta) over the grid points.
+    """sum_{j,k} c_{j,k} psi_{j,k}(theta) over the grid points, for one coefficient set or a family.
 
     Synthesis always uses underived needlets; derivative content lives in the
     coefficients. grid is an (n, d) array (or anything `as_points` accepts),
-    on or off any uniform grid. Each level with a nonzero coefficient maps its
-    pixels to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k) by FFT, adds
-    sqrt(lambda_j) (2pi)^-d b_l T_l into one box spectrum, and that spectrum
-    is evaluated once at the points. Points that are exactly
+    on or off any uniform grid. Levels of (K_j,) arrays give (n,) values;
+    (R, K_j) stacks give (R, n), row i from row i of every level, all rows in
+    one pass. Each level with a nonzero coefficient in any row maps the
+    pixels of every row to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k)
+    by one FFT over the stack, adds sqrt(lambda_j) (2pi)^-d b_l T_l into one
+    box spectrum with the family axis trailing, (2L+1,)*d + (R,), and that
+    box is evaluated once at the points. Points that are exactly
     uniform_grid(G, d) for some G (same row count, same row order, equal
     coordinates) take the tensor-product form (grid_values); any other point
-    set, shuffled or shifted grids included, takes spectrum_values. Both
-    paths check the imaginary residue before dropping it.
+    set, shuffled or shifted grids included, takes spectrum_values. The
+    family axis is evaluated in chunks of block_rows(R, n) rows, so the
+    complex values of a chunk fit PHASE_BLOCK_BYTES; each chunk's imaginary
+    residue is checked before its real part is kept.
     """
     _check_structure(frame, coeffs)
     pts = as_points(grid, frame.d)
-    live = [j for j, cvec in enumerate(coeffs.levels) if np.any(cvec)]
+    n = pts.shape[0]
+    lead = coeffs.levels[0].shape[:-1] if coeffs.levels else ()
+    R = math.prod(lead)
+    live = [j for j, cvec in enumerate(coeffs.levels) if cvec.any()]
     if not live:
-        return np.zeros(pts.shape[0])
+        return np.zeros(lead + (n,))
     L = box_half_width(frame.B, live[-1])
-    box = np.zeros((2 * L + 1,) * frame.d, dtype=complex)
+    box = np.zeros((2 * L + 1,) * frame.d + (R,), dtype=complex)
     for j in live:
         lev = frame.level(j)
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
-        T = _shell_transform(lev, coeffs.levels[j])
-        box[box_index(lev.freqs, L)] += scale * lev.bvals * T
+        T = _shell_transform(lev, coeffs.levels[j].reshape(R, -1))
+        box[box_index(lev.freqs, L)] += (scale * lev.bvals)[:, None] * T.T
     npts = _uniform_grid_size(pts)
-    values = spectrum_values(box, pts) if npts is None else grid_values(box, npts)
-    return drop_imag(values, what="synthesis")
+    rows = block_rows(R, n)
+    values = None
+    for start in range(0, R, rows):
+        chunk = box[..., start : start + rows]
+        part = spectrum_values(chunk, pts) if npts is None else grid_values(chunk, npts)
+        if values is None:
+            # allocated once the first chunk's temporaries are gone: a family
+            # of one peaks at its complex values plus the real result
+            values = np.empty((R, n))
+        values[start : start + rows] = _checked_real(part, "synthesis")
+        del part  # the next chunk is formed without this one
+    return values.reshape(lead + (n,))
 
 
 def besov_sequence_norm(coeffs, s, r, q, B, d):
@@ -700,8 +747,8 @@ def needlet_lp_norm(frame, j, m=None, p=2):
     """
     m = as_multi_index(m, frame.d)
     grid_per_dim = max(64, 8 * math.ceil(frame.B ** (j + 1)))
-    box = _needlet_box(frame, j, m)
-    vals = np.abs(drop_imag(grid_values(box, grid_per_dim), what=f"needlet ({j},0) norm"))
+    box = _needlet_box(frame, j, m)[..., None]
+    vals = np.abs(drop_imag(grid_values(box, grid_per_dim)[0], what=f"needlet ({j},0) norm"))
     cell = (TWO_PI / grid_per_dim) ** frame.d
     if math.isinf(p):
         return float(np.max(vals))

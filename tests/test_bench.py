@@ -77,6 +77,23 @@ def test_config_reports_all_violations_at_once():
     assert "missing key 'B'" in msg
 
 
+def test_config_rejects_repeated_list_entries():
+    # rows and aggregates are keyed by (rule, kappa0, p): a repeat would pool
+    # copies of one estimator as independent draws; 1 and 1.0 are one value
+    data = base_config(
+        kappa0=[1, 2.5, 1.0], rules=["hard", "soft", "hard"], p=[2, "inf", 2.0, "Infinity"]
+    )
+    with pytest.raises(ConfigError) as err:
+        tn.config_from_dict(data)
+    msg = str(err.value)
+    assert "kappa0 lists 1.0 more than once" in msg
+    assert "rules lists 'hard' more than once" in msg
+    assert "p lists 2.0 more than once" in msg
+    assert "p lists inf more than once" in msg
+    assert "soft" not in msg and "2.5" not in msg
+    tn.config_from_dict(base_config(kappa0=[1, 2.5], rules=["hard", "soft"], p=[2, "inf"]))
+
+
 def test_config_m_integer_shorthand():
     cfg = tn.config_from_dict(base_config(m=1))
     assert cfg.m == (1,)

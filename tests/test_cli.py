@@ -357,6 +357,14 @@ def test_bench_rejects_unknown_key(tmp_path, capsys):
     assert "unknown key 'typo'" in capsys.readouterr().err
 
 
+def test_bench_rejects_repeated_kappa0_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(kappa0=[1, 1.0])))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "kappa0 lists 1.0 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bench_rejects_invalid_json(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{ this is not json")

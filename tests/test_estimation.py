@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import direct_oracle as oracle
 import torneed as tn
-from torneed.estimation import as_sample_array
+from torneed.estimation import as_sample_array, threshold_value, thresholded_estimator
+from torneed.frame import min_grid_size
 from torneed.harmonics import TWO_PI
 
 
@@ -111,6 +114,106 @@ def test_apply_threshold_scalar_and_errors():
         tn.apply_threshold("hard", u=1.0, a=-0.1)
     with pytest.raises(ValueError):
         tn.apply_threshold("trim", 1.0, 0.1)
+
+
+def test_apply_threshold_broadcasts_a_column_of_thresholds():
+    # an (R, 1) column against a (K,) level is R scalar-threshold calls, bit
+    # for bit: tau = 0, an exact tie |u| = tau and a tau above every |u|
+    u = np.random.default_rng(3).normal(size=33)
+    taus = np.array([0.0, 0.4, abs(u[5]), 10.0])
+    for kind in ("hard", "soft"):
+        stack = tn.apply_threshold(kind, u, taus[:, None])
+        assert stack.shape == (4, 33)
+        for i, tau in enumerate(taus):
+            assert stack[i].tobytes() == tn.apply_threshold(kind, u, float(tau)).tobytes()
+        assert stack[2, 5] == (u[5] if kind == "hard" else 0.0)  # the tie is kept, or shrunk to 0
+        assert not stack[3].any()
+        with pytest.raises(ValueError, match="threshold must be nonnegative"):
+            tn.apply_threshold(kind, u, np.array([[0.1], [-1e-300], [0.2]]))
+
+
+# ---------------------------------------------------------------- estimator families
+
+FAMILY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+_FAMILY_FRAMES = {1: tn.NeedletFrame(2.0, 1, 3), 2: tn.NeedletFrame(2.0, 2, 2)}
+
+
+@st.composite
+def family_case(draw):
+    """Raw coefficients, 1 to 6 rules of mixed kinds and a grid size.
+
+    Each raw level is dead, tiny or O(1); kappa 0 gives tau = 0 and kappa
+    1e6 a tau above every |u| (an all-dead row); every other rule gets an
+    exact tie |u| = tau planted at one of its levels.
+    """
+    d = draw(st.sampled_from((1, 2)))
+    frame = _FAMILY_FRAMES[d]
+    J = draw(st.integers(1, frame.jmax + 1))
+    m = draw(st.sampled_from(((0,) * d, (1,) + (0,) * (d - 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = [
+        draw(st.sampled_from((0.0, 1e-3, 1.0))) * rng.normal(size=frame.cubature(j).K)
+        for j in range(J)
+    ]
+    R = draw(st.integers(1, 6))
+    rules = [
+        tn.ThresholdRule(
+            draw(st.sampled_from(("hard", "soft"))),
+            draw(st.sampled_from((0.0, 0.05, 0.5, 1e6))),
+            m,
+            500,
+            2.0,
+        )
+        for _ in range(R)
+    ]
+    for rule in rules:
+        if 0.0 < rule.kappa < 1e6:
+            j = int(rng.integers(J))
+            tie = rng.choice((-1.0, 1.0)) * threshold_value(rule, j)
+            levels[j][rng.integers(levels[j].size)] = tie
+    npts = draw(st.integers(1, min_grid_size(2.0, J) + 2))
+    return frame, tn.CoefficientArray(m, levels), rules, npts
+
+
+@FAMILY
+@given(family_case())
+def test_family_equals_its_members(case):
+    frame, raw, rules, npts = case
+    family = thresholded_estimator(frame, raw, rules)
+    alive = family.survivors()
+    assert alive.shape == family.taus.shape == (len(rules), raw.njlevels)
+    for i, rule in enumerate(rules):
+        one = thresholded_estimator(frame, raw, [rule])
+        for j, lv in enumerate(raw.levels):
+            tau = threshold_value(rule, j)
+            assert family.taus[i, j] == one.taus[0, j] == tau
+            kept = family.coeffs.levels[j][i]
+            assert kept.tobytes() == one.coeffs.levels[j][0].tobytes()
+            assert kept.tobytes() == tn.apply_threshold(rule.kind, lv, tau).tobytes()
+        assert alive[i].tolist() == one.survivors()[0].tolist()
+        member = family.member(i)
+        assert member.rule == rule and member.taus == tuple(family.taus[i])
+        assert [a for _, a, _, _ in member.surviving_counts()] == alive[i].tolist()
+    off_grid = np.random.default_rng(npts).uniform(-1.0, 7.0, (9, frame.d))
+    for pts in (tn.uniform_grid(npts, frame.d), off_grid):
+        stacked = tn.synthesize(frame, family.coeffs, pts)
+        assert stacked.shape == (len(rules), pts.shape[0])
+        for i in range(len(rules)):
+            row = tn.synthesize(frame, family.member(i).coeffs, pts)
+            if not alive[i].any():
+                assert not stacked[i].any() and not row.any()
+                continue
+            scale = float(np.max(np.abs(row)))
+            assert float(np.max(np.abs(stacked[i] - row))) <= 1e-12 * scale
+
+
+def test_family_of_no_levels_evaluates_every_row():
+    frame = tn.NeedletFrame(2.0, 1, 0)
+    rules = [tn.ThresholdRule(kind, 1.0, (0,), 100, 2.0) for kind in ("hard", "soft", "hard")]
+    family = thresholded_estimator(frame, tn.CoefficientArray((0,), []), rules)
+    assert family.survivors().shape == (3, 0)
+    grid = tn.uniform_grid(5, 1)
+    np.testing.assert_array_equal(family.evaluate(grid), np.full((3, 5), TWO_PI**-1))
 
 
 # ---------------------------------------------------------------- sample coercion

@@ -8,7 +8,14 @@ import pytest
 
 import direct_oracle as oracle
 import torneed as tn
-from torneed.frame import MAX_GRID_POINTS, _check_structure, drop_imag, exceeds_grid_cap
+from torneed.frame import (
+    MAX_GRID_POINTS,
+    PHASE_BLOCK_BYTES,
+    _check_structure,
+    block_rows,
+    drop_imag,
+    exceeds_grid_cap,
+)
 from torneed.harmonics import TWO_PI
 
 
@@ -334,6 +341,24 @@ def test_synthesis_on_a_uniform_grid_stays_near_its_points_bytes():
     coeffs = tn.CoefficientArray((0, 0), [rng.normal(size=frame.cubature(j).K) for j in range(4)])
     grid = tn.uniform_grid(257, 2)
     assert _peak_bytes(lambda: tn.synthesize(frame, coeffs, grid)) <= 1.75 * grid.nbytes
+
+
+def test_family_synthesis_on_a_uniform_grid_is_chunked():
+    # d=2, four levels live, G=257, an 8-row family: the family axis is
+    # evaluated in chunks of block_rows(8, G^2) = 3 rows, so the peak is the
+    # real (8, G^2) result plus one chunk's complex values, which fit
+    # PHASE_BLOCK_BYTES, and tables a fraction of the points' bytes; the
+    # unchunked complex (8, G^2) stack alone would be 8 times the points' bytes
+    frame = tn.NeedletFrame(2.0, 2, 3)
+    rng = np.random.default_rng(5)
+    R = 8
+    coeffs = tn.CoefficientArray(
+        (0, 0), [rng.normal(size=(R, frame.cubature(j).K)) for j in range(4)]
+    )
+    grid = tn.uniform_grid(257, 2)
+    assert block_rows(R, grid.shape[0]) == 3
+    bound = grid.nbytes + R * grid.shape[0] * 8 + PHASE_BLOCK_BYTES
+    assert _peak_bytes(lambda: tn.synthesize(frame, coeffs, grid)) <= bound
 
 
 def test_lp_norm_memory_is_bounded():

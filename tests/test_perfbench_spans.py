@@ -42,11 +42,12 @@ def test_spans_install_trace_and_uninstall():
         tracer.uninstall()
     for owner, attr, original in installed:
         assert getattr(owner, attr) is original, attr
-    # run_experiment thresholds through estimation: one span per (rule, level)
-    # in the bench run, then two in the estimate call
+    # run_experiment thresholds its estimator family through estimation: one
+    # span per (rule kind, level) in the bench run, then two in the estimate
+    # call; the family's two estimators are synthesized in one call
     assert tracer.calls("estimation.threshold") == 2 * 2 + 2
     assert tracer.calls("estimation.empirical_coefficients") == 2
     assert tracer.calls("estimation.estimate") == 1
     assert tracer.calls("frame.analyze") == 1
-    assert tracer.calls("frame.synthesize") == 2
+    assert tracer.calls("frame.synthesize") == 1
     assert tracer.calls("frame.build") == 2

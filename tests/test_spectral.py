@@ -161,12 +161,12 @@ def test_block_rows_bounds():
 
 @st.composite
 def folded_box_case(draw):
-    """A random complex box (not Hermitian) and a grid size from 1 to above 2L+1."""
+    """1 to 3 random complex boxes (not Hermitian) on a trailing axis; a grid size up to 2L+3."""
     d = draw(st.integers(1, 3))
     L = draw(st.integers(0, (7, 5, 3)[d - 1]))
     npts = draw(st.integers(1, 2 * L + 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (2 * L + 1,) * d
+    shape = (2 * L + 1,) * d + (draw(st.integers(1, 3)),)
     return rng.normal(size=shape) + 1j * rng.normal(size=shape), npts
 
 
@@ -174,19 +174,22 @@ def folded_box_case(draw):
 @given(folded_box_case())
 def test_grid_values_match_spectrum_values_on_the_grid(case):
     box, npts = case
-    d, L = box.ndim, (box.shape[0] - 1) // 2
+    d, L, R = box.ndim - 1, (box.shape[0] - 1) // 2, box.shape[-1]
     grid = tn.uniform_grid(npts, d)
     # both evaluators read _axis_phases, so the reference is the dense np.exp
-    # sum of the oracle; spectrum_values, which synthesize takes off the
-    # grid, must agree with it too
+    # sum of the oracle, one column per box of the family; spectrum_values,
+    # which synthesize takes off the grid, must agree with it too, and with
+    # each box alone
     freqs = np.array(list(itertools.product(range(-L, L + 1), repeat=d)), dtype=np.int64)
-    want = oracle.phases(grid, freqs, +1.0) @ box.reshape(-1)
+    want = (oracle.phases(grid, freqs, +1.0) @ box.reshape(-1, R)).T
     # below 2L+1 points frequencies alias into one bin and the values can
-    # cancel; the box's l2 norm (the values' rms when nothing aliases) then
-    # keeps the scale
-    floor = float(np.linalg.norm(box))
+    # cancel; the largest box's l2 norm (the values' rms when nothing
+    # aliases) then keeps the scale
+    floor = float(np.max(np.linalg.norm(box.reshape(-1, R), axis=0)))
+    assert grid_values(box, npts).shape == spectrum_values(box, grid).shape == (R, npts**d)
     assert_rel_close([grid_values(box, npts)], [want], floor=floor)
     assert_rel_close([spectrum_values(box, grid)], [want], floor=floor)
+    assert_rel_close([spectrum_values(box[..., i], grid) for i in range(R)], [want], floor=floor)
 
 
 def _spy_on_paths(monkeypatch):
@@ -266,6 +269,24 @@ def test_point_path_keeps_the_imaginary_residue_guard(monkeypatch):
         tn.synthesize(frame, coeffs, pts)
     with pytest.raises(ValueError, match="imaginary residue"):
         tn.needlet_eval(frame, 2, 3, pts)
+
+
+@pytest.mark.parametrize("path", ["grid_values", "spectrum_values"])
+def test_family_synthesis_keeps_the_imaginary_residue_guard(monkeypatch, path):
+    # a residue injected into one row of a 3-row family raises on either path
+    frame = frame_for((1, 2.0))
+    coeffs = tn.CoefficientArray((0,), [np.ones((3, frame.cubature(j).K)) for j in range(3)])
+    original = getattr(frame_mod, path)
+
+    def leaky(box, where):
+        values = original(box, where)
+        values[-1, 0] += 1e-6j
+        return values
+
+    monkeypatch.setattr(frame_mod, path, leaky)
+    pts = tn.uniform_grid(64, 1) if path == "grid_values" else np.linspace(0.1, 6.0, 7)
+    with pytest.raises(ValueError, match="imaginary residue 1.000e-06 exceeds"):
+        tn.synthesize(frame, coeffs, pts)
 
 
 # ---------------------------------------------------------------- per-axis phase tables
