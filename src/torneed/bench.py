@@ -2,8 +2,9 @@
 
 One experiment draws R independent samples of size n from a named test
 density. Per replication it thresholds one set of empirical coefficients by
-every (rule, kappa0) at once into an estimator family (same data, varying
-threshold) and scores all members together: surviving counts and L^p risks.
+every (rule, kappa0) at once into one estimator with a row per pair (same
+data, varying threshold) and scores all rows together: surviving counts and
+L^p risks.
 
 Reproducibility contract: every replication r derives its own RNG stream
 from a documented integer hash of (master seed, r), so results are identical
@@ -224,6 +225,8 @@ def config_from_dict(data):
         errors.extend(f"{name} lists {v!r} more than once" for v in repeats)
     if method == "coefficient-proxy" and p is not None and any(v != 2 for v in p):
         errors.append("coefficient-proxy risk is defined for p = 2 only")
+    if method == "both" and p is not None and 2 not in p:
+        errors.append('risk_method "both" needs 2 in p: the coefficient proxy is a p = 2 risk')
     band = None
     if density is not None and d is not None:
         try:
@@ -374,12 +377,16 @@ def _proxy_distance(kept, true_coeffs):
 
 
 def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
-    """Distance between the estimator and the true m-th derivative.
+    """Distance between a single estimator and the true m-th derivative.
 
     grid-quadrature: ((2pi)^d/G^d sum |est - truth|^p)^(1/p) on the uniform
     G-per-dimension grid (max for p = inf). coefficient-proxy: the l2 norm of
     the coefficient differences over levels < J (p = 2 only). For m = 0 the
     estimator includes the density mean (DerivativeEstimator.evaluate).
+    run_experiment scores every row of a replication's estimator through the
+    same two kernels (_lp_from_values, _proxy_distance): a row's proxy risk
+    is this distance for its rule on that replication's sample, and its grid
+    risks are too, up to the rounding of synthesizing all rows in one pass.
     """
     d = est.frame.d
     if method == "coefficient-proxy":
@@ -403,7 +410,7 @@ def run_experiment(config, threads=1):
     J = config.resolved_J()
     frame = NeedletFrame(config.B, config.d, jmax=max(J - 1, 0))
     m = config.m
-    # one family row per member, kappa0 outer: the order its rows are emitted in
+    # one estimator row per member, kappa0 outer: the order its rows are emitted in
     members = [(k0, kind) for k0 in config.kappa0 for kind in config.rules]
     rules = [
         calibrated_rule(
@@ -419,7 +426,7 @@ def run_experiment(config, threads=1):
         for k0, kind in members
     ]
     need_grid = config.risk_method in ("grid-quadrature", "both")
-    need_proxy = config.risk_method in ("coefficient-proxy", "both") and 2.0 in config.p
+    need_proxy = config.risk_method in ("coefficient-proxy", "both")
     columns = [(p, "grid-quadrature") for p in config.p] if need_grid else []
     columns += [(2.0, "coefficient-proxy")] if need_proxy else []
     if need_grid:
@@ -432,17 +439,17 @@ def run_experiment(config, threads=1):
         X = density.sampler(rng, config.n)
         raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
         try:
-            family = thresholded_estimator(frame, raw, rules)
+            est = thresholded_estimator(frame, raw, rules)
             risks = np.empty((len(members), len(columns)))
             if need_grid:
-                est_vals = family.evaluate(grid_pts)
+                est_vals = est.evaluate(grid_pts)
                 for c, p in enumerate(config.p):
                     risks[:, c] = _lp_from_values(est_vals, truth_vals, p, config.d, config.grid)
             if need_proxy:
-                risks[:, -1] = _proxy_distance(family.coeffs, true_coeffs)
+                risks[:, -1] = _proxy_distance(est.coeffs, true_coeffs)
         except Exception as exc:
             raise RuntimeError(f"replication {r} failed") from exc
-        alive = family.survivors().tolist()
+        alive = est.survivors().tolist()
         counts, risk_rows = [], []
         for i, (k0, kind) in enumerate(members):
             for j, lv in enumerate(raw.levels):

@@ -76,11 +76,11 @@ class ThresholdRule:
     def __post_init__(self):
         if self.kind not in ("hard", "soft"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if self.kappa < 0:
+        if not self.kappa >= 0:
             raise ValueError("kappa must be nonnegative")
         if self.n < 3:
             raise ValueError("thresholds need n >= 3")
-        if self.B <= 1:
+        if not self.B > 1:
             raise ValueError("scale B must exceed 1")
         object.__setattr__(self, "m", tuple(int(v) for v in self.m))
 
@@ -173,30 +173,41 @@ class DerivativeEstimator:
     """Thresholded needlet estimator of the m-th density derivative.
 
     Holds raw and thresholded coefficients for levels 0..J-1 and the
-    per-level thresholds actually applied: one row of an EstimatorFamily
-    (EstimatorFamily.member). Evaluation synthesizes the thresholded
-    coefficients with underived needlets; for m = 0 it adds the density mean
-    (2pi)^-d (with_density_mean), so it is the full density.
+    per-level thresholds actually applied. rule is one ThresholdRule, with
+    (K_j,) thresholded levels and (J,) taus; or a tuple of R rules sharing
+    the raw coefficients, with (R, K_j) stacks and (R, J) taus, row i
+    thresholded by rule[i]. Evaluation synthesizes the thresholded
+    coefficients with underived needlets, every row in one pass; for m = 0 it
+    adds the density mean (2pi)^-d (with_density_mean), so it is the full
+    density.
     """
 
     frame: object
     m: tuple
-    rule: ThresholdRule
+    rule: object
     J: int
     raw: CoefficientArray
     coeffs: CoefficientArray
-    taus: tuple
+    taus: np.ndarray
 
     def evaluate(self, grid):
-        return with_density_mean(synthesize(self.frame, self.coeffs, grid), self.m)
+        """(npts,) values at the points, or (R, npts) for R rows."""
+        values = synthesize(self.frame, self.coeffs, grid)
+        if self.J == 0:  # without levels synthesize sees no rows: each is the zero function
+            values = np.zeros(self.taus.shape[:-1] + values.shape)
+        return with_density_mean(values, self.m)
+
+    def survivors(self):
+        """Counts of nonzero thresholded coefficients per level: (J,), or (R, J) for R rows."""
+        alive = np.zeros(self.taus.shape, dtype=np.int64)
+        for j, lv in enumerate(self.coeffs.levels):
+            alive[..., j] = np.count_nonzero(lv, axis=-1)
+        return alive
 
     def surviving_counts(self):
-        """Per level: (j, surviving, total, fraction of nonzero thresholded coefficients)."""
-        rows = []
-        for j, lv in enumerate(self.coeffs.levels):
-            alive = int(np.count_nonzero(lv))
-            rows.append((j, alive, lv.size, alive / lv.size if lv.size else 0.0))
-        return rows
+        """Per level of a single estimator: (j, surviving, total, surviving fraction)."""
+        levels = zip(self.survivors().tolist(), self.coeffs.levels)
+        return [(j, alive, lv.size, alive / lv.size) for j, (alive, lv) in enumerate(levels)]
 
     def metadata(self):
         return {
@@ -210,56 +221,19 @@ class DerivativeEstimator:
         }
 
 
-@dataclasses.dataclass(eq=False)
-class EstimatorFamily:
-    """Thresholded estimators that share one set of raw coefficients, one row per rule.
-
-    Row i thresholds raw by rules[i]: coeffs.levels[j] is the (R, K_j) stack
-    of thresholded coefficients at level j, taus the (R, J) thresholds
-    applied. Every row is evaluated in one synthesis pass.
-    """
-
-    frame: object
-    m: tuple
-    rules: tuple
-    J: int
-    raw: CoefficientArray
-    coeffs: CoefficientArray
-    taus: np.ndarray
-
-    def evaluate(self, grid):
-        """(R, npts) values of every row at the points; the density mean is added for m = 0."""
-        values = synthesize(self.frame, self.coeffs, grid)
-        # without levels the stack holds no rows: every row is the zero function
-        rows = np.broadcast_to(values, (len(self.rules), values.shape[-1]))
-        return with_density_mean(rows, self.m)
-
-    def survivors(self):
-        """(R, J) counts of nonzero thresholded coefficients, per row and level."""
-        alive = np.zeros((len(self.rules), self.J), dtype=np.int64)
-        for j, lv in enumerate(self.coeffs.levels):
-            alive[:, j] = np.count_nonzero(lv, axis=-1)
-        return alive
-
-    def member(self, i):
-        """Row i as a DerivativeEstimator."""
-        kept = CoefficientArray(self.m, [lv[i] for lv in self.coeffs.levels])
-        return DerivativeEstimator(
-            self.frame, self.m, self.rules[i], self.J, self.raw, kept, tuple(self.taus[i].tolist())
-        )
-
-
 def thresholded_estimator(frame, raw, rules):
-    """Threshold raw coefficients of levels 0..J-1 by every rule at once into an EstimatorFamily.
+    """Threshold raw coefficients of levels 0..J-1 into a DerivativeEstimator.
 
-    J is the number of raw levels. Row i keeps or shrinks level j by
-    tau_{i,j} = threshold_value(rules[i], j); the taus form an (R, J) array.
+    J is the number of raw levels. rules is one ThresholdRule, giving a
+    single estimator, or a sequence of R rules, giving one row per rule:
+    row i keeps or shrinks level j by tau_{i,j} = threshold_value(rules[i], j).
     Rows of one kind are thresholded together: one apply_threshold call per
     (kind, level) on that level's raw coefficients, with the kind's taus as
-    a column, gives their (R_kind, K_j) stack. A single estimator is a
-    family of one (estimate).
+    a column, gives their (R_kind, K_j) stack. A single rule is thresholded
+    as one row, whose axis is then dropped.
     """
-    rules = tuple(rules)
+    single = isinstance(rules, ThresholdRule)
+    rules = (rules,) if single else tuple(rules)
     J = raw.njlevels
     taus = np.array([[threshold_value(rule, j) for j in range(J)] for rule in rules])
     kinds = np.array([rule.kind for rule in rules])
@@ -268,8 +242,10 @@ def thresholded_estimator(frame, raw, rules):
         rows = kinds == kind
         for j, lv in enumerate(raw.levels):
             kept[j][rows] = apply_threshold(kind, lv, taus[rows, j][:, None])
+    if single:
+        kept, taus = [lv[0] for lv in kept], taus[0]
     coeffs = CoefficientArray(raw.m, kept)
-    return EstimatorFamily(frame, raw.m, rules, J, raw, coeffs, taus)
+    return DerivativeEstimator(frame, raw.m, rules[0] if single else rules, J, raw, coeffs, taus)
 
 
 def estimate(frame, samples, m, rule, J_override=None):
@@ -294,7 +270,7 @@ def estimate(frame, samples, m, rule, J_override=None):
             f"truncation level J={J} needs a frame with jmax >= {J - 1}, got {frame.jmax}"
         )
     raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
-    return thresholded_estimator(frame, raw, (rule,)).member(0)
+    return thresholded_estimator(frame, raw, rule)
 
 
 def diagnostic_bandwidth(s, m_total, d, B, n, zone, r=None):

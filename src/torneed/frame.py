@@ -34,11 +34,12 @@ Synthesis therefore maps each live level's pixels back to its shell by FFT,
 adds every level into one box spectrum and evaluates that spectrum once:
 by grid_values when the points are exactly uniform_grid(G, d) for some G
 (same rows, same order, equal coordinates), by spectrum_values otherwise.
-A family of R coefficient sets, stacked as (R, K_j) per level (the
-estimators of one replication, one per threshold rule), takes the same
-single pass: one FFT per level over the stack, one box with the family axis
-trailing, one layout check and one phase table, evaluated in chunks of rows
-that fit PHASE_BLOCK_BYTES. One coefficient set is a family of one.
+R coefficient sets stacked as (R, K_j) per level (the rows of one
+replication's estimator, one per threshold rule) take the same single pass:
+one FFT per level over the stack, one box with the family axis trailing,
+one layout check and one phase table, evaluated in chunks of rows that fit
+PHASE_BLOCK_BYTES. One coefficient set of (K_j,) levels is evaluated as a
+single row, and its values come back without the row axis.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
@@ -525,7 +526,7 @@ class CoefficientArray:
 
     levels[j] is the length-K_j float array of coefficients at level j, or
     an (R, K_j) stack of R coefficient sets, one per row, with the same R at
-    every level (an estimator family; synthesize evaluates every row).
+    every level (the rows of a stacked estimator; synthesize evaluates every row).
     """
 
     m: tuple

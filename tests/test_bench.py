@@ -116,6 +116,19 @@ def test_config_proxy_requires_p2():
     assert cfg.risk_method == "coefficient-proxy"
 
 
+def test_config_both_requires_p2(tmp_path, capsys):
+    # the proxy half of "both" is a p = 2 risk: without 2 in p it would vanish
+    with pytest.raises(ConfigError, match='"both" needs 2 in p'):
+        tn.config_from_dict(base_config(risk_method="both", p=[1, "inf"]))
+    assert tn.config_from_dict(base_config(risk_method="both", p=[1, 2])).p == (1.0, 2.0)
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(base_config(risk_method="both", p=[1, "inf"])))
+    out = tmp_path / "out"
+    assert main(["bench", str(path), "--out", str(out)]) == 2
+    assert "needs 2 in p" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_grid_must_resolve_band():
     # J=3 levels at B=2 live on |l| <= 7: 2*ceil(2^3) - 1 = 15 points resolve them
     tn.config_from_dict(base_config(grid=17))
@@ -442,6 +455,67 @@ def test_run_experiment_both_methods_and_proxy_rows():
     methods = {row.method for row in report.risk_rows}
     assert methods == {"grid-quadrature", "coefficient-proxy"}
     assert len(report.risk_rows) == 2
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {},
+        {"m": [0]},
+        {
+            "density": "product(wrapped_normal(1.0),wrapped_normal(0.7))",
+            "d": 2,
+            "m": [1, 0],
+            "J": 2,
+            "grid": 17,
+        },
+    ],
+)
+def test_run_experiment_rows_equal_single_estimators(over):
+    # every row of a replication's stacked estimator is the estimator that
+    # estimate builds for its rule from the same child_seed sample
+    cfg = tn.config_from_dict(
+        base_config(
+            **{
+                "replications": 2,
+                "kappa0": [0.5, 1.0, 2.5],
+                "rules": ["hard", "soft"],
+                "p": [1, 2, "inf"],
+                "risk_method": "both",
+                **over,
+            }
+        )
+    )
+    report = tn.run_experiment(cfg)
+    density = tn.density_from_name(cfg.density, cfg.d)
+    J = cfg.resolved_J()
+    frame = tn.NeedletFrame(cfg.B, cfg.d, max(J - 1, 0))
+    counts = {(c.rule, c.kappa0, c.replication, c.j): c[4:] for c in report.count_rows}
+    risks = {(r.rule, r.kappa0, r.replication, r.p, r.method): r.risk for r in report.risk_rows}
+    checked = set()
+    for r in range(cfg.replications):
+        X = density.sampler(np.random.default_rng(tn.child_seed(cfg.seed, r)), cfg.n)
+        for kind in cfg.rules:
+            for k0 in cfg.kappa0:
+                rule = tn.calibrated_rule(
+                    kind, k0, density.sup_norm, frame.window, cfg.m, cfg.n, cfg.B
+                )
+                est = tn.estimate(frame, X, cfg.m, rule, J_override=J)
+                for j, *count in est.surviving_counts():
+                    assert counts[(kind, k0, r, j)] == tuple(count)
+                    checked.add((kind, k0, r, j))
+                proxy = (kind, k0, r, 2.0, "coefficient-proxy")
+                assert risks[proxy] == tn.lp_distance(
+                    est, density, 2.0, cfg.grid, method="coefficient-proxy"
+                )
+                checked.add(proxy)
+                for p in cfg.p:
+                    grid = tn.lp_distance(est, density, p, cfg.grid)
+                    assert risks[(kind, k0, r, p, "grid-quadrature")] == pytest.approx(
+                        grid, rel=1e-12, abs=0.0
+                    )
+                    checked.add((kind, k0, r, p, "grid-quadrature"))
+    assert checked == set(counts) | set(risks)
 
 
 def test_risk_aggregates_mean_and_stderr():

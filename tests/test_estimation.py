@@ -60,6 +60,18 @@ def test_threshold_rule_validation():
     assert rule.m == (2,) and isinstance(rule.m[0], int)
 
 
+@pytest.mark.parametrize("kind", ["hard", "soft"])
+@pytest.mark.parametrize(
+    "kappa, B, match",
+    [(math.nan, 2.0, "kappa must be nonnegative"), (1.0, math.nan, "scale B must exceed 1")],
+)
+def test_threshold_rule_rejects_nan(kind, kappa, B, match):
+    # NaN fails every comparison: a NaN kappa would keep nothing (hard) or
+    # poison every coefficient (soft) if the checks were spelled as kappa < 0
+    with pytest.raises(ValueError, match=match):
+        tn.ThresholdRule(kind, kappa, (1,), 500, B)
+
+
 def test_threshold_value_formula():
     # tau_j = kappa * B^(j|m|) * sqrt(ln n / n)
     rule = tn.ThresholdRule("hard", 2.0, (1,), 100, 2.0)
@@ -191,15 +203,15 @@ def test_family_equals_its_members(case):
             assert kept.tobytes() == one.coeffs.levels[j][0].tobytes()
             assert kept.tobytes() == tn.apply_threshold(rule.kind, lv, tau).tobytes()
         assert alive[i].tolist() == one.survivors()[0].tolist()
-        member = family.member(i)
-        assert member.rule == rule and member.taus == tuple(family.taus[i])
-        assert [a for _, a, _, _ in member.surviving_counts()] == alive[i].tolist()
+        single = thresholded_estimator(frame, raw, rule)
+        assert single.rule == rule and single.taus.tolist() == family.taus[i].tolist()
+        assert [a for _, a, _, _ in single.surviving_counts()] == alive[i].tolist()
     off_grid = np.random.default_rng(npts).uniform(-1.0, 7.0, (9, frame.d))
     for pts in (tn.uniform_grid(npts, frame.d), off_grid):
         stacked = tn.synthesize(frame, family.coeffs, pts)
         assert stacked.shape == (len(rules), pts.shape[0])
         for i in range(len(rules)):
-            row = tn.synthesize(frame, family.member(i).coeffs, pts)
+            row = tn.synthesize(frame, thresholded_estimator(frame, raw, rules[i]).coeffs, pts)
             if not alive[i].any():
                 assert not stacked[i].any() and not row.any()
                 continue
@@ -214,6 +226,24 @@ def test_family_of_no_levels_evaluates_every_row():
     assert family.survivors().shape == (3, 0)
     grid = tn.uniform_grid(5, 1)
     np.testing.assert_array_equal(family.evaluate(grid), np.full((3, 5), TWO_PI**-1))
+
+
+def test_one_estimator_class_and_fresh_rows_without_levels():
+    classes = [
+        cls
+        for _, cls in inspect.getmembers(tn.estimation, inspect.isclass)
+        if cls.__module__ == "torneed.estimation" and hasattr(cls, "evaluate")
+    ]
+    assert classes == [tn.DerivativeEstimator]
+    # J = 0 and m != 0: no level shows the rows and no mean is added, yet
+    # every row gets its own writeable zeros
+    frame = tn.NeedletFrame(2.0, 2, 0)
+    rules = [tn.ThresholdRule(kind, 1.0, (1, 0), 100, 2.0) for kind in ("hard", "soft")]
+    est = thresholded_estimator(frame, tn.CoefficientArray((1, 0), []), rules)
+    values = est.evaluate(tn.uniform_grid(3, 2))
+    assert values.shape == (2, 9) and values.flags.writeable and values.flags.owndata
+    values[0] = 1.0
+    assert not values[1].any()
 
 
 # ---------------------------------------------------------------- sample coercion
@@ -306,7 +336,7 @@ def test_estimate_zero_kappa_keeps_everything(frame):
     rule = tn.ThresholdRule("hard", 0.0, (1,), 300, 2.0)
     est = tn.estimate(frame, X, (1,), rule, J_override=3)
     assert est.J == 3
-    assert est.taus == (0.0, 0.0, 0.0)
+    assert est.taus.tolist() == [0.0, 0.0, 0.0]
     for raw, kept in zip(est.raw.levels, est.coeffs.levels):
         np.testing.assert_array_equal(raw, kept)
     counts = est.surviving_counts()
@@ -410,7 +440,7 @@ def test_estimate_tiny_sample_gives_empty_estimator(frame):
     rule = tn.ThresholdRule("hard", 1.0, (1,), 3, 2.0)
     est = tn.estimate(frame, [0.1, 0.2, 0.3], (1,), rule)
     assert est.J == 0
-    assert est.coeffs.levels == [] and est.taus == ()
+    assert est.coeffs.levels == [] and est.taus.tolist() == []
     assert est.surviving_counts() == []
     grid = tn.uniform_grid(16, 1)
     np.testing.assert_array_equal(est.evaluate(grid), 0.0)
