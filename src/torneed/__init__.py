@@ -1,10 +1,10 @@
 """Needlet frames on the d-torus and thresholded density-derivative estimation.
 
 The pieces compose bottom-up: `harmonics` (Fourier basis, frequency shells),
-`frame` (window, cubature, needlets, analysis/synthesis), `estimation`
-(empirical coefficients, thresholds, truncation), `densities` (test densities
-with exact derivatives and samplers), `bench` (seeded Monte Carlo risk
-experiments), `cli` (command-line front end).
+`frame` (window, cubature, needlets, analysis, the spectral core),
+`estimation` (empirical coefficients, thresholds, truncation, synthesis),
+`densities` (test densities with exact derivatives and samplers), `bench`
+(seeded Monte Carlo risk experiments), `cli` (command-line front end).
 """
 
 from .bench import (
@@ -33,6 +33,7 @@ from .estimation import (
     empirical_coefficients,
     estimate,
     read_estimator_csv,
+    synthesize,
     threshold_value,
     truncation_level,
     write_estimator_csv,
@@ -48,7 +49,6 @@ from .frame import (
     needlet_eval,
     needlet_l2_norm,
     needlet_lp_norm,
-    synthesize,
     uniform_grid,
 )
 from .harmonics import (

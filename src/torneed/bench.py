@@ -14,6 +14,7 @@ whether replications run serially or on any number of threads.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ import numpy as np
 
 from .densities import density_from_name
 from .estimation import (
+    _ReplicationPlan,
     apply_threshold,  # noqa: F401  (perfbench/spans.py wraps bench.apply_threshold)
     calibrated_rule,
     empirical_coefficients,
@@ -304,59 +306,34 @@ class RiskReport:
 
     def risk_aggregates(self):
         """Mean and standard error per (method, rule, kappa0, p), config order."""
-        out = []
-        for method in ("grid-quadrature", "coefficient-proxy"):
-            for kind in self.config.rules:
-                for k0 in self.config.kappa0:
-                    for p in self.config.p:
-                        vals = [
-                            r.risk
-                            for r in self.risk_rows
-                            if r.method == method and r.rule == kind and r.kappa0 == k0 and r.p == p
-                        ]
-                        if not vals:
-                            continue
-                        mean = float(np.mean(vals))
-                        stderr = (
-                            float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-                            if len(vals) > 1
-                            else 0.0
-                        )
-                        out.append(
-                            {
-                                "method": method,
-                                "rule": kind,
-                                "kappa0": k0,
-                                "p": "inf" if math.isinf(p) else p,
-                                "mean": mean,
-                                "stderr": stderr,
-                                "replications": len(vals),
-                            }
-                        )
+        draws = {}
+        for r in self.risk_rows:
+            draws.setdefault((r.method, r.rule, r.kappa0, r.p), []).append(r.risk)
+        cfg, out = self.config, []
+        methods = ("grid-quadrature", "coefficient-proxy")
+        for method, kind, k0, p in itertools.product(methods, cfg.rules, cfg.kappa0, cfg.p):
+            vals = draws.get((method, kind, k0, p))
+            if vals:
+                n = len(vals)
+                stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+                stats = {"mean": float(np.mean(vals)), "stderr": stderr, "replications": n}
+                ptag = "inf" if math.isinf(p) else p
+                out.append({"method": method, "rule": kind, "kappa0": k0, "p": ptag, **stats})
         return out
 
     def count_aggregates(self):
         """Mean surviving fraction per (rule, kappa0, j), config order."""
-        out = []
-        levels = sorted({r.j for r in self.count_rows})
-        for kind in self.config.rules:
-            for k0 in self.config.kappa0:
-                for j in levels:
-                    vals = [
-                        r.fraction
-                        for r in self.count_rows
-                        if r.rule == kind and r.kappa0 == k0 and r.j == j
-                    ]
-                    if vals:
-                        out.append(
-                            {
-                                "rule": kind,
-                                "kappa0": k0,
-                                "j": j,
-                                "mean_fraction": float(np.mean(vals)),
-                            }
-                        )
-        return out
+        draws = {}
+        for r in self.count_rows:
+            draws.setdefault((r.rule, r.kappa0, r.j), []).append(r.fraction)
+        means = {key: float(np.mean(vals)) for key, vals in draws.items()}
+        levels = sorted({j for _, _, j in means})
+        keys = itertools.product(self.config.rules, self.config.kappa0, levels)
+        return [
+            {"rule": kind, "kappa0": k0, "j": j, "mean_fraction": means[kind, k0, j]}
+            for kind, k0, j in keys
+            if (kind, k0, j) in means
+        ]
 
 
 def _lp_from_values(est_vals, truth_vals, p, d, grid_per_dim):
@@ -412,44 +389,39 @@ def run_experiment(config, threads=1):
     m = config.m
     # one estimator row per member, kappa0 outer: the order its rows are emitted in
     members = [(k0, kind) for k0 in config.kappa0 for kind in config.rules]
+    literal = config.literal_paper_kappa
     rules = [
-        calibrated_rule(
-            kind,
-            k0,
-            density.sup_norm,
-            frame.window,
-            m,
-            config.n,
-            config.B,
-            drop_sample_factor=config.literal_paper_kappa,
-        )
+        calibrated_rule(kind, k0, density.sup_norm, frame.window, m, config.n, config.B, literal)
         for k0, kind in members
     ]
     need_grid = config.risk_method in ("grid-quadrature", "both")
     need_proxy = config.risk_method in ("coefficient-proxy", "both")
     columns = [(p, "grid-quadrature") for p in config.p] if need_grid else []
     columns += [(2.0, "coefficient-proxy")] if need_proxy else []
+    # every replication shares the per-level constants, the thresholds and the grid phase table
+    plan = _ReplicationPlan(
+        frame, m, J, rules, uniform_grid(config.grid, config.d) if need_grid else None
+    )
     if need_grid:
-        grid_pts = uniform_grid(config.grid, config.d)
-        truth_vals = density.derivative(m, grid_pts[:, 0] if config.d == 1 else grid_pts)
+        truth_vals = density.derivative(m, plan.points[:, 0] if config.d == 1 else plan.points)
     true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
 
     def one_replication(r):
-        rng = np.random.default_rng(child_seed(config.seed, r))
-        X = density.sampler(rng, config.n)
-        raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
         try:
-            est = thresholded_estimator(frame, raw, rules)
+            rng = np.random.default_rng(child_seed(config.seed, r))
+            X = density.sampler(rng, config.n)
+            raw = empirical_coefficients(frame, X, jmax=J - 1, m=m, plan=plan)
+            est = thresholded_estimator(frame, raw, rules, plan=plan)
             risks = np.empty((len(members), len(columns)))
             if need_grid:
-                est_vals = est.evaluate(grid_pts)
+                est_vals = est.evaluate(plan.points)
                 for c, p in enumerate(config.p):
                     risks[:, c] = _lp_from_values(est_vals, truth_vals, p, config.d, config.grid)
             if need_proxy:
                 risks[:, -1] = _proxy_distance(est.coeffs, true_coeffs)
+            alive = est.survivors().tolist()
         except Exception as exc:
-            raise RuntimeError(f"replication {r} failed") from exc
-        alive = est.survivors().tolist()
+            raise RuntimeError(f"replication {r} failed: {exc}") from exc
         counts, risk_rows = [], []
         for i, (k0, kind) in enumerate(members):
             for j, lv in enumerate(raw.levels):

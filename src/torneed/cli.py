@@ -23,6 +23,7 @@ from .estimation import (
     calibrated_rule,
     estimate,
     read_estimator_csv,
+    synthesize,
     truncation_level,
     with_density_mean,
     write_estimator_csv,
@@ -34,7 +35,6 @@ from .frame import (
     NeedletFrame,
     exceeds_grid_cap,
     needlet_l2_norm,
-    synthesize,
     uniform_grid,
 )
 from .harmonics import TWO_PI, as_multi_index, wrap_angles
@@ -191,14 +191,7 @@ def _cmd_estimate(args):
         )
     else:
         rule = calibrated_rule(
-            args.rule,
-            args.kappa0,
-            args.M,
-            frame.window,
-            m,
-            n,
-            args.B,
-            drop_sample_factor=args.literal_paper_kappa,
+            args.rule, args.kappa0, args.M, frame.window, m, n, args.B, args.literal_paper_kappa
         )
     est = estimate(frame, X, m, rule, J_override=J)
 

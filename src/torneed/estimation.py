@@ -5,6 +5,16 @@ sample by (a) averaging derivative needlets over the sample to get unbiased
 coefficient estimates, (b) deleting or shrinking coefficients below a
 level-dependent threshold, (c) synthesizing the survivors with underived
 needlets.
+
+Everything in these steps that does not depend on the sample (the per-level
+indices and amplitudes, the thresholds tau_j = kappa B^(j|m|) sqrt(ln n / n)
+of every rule, the evaluation points and their phase table) lives in one
+_ReplicationPlan, built once per Monte Carlo run for (frame, m, J, rules,
+points) and shared read-only by its replications; a single estimate builds a
+plan of its own. Coefficients of all levels lie side by side in one flat
+array (K_total,), or (R, K_total) for R threshold rules, and the per-level
+arrays are views of it, so thresholding, survivor counting and the finite
+check run once on the flat stack rather than once per level.
 """
 
 from __future__ import annotations
@@ -17,12 +27,18 @@ import numpy as np
 
 from .frame import (
     CoefficientArray,
+    _axis_phases,
+    _check_structure,
+    _cube_index,
+    _family_values,
+    _grid_axis,
     _pixel_transform,
+    _shell_transform,
+    _uniform_grid_size,
     box_half_width,
     box_index,
     drop_imag,
     sample_spectrum,
-    synthesize,
 )
 from .harmonics import TWO_PI, as_multi_index, as_points, derivative_multiplier
 
@@ -125,7 +141,78 @@ def apply_threshold(kind, u, a):
     return float(out) if out.ndim == 0 else out
 
 
-def empirical_coefficients(frame, samples, jmax=None, m=None):
+def _freeze(value):
+    """Make every ndarray in value, nested in tuples, read-only."""
+    for item in value if isinstance(value, tuple) else ():
+        _freeze(item)
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+
+
+class _ReplicationPlan:
+    """Everything the replications of one run share, built once for (frame, m, J, rules, points).
+
+    A Monte Carlo run builds one plan and passes it to empirical_coefficients,
+    thresholded_estimator and synthesize; a call without one builds a
+    one-use plan, so every estimate takes the same path. There is no cache:
+    a plan lives as long as its caller keeps it. Its arrays are read-only,
+    since replication threads share it. For each level j < J:
+
+    - cube[j], the level's FFT cube index, and npts[j], the cube's side;
+    - gather[j], the shell's index in the box of half-width
+      L = box_half_width(B, J-1), the box of the sample spectrum and of
+      synthesis;
+    - analysis[j] = b_l mult_l(m) and root_weight[j] = sqrt(lambda_j) (the
+      sign and the 1/n of the sample join it per call), and synthesis[j] =
+      sqrt(lambda_j) (2pi)^-d b_l;
+    - slices[j], the columns of level j when the K_j coefficients of every
+      level lie side by side in one flat array of `size` columns, and
+      starts[j], the first of them.
+
+    The thresholds: taus[i, j] = threshold_value(rules[i], j), and by_kind,
+    per rule kind its row mask and the (R_kind, size) taus that one
+    apply_threshold call on the flat raw coefficients takes. The points,
+    when given: points, and when they are exactly uniform_grid(G, d), the
+    (2L+1, G) phase table. A synthesis whose top live level has the
+    half-width L' < L reads the rows L-L'..L+L' of the table, which hold
+    the bits of a table built for L' (_axis_phases fills row l alike for
+    every L >= l).
+    """
+
+    def __init__(self, frame, m, J, rules=(), points=None):
+        self.frame, self.m, self.J, self.rules = frame, m, J, tuple(rules)
+        self.L = box_half_width(frame.B, J - 1)
+        levels = [frame.level(j) for j in range(J)]
+        self.npts = tuple(lev.cubature.npts_per_dim for lev in levels)
+        self.cube = tuple(_cube_index(lev.freqs, N) for lev, N in zip(levels, self.npts))
+        self.gather = tuple(box_index(lev.freqs, self.L) for lev in levels)
+        mults = [np.atleast_1d(derivative_multiplier(lev.freqs, m)) for lev in levels]
+        self.analysis = tuple(lev.bvals * mult for lev, mult in zip(levels, mults))
+        self.root_weight = tuple(math.sqrt(lev.cubature.weight) for lev in levels)
+        scales = [root * TWO_PI ** (-frame.d) for root in self.root_weight]
+        self.synthesis = tuple(scale * lev.bvals for scale, lev in zip(scales, levels))
+        sizes = [lev.cubature.K for lev in levels]
+        offsets = np.cumsum([0] + sizes).tolist()
+        self.size, self.starts = offsets[-1], np.array(offsets[:-1], dtype=np.int64)
+        self.slices = tuple(map(slice, offsets[:-1], offsets[1:]))
+        taus = [[threshold_value(rule, j) for j in range(J)] for rule in self.rules]
+        self.taus = np.array(taus).reshape(len(self.rules), J)
+        kinds = np.array([rule.kind for rule in self.rules])
+        repeated = np.repeat(self.taus, sizes, axis=1)
+        rows = {kind: kinds == kind for kind in kinds.tolist()}
+        self.by_kind = tuple((kind, mask, repeated[mask]) for kind, mask in rows.items())
+        self.points = None if points is None else as_points(points, frame.d).view()
+        npts = None if points is None else _uniform_grid_size(self.points)
+        self.table = None if npts is None else _axis_phases(_grid_axis(npts), self.L)
+        _freeze(tuple(vars(self).values()))
+
+    def check(self, frame, J, m=None, rules=None):
+        """Refuse a plan built for another frame, number of levels, derivative order or rules."""
+        if (frame, J, m or self.m, rules or self.rules) != (self.frame, self.J, self.m, self.rules):
+            raise ValueError("the replication plan was built for another frame, J, m or rules")
+
+
+def empirical_coefficients(frame, samples, jmax=None, m=None, *, plan=None):
     """Unbiased coefficient estimates beta^(m)_{j,k} from an i.i.d. sample.
 
         beta^(m)_{j,k} = ((-1)^|m| / n) sum_i psi^(m)_{j,k}(X_i)
@@ -134,28 +221,29 @@ def empirical_coefficients(frame, samples, jmax=None, m=None):
     enters only through S_l = sum_i exp(i l . X_i), computed once on the box
     holding every shell up to jmax and reduced in a fixed block order, so it
     is deterministic for any thread count. Each level gathers its shell from
-    S and maps it to pixels by FFT. Levels 0..jmax are produced; jmax = -1
-    gives none.
+    S and maps it to pixels by FFT, into its slice of one flat array: the
+    levels of the result are views of it (CoefficientArray.from_flat),
+    checked for an imaginary residue and for finite values once. Levels
+    0..jmax are produced; jmax = -1 gives none. plan, the run's
+    _ReplicationPlan for this frame, m and jmax + 1 levels, supplies every
+    per-level constant; without one the call builds its own.
     """
     if jmax is None:
         jmax = frame.jmax
     if jmax > frame.jmax:
         raise ValueError(f"jmax {jmax} exceeds frame jmax {frame.jmax}")
     m = as_multi_index(m, frame.d)
+    plan = plan or _ReplicationPlan(frame, m, jmax + 1)
+    plan.check(frame, jmax + 1, m)
     X = as_sample_array(samples, frame.d)
     n = X.shape[0]
-    sign = (-1.0) ** sum(m)
-    L = box_half_width(frame.B, jmax)
-    S = sample_spectrum(X, L)
-    levels = []
-    for j in range(jmax + 1):
-        lev = frame.level(j)
-        mult = np.atleast_1d(derivative_multiplier(lev.freqs, m))
-        amp = lev.bvals * mult * S[box_index(lev.freqs, L)]
-        raw = _pixel_transform(lev, amp, sign=-1.0)
-        scale = sign / n * math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
-        levels.append(drop_imag(scale * raw, what=f"empirical coefficients at level {j}"))
-    return CoefficientArray(m, levels)
+    S = sample_spectrum(X, plan.L)
+    raw = np.empty(plan.size, dtype=complex)
+    for j, cols in enumerate(plan.slices):
+        pixels = _pixel_transform(plan.analysis[j] * S[plan.gather[j]], plan.npts[j], plan.cube[j])
+        scale = (-1.0) ** sum(m) / n * plan.root_weight[j] * TWO_PI ** (-frame.d)
+        np.multiply(scale, pixels, out=raw[cols])
+    return CoefficientArray.from_flat(m, drop_imag(raw, "empirical coefficients"), plan.slices)
 
 
 def with_density_mean(values, m):
@@ -179,7 +267,9 @@ class DerivativeEstimator:
     thresholded by rule[i]. Evaluation synthesizes the thresholded
     coefficients with underived needlets, every row in one pass; for m = 0 it
     adds the density mean (2pi)^-d (with_density_mean), so it is the full
-    density.
+    density. plan is the _ReplicationPlan it was thresholded with
+    (thresholded_estimator sets it): survivors reads its level offsets, and
+    evaluation at its points reuses their layout check and phase table.
     """
 
     frame: object
@@ -189,20 +279,18 @@ class DerivativeEstimator:
     raw: CoefficientArray
     coeffs: CoefficientArray
     taus: np.ndarray
+    plan: object = None
 
     def evaluate(self, grid):
         """(npts,) values at the points, or (R, npts) for R rows."""
-        values = synthesize(self.frame, self.coeffs, grid)
+        values = synthesize(self.frame, self.coeffs, grid, plan=self.plan)
         if self.J == 0:  # without levels synthesize sees no rows: each is the zero function
             values = np.zeros(self.taus.shape[:-1] + values.shape)
         return with_density_mean(values, self.m)
 
     def survivors(self):
         """Counts of nonzero thresholded coefficients per level: (J,), or (R, J) for R rows."""
-        alive = np.zeros(self.taus.shape, dtype=np.int64)
-        for j, lv in enumerate(self.coeffs.levels):
-            alive[..., j] = np.count_nonzero(lv, axis=-1)
-        return alive
+        return np.add.reduceat(self.coeffs.flat != 0, self.plan.starts, axis=-1)
 
     def surviving_counts(self):
         """Per level of a single estimator: (j, surviving, total, surviving fraction)."""
@@ -210,42 +298,36 @@ class DerivativeEstimator:
         return [(j, alive, lv.size, alive / lv.size) for j, (alive, lv) in enumerate(levels)]
 
     def metadata(self):
-        return {
-            "B": self.frame.B,
-            "d": self.frame.d,
-            "m": list(self.m),
-            "n": self.rule.n,
-            "kappa": self.rule.kappa,
-            "rule": self.rule.kind,
-            "J": self.J,
-        }
+        frame, rule = self.frame, self.rule
+        shape = {"B": frame.B, "d": frame.d, "m": list(self.m), "J": self.J}
+        return {**shape, "n": rule.n, "kappa": rule.kappa, "rule": rule.kind}
 
 
-def thresholded_estimator(frame, raw, rules):
+def thresholded_estimator(frame, raw, rules, *, plan=None):
     """Threshold raw coefficients of levels 0..J-1 into a DerivativeEstimator.
 
     J is the number of raw levels. rules is one ThresholdRule, giving a
     single estimator, or a sequence of R rules, giving one row per rule:
     row i keeps or shrinks level j by tau_{i,j} = threshold_value(rules[i], j).
-    Rows of one kind are thresholded together: one apply_threshold call per
-    (kind, level) on that level's raw coefficients, with the kind's taus as
-    a column, gives their (R_kind, K_j) stack. A single rule is thresholded
-    as one row, whose axis is then dropped.
+    Every level is thresholded at once on the flat layout: one
+    apply_threshold call per rule kind, on all K_total raw coefficients
+    with the kind's taus repeated over each level's columns, gives the
+    (R_kind, K_total) rows of that kind, and the levels of the result are
+    views of the (R, K_total) stack. A single rule is thresholded as one
+    row, whose axis is then dropped. plan, the run's _ReplicationPlan for
+    these rules, holds the taus; without one the call builds its own.
     """
     single = isinstance(rules, ThresholdRule)
     rules = (rules,) if single else tuple(rules)
-    J = raw.njlevels
-    taus = np.array([[threshold_value(rule, j) for j in range(J)] for rule in rules])
-    kinds = np.array([rule.kind for rule in rules])
-    kept = [np.empty((len(rules), lv.size)) for lv in raw.levels]
-    for kind in dict.fromkeys(kinds.tolist()):
-        rows = kinds == kind
-        for j, lv in enumerate(raw.levels):
-            kept[j][rows] = apply_threshold(kind, lv, taus[rows, j][:, None])
-    if single:
-        kept, taus = [lv[0] for lv in kept], taus[0]
-    coeffs = CoefficientArray(raw.m, kept)
-    return DerivativeEstimator(frame, raw.m, rules[0] if single else rules, J, raw, coeffs, taus)
+    plan = plan or _ReplicationPlan(frame, raw.m, raw.njlevels, rules)
+    plan.check(frame, raw.njlevels, raw.m, rules)
+    flat = raw.flat if raw.flat is not None else np.concatenate([np.zeros(0), *raw.levels])
+    kept = np.empty((len(rules), plan.size))
+    for kind, rows, taus in plan.by_kind:
+        kept[rows] = apply_threshold(kind, flat, taus)
+    kept, taus, rule = (kept[0], plan.taus[0], rules[0]) if single else (kept, plan.taus, rules)
+    coeffs = CoefficientArray.from_flat(raw.m, kept, plan.slices)
+    return DerivativeEstimator(frame, raw.m, rule, plan.J, raw, coeffs, taus, plan)
 
 
 def estimate(frame, samples, m, rule, J_override=None):
@@ -269,8 +351,51 @@ def estimate(frame, samples, m, rule, J_override=None):
         raise ValueError(
             f"truncation level J={J} needs a frame with jmax >= {J - 1}, got {frame.jmax}"
         )
-    raw = empirical_coefficients(frame, X, jmax=J - 1, m=m)
-    return thresholded_estimator(frame, raw, rule)
+    plan = _ReplicationPlan(frame, m, J, (rule,))
+    raw = empirical_coefficients(frame, X, jmax=J - 1, m=m, plan=plan)
+    return thresholded_estimator(frame, raw, rule, plan=plan)
+
+
+def synthesize(frame, coeffs, grid, *, plan=None):
+    """sum_{j,k} c_{j,k} psi_{j,k}(theta) over the grid points, for one coefficient set or a family.
+
+    Synthesis always uses underived needlets; derivative content lives in the
+    coefficients. grid is an (n, d) array (or anything `as_points` accepts),
+    on or off any uniform grid. Levels of (K_j,) arrays give (n,) values;
+    (R, K_j) stacks give (R, n), row i from row i of every level, all rows in
+    one pass. Each level with a nonzero coefficient in any row maps the
+    pixels of every row to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k)
+    by one FFT over the stack, adds sqrt(lambda_j) (2pi)^-d b_l T_l into one
+    box spectrum with the family axis trailing, (2L'+1,)*d + (R,), L' the
+    half-width of the top live level, and that box is evaluated once at the
+    points (frame._family_values, in chunks of rows). Points that are
+    exactly uniform_grid(G, d) for some G (same row count, same row order,
+    equal coordinates) take the tensor-product form (grid_values); any other
+    point set, shuffled or shifted grids included, takes spectrum_values.
+    plan is a _ReplicationPlan for this frame and number of levels; it
+    serves the points it was built for (grid is plan.points), which then
+    skip the layout check and reuse the plan's phase table. Other points, or
+    no plan, get a one-use plan.
+    """
+    _check_structure(frame, coeffs)
+    if plan is None or grid is not plan.points:
+        plan = _ReplicationPlan(frame, None, coeffs.njlevels, points=grid)  # underived needlets
+    plan.check(frame, coeffs.njlevels)
+    n = plan.points.shape[0]
+    lead = coeffs.levels[0].shape[:-1] if coeffs.levels else ()
+    R = math.prod(lead)
+    live = [j for j, cvec in enumerate(coeffs.levels) if cvec.any()]
+    if not live:
+        return np.zeros(lead + (n,))
+    box = np.zeros((2 * plan.L + 1,) * frame.d + (R,), dtype=complex)
+    for j in live:
+        T = _shell_transform(coeffs.levels[j].reshape(R, -1), plan.npts[j], plan.cube[j])
+        box[plan.gather[j]] += plan.synthesis[j][:, None] * T.T
+    # the band of the top live level: a box of half-width L' and its table rows
+    half = box_half_width(frame.B, live[-1])
+    band = slice(plan.L - half, plan.L + half + 1)
+    table = None if plan.table is None else plan.table[band]
+    return _family_values(box[(band,) * frame.d], plan.points, table).reshape(lead + (n,))
 
 
 def diagnostic_bandwidth(s, m_total, d, B, n, zone, r=None):
@@ -301,10 +426,7 @@ def write_estimator_csv(est, path):
     """One row per coefficient: `j,k,raw,thresholded,tau`, 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("j,k,raw,thresholded,tau\n")
-        for j in range(est.J):
-            raw = est.raw.levels[j]
-            kept = est.coeffs.levels[j]
-            tau = est.taus[j]
+        for j, (raw, kept, tau) in enumerate(zip(est.raw.levels, est.coeffs.levels, est.taus)):
             for k in range(raw.size):
                 fh.write(f"{j},{k},{raw[k]:.17g},{kept[k]:.17g},{tau:.17g}\n")
 
@@ -331,12 +453,8 @@ def read_estimator_csv(path):
                 j_s, k_s, raw_s, kept_s, tau_s = line.strip().split(",")
                 row = (int(k_s), float(raw_s), float(kept_s), float(tau_s))
                 by_level.setdefault(int(j_s), []).append(row)
-    raw_levels, kept_levels, taus = [], [], []
-    for raw, kept, tau in dense_levels(path, by_level):
-        raw_levels.append(raw)
-        kept_levels.append(kept)
-        taus.append(float(tau[0]))
-    return raw_levels, kept_levels, taus
+    levels = dense_levels(path, by_level)
+    return [lv[0] for lv in levels], [lv[1] for lv in levels], [float(lv[2][0]) for lv in levels]
 
 
 def dense_levels(path, by_level):

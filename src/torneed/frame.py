@@ -30,16 +30,19 @@ highest shell in use:
   whose points are xi_k = 2 pi k / N; analyze's quadrature is one more FFT.
   These are the only FFTs.
 
-Synthesis therefore maps each live level's pixels back to its shell by FFT,
-adds every level into one box spectrum and evaluates that spectrum once:
-by grid_values when the points are exactly uniform_grid(G, d) for some G
-(same rows, same order, equal coordinates), by spectrum_values otherwise.
-R coefficient sets stacked as (R, K_j) per level (the rows of one
-replication's estimator, one per threshold rule) take the same single pass:
-one FFT per level over the stack, one box with the family axis trailing,
-one layout check and one phase table, evaluated in chunks of rows that fit
-PHASE_BLOCK_BYTES. One coefficient set of (K_j,) levels is evaluated as a
-single row, and its values come back without the row axis.
+Synthesis (estimation.synthesize, which reads its per-level constants from
+a replication plan) therefore maps each live level's pixels back to its
+shell by FFT (_shell_transform), adds every level into one box spectrum and
+evaluates that spectrum once (_family_values): by grid_values when the
+points are exactly uniform_grid(G, d) for some G (same rows, same order,
+equal coordinates), by spectrum_values otherwise. R coefficient sets
+stacked as (R, K_j) per level (the rows of one replication's estimator, one
+per threshold rule) take the same single pass: one FFT per level over the
+stack, one box with the family axis trailing and one phase table, evaluated
+in chunks of rows that fit PHASE_BLOCK_BYTES. Coefficient levels may be
+views of one flat array of every level side by side
+(CoefficientArray.from_flat), which is how the estimator pipeline lays
+them out.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
@@ -468,11 +471,13 @@ def grid_values(box, npts):
     contraction moves the finished grid axis to the back, so after the last
     one the family axis leads and the grid follows in row-major order. Any
     npts >= 1 works, also below 2L+1, where the table itself aliases the
-    frequencies. Returns a complex array.
+    frequencies. A caller that already holds the table
+    _axis_phases(_grid_axis(npts), L) passes it in place of npts. Returns a
+    complex array.
     """
     box = np.asarray(box, dtype=complex)
     W = box.shape[0]
-    table = _axis_phases(_grid_axis(npts), (W - 1) // 2)
+    table = npts if np.ndim(npts) else _axis_phases(_grid_axis(npts), (W - 1) // 2)
     out = box
     for _ in range(box.ndim - 1):
         out = out.reshape(W, -1).T @ table
@@ -492,32 +497,57 @@ def _cube_index(freqs, npts):
     return tuple(np.mod(freqs[:, i], npts) for i in range(freqs.shape[1]))
 
 
-def _pixel_transform(level, amplitudes, sign=-1.0):
+def _pixel_transform(amplitudes, npts, index, sign=-1.0):
     """Shell to pixels: sum_l amplitudes_l * exp(sign * i * <l, xi_k>) at every cubature point k.
 
-    Fills the shell amplitudes into the level's N**d cube at l mod N and runs
-    fftn (sign -1) or N**d * ifftn (sign +1).
+    Fills the shell amplitudes into the level's N**d cube at its cube index
+    (_cube_index(freqs, N), N = npts) and runs fftn (sign -1) or N**d *
+    ifftn (sign +1).
     """
-    npts = level.cubature.npts_per_dim
-    cube = np.zeros((npts,) * level.freqs.shape[1], dtype=complex)
-    cube[_cube_index(level.freqs, npts)] = amplitudes
+    cube = np.zeros((npts,) * len(index), dtype=complex)
+    cube[index] = amplitudes
     if sign < 0:
         return np.fft.fftn(cube).reshape(-1)
     return (np.fft.ifftn(cube) * cube.size).reshape(-1)
 
 
-def _shell_transform(level, pixels):
+def _shell_transform(pixels, npts, index):
     """Pixels to shell for every row of an (R, K) stack: sum_k pixels_k * exp(-i <l, xi_k>).
 
-    The d-dimensional FFT of each row's (N,)*d cube, one axis at a time over
-    the whole stack, last axis first as fftn does; returns (R, nf).
+    The d-dimensional FFT of each row's (N,)*d cube (N = npts), one axis at
+    a time over the whole stack, last axis first as fftn does, read at the
+    shell's cube index; returns (R, nf).
     """
-    npts = level.cubature.npts_per_dim
-    d = level.freqs.shape[1]
+    d = len(index)
     spectrum = np.reshape(pixels, (-1,) + (npts,) * d)
     for axis in range(d, 0, -1):
         spectrum = np.fft.fft(spectrum, axis=axis)
-    return spectrum[(slice(None),) + _cube_index(level.freqs, npts)]
+    return spectrum[(slice(None),) + index]
+
+
+def _family_values(box, points, table=None):
+    """(R, n) real values of R box spectra, (2L+1,)*d + (R,), at the n rows of points.
+
+    With table, the (2L+1, G) phase table of the uniform grid the points
+    are, the family goes through grid_values; otherwise through
+    spectrum_values. The family axis is evaluated in chunks of
+    block_rows(R, n) rows, so the complex values of a chunk fit
+    PHASE_BLOCK_BYTES; each chunk's imaginary residue is checked before its
+    real part is kept.
+    """
+    R, n = box.shape[-1], points.shape[0]
+    rows = block_rows(R, n)
+    values = None
+    for start in range(0, R, rows):
+        chunk = box[..., start : start + rows]
+        part = spectrum_values(chunk, points) if table is None else grid_values(chunk, table)
+        if values is None:
+            # allocated once the first chunk's temporaries are gone: a family
+            # of one peaks at its complex values plus the real result
+            values = np.empty((R, n))
+        values[start : start + rows] = _checked_real(part, "synthesis")
+        del part  # the next chunk is formed without this one
+    return values
 
 
 @dataclasses.dataclass(eq=False)
@@ -527,10 +557,15 @@ class CoefficientArray:
     levels[j] is the length-K_j float array of coefficients at level j, or
     an (R, K_j) stack of R coefficient sets, one per row, with the same R at
     every level (the rows of a stacked estimator; synthesize evaluates every row).
+    Levels given one by one are checked one by one, and flat is None. The
+    estimator pipeline lays every level out side by side in one (K_total,)
+    or (R, K_total) array instead (from_flat): flat is that array, checked
+    once, and levels[j] is a view of its columns at the j-th slice.
     """
 
     m: tuple
     levels: list
+    flat = None
 
     def __post_init__(self):
         self.m = tuple(int(v) for v in self.m)
@@ -540,6 +575,16 @@ class CoefficientArray:
                 raise ValueError("coefficient levels must be 1-d finite arrays or (R, K_j) stacks")
             if lv.shape[:-1] != self.levels[0].shape[:-1]:
                 raise ValueError("coefficient stacks must hold the same rows at every level")
+
+    @classmethod
+    def from_flat(cls, m, flat, slices):
+        """Levels as views of one flat array, finite and shape checked once on it."""
+        if flat.ndim not in (1, 2) or not np.isfinite(flat).all():
+            raise ValueError("coefficient levels must be 1-d finite arrays or (R, K_j) stacks")
+        coeffs = cls.__new__(cls)
+        coeffs.m, coeffs.flat = m, flat
+        coeffs.levels = [flat[..., cols] for cols in slices]
+        return coeffs
 
     @property
     def njlevels(self):
@@ -646,59 +691,11 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
         # (-1)^|m| of the integration by parts cancels against the conjugated
         # multiplier, so no sign factor remains here
         amp = lev.bvals * mult * a
-        raw = _pixel_transform(lev, amp, sign=+1.0)
+        N = lev.cubature.npts_per_dim
+        raw = _pixel_transform(amp, N, _cube_index(lev.freqs, N), sign=+1.0)
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d / 2.0)
         levels.append(drop_imag(scale * raw, what=f"analysis coefficients at level {j}"))
     return CoefficientArray(m, levels)
-
-
-def synthesize(frame, coeffs, grid):
-    """sum_{j,k} c_{j,k} psi_{j,k}(theta) over the grid points, for one coefficient set or a family.
-
-    Synthesis always uses underived needlets; derivative content lives in the
-    coefficients. grid is an (n, d) array (or anything `as_points` accepts),
-    on or off any uniform grid. Levels of (K_j,) arrays give (n,) values;
-    (R, K_j) stacks give (R, n), row i from row i of every level, all rows in
-    one pass. Each level with a nonzero coefficient in any row maps the
-    pixels of every row to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k)
-    by one FFT over the stack, adds sqrt(lambda_j) (2pi)^-d b_l T_l into one
-    box spectrum with the family axis trailing, (2L+1,)*d + (R,), and that
-    box is evaluated once at the points. Points that are exactly
-    uniform_grid(G, d) for some G (same row count, same row order, equal
-    coordinates) take the tensor-product form (grid_values); any other point
-    set, shuffled or shifted grids included, takes spectrum_values. The
-    family axis is evaluated in chunks of block_rows(R, n) rows, so the
-    complex values of a chunk fit PHASE_BLOCK_BYTES; each chunk's imaginary
-    residue is checked before its real part is kept.
-    """
-    _check_structure(frame, coeffs)
-    pts = as_points(grid, frame.d)
-    n = pts.shape[0]
-    lead = coeffs.levels[0].shape[:-1] if coeffs.levels else ()
-    R = math.prod(lead)
-    live = [j for j, cvec in enumerate(coeffs.levels) if cvec.any()]
-    if not live:
-        return np.zeros(lead + (n,))
-    L = box_half_width(frame.B, live[-1])
-    box = np.zeros((2 * L + 1,) * frame.d + (R,), dtype=complex)
-    for j in live:
-        lev = frame.level(j)
-        scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d)
-        T = _shell_transform(lev, coeffs.levels[j].reshape(R, -1))
-        box[box_index(lev.freqs, L)] += (scale * lev.bvals)[:, None] * T.T
-    npts = _uniform_grid_size(pts)
-    rows = block_rows(R, n)
-    values = None
-    for start in range(0, R, rows):
-        chunk = box[..., start : start + rows]
-        part = spectrum_values(chunk, pts) if npts is None else grid_values(chunk, npts)
-        if values is None:
-            # allocated once the first chunk's temporaries are gone: a family
-            # of one peaks at its complex values plus the real result
-            values = np.empty((R, n))
-        values[start : start + rows] = _checked_real(part, "synthesis")
-        del part  # the next chunk is formed without this one
-    return values.reshape(lead + (n,))
 
 
 def besov_sequence_norm(coeffs, s, r, q, B, d):

@@ -1,5 +1,6 @@
 """Test the command-line interface in process: outputs, warnings, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -331,6 +332,51 @@ def test_paper_table3_bench_report_identical_across_threads(tmp_path):
     assert main(["bench", str(cfg), "--out", str(one), "--threads", "1"]) == 0
     assert main(["bench", str(cfg), "--out", str(two), "--threads", "2"]) == 0
     assert (one / "bench_report.json").read_bytes() == (two / "bench_report.json").read_bytes()
+
+
+def test_d2_bench_outputs_identical_across_threads(tmp_path):
+    # replication threads share one read-only plan; a d=2 run with both rule
+    # kinds, three kappa0 and both risk methods may not change by a byte
+    cfg = tmp_path / "cfg.json"
+    over = {
+        "density": "product(wrapped_normal(1.0),wrapped_normal(1.0))",
+        "d": 2,
+        "m": [1, 0],
+        "n": 400,
+        "replications": 4,
+        "kappa0": [0.25, 1.0, 2.5],
+        "rules": ["hard", "soft"],
+        "J": 2,
+        "grid": 17,
+        "p": [2, "inf"],
+        "risk_method": "both",
+    }
+    cfg.write_text(json.dumps(bench_config(**over)))
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["bench", str(cfg), "--out", str(one), "--threads", "1"]) == 0
+    assert main(["bench", str(cfg), "--out", str(two), "--threads", "2"]) == 0
+    names = sorted(path.name for path in one.iterdir())
+    assert names == sorted(path.name for path in two.iterdir())
+    assert "bench_risks_proxy.csv" in names
+    for name in names:
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def test_a_failing_replication_exits_1_naming_it_and_its_cause(tmp_path, capsys, monkeypatch):
+    # a sampler that returns NaN fails inside replication 0: a runtime
+    # failure, not a usage error, and no report is written
+    real = tn.bench.density_from_name
+
+    def nan_sampler_density(name, d):
+        return dataclasses.replace(real(name, d), sampler=lambda rng, n: np.full((n, d), np.nan))
+
+    monkeypatch.setattr(tn.bench, "density_from_name", nan_sampler_density)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config()))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: replication 0 failed: samples contain non-finite values" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bench_seed_override(tmp_path):

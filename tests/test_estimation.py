@@ -13,8 +13,13 @@ from hypothesis import strategies as st
 
 import direct_oracle as oracle
 import torneed as tn
-from torneed.estimation import as_sample_array, threshold_value, thresholded_estimator
-from torneed.frame import min_grid_size
+from torneed.estimation import (
+    _ReplicationPlan,
+    as_sample_array,
+    threshold_value,
+    thresholded_estimator,
+)
+from torneed.frame import _axis_phases, _grid_axis, box_half_width, min_grid_size
 from torneed.harmonics import TWO_PI
 
 
@@ -246,6 +251,106 @@ def test_one_estimator_class_and_fresh_rows_without_levels():
     assert not values[1].any()
 
 
+# ---------------------------------------------------------------- replication plan
+
+
+@st.composite
+def plan_case(draw):
+    """A frame, m, J (0 included), 1 to 6 rules of mixed kinds, a grid size and sample seeds.
+
+    kappa 0 gives tau = 0 and kappa 1e6 a tau above every |u| (an all-dead
+    row); ties |u| = tau and dead levels are planted by the test itself,
+    after the coefficients are drawn.
+    """
+    d = draw(st.sampled_from((1, 2)))
+    frame = _FAMILY_FRAMES[d]
+    J = draw(st.sampled_from(range(frame.jmax + 1, -1, -1)))  # every level count, 0 too
+    m = tuple(draw(st.lists(st.integers(0, 2), min_size=d, max_size=d)))
+    rules = [
+        tn.ThresholdRule(
+            draw(st.sampled_from(("hard", "soft"))),
+            draw(st.sampled_from((0.0, 0.05, 0.5, 1e6))),
+            m,
+            300,
+            2.0,
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    npts = draw(st.integers(1, min_grid_size(2.0, J) + 2))
+    return frame, m, J, rules, npts, draw(st.integers(0, 2**32 - 1))
+
+
+def _plant_ties_and_dead_levels(raw, rules, rng):
+    """Zero a random level (of two or more) and plant |u| = tau of each rule in one level."""
+    if raw.njlevels > 1:
+        raw.levels[int(rng.integers(raw.njlevels))][:] = 0.0
+    for rule in rules:
+        if raw.njlevels and 0.0 < rule.kappa < 1e6:
+            j = int(rng.integers(raw.njlevels))
+            tie = rng.choice((-1.0, 1.0)) * threshold_value(rule, j)
+            raw.levels[j][rng.integers(raw.levels[j].size)] = tie
+
+
+@FAMILY
+@given(plan_case())
+def test_the_plan_equals_the_per_level_path(case):
+    frame, m, J, rules, npts, seed = case
+    rng = np.random.default_rng(seed)
+    grid = tn.uniform_grid(npts, frame.d)
+    off_grid = rng.uniform(-1.0, 7.0, (9, frame.d))
+    for pts in (grid, off_grid):
+        plan = _ReplicationPlan(frame, m, J, rules, pts)
+        if plan.table is not None:
+            # a synthesis whose top live level is lower reads a slice of the
+            # table: the bits of a table built for that level
+            for half in (box_half_width(2.0, j) for j in range(J)):
+                rows = plan.table[plan.L - half : plan.L + half + 1]
+                assert rows.tobytes() == _axis_phases(_grid_axis(npts), half).tobytes()
+        for _ in range(2):  # one plan serves every sample of a run
+            X = rng.uniform(0.0, TWO_PI, (300, frame.d))
+            raw = tn.empirical_coefficients(frame, X, J - 1, m, plan=plan)
+            fresh = tn.empirical_coefficients(frame, X, J - 1, m)
+            assert raw.flat.tobytes() == fresh.flat.tobytes()
+            _plant_ties_and_dead_levels(raw, rules, rng)
+            fresh.flat[:] = raw.flat
+            est = thresholded_estimator(frame, raw, rules, plan=plan)
+            alive = est.survivors()
+            assert alive.shape == est.taus.shape == (len(rules), J)
+            for j, lv in enumerate(raw.levels):
+                assert np.shares_memory(lv, raw.flat)
+                assert np.shares_memory(est.coeffs.levels[j], est.coeffs.flat)
+                for i, rule in enumerate(rules):
+                    tau = threshold_value(rule, j)
+                    kept = tn.apply_threshold(rule.kind, lv, tau)
+                    assert est.taus[i, j] == tau
+                    assert est.coeffs.levels[j][i].tobytes() == kept.tobytes()
+                    assert alive[i, j] == np.count_nonzero(kept)
+            once = thresholded_estimator(frame, fresh, rules)
+            assert once.coeffs.flat.tobytes() == est.coeffs.flat.tobytes()
+            values = est.evaluate(plan.points)
+            assert values.tobytes() == once.evaluate(pts).tobytes()
+
+
+def _plan_arrays(value):
+    """Every ndarray a plan holds, through nested tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, tuple):
+        return [a for item in value for a in _plan_arrays(item)]
+    return []
+
+
+def test_the_shared_plan_is_read_only():
+    frame = tn.NeedletFrame(2.0, 2, 2)
+    rules = [tn.ThresholdRule(kind, 0.5, (1, 0), 300, 2.0) for kind in ("hard", "soft", "hard")]
+    grid = tn.uniform_grid(17, 2)
+    plan = _ReplicationPlan(frame, (1, 0), 3, rules, grid)
+    arrays = _plan_arrays(tuple(vars(plan).values()))
+    assert plan.table is not None and plan.taus.shape == (3, 3)
+    assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
+    assert grid.flags.writeable  # the caller's points stay the caller's
+
+
 # ---------------------------------------------------------------- sample coercion
 
 
@@ -426,8 +531,11 @@ def _callers(module, names):
 def test_thresholds_and_the_mean_have_one_home():
     names = ("bench", "cli", "densities", "estimation", "frame", "harmonics")
     modules = [importlib.import_module(f"torneed.{name}") for name in names]
-    thresholds = {"apply_threshold", "threshold_value"}
-    thresholding = set().union(*(_callers(mod, thresholds) for mod in modules))
+    # the replication plan's builder forms the taus, once per run, and
+    # thresholded_estimator applies them
+    taus = set().union(*(_callers(mod, {"threshold_value"}) for mod in modules))
+    assert taus == {"torneed.estimation.__init__"}
+    thresholding = set().union(*(_callers(mod, {"apply_threshold"}) for mod in modules))
     assert thresholding == {"torneed.estimation.thresholded_estimator"}
     assert "taus" not in inspect.getsource(modules[0])
     mean = set().union(*(_callers(mod, {"with_density_mean"}) for mod in modules))

@@ -42,10 +42,10 @@ def test_spans_install_trace_and_uninstall():
         tracer.uninstall()
     for owner, attr, original in installed:
         assert getattr(owner, attr) is original, attr
-    # run_experiment thresholds its estimator family through estimation: one
-    # span per (rule kind, level) in the bench run, then two in the estimate
-    # call; the family's two estimators are synthesized in one call
-    assert tracer.calls("estimation.threshold") == 2 * 2 + 2
+    # run_experiment thresholds its estimator's rows through estimation: one
+    # span per rule kind on the flat layout in the bench run, then one in the
+    # estimate call; the estimator's two rows are synthesized in one call
+    assert tracer.calls("estimation.threshold") == 2 + 1
     assert tracer.calls("estimation.empirical_coefficients") == 2
     assert tracer.calls("estimation.estimate") == 1
     assert tracer.calls("frame.analyze") == 1
