@@ -4,11 +4,19 @@ Every density carries vectorized pdf and derivative evaluators, a numerically
 certified sup-norm, an exact sampler driven by an external RNG, and an
 effective per-coordinate band limit that analysis quadratures use to size
 their grids.
+
+Evaluators work row by row: a point's value depends on that point alone.
+Product densities use this to evaluate each factor once per distinct
+coordinate of its column and gather the values back, which is bit-identical
+to evaluating every row; on a tensor grid of G^d points that is G
+evaluations per factor, not G^d. density_from_name builds a repeated
+product factor once per call; nothing is cached across calls.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 
@@ -25,6 +33,12 @@ class TestDensity:
     pdf(theta) and derivative(m, theta) accept an (n, d) array, or (n,) when
     d == 1, and return (n,). sampler(rng, n) returns (n, d) points in
     [0, 2pi).
+
+    Row-by-row contract: pdf and derivative compute each row from that row's
+    coordinates alone, with the same floating-point result whatever the
+    other rows are or how many there are. product_density relies on it to
+    evaluate a factor only at the distinct values of its column. Every
+    density built here meets it.
     """
 
     name: str
@@ -159,8 +173,34 @@ def wrapped_normal(sigma=1.0, literal=False):
     )
 
 
+def _distinct_values(column):
+    """The distinct bit patterns of a float column and the inverse index.
+
+    Returns (values, inverse) with values[inverse] equal to column bit for
+    bit. Groups by the float64 bits, not by value, so -0.0 and 0.0 (and NaNs
+    with different payloads) stay apart. A stable argsort stands in for
+    np.unique, whose first call imports numpy.ma.
+    """
+    bits = column.view(np.uint64)
+    order = np.argsort(bits, kind="stable")
+    ranked = bits[order]
+    first = np.ones(bits.shape, dtype=bool)
+    first[1:] = ranked[1:] != ranked[:-1]
+    inverse = np.empty(bits.shape, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return column[order[first]], inverse
+
+
 def product_density(components):
-    """Independent product of 1-d densities, one per coordinate."""
+    """Independent product of 1-d densities, one per coordinate.
+
+    pdf and derivative evaluate each factor once per distinct coordinate of
+    its column (by bit pattern) and gather the values back, so a tensor grid
+    of G^d points costs G evaluations per factor. The factors are multiplied
+    into the result in coordinate order, so each row rounds exactly as a
+    row-by-row product; this relies on the factors' row-by-row contract
+    (see TestDensity).
+    """
     components = list(components)
     if not components:
         raise ValueError("product needs at least one component")
@@ -169,20 +209,22 @@ def product_density(components):
             raise ValueError(f"product components must be 1-d, got {comp.name} with d={comp.d}")
     d = len(components)
 
-    def pdf(theta):
+    def _product(theta, factors):
         pts = as_points(theta, d)
         out = np.ones(pts.shape[0])
-        for i, comp in enumerate(components):
-            out *= comp.pdf(pts[:, i])
+        for i, factor in enumerate(factors):
+            values, inverse = _distinct_values(pts[:, i])
+            out *= factor(values)[inverse]
         return out
+
+    def pdf(theta):
+        return _product(theta, [comp.pdf for comp in components])
 
     def derivative(m, theta):
         m = as_multi_index(m, d)
-        pts = as_points(theta, d)
-        out = np.ones(pts.shape[0])
-        for i, comp in enumerate(components):
-            out *= comp.derivative((m[i],), pts[:, i])
-        return out
+        return _product(
+            theta, [functools.partial(comp.derivative, (mi,)) for comp, mi in zip(components, m)]
+        )
 
     def sampler(rng, n):
         return np.column_stack([comp.sampler(rng, n)[:, 0] for comp in components])
@@ -218,6 +260,8 @@ def density_from_name(name, d=None):
     Known forms: "uniform", "wrapped_normal(sigma)",
     "wrapped_normal_literal(sigma)", and "product(name,name,...)" over 1-d
     factors. d disambiguates "uniform" and is checked against the rest.
+    Within one call, product factors with the same (stripped) text are built
+    once and shared; separate calls share nothing.
     """
     text = name.strip()
     if text == "uniform":
@@ -235,8 +279,10 @@ def density_from_name(name, d=None):
         elif head == "wrapped_normal_literal":
             density = wrapped_normal(float(inner), literal=True)
         elif head == "product":
-            factors = [density_from_name(part, d=1) for part in _split_top_level(inner)]
-            density = product_density(factors)
+            parts = _split_top_level(inner)
+            # a repeated factor is built (and its sup-norm certified) once per call
+            built = {part: density_from_name(part, d=1) for part in dict.fromkeys(parts)}
+            density = product_density([built[part] for part in parts])
         else:
             raise ValueError(
                 f"unknown density {name!r}; known: uniform, wrapped_normal(sigma), "

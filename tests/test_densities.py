@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import torneed as tn
+from torneed import densities
 from torneed.densities import _gaussian_derivative, _refine_max
 from torneed.harmonics import TWO_PI
 
@@ -252,3 +253,45 @@ def test_density_from_name_rejects_unknown_and_mismatch():
         tn.density_from_name("wrapped_normal(1.0)", 2)  # d mismatch
     with pytest.raises(ValueError):
         tn.density_from_name("wrapped_normal(oops)", 1)
+
+
+# name, sup_norm, band_limit and the first three draws at seed 2024, recorded at
+# commit 271fe72, which built every product factor separately
+PRODUCT_FACTS = {
+    "product(wrapped_normal(1.0), wrapped_normal(1.0))": (
+        "product(wrapped_normal(1),wrapped_normal(1))",
+        0.15915494479503658,
+        11,
+        [[1.0288568739519013, 5.310005791705021], [1.6419200406711503, 4.890385210802718],
+         [1.1467195295966137, 0.06719635507109722]],
+        1,
+    ),
+    "product(wrapped_normal(1.0),wrapped_normal(0.7))": (
+        "product(wrapped_normal(1),wrapped_normal(0.7))",
+        0.22736420563352283,
+        15,
+        [[1.0288568739519013, 5.601959646347391], [1.6419200406711503, 5.308225239715778],
+         [1.1467195295966137, 0.04703744854976805]],
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(PRODUCT_FACTS))
+def test_density_from_name_builds_each_distinct_factor_once(text, monkeypatch):
+    name, sup_norm, band, draws, builds = PRODUCT_FACTS[text]
+    calls = []
+    real = densities.wrapped_normal
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(densities, "wrapped_normal", counted)
+    prod = tn.density_from_name(text, 2)
+    assert len(calls) == builds
+    assert (prod.name, prod.sup_norm, prod.band_limit) == (name, sup_norm, band)
+    assert prod.sampler(np.random.default_rng(2024), 3).tolist() == draws
+    # a second call shares nothing with the first: no cache across calls
+    tn.density_from_name(text, 2)
+    assert len(calls) == 2 * builds

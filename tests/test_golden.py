@@ -1,12 +1,16 @@
-"""The paper's tables, pinned: both configs rerun against recorded outputs.
+"""The paper's tables, pinned: both configs and a d=2 product rerun against recorded outputs.
 
 tests/golden/paper_table{1,3}.json were recorded once from `run_experiment`
 on configs/paper_table{1,3}.json, with `golden_payload` below, at commit
-8618514. They hold every risk row and risk aggregate at full double
-precision (shortest round-trip repr, at most 17 significant digits), every
-surviving count and the child seeds. Risks must match to 1e-12 relative,
-counts and seeds exactly. A change that moves a number beyond that says so
-in CHANGES.md; the files are never re-recorded to make a move disappear.
+8618514. tests/golden/product_d2.json pins a d=2 product run (two distinct
+wrapped-normal factors, m = (1, 0), hard and soft, p in {1, 2, inf}); it was
+recorded the same way at commit 271fe72, and its config is read from the
+file's own `config` block. The files hold every risk row and risk aggregate
+at full double precision (shortest round-trip repr, at most 17 significant
+digits), every surviving count and the child seeds. Risks must match to
+1e-12 relative, counts and seeds exactly. A change that moves a number
+beyond that says so in CHANGES.md; the files are never re-recorded to make a
+move disappear.
 """
 
 import json
@@ -46,10 +50,13 @@ def golden_payload(report):
     }
 
 
-@pytest.mark.parametrize("table", ["paper_table1", "paper_table3"])
+@pytest.mark.parametrize("table", ["paper_table1", "paper_table3", "product_d2"])
 def test_paper_tables_match_golden(table):
     expected = json.loads((GOLDEN / f"{table}.json").read_text(encoding="utf-8"))
-    config = tn.load_config(ROOT / "configs" / f"{table}.json")
+    if table == "product_d2":
+        config = tn.config_from_dict(expected["config"])
+    else:
+        config = tn.load_config(ROOT / "configs" / f"{table}.json")
     got = golden_payload(tn.run_experiment(config))
 
     assert got["config"] == expected["config"]
