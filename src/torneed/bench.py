@@ -18,6 +18,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
@@ -180,17 +181,14 @@ def config_from_dict(data):
     kappa0 = None
     if "kappa0" in data:
         raw = data["kappa0"]
-        if (
-            not isinstance(raw, list)
-            or not raw
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0 for v in raw)
+        # the largest double bounds out inf, nan and integers too large for a float
+        if not isinstance(raw, list) or not raw or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v <= sys.float_info.max
+            for v in raw
         ):
-            errors.append("kappa0 must be a nonempty list of positive numbers")
+            errors.append("kappa0 must be a nonempty list of positive finite numbers")
         else:
-            try:
-                kappa0 = tuple(float(v) for v in raw)
-            except OverflowError:
-                errors.append("kappa0 entries must fit in a float")
+            kappa0 = tuple(float(v) for v in raw)
 
     rules = None
     if "rules" in data:

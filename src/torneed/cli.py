@@ -67,7 +67,15 @@ def _parse_m(text, d):
 
 def _check_base_flags(args):
     _require(args.d >= 1, f"--d must be a positive integer, got {args.d}")
-    _require(args.B > 1, f"--B must satisfy B > 1 (window dilation base), got {args.B:g}")
+    _require(1 < args.B < math.inf, f"--B must satisfy B > 1 and be finite, got {args.B:g}")
+
+
+def _needlet_frame(B, d, J):
+    """The frame of levels 0..J-1; a B**J past the float range is a ValueError."""
+    try:
+        return NeedletFrame(B, d, jmax=max(J - 1, 0))
+    except OverflowError:
+        raise ValueError(f"B={B:g} with J={J} overflows a float in B**J") from None
 
 
 def _load_samples(path, d):
@@ -142,7 +150,7 @@ def _cmd_frame_info(args):
     _require(args.J >= 0, f"--J must be nonnegative, got {args.J}")
     m = _parse_m(args.m, args.d) if args.m else as_multi_index(None, args.d)
     # J counts levels, as in estimate and the bench configs: rows 0..J-1
-    frame = NeedletFrame(args.B, args.d, jmax=max(args.J - 1, 0))
+    frame = _needlet_frame(args.B, args.d, args.J)
     moments = [frame.window.moment(q) for q in (0, 1, 2)]
     print(f"B={args.B:g}  d={args.d}  J={args.J}  m=({','.join(str(v) for v in m)})")
     print(
@@ -165,11 +173,11 @@ def _cmd_estimate(args):
         raise ValueError("exactly one of --kappa or --kappa0 (with --M) is required")
     if args.kappa is not None:
         _require(args.M is None, "--M only applies with --kappa0")
-        _require(args.kappa >= 0, "--kappa must be nonnegative")
+        _require(0 <= args.kappa < math.inf, "--kappa must be nonnegative and finite")
     else:
         _require(args.M is not None, "--kappa0 requires --M (density sup-norm bound)")
-        _require(args.kappa0 > 0, "--kappa0 must be positive")
-        _require(args.M > 0, "--M must be positive")
+        _require(0 < args.kappa0 < math.inf, "--kappa0 must be positive and finite")
+        _require(0 < args.M < math.inf, "--M must be positive and finite")
     if args.J is not None:
         _require(args.J >= 0, f"--J must be nonnegative, got {args.J}")
     if args.grid is not None:
@@ -184,7 +192,7 @@ def _cmd_estimate(args):
     if n < 3:
         raise DataError(f"{args.data}: need at least 3 samples, got {n}")
     J = args.J if args.J is not None else truncation_level(n, args.d, sum(m), args.B)
-    frame = NeedletFrame(args.B, args.d, jmax=max(J - 1, 0))
+    frame = _needlet_frame(args.B, args.d, J)
     if args.kappa is not None:
         rule = ThresholdRule(
             args.rule, args.kappa, m, n, args.B, scale_with_n=not args.literal_paper_kappa
@@ -252,6 +260,7 @@ def _cmd_eval_grid(args):
     coeff_path = f"{args.stem}_coefficients.csv"
     with open(meta_path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
+    _require(isinstance(meta, dict), f"{meta_path}: must hold a JSON object")
     for key in ("B", "d", "m", "n", "kappa", "rule", "J"):
         _require(key in meta, f"{meta_path}: missing key {key!r}")
     B, d, J, m = _estimator_shape(meta, meta_path)
@@ -263,7 +272,7 @@ def _cmd_eval_grid(args):
         raise DataError(
             f"{coeff_path}: expected coefficients for {J} level(s), found {len(kept_levels)}"
         )
-    frame = NeedletFrame(B, d, jmax=max(J - 1, 0))
+    frame = _needlet_frame(B, d, J)
     coeffs = CoefficientArray(m, kept_levels)
     grid = uniform_grid(args.grid, d)
     vals = with_density_mean(synthesize(frame, coeffs, grid), m)

@@ -1,7 +1,7 @@
 """Test densities on the torus: exact derivatives, sup-norms, exact samplers.
 
-Every density carries vectorized pdf and derivative evaluators, a numerically
-certified sup-norm, an exact sampler driven by an external RNG, and an
+Every density carries vectorized pdf and derivative evaluators, its sup-norm
+in closed form, an exact sampler driven by an external RNG, and an
 effective per-coordinate band limit that analysis quadratures use to size
 their grids.
 
@@ -9,8 +9,7 @@ Evaluators work row by row: a point's value depends on that point alone.
 Product densities use this to evaluate each factor once per distinct
 coordinate of its column and gather the values back, which is bit-identical
 to evaluating every row; on a tensor grid of G^d points that is G
-evaluations per factor, not G^d. density_from_name builds a repeated
-product factor once per call; nothing is cached across calls.
+evaluations per factor, not G^d. Nothing is cached across calls.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .harmonics import TWO_PI, as_multi_index, as_points
 
 @dataclasses.dataclass(frozen=True)
 class TestDensity:
-    """A known density with exact derivatives, a sup-norm, and a sampler.
+    """A known density with exact derivatives, its sup-norm, and a sampler.
 
     pdf(theta) and derivative(m, theta) accept an (n, d) array, or (n,) when
     d == 1, and return (n,). sampler(rng, n) returns (n, d) points in
@@ -95,23 +94,10 @@ def _gaussian_derivative(order, x, sigma):
 
 # the wrapped normal sums its series over the shifts 2pi k, k = -10..10
 _WRAP_TERMS = 10
-
-
-def _refine_max(fn, at, span):
-    """Largest value of a vectorized fn found by zooming in on [at - span, at + span].
-
-    Each round evaluates fn at 65 equispaced points and re-centres the
-    bracket on the best one with a half-width of two grid steps, so it
-    shrinks 16-fold per round until it is below 1e-12. Deterministic.
-    """
-    best = -math.inf
-    while span > 1e-12:
-        t = np.linspace(at - span, at + span, 65)
-        vals = fn(t)
-        i = int(np.argmax(vals))
-        at, best = t[i], max(best, float(vals[i]))
-        span /= 16.0
-    return best
+# exp(-_CUT**2 / 2) = 1e-18: where the series' omitted terms and the Fourier
+# coefficients are cut, relative to the largest
+_CUT = math.sqrt(2.0 * 18.0 * math.log(10.0))
+_MAX_SIGMA = TWO_PI * _WRAP_TERMS / _CUT
 
 
 def wrapped_normal(sigma=1.0, literal=False):
@@ -121,18 +107,22 @@ def wrapped_normal(sigma=1.0, literal=False):
 
     for theta reduced to [0, 2pi), with prefactor 1/(sigma sqrt(2pi)). The
     21-term series makes the mass exactly 1 up to its tail (below 1e-80 for
-    sigma = 1), and band_limit = ceil(sqrt(36 ln 10) / sigma) + 1 is where
-    the Fourier coefficients fall below 1e-18 relative. literal=True swaps
-    in the prefactor 1/(2pi) instead; that shape integrates to
-    sigma/sqrt(2pi), is NOT a density, and exists only for comparing against
-    runs that used it verbatim. The sampler always draws from the normalized
-    law: wrap an exact normal draw modulo 2pi.
+    sigma = 1). It resolves sigma <= 20pi / sqrt(36 ln 10) ~ 6.90; beyond
+    that the omitted terms exceed 1e-18 relative, and such sigma is refused.
+    band_limit = ceil(sqrt(36 ln 10) / sigma) + 1 is where the Fourier
+    coefficients fall below 1e-18 relative. The density is a Jacobi theta
+    function, symmetric and unimodal with its peak at its mean, so sup_norm
+    is pdf(0). literal=True swaps in the prefactor 1/(2pi) instead; that
+    shape integrates to sigma/sqrt(2pi), is NOT a density, and exists only
+    for comparing against runs that used it verbatim. The sampler always
+    draws from the normalized law: wrap an exact normal draw modulo 2pi.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
-    # Fourier coefficients decay like exp(-l^2 sigma^2 / 2); cut where they
-    # drop below 1e-18 relative
-    reach = math.sqrt(2.0 * 18.0 * math.log(10.0)) / sigma
+    if sigma > _MAX_SIGMA:
+        raise ValueError(f"sigma={sigma:g} is too large: the series needs sigma <= {_MAX_SIGMA:.4g}")
+    # Fourier coefficients decay like exp(-l^2 sigma^2 / 2)
+    reach = _CUT / sigma
     if reach > 2**62:
         raise ValueError(f"sigma={sigma:g} is too small: its band limit exceeds 2**62")
     band = int(math.ceil(reach)) + 1
@@ -154,20 +144,13 @@ def wrapped_normal(sigma=1.0, literal=False):
     def sampler(rng, n):
         return np.mod(rng.normal(0.0, sigma, (n, 1)), TWO_PI)
 
-    # certify the sup-norm by grid search plus local refinement; do not
-    # assume the peak sits at 0 even though it does
-    probe = np.linspace(0.0, TWO_PI, 4097)
-    vals = pdf(probe)
-    at = probe[int(np.argmax(vals))]
-    sup_norm = max(_refine_max(pdf, at, TWO_PI / 4096), float(vals.max()))
-
     name = f"wrapped_normal_literal({sigma:g})" if literal else f"wrapped_normal({sigma:g})"
     return TestDensity(
         name=name,
         d=1,
         pdf=pdf,
         derivative=derivative,
-        sup_norm=sup_norm,
+        sup_norm=float(pdf(np.zeros(1))[0]),
         sampler=sampler,
         band_limit=band,
     )
@@ -260,8 +243,6 @@ def density_from_name(name, d=None):
     Known forms: "uniform", "wrapped_normal(sigma)",
     "wrapped_normal_literal(sigma)", and "product(name,name,...)" over 1-d
     factors. d disambiguates "uniform" and is checked against the rest.
-    Within one call, product factors with the same (stripped) text are built
-    once and shared; separate calls share nothing.
     """
     text = name.strip()
     if text == "uniform":
@@ -280,9 +261,7 @@ def density_from_name(name, d=None):
             density = wrapped_normal(float(inner), literal=True)
         elif head == "product":
             parts = _split_top_level(inner)
-            # a repeated factor is built (and its sup-norm certified) once per call
-            built = {part: density_from_name(part, d=1) for part in dict.fromkeys(parts)}
-            density = product_density([built[part] for part in parts])
+            density = product_density([density_from_name(part, d=1) for part in parts])
         else:
             raise ValueError(
                 f"unknown density {name!r}; known: uniform, wrapped_normal(sigma), "

@@ -92,8 +92,8 @@ class ThresholdRule:
     def __post_init__(self):
         if self.kind not in ("hard", "soft"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
-        if not self.kappa >= 0:
-            raise ValueError("kappa must be nonnegative")
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be nonnegative and finite")
         if self.n < 3:
             raise ValueError("thresholds need n >= 3")
         if not self.B > 1:

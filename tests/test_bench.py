@@ -251,6 +251,8 @@ def test_config_fuzz_raises_only_config_error(data):
 def test_config_validates_density_name():
     with pytest.raises(ConfigError, match="unknown density"):
         tn.config_from_dict(base_config(density="mystery"))
+    with pytest.raises(ConfigError, match="sigma=7 is too large"):
+        tn.config_from_dict(base_config(density="wrapped_normal(7)"))
     with pytest.raises(ConfigError, match="d=2"):
         tn.config_from_dict(base_config(d=2, m=[1, 0], grid=9))
 

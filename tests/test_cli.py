@@ -64,8 +64,12 @@ def test_frame_info_single_level(capsys):
 
 
 def test_frame_info_rejects_bad_base(capsys):
-    assert main(["frame-info", "--B", "1", "--d", "1", "--J", "2"]) == 2
-    assert "--B must satisfy B > 1" in capsys.readouterr().err
+    for B in ("1", "inf", "nan"):
+        assert main(["frame-info", "--B", B, "--d", "1", "--J", "2"]) == 2
+        assert "--B must satisfy B > 1" in capsys.readouterr().err
+    # finite, but B**J leaves the float range
+    assert main(["frame-info", "--B", "1e200", "--d", "1", "--J", "2"]) == 2
+    assert "B=1e+200 with J=2 overflows a float" in capsys.readouterr().err
 
 
 def test_no_subcommand_is_usage_error(capsys):
@@ -285,6 +289,27 @@ def test_estimate_kappa_flags_are_exclusive(tmp_path, capsys):
     assert not list(tmp_path.glob("k_*"))
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kappa", "1", "--B", "inf"], "--B must satisfy B > 1"),
+        (["--kappa", "1", "--B", "1e200", "--J", "2"], "B=1e+200 with J=2 overflows a float"),
+        (["--kappa", "inf"], "--kappa must be nonnegative and finite"),
+        (["--kappa0", "inf", "--M", "0.2"], "--kappa0 must be positive and finite"),
+        (["--kappa0", "1", "--M", "inf"], "--M must be positive and finite"),
+        # finite flags whose product kappa0 * M * I_1 overflows
+        (["--kappa0", "1e300", "--M", "1e300"], "kappa must be nonnegative and finite"),
+        (["--kappa", "1", "--grid", "9", "--density", "wrapped_normal(50)"], "too large"),
+    ],
+)
+def test_estimate_rejects_unusable_numbers_before_writing(tmp_path, capsys, flags, message):
+    data = tmp_path / "ok.csv"
+    data.write_text("0.5\n1.0\n1.5\n2.0\n")
+    assert main(["estimate", str(data), "--m", "1", "--out", str(tmp_path / "bad")] + flags) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad*"))
+
+
 # ---------------------------------------------------------------- bench
 
 
@@ -408,6 +433,21 @@ def test_bench_rejects_repeated_kappa0_before_writing(tmp_path, capsys):
     cfg.write_text(json.dumps(bench_config(kappa0=[1, 1.0])))
     assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "kappa0 lists 1.0 more than once" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "over, message",
+    [
+        ({"density": "wrapped_normal(10)"}, "sigma=10 is too large"),
+        ({"kappa0": [1.0, math.inf]}, "kappa0 must be a nonempty list of positive finite numbers"),
+    ],
+)
+def test_bench_rejects_unusable_numbers_before_writing(tmp_path, capsys, over, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(**over)))  # math.inf is written as Infinity
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -568,6 +608,19 @@ def test_eval_grid_rejects_mistyped_meta(kept_artifacts, tmp_path, capsys, key, 
     out = tmp_path / "v.csv"
     assert main(["eval-grid", stem, "--grid", "17", "--out", str(out)]) == 2
     assert f"'{key}' must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["null", "5"])
+def test_eval_grid_rejects_non_object_meta(kept_artifacts, tmp_path, capsys, text):
+    stem = str(tmp_path / "scalar")
+    Path(f"{stem}_meta.json").write_text(text)
+    Path(f"{stem}_coefficients.csv").write_text(
+        Path(f"{kept_artifacts}_coefficients.csv").read_text()
+    )
+    out = tmp_path / "v.csv"
+    assert main(["eval-grid", stem, "--grid", "17", "--out", str(out)]) == 2
+    assert f"{stem}_meta.json: must hold a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,8 +7,7 @@ import pytest
 from scipy import stats
 
 import torneed as tn
-from torneed import densities
-from torneed.densities import _gaussian_derivative, _refine_max
+from torneed.densities import _gaussian_derivative
 from torneed.harmonics import TWO_PI
 
 
@@ -113,32 +112,40 @@ def test_wrapped_normal_derivative_orders_advertised():
 
 
 def test_wrapped_normal_sup_norm_is_peak():
-    wn = tn.wrapped_normal(1.0)
-    grid = np.linspace(0, TWO_PI, 4096, endpoint=False)
-    assert wn.sup_norm >= np.max(wn.pdf(grid)) - 1e-12
+    # 2^16 equispaced points plus a close look around the peak at theta = 0
+    grid = tn.uniform_grid(2**16, 1).ravel()
+    for sigma in (1e-3, 0.01, 0.05, 0.1, 0.35, 0.5, 0.7, 1.0, 1.7, 2.5, 4.0, 5.5, 6.9):
+        near = np.linspace(-1e-6, 1e-6, 4097) * sigma
+        for literal in (False, True):
+            wn = tn.wrapped_normal(sigma, literal=literal)
+            peak = np.max(wn.pdf(np.concatenate([grid, near])))
+            assert peak <= wn.sup_norm * (1 + 8 * np.finfo(float).eps), (sigma, literal)
+        # a density on the circle averages 1/(2pi), so its peak is at least that
+        assert tn.wrapped_normal(sigma).sup_norm >= 1.0 / TWO_PI, sigma
     # sigma=1 wrapping correction is tiny: peak close to 1/sqrt(2 pi)
-    assert wn.sup_norm == pytest.approx(1.0 / math.sqrt(TWO_PI), abs=1e-3)
+    assert tn.wrapped_normal(1.0).sup_norm == pytest.approx(1.0 / math.sqrt(TWO_PI), abs=1e-3)
+
+
+# every sigma that the configs, demos, benchmark and tests use, with the
+# sup_norm that the grid-and-zoom peak search found at commit 21e45a0
+SUP_NORMS = {
+    (0.01, False): 39.894228040143275,
+    (0.35, False): 1.1398350868612364,
+    (0.5, False): 0.7978845608028654,
+    (0.7, False): 0.5699175434306182,
+    (1.0, False): 0.39894228253600367,
+    (0.01, True): 0.15915494309189535,
+    (0.35, True): 0.15915494309189535,
+    (0.5, True): 0.15915494309189535,
+    (0.7, True): 0.15915494309189535,
+    (1.0, True): 0.15915494394346597,
+}
 
 
 def test_wrapped_normal_sup_norm_frozen_values():
-    # the peak sits at theta = 0, which the probe grid contains
-    assert tn.wrapped_normal(1.0).sup_norm == pytest.approx(0.39894228253600367, rel=1e-15)
-    assert tn.wrapped_normal(0.5).sup_norm == pytest.approx(0.7978845608028654, rel=1e-15)
-    literal = tn.wrapped_normal(1.0, literal=True)
-    assert literal.sup_norm == pytest.approx(0.15915494394346597, rel=1e-15)
-
-
-def test_refine_max_finds_a_peak_between_probe_points():
-    # a spike of width 1e-3 whose top lies 0.2 probe steps off the nearest probe point
-    top = 1.2345678901234
-
-    def spike(t):
-        return np.exp(-(((t - top) / 1e-3) ** 2))
-
-    probe = np.linspace(0.0, TWO_PI, 4097)
-    at = probe[int(np.argmax(spike(probe)))]
-    assert spike(at) < 0.95
-    assert _refine_max(spike, at, TWO_PI / 4096) == pytest.approx(1.0, abs=1e-12)
+    # the closed form pdf(0) equals what the searched peak was, bit for bit
+    for (sigma, literal), sup_norm in SUP_NORMS.items():
+        assert tn.wrapped_normal(sigma, literal=literal).sup_norm == sup_norm
 
 
 def test_wrapped_normal_rejects_unusable_sigma():
@@ -148,6 +155,13 @@ def test_wrapped_normal_rejects_unusable_sigma():
     # a band limit beyond any integer grid
     with pytest.raises(ValueError, match="too small"):
         tn.wrapped_normal(1e-320)
+    # wider than the 21-term series resolves: at sigma = 50 it would report a
+    # sup_norm below 1/(2pi), which no density on the circle has
+    for sigma in (7.0, 10.0, 50.0):
+        with pytest.raises(ValueError, match="too large"):
+            tn.wrapped_normal(sigma)
+        with pytest.raises(ValueError, match="too large"):
+            tn.density_from_name(f"wrapped_normal({sigma})", 1)
 
 
 def test_wrapped_normal_band_limit_truncates_spectrum():
@@ -256,7 +270,8 @@ def test_density_from_name_rejects_unknown_and_mismatch():
 
 
 # name, sup_norm, band_limit and the first three draws at seed 2024, recorded at
-# commit 271fe72, which built every product factor separately
+# commit 271fe72, which built every product factor separately, as the registry
+# does again
 PRODUCT_FACTS = {
     "product(wrapped_normal(1.0), wrapped_normal(1.0))": (
         "product(wrapped_normal(1),wrapped_normal(1))",
@@ -264,7 +279,6 @@ PRODUCT_FACTS = {
         11,
         [[1.0288568739519013, 5.310005791705021], [1.6419200406711503, 4.890385210802718],
          [1.1467195295966137, 0.06719635507109722]],
-        1,
     ),
     "product(wrapped_normal(1.0),wrapped_normal(0.7))": (
         "product(wrapped_normal(1),wrapped_normal(0.7))",
@@ -272,26 +286,13 @@ PRODUCT_FACTS = {
         15,
         [[1.0288568739519013, 5.601959646347391], [1.6419200406711503, 5.308225239715778],
          [1.1467195295966137, 0.04703744854976805]],
-        2,
     ),
 }
 
 
 @pytest.mark.parametrize("text", sorted(PRODUCT_FACTS))
-def test_density_from_name_builds_each_distinct_factor_once(text, monkeypatch):
-    name, sup_norm, band, draws, builds = PRODUCT_FACTS[text]
-    calls = []
-    real = densities.wrapped_normal
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(densities, "wrapped_normal", counted)
+def test_density_from_name_builds_each_distinct_factor_once(text):
+    name, sup_norm, band, draws = PRODUCT_FACTS[text]
     prod = tn.density_from_name(text, 2)
-    assert len(calls) == builds
     assert (prod.name, prod.sup_norm, prod.band_limit) == (name, sup_norm, band)
     assert prod.sampler(np.random.default_rng(2024), 3).tolist() == draws
-    # a second call shares nothing with the first: no cache across calls
-    tn.density_from_name(text, 2)
-    assert len(calls) == 2 * builds

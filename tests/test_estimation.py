@@ -68,11 +68,16 @@ def test_threshold_rule_validation():
 @pytest.mark.parametrize("kind", ["hard", "soft"])
 @pytest.mark.parametrize(
     "kappa, B, match",
-    [(math.nan, 2.0, "kappa must be nonnegative"), (1.0, math.nan, "scale B must exceed 1")],
+    [
+        (math.nan, 2.0, "kappa must be nonnegative"),
+        (1.0, math.nan, "scale B must exceed 1"),
+        (math.inf, 2.0, "kappa must be nonnegative and finite"),
+    ],
 )
 def test_threshold_rule_rejects_nan(kind, kappa, B, match):
     # NaN fails every comparison: a NaN kappa would keep nothing (hard) or
-    # poison every coefficient (soft) if the checks were spelled as kappa < 0
+    # poison every coefficient (soft) if the checks were spelled as kappa < 0;
+    # an infinite kappa kills every coefficient at every level
     with pytest.raises(ValueError, match=match):
         tn.ThresholdRule(kind, kappa, (1,), 500, B)
 
