@@ -5,19 +5,14 @@ The pieces compose bottom-up: `harmonics` (Fourier basis, frequency shells),
 `estimation` (empirical coefficients, thresholds, truncation, synthesis),
 `densities` (test densities with exact derivatives and samplers), `bench`
 (seeded Monte Carlo risk experiments), `cli` (command-line front end).
+
+`bench` and its names load on first use (PEP 562 `__getattr__`), so that
+`import torneed.cli` for `estimate`, `eval-grid` or `frame-info` does not
+pay for the experiment runner and its thread pool.
 """
 
-from .bench import (
-    ConfigError,
-    ExperimentConfig,
-    RiskReport,
-    child_seed,
-    config_from_dict,
-    emit_report,
-    load_config,
-    lp_distance,
-    run_experiment,
-)
+import importlib
+
 from .densities import (
     density_from_name,
     product_density,
@@ -59,6 +54,19 @@ from .harmonics import (
 )
 
 __version__ = "0.1.0"
+
+# resolved from torneed.bench by __getattr__ on first use
+_BENCH_NAMES = (
+    "ConfigError",
+    "ExperimentConfig",
+    "RiskReport",
+    "child_seed",
+    "config_from_dict",
+    "emit_report",
+    "load_config",
+    "lp_distance",
+    "run_experiment",
+)
 
 __all__ = [
     "TWO_PI",
@@ -103,3 +111,12 @@ __all__ = [
     "wrapped_normal",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # import_module, not `from . import bench`: that looks `bench` up on this
+    # package first and so calls __getattr__ again before the submodule is bound
+    if name == "bench" or name in _BENCH_NAMES:
+        bench = importlib.import_module(__name__ + ".bench")
+        return bench if name == "bench" else getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

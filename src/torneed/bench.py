@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
 import numpy as np
@@ -430,6 +429,8 @@ def run_experiment(config, threads=1):
 
     R = config.replications
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             per_rep = list(pool.map(one_replication, range(R)))
     else:

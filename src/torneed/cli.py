@@ -13,10 +13,11 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
+from array import array
 
 import numpy as np
 
-from .bench import ConfigError, emit_report, load_config, run_experiment
 from .densities import density_from_name
 from .estimation import (
     ThresholdRule,
@@ -38,10 +39,6 @@ from .frame import (
     uniform_grid,
 )
 from .harmonics import TWO_PI, as_multi_index, wrap_angles
-
-
-# bytes of text _load_samples parses at a time (whole lines, so a little more)
-_CHUNK_BYTES = 1 << 18
 
 
 class DataError(RuntimeError):
@@ -81,56 +78,74 @@ def _needlet_frame(B, d, J):
 def _load_samples(path, d):
     """Parse a headerless CSV of d angle columns; wrap angles into [0, 2pi).
 
-    Blank lines are skipped and every token goes through Python's float().
-    Lines are parsed in chunks of about _CHUNK_BYTES, so only one chunk's
-    strings are alive at once. Malformed rows abort with their line numbers,
-    found by reading the file again. Returns (points, number of rows that
-    needed wrapping).
+    The file is opened once, as UTF-8 text. When it can be read twice (not a
+    pipe), numpy's C reader parses it first, and its result stands only when
+    it is at least one row of exactly d finite values: on such a file it reads
+    the doubles float() reads. Anything else (a line of only spaces or tabs, a
+    spelling only float() accepts such as "1_0", a malformed row, an empty
+    file, text that is not UTF-8) goes to the line reader, which reads the same
+    handle again from the start and decides the result or the message.
+    Returns (points, number of rows that needed wrapping).
     """
-    chunks = []
     with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(_CHUNK_BYTES):
-            rows = [text for text in map(str.strip, lines) if text]
-            if not rows:
-                continue
-            if any(text.count(",") != d - 1 for text in rows):
-                raise DataError(_malformed_rows_message(path, d))
-            # one column: every stripped row already is a token
-            tokens = rows if d == 1 else ",".join(rows).split(",")
+        X = None
+        if fh.seekable():
+            X = _read_clean_samples(fh, d)
+            fh.seek(0)
+        if X is None:
             try:
-                chunks.append(np.fromiter(map(float, tokens), dtype=float, count=len(tokens)))
-            except ValueError:
-                raise DataError(_malformed_rows_message(path, d)) from None
-    X = np.concatenate(chunks).reshape(-1, d) if chunks else np.empty((0, d))
-    if X.shape[0] == 0:
-        raise DataError(f"{path}: no sample rows")
-    if not np.all(np.isfinite(X)):
-        raise DataError(_malformed_rows_message(path, d))
+                X = _read_sample_lines(fh, path, d)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
     outside = int(np.count_nonzero(np.any((X < 0) | (X >= TWO_PI), axis=1)))
     return wrap_angles(X), outside
 
 
-def _malformed_rows_message(path, d):
-    """Name the first 20 nonblank lines that are not d finite comma-separated floats."""
-    bad = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                vals = [float(v) for v in text.split(",")]
-            except ValueError:
-                bad.append(lineno)
-                continue
-            if len(vals) != d or not all(math.isfinite(v) for v in vals):
-                bad.append(lineno)
-    shown = ", ".join(str(b) for b in bad[:20])
-    more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
-    return (
-        f"{path}: malformed rows (need {d} finite comma-separated angles) "
-        f"at line {shown}{more}"
-    )
+def _read_clean_samples(fh, d):
+    """The (n, d) array np.loadtxt reads from text handle fh, or None for the line reader."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file warns "input contained no data"; the line reader reports it
+            warnings.simplefilter("ignore", UserWarning)
+            X = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if X.shape[1] != d or X.shape[0] == 0 or not np.all(np.isfinite(X)):
+        return None
+    return X
+
+
+def _read_sample_lines(fh, path, d):
+    """Parse the text handle line by line: every token goes through Python's float().
+
+    Blank lines are skipped. Every other line must be d finite comma-separated
+    floats; the first 20 that are not are named, with their line numbers.
+    The values collect in a flat array of doubles, 8 bytes each.
+    """
+    values, bad = array("d"), []
+    for lineno, line in enumerate(fh, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            vals = [float(v) for v in text.split(",")]
+        except ValueError:
+            bad.append(lineno)
+            continue
+        if len(vals) != d or not all(math.isfinite(v) for v in vals):
+            bad.append(lineno)
+        elif not bad:
+            values.extend(vals)
+    if bad:
+        shown = ", ".join(str(b) for b in bad[:20])
+        more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
+        raise DataError(
+            f"{path}: malformed rows (need {d} finite comma-separated angles) "
+            f"at line {shown}{more}"
+        )
+    if not values:
+        raise DataError(f"{path}: no sample rows")
+    return np.array(values, dtype=float).reshape(-1, d)
 
 
 def _write_grid_csv(path, grid, vals, truth):
@@ -220,6 +235,9 @@ def _cmd_estimate(args):
 
 
 def _cmd_bench(args):
+    # bench (and the thread pool it may start) loads only for this subcommand
+    from .bench import emit_report, load_config, run_experiment
+
     _require(args.threads >= 1, "--threads must be at least 1")
     config = load_config(args.config)
     if args.seed is not None:
@@ -259,7 +277,10 @@ def _cmd_eval_grid(args):
     meta_path = f"{args.stem}_meta.json"
     coeff_path = f"{args.stem}_coefficients.csv"
     with open(meta_path, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+        try:
+            meta = json.load(fh)
+        except ValueError as exc:  # invalid JSON or not UTF-8
+            raise ValueError(f"{meta_path}: not valid JSON ({exc})") from None
     _require(isinstance(meta, dict), f"{meta_path}: must hold a JSON object")
     for key in ("B", "d", "m", "n", "kappa", "rule", "J"):
         _require(key in meta, f"{meta_path}: missing key {key!r}")
@@ -346,7 +367,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # bench.ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DataError, OSError, RuntimeError) as exc:

@@ -20,7 +20,6 @@ import math
 import re
 
 import numpy as np
-from numpy.polynomial import hermite_e
 
 from .harmonics import TWO_PI, as_multi_index, as_points
 
@@ -87,9 +86,22 @@ def _gaussian_derivative(order, x, sigma):
     gauss = np.exp(-0.5 * u**2)
     if order == 0:
         return gauss
-    coeffs = np.zeros(order + 1)
-    coeffs[order] = 1.0
-    return (-1.0) ** order * sigma ** (-order) * hermite_e.hermeval(u, coeffs) * gauss
+    return (-1.0) ** order * sigma ** (-order) * _hermite_e(order, u) * gauss
+
+
+def _hermite_e(order, u):
+    """He_order(u) for order >= 1 by the Clenshaw recurrence.
+
+    These are the operations, in their order, that numpy.polynomial's
+    hermite_e.hermeval runs for the unit coefficient vector of He_order, so
+    the values are the same bit for bit; "0.0 - v" and "0.0 + v" keep its
+    signs of zero. Stated here so that importing torneed does not import
+    numpy.polynomial.
+    """
+    c0, c1 = 0.0, 1.0
+    for nd in range(order, 1, -1):
+        c0, c1 = 0.0 - c1 * (nd - 1), c0 + c1 * u
+    return c0 + c1 * u
 
 
 # the wrapped normal sums its series over the shifts 2pi k, k = -10..10

@@ -448,11 +448,18 @@ def read_estimator_csv(path):
         header = fh.readline().strip()
         if header != "j,k,raw,thresholded,tau":
             raise ValueError(f"unexpected estimator CSV header {header!r} in {path}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             if line.strip():
-                j_s, k_s, raw_s, kept_s, tau_s = line.strip().split(",")
-                row = (int(k_s), float(raw_s), float(kept_s), float(tau_s))
-                by_level.setdefault(int(j_s), []).append(row)
+                try:
+                    j_s, k_s, raw_s, kept_s, tau_s = line.strip().split(",")
+                    row = (int(k_s), float(raw_s), float(kept_s), float(tau_s))
+                    j = int(j_s)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}: line {lineno} is not a row j,k,raw,thresholded,tau "
+                        "of two integers and three floats"
+                    ) from None
+                by_level.setdefault(j, []).append(row)
     levels = dense_levels(path, by_level)
     return [lv[0] for lv in levels], [lv[1] for lv in levels], [float(lv[2][0]) for lv in levels]
 

@@ -76,7 +76,6 @@ import dataclasses
 import math
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .harmonics import (
     TWO_PI,
@@ -133,7 +132,16 @@ def drop_imag(values, what="evaluation"):
 # Gauss-Legendre rule on [-1, 1]: the ramp integrates the bump over one grid
 # cell (or part of one) with it, the moments integrate b^2 over each panel.
 # Doubling the nodes or quadrupling the panels moves nothing beyond rounding.
-_GL_NODES, _GL_WEIGHTS = leggauss(8)
+# The 8 nodes and weights are numpy.polynomial.legendre.leggauss(8) bit for bit,
+# written out so that importing the frame does not import numpy.polynomial.
+_GL_NODES = np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362,
+])
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706,
+])
 # equal panels on each side of u = 1 in the moment quadrature
 _MOMENT_PANELS = 64
 # uniform nodes on [-1, 1] at which the window ramp is tabulated

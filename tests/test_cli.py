@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 import os
+import gzip
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torneed as tn
-from torneed.cli import DataError, _load_samples, main
+from torneed.cli import DataError, _load_samples, _read_sample_lines, main
 from torneed.harmonics import wrap_angles
 
 
@@ -233,11 +235,19 @@ def _assert_same_parse(path, text, d):
     assert _outcome(_load_samples, path, d) == _outcome(_load_samples_by_line, path, d)
 
 
+# 10k rows of two 17-digit angles, as np.savetxt writes them
+_CLEAN_ROWS = "".join(
+    f"{a:.17g},{b:.17g}\n" for a, b in np.random.default_rng(2718).uniform(0, 7, (10000, 2))
+)
+
+
 @pytest.mark.parametrize(
     "text, d",
     [
         ("0.5\n\n  \n1.0\n7.5\n-1\n", 1),  # blank and whitespace-only lines
         ("0.5,1\r\n 1.5 , 2\r\n\r\n3,1_0\n", 2),  # CRLF, padding, digit separators
+        ("0.5,1\r\n1.5,2\r\n", 2),  # CRLF in a file numpy's reader settles
+        ("0.5\r1.0\n1.5", 1),  # a lone carriage return ends a line too
         ("0.5,1\n2\n1,2,3\n", 2),  # wrong widths
         ("0.5\nabc\n1.0\n\n0x1\n1,\n", 1),  # bad tokens
         ("0.5\nnan\n-inf\n1e999\n2\n", 1),  # non-finite values
@@ -245,10 +255,29 @@ def _assert_same_parse(path, text, d):
         ("\n".join(["x"] * 20 + ["0.5"]), 1),  # exactly 20 bad lines
         ("\n \n\n", 1),  # no rows at all
         ("0.25,6.5,-0.5\n1,2,3", 3),  # last line without newline
+        ("0.5\n# note\n1.0\n", 1),  # a comment line is a bad line, not a comment
+        ('0.5\n"1.0"\n', 1),  # quoted token
+        ("\ufeff0.5\n1.0\n", 1),  # UTF-8 byte order mark
+        ("1,0\n", 1),  # two columns where one is asked for
+        ("\u0663.5\n1.0\n", 1),  # Arabic-Indic digits, which float() accepts
+        ("0x1p3\n", 1),  # hexadecimal float
+        ("0.5\ninfinity\n", 1),
+        ("", 1),  # 0-byte file
+        ("\n\n\n", 2),  # only blank lines
+        pytest.param(_CLEAN_ROWS, 2, id="clean-10k-rows"),
     ],
 )
-def test_load_samples_matches_line_reader(tmp_path, text, d):
+def test_load_samples_matches_line_reader(tmp_path, monkeypatch, text, d):
+    line_reads = []
+
+    def spy(fh, path, d):
+        line_reads.append(path)
+        return _read_sample_lines(fh, path, d)
+
+    monkeypatch.setattr("torneed.cli._read_sample_lines", spy)
     _assert_same_parse(tmp_path / "s.csv", text, d)
+    if text is _CLEAN_ROWS:
+        assert line_reads == []  # numpy's reader settles a clean file alone
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -267,6 +296,46 @@ def test_load_samples_matches_line_reader(tmp_path, text, d):
 def test_load_samples_matches_line_reader_on_random_files(tmp_path_factory, lines, d):
     path = tmp_path_factory.mktemp("fuzz") / "s.csv"
     _assert_same_parse(path, "\n".join(lines), d)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_samples_reads_a_pipe_once(tmp_path, monkeypatch):
+    # a pipe cannot be read twice: it goes to the line reader alone, which
+    # must see every line (a whitespace-only one sends a file past numpy's reader)
+    text = "0.5\n  \n1.0\n7.5\n"
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text, encoding="utf-8")
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=pipe.write_text, args=(text,), kwargs={"encoding": "utf-8"})
+    writer.daemon = True
+    writer.start()
+    monkeypatch.setattr("torneed.cli._read_clean_samples", lambda *args: pytest.fail("numpy read a pipe"))
+    X, outside = _load_samples(pipe, 1)
+    writer.join(timeout=10)
+    Xref, outside_ref = _load_samples_by_line(plain, 1)
+    assert (X.tobytes(), X.shape, outside) == (Xref.tobytes(), Xref.shape, outside_ref)
+
+
+def test_estimate_reads_only_the_named_file(tmp_path, capsys):
+    # a compressed neighbour of a missing file is not read in its place
+    with gzip.open(tmp_path / "s.csv.gz", "wt") as fh:
+        fh.write("0.5\n1.0\n1.5\n2.0\n")
+    out = str(tmp_path / "z")
+    code = main(["estimate", str(tmp_path / "s.csv"), "--m", "1", "--kappa", "1", "--out", out])
+    assert code == 1
+    assert "No such file" in capsys.readouterr().err
+    assert not list(tmp_path.glob("z_*"))
+
+
+def test_estimate_rejects_data_that_is_not_utf8(tmp_path, capsys):
+    # UTF-16 with its byte order mark: a data error (exit 1), not a usage error
+    data = tmp_path / "utf16.csv"
+    data.write_bytes("0.5\n1.0\n1.5\n".encode("utf-16"))
+    code = main(["estimate", str(data), "--m", "1", "--kappa", "1", "--out", str(tmp_path / "u")])
+    assert code == 1
+    assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
+    assert not list(tmp_path.glob("u_*"))
 
 
 def test_estimate_needs_enough_samples(tmp_path, capsys):
@@ -624,6 +693,36 @@ def test_eval_grid_rejects_non_object_meta(kept_artifacts, tmp_path, capsys, tex
     assert not out.exists()
 
 
+def test_eval_grid_names_a_meta_file_that_is_not_json(kept_artifacts, tmp_path, capsys):
+    stem = str(tmp_path / "garbled")
+    Path(f"{stem}_meta.json").write_text("{'B': 2.0}")
+    Path(f"{stem}_coefficients.csv").write_text(
+        Path(f"{kept_artifacts}_coefficients.csv").read_text()
+    )
+    out = tmp_path / "v.csv"
+    assert main(["eval-grid", stem, "--grid", "17", "--out", str(out)]) == 2
+    assert f"error: {stem}_meta.json: not valid JSON (Expecting property name" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["0,1,0.5", "0,1,x,0.5,0.25"])
+def test_eval_grid_names_the_malformed_coefficient_line(kept_artifacts, tmp_path, capsys, row):
+    # line 3 of a copy of kept_artifacts' CSV gets too few fields, or a token
+    # that is not a number
+    stem = str(tmp_path / "garbled")
+    Path(f"{stem}_meta.json").write_text(Path(f"{kept_artifacts}_meta.json").read_text())
+    lines = Path(f"{kept_artifacts}_coefficients.csv").read_text().split("\n")
+    lines[2] = row
+    Path(f"{stem}_coefficients.csv").write_text("\n".join(lines))
+    out = tmp_path / "v.csv"
+    assert main(["eval-grid", stem, "--grid", "17", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {stem}_coefficients.csv: line 3 is not a row j,k,raw,thresholded,tau" in err
+    assert not out.exists()
+
+
 def test_eval_grid_detects_level_mismatch(kept_artifacts, tmp_path, capsys):
     # copy the artifacts, then claim one more level than the CSV holds
     meta = json.loads(Path(f"{kept_artifacts}_meta.json").read_text())
@@ -658,17 +757,34 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
-def test_cli_runs_without_scipy(tmp_path):
+def _fresh_python(code, *args):
+    """Run `code` in a new interpreter that imports torneed from this checkout."""
     env = dict(os.environ)
     src = str(Path(tn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY, str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    proc = _fresh_python(_WITHOUT_SCIPY, str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().split("\n")[-1] == "['scipy']"  # only the None placeholder
     assert (tmp_path / "g.csv").read_text().count("\n") == 10
+
+
+_COLD_IMPORT = """
+import sys
+import torneed.cli
+print(sorted(m for m in ("torneed.bench", "concurrent.futures", "numpy.polynomial") if m in sys.modules))
+import torneed as tn
+print(tn.bench.__name__, tn.run_experiment.__module__)
+"""
+
+
+def test_cli_import_leaves_bench_thread_pool_and_polynomials_unloaded():
+    # estimate, eval-grid and frame-info need none of them; bench loads on first use
+    proc = _fresh_python(_COLD_IMPORT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["[]", "torneed.bench torneed.bench"]

@@ -70,6 +70,24 @@ def test_gaussian_derivative_matches_finite_differences():
         np.testing.assert_allclose(_gaussian_derivative(order, x, sigma), (hi - lo) / (2 * h), atol=1e-8)
 
 
+def test_gaussian_derivative_is_the_hermeval_form_bit_for_bit():
+    # the Clenshaw recurrence stands in for numpy.polynomial's hermeval at
+    # import; it must give the very bits of the form it replaced
+    from numpy.polynomial import hermite_e
+
+    x = np.random.default_rng(8).normal(0.0, 5.0, 10000)
+    x[:2] = 0.0, -0.0
+    for sigma in (0.4, 1.0, 2.3):
+        u = x / sigma
+        gauss = np.exp(-0.5 * u**2)
+        assert _gaussian_derivative(0, x, sigma).tobytes() == gauss.tobytes()
+        for order in range(1, 9):
+            coeffs = np.zeros(order + 1)
+            coeffs[order] = 1.0
+            ref = (-1.0) ** order * sigma ** (-order) * hermite_e.hermeval(u, coeffs) * gauss
+            assert _gaussian_derivative(order, x, sigma).tobytes() == ref.tobytes(), (sigma, order)
+
+
 # ---------------------------------------------------------------- wrapped normal
 
 

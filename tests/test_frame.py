@@ -11,6 +11,8 @@ import torneed as tn
 from torneed.frame import (
     MAX_GRID_POINTS,
     PHASE_BLOCK_BYTES,
+    _GL_NODES,
+    _GL_WEIGHTS,
     _check_structure,
     block_rows,
     drop_imag,
@@ -99,6 +101,14 @@ def test_window_interior_frozen_values():
     w = tn.NeedletWindow(1.5)
     assert w(0.8) == pytest.approx(0.5801056054133314, rel=1e-12)
     assert w(1.2) == pytest.approx(0.8145412737044284, rel=1e-12)
+
+
+def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(8)
+    assert _GL_NODES.tobytes() == nodes.tobytes()
+    assert _GL_WEIGHTS.tobytes() == weights.tobytes()
 
 
 def test_window_rejects_bad_base():

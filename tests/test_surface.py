@@ -21,6 +21,8 @@ def test_all_is_exactly_what_init_binds():
             names = {t.id for t in node.targets if isinstance(t, ast.Name)}
             if names == {"__all__"}:
                 listed = [ast.literal_eval(elt) for elt in node.value.elts]
+            elif names == {"_BENCH_NAMES"}:
+                bound |= set(ast.literal_eval(node.value))  # bound on first use by __getattr__
             else:
                 bound |= names
     assert listed is not None
