@@ -24,7 +24,6 @@ from .estimation import (
     ThresholdRule,
     apply_threshold,
     calibrated_rule,
-    diagnostic_bandwidth,
     empirical_coefficients,
     estimate,
     read_estimator_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "child_seed",
     "config_from_dict",
     "density_from_name",
-    "diagnostic_bandwidth",
     "emit_report",
     "empirical_coefficients",
     "estimate",

@@ -30,19 +30,11 @@ from .estimation import (
     apply_threshold,  # noqa: F401  (perfbench/spans.py wraps bench.apply_threshold)
     calibrated_rule,
     empirical_coefficients,
+    read_input,
     thresholded_estimator,
     truncation_level,
 )
-from .frame import (
-    MAX_GRID_POINTS,
-    NeedletFrame,
-    analysis_grid_size,
-    analyze,
-    cubature_size,
-    exceeds_grid_cap,
-    min_grid_size,
-    uniform_grid,
-)
+from .frame import NeedletFrame, analyze, min_grid_size, size_violations, uniform_grid
 from .harmonics import TWO_PI
 
 _MASK64 = (1 << 64) - 1
@@ -235,31 +227,16 @@ def config_from_dict(data):
     if None not in (n, d, m, B, J, grid):
         try:
             j_resolved = truncation_level(n, d, sum(m), B) if J == "auto" else J
-            jmax = max(j_resolved - 1, 0)
-            min_grid = min_grid_size(B, j_resolved)
-            top = cubature_size(B, jmax)
         except OverflowError:
             errors.append(f"J={J} with B={B:g} overflows a float (in n / ln n or B**J)")
         else:
+            # the coefficient proxy analyzes the density on levels 0..J-1
+            proxy = method in ("coefficient-proxy", "both")
+            sizes = size_violations(B, d, j_resolved, grid, band if proxy else None)
+            min_grid = 0 if sizes else min_grid_size(B, j_resolved)  # no grid resolves a refused run
             if grid < min_grid:
                 errors.append(f"grid must be at least {min_grid} to resolve J={j_resolved} levels")
-            if exceeds_grid_cap(grid, d):
-                errors.append(
-                    f"evaluation grid of {grid}^{d} points exceeds the cap {MAX_GRID_POINTS}"
-                )
-            if exceeds_grid_cap(top, d):
-                errors.append(
-                    f"cubature of {top}^{d} points at level {jmax}"
-                    f" exceeds the cap {MAX_GRID_POINTS}"
-                )
-            # the coefficient proxy analyzes the density on levels 0..J-1
-            if method in ("coefficient-proxy", "both") and band is not None:
-                npts = analysis_grid_size(B, j_resolved - 1, band)
-                if exceeds_grid_cap(npts, d):
-                    errors.append(
-                        f"analysis grid of {npts}^{d} points for {density} at J={j_resolved}"
-                        f" exceeds the cap {MAX_GRID_POINTS}"
-                    )
+            errors.extend(sizes)
 
     if errors:
         raise ConfigError("invalid experiment config:\n  - " + "\n  - ".join(errors))
@@ -269,8 +246,7 @@ def config_from_dict(data):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    return config_from_dict(read_input(path))
 
 
 class CountRow(NamedTuple):

@@ -1,16 +1,18 @@
 """Command-line entry point: frame inspection, estimation, benchmarks, grids.
 
-Exit codes are a stable scripting contract: 0 success, 1 runtime or I/O
-failure, 2 usage or validation failure. No subcommand writes a file before
-its inputs have validated, so invalid invocations leave no partial output.
-Angles are radians everywhere.
+Exit codes are a stable scripting contract: 0 success; 1 an OS or runtime
+failure (a file that cannot be opened, a failing replication); 2 refused
+usage or input content (a bad flag, a file that is not UTF-8 or not JSON, a
+malformed row or value, a run too large for the frame's size caps). Every
+refusal is a ValueError, printed as one `error:` line. No subcommand writes
+a file before its inputs have validated, so invalid invocations leave no
+partial output. Angles are radians everywhere.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 import warnings
@@ -24,34 +26,20 @@ from .estimation import (
     calibrated_rule,
     estimate,
     read_estimator_csv,
+    read_input,
     synthesize,
     truncation_level,
     with_density_mean,
     write_estimator_csv,
     write_estimator_meta,
 )
-from .frame import (
-    MAX_GRID_POINTS,
-    CoefficientArray,
-    NeedletFrame,
-    exceeds_grid_cap,
-    needlet_l2_norm,
-    uniform_grid,
-)
+from .frame import CoefficientArray, NeedletFrame, needlet_l2_norm, uniform_grid
 from .harmonics import TWO_PI, as_multi_index, wrap_angles
-
-
-class DataError(RuntimeError):
-    """Unusable input data (as opposed to bad usage); exits with code 1."""
 
 
 def _require(cond, message):
     if not cond:
         raise ValueError(message)
-
-
-def _grid_cap_message(grid, d):
-    return f"--grid {grid} in d={d} asks for {grid}^{d} points, above the cap {MAX_GRID_POINTS}"
 
 
 def _parse_m(text, d):
@@ -67,14 +55,6 @@ def _check_base_flags(args):
     _require(1 < args.B < math.inf, f"--B must satisfy B > 1 and be finite, got {args.B:g}")
 
 
-def _needlet_frame(B, d, J):
-    """The frame of levels 0..J-1; a B**J past the float range is a ValueError."""
-    try:
-        return NeedletFrame(B, d, jmax=max(J - 1, 0))
-    except OverflowError:
-        raise ValueError(f"B={B:g} with J={J} overflows a float in B**J") from None
-
-
 def _load_samples(path, d):
     """Parse a headerless CSV of d angle columns; wrap angles into [0, 2pi).
 
@@ -84,19 +64,20 @@ def _load_samples(path, d):
     the doubles float() reads. Anything else (a line of only spaces or tabs, a
     spelling only float() accepts such as "1_0", a malformed row, an empty
     file, text that is not UTF-8) goes to the line reader, which reads the same
-    handle again from the start and decides the result or the message.
+    handle again from the start and decides the result or the message
+    (read_input names a file that is not UTF-8).
     Returns (points, number of rows that needed wrapping).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        X = None
+
+    def parse(fh):
         if fh.seekable():
             X = _read_clean_samples(fh, d)
+            if X is not None:
+                return X
             fh.seek(0)
-        if X is None:
-            try:
-                X = _read_sample_lines(fh, path, d)
-            except UnicodeDecodeError as exc:
-                raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        return _read_sample_lines(fh, path, d)
+
+    X = read_input(path, parse)
     outside = int(np.count_nonzero(np.any((X < 0) | (X >= TWO_PI), axis=1)))
     return wrap_angles(X), outside
 
@@ -139,12 +120,12 @@ def _read_sample_lines(fh, path, d):
     if bad:
         shown = ", ".join(str(b) for b in bad[:20])
         more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
-        raise DataError(
+        raise ValueError(
             f"{path}: malformed rows (need {d} finite comma-separated angles) "
             f"at line {shown}{more}"
         )
     if not values:
-        raise DataError(f"{path}: no sample rows")
+        raise ValueError(f"{path}: no sample rows")
     return np.array(values, dtype=float).reshape(-1, d)
 
 
@@ -165,7 +146,7 @@ def _cmd_frame_info(args):
     _require(args.J >= 0, f"--J must be nonnegative, got {args.J}")
     m = _parse_m(args.m, args.d) if args.m else as_multi_index(None, args.d)
     # J counts levels, as in estimate and the bench configs: rows 0..J-1
-    frame = _needlet_frame(args.B, args.d, args.J)
+    frame = NeedletFrame(args.B, args.d, jmax=max(args.J - 1, 0))
     moments = [frame.window.moment(q) for q in (0, 1, 2)]
     print(f"B={args.B:g}  d={args.d}  J={args.J}  m=({','.join(str(v) for v in m)})")
     print(
@@ -197,7 +178,6 @@ def _cmd_estimate(args):
         _require(args.J >= 0, f"--J must be nonnegative, got {args.J}")
     if args.grid is not None:
         _require(args.grid >= 1, "--grid must be a positive integer")
-        _require(not exceeds_grid_cap(args.grid, args.d), _grid_cap_message(args.grid, args.d))
     density = density_from_name(args.density, args.d) if args.density else None
 
     X, outside = _load_samples(args.data, args.d)
@@ -205,9 +185,9 @@ def _cmd_estimate(args):
         print(f"warning: wrapped {outside} row(s) into [0, 2pi)", file=sys.stderr)
     n = X.shape[0]
     if n < 3:
-        raise DataError(f"{args.data}: need at least 3 samples, got {n}")
+        raise ValueError(f"{args.data}: need at least 3 samples, got {n}")
     J = args.J if args.J is not None else truncation_level(n, args.d, sum(m), args.B)
-    frame = _needlet_frame(args.B, args.d, J)
+    frame = NeedletFrame(args.B, args.d, jmax=max(J - 1, 0), grid=args.grid)
     if args.kappa is not None:
         rule = ThresholdRule(
             args.rule, args.kappa, m, n, args.B, scale_with_n=not args.literal_paper_kappa
@@ -276,24 +256,19 @@ def _cmd_eval_grid(args):
     _require(args.grid >= 1, "--grid must be a positive integer")
     meta_path = f"{args.stem}_meta.json"
     coeff_path = f"{args.stem}_coefficients.csv"
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        try:
-            meta = json.load(fh)
-        except ValueError as exc:  # invalid JSON or not UTF-8
-            raise ValueError(f"{meta_path}: not valid JSON ({exc})") from None
+    meta = read_input(meta_path)
     _require(isinstance(meta, dict), f"{meta_path}: must hold a JSON object")
     for key in ("B", "d", "m", "n", "kappa", "rule", "J"):
         _require(key in meta, f"{meta_path}: missing key {key!r}")
     B, d, J, m = _estimator_shape(meta, meta_path)
-    _require(not exceeds_grid_cap(args.grid, d), _grid_cap_message(args.grid, d))
+    frame = NeedletFrame(B, d, jmax=max(J - 1, 0), grid=args.grid)
     density = density_from_name(args.density, d) if args.density else None
 
     _, kept_levels, _ = read_estimator_csv(coeff_path)
     if len(kept_levels) != J:
-        raise DataError(
+        raise ValueError(
             f"{coeff_path}: expected coefficients for {J} level(s), found {len(kept_levels)}"
         )
-    frame = _needlet_frame(B, d, J)
     coeffs = CoefficientArray(m, kept_levels)
     grid = uniform_grid(args.grid, d)
     vals = with_density_mean(synthesize(frame, coeffs, grid), m)
@@ -367,10 +342,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:  # bench.ConfigError is a ValueError
+    except ValueError as exc:  # refused input; bench.ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, OSError, RuntimeError) as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -398,30 +398,6 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     return _family_values(box[(band,) * frame.d], plan.points, table).reshape(lead + (n,))
 
 
-def diagnostic_bandwidth(s, m_total, d, B, n, zone, r=None):
-    """Resolution level an oracle tuned to smoothness s would pick.
-
-    Regular zone: B^J ~ (n/ln n)^(1/(2(s+|m|)+d)). Sparse zone replaces the
-    exponent denominator by 2(s+|m|+d(1/2-1/r)) and therefore needs r; it is
-    meaningful for s > d/r. Diagnostic only; the estimator never uses it.
-    """
-    if s <= 0:
-        raise ValueError("smoothness s must be positive")
-    if n < 3:
-        raise ValueError("need n >= 3")
-    if zone == "regular":
-        denom = 2 * (s + m_total) + d
-    elif zone == "sparse":
-        if r is None:
-            raise ValueError("sparse zone needs the integrability index r")
-        if s * r <= d:
-            raise ValueError("sparse zone needs s > d/r")
-        denom = 2 * (s + m_total + d * (0.5 - 1.0 / r))
-    else:
-        raise ValueError(f"unknown zone {zone!r}")
-    return int(math.floor(math.log(n / math.log(n), B) / denom))
-
-
 def write_estimator_csv(est, path):
     """One row per coefficient: `j,k,raw,thresholded,tau`, 17 significant digits."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -437,31 +413,52 @@ def write_estimator_meta(est, path):
         fh.write("\n")
 
 
+def read_input(path, parse=json.load):
+    """parse(fh) of the file at path, opened once as UTF-8 text.
+
+    Every input file (samples, coefficient CSV, meta and config JSON) is
+    read through here, so bytes that are not UTF-8 and text that is not
+    JSON are each one ValueError naming the file. An OSError (no such file,
+    a directory) passes through.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested to decode
+            raise ValueError(f"{path}: not valid JSON ({exc})") from None
+
+
 def read_estimator_csv(path):
     """Parse an estimator CSV back into level arrays in one pass.
 
     Returns (raw levels, thresholded levels, taus) as lists indexed by j.
     Rows may come in any order; gaps and repeats are rejected (dense_levels).
     """
-    by_level = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "j,k,raw,thresholded,tau":
-            raise ValueError(f"unexpected estimator CSV header {header!r} in {path}")
-        for lineno, line in enumerate(fh, start=2):
-            if line.strip():
-                try:
-                    j_s, k_s, raw_s, kept_s, tau_s = line.strip().split(",")
-                    row = (int(k_s), float(raw_s), float(kept_s), float(tau_s))
-                    j = int(j_s)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}: line {lineno} is not a row j,k,raw,thresholded,tau "
-                        "of two integers and three floats"
-                    ) from None
-                by_level.setdefault(j, []).append(row)
-    levels = dense_levels(path, by_level)
+    levels = dense_levels(path, read_input(path, lambda fh: _rows_by_level(fh, path)))
     return [lv[0] for lv in levels], [lv[1] for lv in levels], [float(lv[2][0]) for lv in levels]
+
+
+def _rows_by_level(fh, path):
+    """The rows of an estimator CSV text handle as {j: [(k, raw, thresholded, tau), ...]}."""
+    by_level = {}
+    header = fh.readline().strip()
+    if header != "j,k,raw,thresholded,tau":
+        raise ValueError(f"unexpected estimator CSV header {header!r} in {path}")
+    for lineno, line in enumerate(fh, start=2):
+        if line.strip():
+            try:
+                j_s, k_s, raw_s, kept_s, tau_s = line.strip().split(",")
+                row = (int(k_s), float(raw_s), float(kept_s), float(tau_s))
+                j = int(j_s)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno} is not a row j,k,raw,thresholded,tau "
+                    "of two integers and three floats"
+                ) from None
+            by_level.setdefault(j, []).append(row)
+    return by_level
 
 
 def dense_levels(path, by_level):

@@ -60,6 +60,8 @@ orders m != 0 this is immaterial; for m = 0 the estimator adds the mean
 
 An estimator with J levels uses levels 0..J-1 on a frame with jmax =
 max(J-1, 0); min_grid_size(B, J) uniform points per axis resolve it.
+size_violations(B, d, J) is the one place that decides whether such a
+frame, and the grids evaluated or analyzed with it, may be built at all.
 
 Fixed constants: the window ramp is tabulated on _RAMP_NODES = 4097 nodes
 with an 8-node Gauss-Legendre rule per cell, the window moments use
@@ -92,8 +94,11 @@ IMAG_RESIDUE_TOL = 1e-9
 # bytes of one complex phase block; every row-blocked loop sizes its rows from it
 PHASE_BLOCK_BYTES = 1 << 22
 
-# most points a cubature, analysis or evaluation grid may hold
+# most points a cubature, analysis or evaluation grid may hold, and all of a frame's cubatures
 MAX_GRID_POINTS = 10**8
+
+# most levels a frame may hold: at about 0.25 ms per level (2-core x86 VM), a build within a second
+MAX_LEVELS = 4096
 
 
 def exceeds_grid_cap(per_axis, d):
@@ -103,6 +108,42 @@ def exceeds_grid_cap(per_axis, d):
     dimensions as the cap has bits are already past it.
     """
     return per_axis > 1 and (d >= MAX_GRID_POINTS.bit_length() or per_axis**d > MAX_GRID_POINTS)
+
+
+def size_violations(B, d, J, grid=None, band_limit=None):
+    """Why a run with levels 0..J-1 at scale B in dimension d is too big to build, as messages.
+
+    The one place sizes are decided, before anything is built or any
+    per-level loop runs: B**J overflowing a float (reported alone, since no
+    size follows from it), more than MAX_LEVELS levels, the top cubature or
+    the sum of every level's cubature (the frame holds levels 0..max(J-1, 0))
+    above MAX_GRID_POINTS, and, when given, a uniform evaluation grid of
+    `grid` points per axis or the grid analyze uses for a function of band
+    `band_limit` above it. An empty list means the run fits.
+    """
+    try:
+        finite = B ** max(J, 1) < math.inf
+    except OverflowError:
+        finite = False
+    if not finite:
+        return [f"B={B:g} with J={J} overflows a float in B**J"]
+    out = [f"{J} levels exceed the cap {MAX_LEVELS}"] if J > MAX_LEVELS else []
+    jmax = max(J - 1, 0)
+    top = cubature_size(B, jmax)
+    if exceeds_grid_cap(top, d):
+        out.append(f"cubature of {top}^{d} points at level {jmax} exceeds the cap {MAX_GRID_POINTS}")
+    elif not out:  # every level is within the cap, and there are few enough to sum
+        total = sum(cubature_size(B, j) ** d for j in range(jmax + 1))
+        if total > MAX_GRID_POINTS:
+            out.append(
+                f"cubature of {total} points over levels 0..{jmax} exceeds the cap {MAX_GRID_POINTS}"
+            )
+    if grid is not None and exceeds_grid_cap(grid, d):
+        out.append(f"evaluation grid of {grid}^{d} points exceeds the cap {MAX_GRID_POINTS}")
+    npts = None if band_limit is None else analysis_grid_size(B, J - 1, band_limit)
+    if npts is not None and exceeds_grid_cap(npts, d):
+        out.append(f"analysis grid of {npts}^{d} points exceeds the cap {MAX_GRID_POINTS}")
+    return out
 
 
 def _checked_real(values, what):
@@ -301,11 +342,12 @@ class NeedletFrame:
     """Toroidal needlet system at scale B, dimension d, levels 0..jmax.
 
     Immutable after construction; shells, window values and cubature grids
-    are precomputed per level. A level-jmax cubature above MAX_GRID_POINTS
-    is refused.
+    are precomputed per level. A frame that size_violations refuses raises
+    its first violation before any level is built; grid, the points per
+    axis of a uniform grid the caller will evaluate on, joins that check.
     """
 
-    def __init__(self, B, d, jmax):
+    def __init__(self, B, d, jmax, grid=None):
         if d < 1:
             raise ValueError("dimension d must be at least 1")
         if jmax < 0:
@@ -314,12 +356,9 @@ class NeedletFrame:
         self.d = int(d)
         self.jmax = int(jmax)
         self.window = NeedletWindow(B)
-        top_n = cubature_size(self.B, self.jmax)
-        if exceeds_grid_cap(top_n, self.d):
-            raise ValueError(
-                f"level {jmax} needs {top_n}^{self.d} cubature points,"
-                f" above the cap {MAX_GRID_POINTS}"
-            )
+        problems = size_violations(self.B, self.d, self.jmax + 1, grid)
+        if problems:
+            raise ValueError(problems[0])
         self._levels = []
         for j in range(self.jmax + 1):
             freqs = frequency_shell(j, self.B, self.d)
@@ -675,13 +714,12 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
         band_limit = getattr(f, "band_limit", None)
     if band_limit is not None and band_limit < 0:
         raise ValueError(f"band_limit must be nonnegative, got {band_limit}")
+    problems = size_violations(frame.B, frame.d, jmax + 1, band_limit=band_limit)
+    if problems:
+        raise ValueError(problems[0])
     # a_l by FFT quadrature, exact once the grid resolves the shell band plus
     # the declared band of f
     npts = analysis_grid_size(frame.B, jmax, band_limit)
-    if exceeds_grid_cap(npts, frame.d):
-        raise ValueError(
-            f"analysis grid of {npts}^{frame.d} points exceeds the cap {MAX_GRID_POINTS}"
-        )
     grid = uniform_grid(npts, frame.d)
     fvals = np.asarray(fn(grid[:, 0] if frame.d == 1 else grid), dtype=float)
     if fvals.shape != (grid.shape[0],):

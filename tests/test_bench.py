@@ -159,6 +159,19 @@ def test_config_overflowing_level_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_lists_every_size_violation_with_the_others():
+    # J = "auto" at B = 1.0000001 resolves to 14 625 685 levels: refused
+    # before any frame is built, next to the unrelated errors of the config
+    wide = base_config(B=1.0000001, J="auto", grid=10**8 + 1, replications=0)
+    with pytest.raises(ConfigError) as err:
+        tn.config_from_dict(wide)
+    msg = str(err.value)
+    assert "replications must be at least 1" in msg
+    assert "14625685 levels exceed the cap 4096" in msg
+    assert "evaluation grid of 100000001^1 points exceeds the cap" in msg
+    assert "grid must be at least" not in msg
+
+
 def test_config_rejects_analysis_grid_above_cap(tmp_path, capsys):
     # the coefficient proxy analyzes the density on an FFT grid wide enough
     # for its band; validation refuses grids past the cap without building them
@@ -202,7 +215,7 @@ def test_config_rejects_cubature_above_cap():
     with pytest.raises(ConfigError, match=r"cubature of 10001\^2 points at level 1") as exc:
         tn.config_from_dict({**plane, "grid": 9999})
     assert "grid must be" not in str(exc.value) and "evaluation grid" not in str(exc.value)
-    with pytest.raises(ValueError, match=r"10001\^2 cubature points"):
+    with pytest.raises(ValueError, match=r"cubature of 10001\^2 points at level 1"):
         tn.NeedletFrame(B, 2, 1)
 
 

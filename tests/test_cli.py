@@ -1,13 +1,16 @@
 """Test the command-line interface in process: outputs, warnings, exit codes."""
 
+import contextlib
 import dataclasses
 import json
 import math
 import os
 import gzip
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torneed as tn
-from torneed.cli import DataError, _load_samples, _read_sample_lines, main
+from torneed.cli import _load_samples, _read_sample_lines, main
 from torneed.harmonics import wrap_angles
 
 
@@ -185,7 +188,7 @@ def test_estimate_malformed_rows_name_line_numbers(tmp_path, capsys):
     data = tmp_path / "bad.csv"
     data.write_text("0.5\nnot-a-number\n1.0\n2.0,3.0\n1.5\n")
     code = main(["estimate", str(data), "--m", "1", "--kappa", "1", "--out", str(tmp_path / "x")])
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert "at line 2, 4" in err
     assert not list(tmp_path.glob("x_*"))
@@ -211,12 +214,12 @@ def _load_samples_by_line(path, d):
     if bad:
         shown = ", ".join(str(b) for b in bad[:20])
         more = f" and {len(bad) - 20} more" if len(bad) > 20 else ""
-        raise DataError(
+        raise ValueError(
             f"{path}: malformed rows (need {d} finite comma-separated angles) "
             f"at line {shown}{more}"
         )
     if not rows:
-        raise DataError(f"{path}: no sample rows")
+        raise ValueError(f"{path}: no sample rows")
     X = np.asarray(rows, dtype=float)
     outside = int(np.count_nonzero(np.any((X < 0) | (X >= tn.TWO_PI), axis=1)))
     return wrap_angles(X), outside
@@ -225,7 +228,7 @@ def _load_samples_by_line(path, d):
 def _outcome(reader, path, d):
     try:
         X, outside = reader(path, d)
-    except DataError as exc:
+    except ValueError as exc:
         return str(exc)
     return X.tobytes(), X.shape, outside
 
@@ -329,11 +332,11 @@ def test_estimate_reads_only_the_named_file(tmp_path, capsys):
 
 
 def test_estimate_rejects_data_that_is_not_utf8(tmp_path, capsys):
-    # UTF-16 with its byte order mark: a data error (exit 1), not a usage error
+    # UTF-16 with its byte order mark: refused input content (exit 2)
     data = tmp_path / "utf16.csv"
     data.write_bytes("0.5\n1.0\n1.5\n".encode("utf-16"))
     code = main(["estimate", str(data), "--m", "1", "--kappa", "1", "--out", str(tmp_path / "u")])
-    assert code == 1
+    assert code == 2
     assert f"error: {data}: not UTF-8 text" in capsys.readouterr().err
     assert not list(tmp_path.glob("u_*"))
 
@@ -342,7 +345,7 @@ def test_estimate_needs_enough_samples(tmp_path, capsys):
     data = tmp_path / "tiny.csv"
     data.write_text("0.5\n1.0\n")
     code = main(["estimate", str(data), "--m", "1", "--kappa", "1", "--out", str(tmp_path / "t")])
-    assert code == 1
+    assert code == 2
     assert "at least 3 samples" in capsys.readouterr().err
 
 
@@ -583,9 +586,9 @@ def test_estimator_frames_hold_levels_0_to_j_minus_1(uniform_8000, tmp_path, mon
     built = []
 
     class Recording(tn.NeedletFrame):
-        def __init__(self, B, d, jmax):
+        def __init__(self, B, d, jmax, grid=None):
             built.append(jmax)
-            super().__init__(B, d, jmax)
+            super().__init__(B, d, jmax, grid)
 
     monkeypatch.setattr(tn.cli, "NeedletFrame", Recording)
     monkeypatch.setattr(tn.bench, "NeedletFrame", Recording)
@@ -620,10 +623,12 @@ def test_grid_above_the_point_cap_is_a_usage_error(
     stem = str(tmp_path / "huge")
     base = ["estimate", str(uniform_8000), "--m", "1", "--kappa", "0", "--out", stem]
     assert main(base + ["--grid", str(10**12)]) == 2
-    assert "above the cap 100000000" in capsys.readouterr().err
+    assert "evaluation grid of 1000000000000^1 points exceeds the cap 100000000" in (
+        capsys.readouterr().err
+    )
     assert not list(tmp_path.glob("huge_*"))
     assert main(["eval-grid", kept_artifacts, "--grid", str(10**8 + 1), "--out", stem]) == 2
-    assert "--grid 100000001 in d=1 asks for 100000001^1 points" in capsys.readouterr().err
+    assert "evaluation grid of 100000001^1 points exceeds the cap" in capsys.readouterr().err
     assert not list(tmp_path.glob("huge*"))
 
 
@@ -732,9 +737,116 @@ def test_eval_grid_detects_level_mismatch(kept_artifacts, tmp_path, capsys):
         json.dump(meta, fh)
     with open(f"{stem}_coefficients.csv", "w") as fh:
         fh.write(Path(f"{kept_artifacts}_coefficients.csv").read_text())
-    assert main(["eval-grid", stem, "--grid", "17", "--out", str(tmp_path / "v")]) == 1
+    assert main(["eval-grid", stem, "--grid", "17", "--out", str(tmp_path / "v")]) == 2
     assert "expected coefficients for 5 level(s)" in capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+# ---------------------------------------------------------------- input contract
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail the test instead of hanging it when the block runs past `seconds`.
+
+    pytest.fail raises an exception main does not catch, so it ends a
+    command that never returns.
+    """
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _refused_in_time(argv, work, capsys, seconds=1.0):
+    """Run main under a time limit; it must exit 2 within `seconds`, write nothing, print one error."""
+    before = sorted(work.iterdir())
+    start = time.perf_counter()
+    with _time_limit(10):
+        code = main(argv)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert elapsed < seconds, f"refused after {elapsed:.2f} s"
+    assert sorted(work.iterdir()) == before
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err
+    return err
+
+
+_NEEDS_ALARM = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+
+
+@_NEEDS_ALARM
+def test_estimate_with_a_scale_near_1_is_refused_at_once(tmp_path, capsys):
+    # truncation_level(500, 1, 1, 1.0000001) is 14 625 685 levels
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.random.default_rng(5).uniform(0, 6.28, 500), fmt="%.17g")
+    argv = ["estimate", str(data), "--m", "1", "--kappa", "1", "--B", "1.0000001"]
+    err = _refused_in_time(argv + ["--out", str(tmp_path / "e")], tmp_path, capsys)
+    assert "14625685 levels exceed the cap 4096" in err
+
+
+@_NEEDS_ALARM
+def test_frame_info_with_ten_million_levels_is_refused_at_once(tmp_path, capsys):
+    argv = ["frame-info", "--B", "1.0000001", "--d", "1", "--J", "10000000"]
+    assert "10000000 levels exceed the cap" in _refused_in_time(argv, tmp_path, capsys)
+
+
+@_NEEDS_ALARM
+def test_eval_grid_with_ten_million_levels_is_refused_at_once(tmp_path, capsys):
+    stem = tmp_path / "wide"
+    meta = {"B": 1.0000001, "d": 1, "J": 10**7, "m": [1], "n": 500, "kappa": 1.0, "rule": "hard"}
+    Path(f"{stem}_meta.json").write_text(json.dumps(meta))
+    Path(f"{stem}_coefficients.csv").write_text("j,k,raw,thresholded,tau\n0,0,0,0,0\n")
+    argv = ["eval-grid", str(stem), "--grid", "17", "--out", str(tmp_path / "v.csv")]
+    assert "10000000 levels exceed the cap" in _refused_in_time(argv, tmp_path, capsys)
+
+
+@_NEEDS_ALARM
+def test_bench_config_with_a_scale_near_1_is_refused_at_once(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(B=1.0000001, J="auto", n=500)))
+    argv = ["bench", str(cfg), "--out", str(tmp_path / "o")]
+    assert "levels exceed the cap 4096" in _refused_in_time(argv, tmp_path, capsys)
+
+
+def _not_utf8(path, text):
+    path.write_bytes(b"\xff\xfe" + text.encode("utf-8"))
+
+
+@_NEEDS_ALARM
+@pytest.mark.parametrize("which", ["coefficients", "meta"])
+def test_eval_grid_names_an_input_that_is_not_utf8(kept_artifacts, tmp_path, capsys, which):
+    stem = tmp_path / "enc"
+    for part, name in (("coefficients", "_coefficients.csv"), ("meta", "_meta.json")):
+        text = Path(f"{kept_artifacts}{name}").read_text()
+        if part == which:
+            _not_utf8(Path(f"{stem}{name}"), text)
+        else:
+            Path(f"{stem}{name}").write_text(text)
+    bad = f"{stem}_coefficients.csv" if which == "coefficients" else f"{stem}_meta.json"
+    argv = ["eval-grid", str(stem), "--grid", "17", "--out", str(tmp_path / "v.csv")]
+    assert f"error: {bad}: not UTF-8 text (invalid start byte)" in (
+        _refused_in_time(argv, tmp_path, capsys)
+    )
+
+
+@_NEEDS_ALARM
+def test_bench_names_a_config_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    _not_utf8(cfg, json.dumps(bench_config()))
+    argv = ["bench", str(cfg), "--out", str(tmp_path / "o")]
+    assert f"error: {cfg}: not UTF-8 text (invalid start byte)" in (
+        _refused_in_time(argv, tmp_path, capsys)
+    )
 
 
 # ---------------------------------------------------------------- runtime dependencies

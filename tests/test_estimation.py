@@ -631,23 +631,3 @@ def test_read_estimator_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         tn.read_estimator_csv(path)
-
-
-# ---------------------------------------------------------------- oracle bandwidth
-
-
-def test_diagnostic_bandwidth_hand_values():
-    assert tn.diagnostic_bandwidth(2.0, 1, 1, 2.0, 8000, "regular") == 1
-    assert tn.diagnostic_bandwidth(0.5, 0, 1, 2.0, 8000, "regular") == 4
-    assert tn.diagnostic_bandwidth(2.0, 1, 1, 2.0, 8000, "sparse", r=2) == 1
-
-
-def test_diagnostic_bandwidth_validation():
-    with pytest.raises(ValueError, match="positive"):
-        tn.diagnostic_bandwidth(0.0, 1, 1, 2.0, 8000, "regular")
-    with pytest.raises(ValueError, match="r"):
-        tn.diagnostic_bandwidth(2.0, 1, 1, 2.0, 8000, "sparse")
-    with pytest.raises(ValueError, match="s > d/r"):
-        tn.diagnostic_bandwidth(0.4, 1, 1, 2.0, 8000, "sparse", r=2)
-    with pytest.raises(ValueError, match="zone"):
-        tn.diagnostic_bandwidth(2.0, 1, 1, 2.0, 8000, "oracle")

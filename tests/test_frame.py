@@ -10,6 +10,7 @@ import direct_oracle as oracle
 import torneed as tn
 from torneed.frame import (
     MAX_GRID_POINTS,
+    MAX_LEVELS,
     PHASE_BLOCK_BYTES,
     _GL_NODES,
     _GL_WEIGHTS,
@@ -17,6 +18,7 @@ from torneed.frame import (
     block_rows,
     drop_imag,
     exceeds_grid_cap,
+    size_violations,
 )
 from torneed.harmonics import TWO_PI
 
@@ -468,7 +470,7 @@ def test_build_frame_and_validation():
 
 def test_frame_memory_guard():
     # level 8 needs 1025^3 = 1.1e9 cubature points, past MAX_GRID_POINTS
-    with pytest.raises(ValueError, match=r"1025\^3 cubature points"):
+    with pytest.raises(ValueError, match=r"cubature of 1025\^3 points at level 8"):
         tn.NeedletFrame(2.0, 3, jmax=8)
 
 
@@ -478,6 +480,52 @@ def test_exceeds_grid_cap_is_exact_and_cheap():
     assert not exceeds_grid_cap(10, 8) and exceeds_grid_cap(10, 9)
     # a power with 10^18 factors is never formed
     assert exceeds_grid_cap(2, 10**18) and not exceeds_grid_cap(1, 10**18)
+
+
+def test_size_violations_names_every_cap_a_run_breaks():
+    assert size_violations(2.0, 1, 4, grid=257, band_limit=40) == []
+    # B**J past the float range is the one violation, whatever else is asked
+    overflow = ["B=2 with J=5000 overflows a float in B**J"]
+    assert size_violations(2.0, 1, 5000, grid=10**9, band_limit=10**9) == overflow
+    assert size_violations(math.inf, 1, 3) == ["B=inf with J=3 overflows a float in B**J"]
+    assert size_violations(1.0001, 1, MAX_LEVELS) == []
+    assert size_violations(1.0001, 1, MAX_LEVELS + 1) == ["4097 levels exceed the cap 4096"]
+    # every level within the cap, but not their sum: 2 * (2^26 - 2) + 25 points
+    assert 2 * 2**25 + 1 <= MAX_GRID_POINTS
+    assert size_violations(2.0, 1, 25) == [
+        "cubature of 134217749 points over levels 0..24 exceeds the cap 100000000"
+    ]
+    assert size_violations(2.0, 1, 24) == []
+    assert size_violations(2.0, 3, 9) == [
+        "cubature of 1025^3 points at level 8 exceeds the cap 100000000"
+    ]
+    assert size_violations(1.0000001, 2, 10**7, grid=10**4 + 1, band_limit=10**8) == [
+        "10000000 levels exceed the cap 4096",
+        "evaluation grid of 10001^2 points exceeds the cap 100000000",
+        "analysis grid of 200000007^2 points exceeds the cap 100000000",
+    ]
+    assert size_violations(2.0, 2, 3, grid=10**4) == []
+
+
+def test_frame_refuses_before_building_a_level(monkeypatch):
+    def no_levels(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr("torneed.frame.frequency_shell", no_levels)
+    with pytest.raises(ValueError, match="^10000000 levels exceed the cap 4096$"):
+        tn.NeedletFrame(1.0000001, 1, jmax=10**7 - 1)
+    with pytest.raises(ValueError, match="^evaluation grid of 100000001"):
+        tn.NeedletFrame(2.0, 1, jmax=3, grid=10**8 + 1)
+    with pytest.raises(ValueError, match="overflows a float in B"):
+        tn.NeedletFrame(1e200, 1, jmax=1)
+
+
+def test_level_cap_leaves_fine_scales_buildable():
+    # B = 1.01 at n = 8000, m = 1: the rule of thumb asks for 227 levels
+    J = tn.truncation_level(8000, 1, 1, 1.01)
+    assert J == 227
+    frame = tn.NeedletFrame(1.01, 1, jmax=J - 1)
+    assert frame.cubature(J - 1).K == 2 * math.ceil(1.01**J) + 1
 
 
 def test_analysis_grid_guard_raises_before_allocating():
