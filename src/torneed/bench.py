@@ -1,14 +1,23 @@
 """Seeded Monte Carlo benchmark: estimate density derivatives, record risks.
 
 One experiment draws R independent samples of size n from a named test
-density. Per replication it thresholds one set of empirical coefficients by
-every (rule, kappa0) at once into one estimator with a row per pair (same
-data, varying threshold) and scores all rows together: surviving counts and
-L^p risks.
+density. Each replication draws its sample and reduces it to one set of
+empirical coefficients, and the sample is freed before the next draw. The
+replications are scored in chunks: the raw coefficients of a chunk, stacked
+as (C, K_total), are thresholded by every (rule, kappa0) at once into one
+estimator with a (C, rows) leading shape (one row per pair: same data,
+varying threshold), synthesized, and scored together: surviving counts and
+L^p risks. C comes from a fixed byte budget, CHUNK_BYTES, on the chunk's
+complex grid values (chunk_replications); it is no option, and it does not
+depend on the thread count. With threads, the pool maps over chunks.
 
 Reproducibility contract: every replication r derives its own RNG stream
-from a documented integer hash of (master seed, r), so results are identical
-whether replications run serially or on any number of threads.
+from a documented integer hash of (master seed, r), and its rows do not
+depend on the chunk it lands in: each replication is synthesized on the
+band of its own top live level, and a lone row is never evaluated by a
+matrix-vector product (frame._family_values). So results are identical,
+bit for bit, whether replications run serially or on any number of
+threads, and a longer run extends a shorter one.
 """
 
 from __future__ import annotations
@@ -34,8 +43,19 @@ from .estimation import (
     thresholded_estimator,
     truncation_level,
 )
-from .frame import NeedletFrame, analyze, min_grid_size, size_violations, uniform_grid
+from .frame import (
+    PHASE_BLOCK_BYTES,
+    CoefficientArray,
+    NeedletFrame,
+    analyze,
+    min_grid_size,
+    size_violations,
+    uniform_grid,
+)
 from .harmonics import TWO_PI
+
+# bytes of one chunk's complex grid values: 15 replications of the paper's 8 rows on 257 points
+CHUNK_BYTES = PHASE_BLOCK_BYTES // 8
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -232,7 +252,7 @@ def config_from_dict(data):
         else:
             # the coefficient proxy analyzes the density on levels 0..J-1
             proxy = method in ("coefficient-proxy", "both")
-            sizes = size_violations(B, d, j_resolved, grid, band if proxy else None)
+            sizes = size_violations(B, d, j_resolved, grid, band if proxy else None, sum(m))
             min_grid = 0 if sizes else min_grid_size(B, j_resolved)  # no grid resolves a refused run
             if grid < min_grid:
                 errors.append(f"grid must be at least {min_grid} to resolve J={j_resolved} levels")
@@ -354,6 +374,16 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     return float(_lp_from_values(est_vals, truth_vals, p, d, grid_size))
 
 
+def chunk_replications(rows, width):
+    """Replications scored together: their complex values, rows x width each, fit CHUNK_BYTES.
+
+    rows is a replication's estimator rows; width is the points of the
+    evaluation grid, or the coefficients of all levels when no grid is
+    evaluated. Never below one.
+    """
+    return max(1, CHUNK_BYTES // (16 * rows * max(width, 1)))
+
+
 def run_experiment(config, threads=1):
     """Execute the Monte Carlo protocol; deterministic for a given master seed."""
     density = density_from_name(config.density, config.d)
@@ -378,42 +408,55 @@ def run_experiment(config, threads=1):
     if need_grid:
         truth_vals = density.derivative(m, plan.points[:, 0] if config.d == 1 else plan.points)
     true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
+    totals = [cols.stop - cols.start for cols in plan.slices]
 
-    def one_replication(r):
+    def one_chunk(reps):
+        raws = np.empty((len(reps), plan.size))
+        for i, r in enumerate(reps):
+            try:
+                X = density.sampler(np.random.default_rng(child_seed(config.seed, r)), config.n)
+                raws[i] = empirical_coefficients(frame, X, jmax=J - 1, m=m, plan=plan).flat
+            except Exception as exc:
+                raise RuntimeError(f"replication {r} failed: {exc}") from exc
+            del X  # the next sample is drawn without this one
         try:
-            rng = np.random.default_rng(child_seed(config.seed, r))
-            X = density.sampler(rng, config.n)
-            raw = empirical_coefficients(frame, X, jmax=J - 1, m=m, plan=plan)
+            raw = CoefficientArray.from_flat(m, raws, plan.slices)
             est = thresholded_estimator(frame, raw, rules, plan=plan)
-            risks = np.empty((len(members), len(columns)))
+            risks = np.empty((len(reps), len(members), len(columns)))
             if need_grid:
                 est_vals = est.evaluate(plan.points)
                 for c, p in enumerate(config.p):
-                    risks[:, c] = _lp_from_values(est_vals, truth_vals, p, config.d, config.grid)
+                    risks[..., c] = _lp_from_values(est_vals, truth_vals, p, config.d, config.grid)
             if need_proxy:
-                risks[:, -1] = _proxy_distance(est.coeffs, true_coeffs)
+                risks[..., -1] = _proxy_distance(est.coeffs, true_coeffs)
             alive = est.survivors().tolist()
         except Exception as exc:
-            raise RuntimeError(f"replication {r} failed: {exc}") from exc
+            first, last = reps[0], reps[-1]
+            which = f"replication {first}" if first == last else f"replications {first}-{last}"
+            raise RuntimeError(f"{which} failed: {exc}") from exc
         counts, risk_rows = [], []
-        for i, (k0, kind) in enumerate(members):
-            for j, lv in enumerate(raw.levels):
-                counts.append(CountRow(kind, k0, r, j, alive[i][j], lv.size, alive[i][j] / lv.size))
-            for c, (p, method) in enumerate(columns):
-                risk_rows.append(RiskRow(kind, k0, r, p, float(risks[i, c]), method))
+        for r, rep_alive, rep_risks in zip(reps, alive, risks.tolist()):
+            for (k0, kind), row_alive, row_risks in zip(members, rep_alive, rep_risks):
+                for j, (kept, total) in enumerate(zip(row_alive, totals)):
+                    counts.append(CountRow(kind, k0, r, j, kept, total, kept / total))
+                for (p, method), risk in zip(columns, row_risks):
+                    risk_rows.append(RiskRow(kind, k0, r, p, risk, method))
         return counts, risk_rows
 
     R = config.replications
+    width = config.grid**config.d if need_grid else plan.size
+    size = chunk_replications(len(members), width)
+    chunks = [range(start, min(start + size, R)) for start in range(0, R, size)]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_rep = list(pool.map(one_replication, range(R)))
+            per_chunk = list(pool.map(one_chunk, chunks))
     else:
-        per_rep = [one_replication(r) for r in range(R)]
+        per_chunk = [one_chunk(reps) for reps in chunks]
 
     count_rows, risk_rows = [], []
-    for counts, risks in per_rep:  # already in replication order
+    for counts, risks in per_chunk:  # already in replication order
         count_rows.extend(counts)
         risk_rows.extend(risks)
     seeds = tuple(child_seed(config.seed, r) for r in range(R))

@@ -14,7 +14,9 @@ points) and shared read-only by its replications; a single estimate builds a
 plan of its own. Coefficients of all levels lie side by side in one flat
 array (K_total,), or (R, K_total) for R threshold rules, and the per-level
 arrays are views of it, so thresholding, survivor counting and the finite
-check run once on the flat stack rather than once per level.
+check run once on the flat stack rather than once per level. A Monte Carlo
+run stacks the raw coefficients of C replications as (C, K_total) and
+thresholds, synthesizes and scores them as one (C, R, K_total) estimator.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .frame import (
     box_index,
     drop_imag,
     sample_spectrum,
+    size_violations,
 )
 from .harmonics import TWO_PI, as_multi_index, as_points, derivative_multiplier
 
@@ -156,7 +159,9 @@ class _ReplicationPlan:
     thresholded_estimator and synthesize; a call without one builds a
     one-use plan, so every estimate takes the same path. There is no cache:
     a plan lives as long as its caller keeps it. Its arrays are read-only,
-    since replication threads share it. For each level j < J:
+    since replication threads share it. An order |m| whose thresholds or
+    frequency powers overflow a float (size_violations) is refused before
+    anything is built. For each level j < J:
 
     - cube[j], the level's FFT cube index, and npts[j], the cube's side;
     - gather[j], the shell's index in the box of half-width
@@ -180,6 +185,10 @@ class _ReplicationPlan:
     """
 
     def __init__(self, frame, m, J, rules=(), points=None):
+        # the frame's sizes passed when it was built; a derivative order may still overflow
+        problems = size_violations(frame.B, frame.d, J, order=sum(m or ()))
+        if problems:
+            raise ValueError(problems[0])
         self.frame, self.m, self.J, self.rules = frame, m, J, tuple(rules)
         self.L = box_half_width(frame.B, J - 1)
         levels = [frame.level(j) for j in range(J)]
@@ -264,10 +273,12 @@ class DerivativeEstimator:
     per-level thresholds actually applied. rule is one ThresholdRule, with
     (K_j,) thresholded levels and (J,) taus; or a tuple of R rules sharing
     the raw coefficients, with (R, K_j) stacks and (R, J) taus, row i
-    thresholded by rule[i]. Evaluation synthesizes the thresholded
-    coefficients with underived needlets, every row in one pass; for m = 0 it
-    adds the density mean (2pi)^-d (with_density_mean), so it is the full
-    density. plan is the _ReplicationPlan it was thresholded with
+    thresholded by rule[i]. Raw coefficients of C replications, (C, K_j),
+    give one more leading axis: (C, K_j) or (C, R, K_j) thresholded levels,
+    with the same taus. Evaluation synthesizes the thresholded coefficients
+    with underived needlets, every row in one pass; for m = 0 it adds the
+    density mean (2pi)^-d (with_density_mean), so it is the full density.
+    plan is the _ReplicationPlan it was thresholded with
     (thresholded_estimator sets it): survivors reads its level offsets, and
     evaluation at its points reuses their layout check and phase table.
     """
@@ -282,14 +293,11 @@ class DerivativeEstimator:
     plan: object = None
 
     def evaluate(self, grid):
-        """(npts,) values at the points, or (R, npts) for R rows."""
-        values = synthesize(self.frame, self.coeffs, grid, plan=self.plan)
-        if self.J == 0:  # without levels synthesize sees no rows: each is the zero function
-            values = np.zeros(self.taus.shape[:-1] + values.shape)
-        return with_density_mean(values, self.m)
+        """Values at the points: (npts,), or the leading shape of the coefficients + (npts,)."""
+        return with_density_mean(synthesize(self.frame, self.coeffs, grid, plan=self.plan), self.m)
 
     def survivors(self):
-        """Counts of nonzero thresholded coefficients per level: (J,), or (R, J) for R rows."""
+        """Counts of nonzero thresholded coefficients per level: the leading shape + (J,)."""
         return np.add.reduceat(self.coeffs.flat != 0, self.plan.starts, axis=-1)
 
     def surviving_counts(self):
@@ -306,26 +314,31 @@ class DerivativeEstimator:
 def thresholded_estimator(frame, raw, rules, *, plan=None):
     """Threshold raw coefficients of levels 0..J-1 into a DerivativeEstimator.
 
-    J is the number of raw levels. rules is one ThresholdRule, giving a
-    single estimator, or a sequence of R rules, giving one row per rule:
-    row i keeps or shrinks level j by tau_{i,j} = threshold_value(rules[i], j).
-    Every level is thresholded at once on the flat layout: one
+    J is the number of raw levels, (K_j,) each or (C, K_j) for C stacked
+    replications. rules is one ThresholdRule, giving a single estimator, or
+    a sequence of R rules, giving one row per rule: row i keeps or shrinks
+    level j by tau_{i,j} = threshold_value(rules[i], j). Every level of
+    every replication is thresholded at once on the flat layout: one
     apply_threshold call per rule kind, on all K_total raw coefficients
     with the kind's taus repeated over each level's columns, gives the
-    (R_kind, K_total) rows of that kind, and the levels of the result are
-    views of the (R, K_total) stack. A single rule is thresholded as one
-    row, whose axis is then dropped. plan, the run's _ReplicationPlan for
-    these rules, holds the taus; without one the call builds its own.
+    (..., R_kind, K_total) rows of that kind, and the levels of the result
+    are views of the (..., R, K_total) stack. A single rule is thresholded
+    as one row, whose axis is then dropped. plan, the run's
+    _ReplicationPlan for these rules, holds the taus; without one the call
+    builds its own.
     """
     single = isinstance(rules, ThresholdRule)
     rules = (rules,) if single else tuple(rules)
     plan = plan or _ReplicationPlan(frame, raw.m, raw.njlevels, rules)
     plan.check(frame, raw.njlevels, raw.m, rules)
-    flat = raw.flat if raw.flat is not None else np.concatenate([np.zeros(0), *raw.levels])
-    kept = np.empty((len(rules), plan.size))
+    flat = raw.flat
+    if flat is None:
+        flat = np.concatenate([np.zeros(raw.lead + (0,)), *raw.levels], axis=-1)
+    kept = np.empty(flat.shape[:-1] + (len(rules), plan.size))
     for kind, rows, taus in plan.by_kind:
-        kept[rows] = apply_threshold(kind, flat, taus)
-    kept, taus, rule = (kept[0], plan.taus[0], rules[0]) if single else (kept, plan.taus, rules)
+        kept[..., rows, :] = apply_threshold(kind, flat[..., None, :], taus)
+    taus, rule = (plan.taus[0], rules[0]) if single else (plan.taus, rules)
+    kept = kept[..., 0, :] if single else kept
     coeffs = CoefficientArray.from_flat(raw.m, kept, plan.slices)
     return DerivativeEstimator(frame, raw.m, rule, plan.J, raw, coeffs, taus, plan)
 
@@ -362,40 +375,59 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     Synthesis always uses underived needlets; derivative content lives in the
     coefficients. grid is an (n, d) array (or anything `as_points` accepts),
     on or off any uniform grid. Levels of (K_j,) arrays give (n,) values;
-    (R, K_j) stacks give (R, n), row i from row i of every level, all rows in
-    one pass. Each level with a nonzero coefficient in any row maps the
+    stacks with leading axes give those axes + (n,), every row in one pass:
+    (R, K_j) gives (R, n) and (C, R, K_j), C replications of R rows, gives
+    (C, R, n). Each level with a nonzero coefficient in any row maps the
     pixels of every row to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k)
-    by one FFT over the stack, adds sqrt(lambda_j) (2pi)^-d b_l T_l into one
-    box spectrum with the family axis trailing, (2L'+1,)*d + (R,), L' the
-    half-width of the top live level, and that box is evaluated once at the
-    points (frame._family_values, in chunks of rows). Points that are
-    exactly uniform_grid(G, d) for some G (same row count, same row order,
-    equal coordinates) take the tensor-product form (grid_values); any other
-    point set, shuffled or shifted grids included, takes spectrum_values.
-    plan is a _ReplicationPlan for this frame and number of levels; it
-    serves the points it was built for (grid is plan.points), which then
-    skip the layout check and reuse the plan's phase table. Other points, or
-    no plan, get a one-use plan.
+    by one FFT over the stack and adds sqrt(lambda_j) (2pi)^-d b_l T_l into
+    one box spectrum with the family axis trailing, (2L+1,)*d + (rows,).
+    Rows that share every leading index but the last (one replication's
+    family) share a band: the half-width L' of their top live level. Rows
+    of one band are evaluated together on the box cut to |l_i| <= L', at
+    the points (frame._family_values, in chunks of rows), so a row's values
+    do not depend on the other replications stacked beside it. Points that
+    are exactly uniform_grid(G, d) for some G (same row count, same row
+    order, equal coordinates) take the tensor-product form (grid_values);
+    any other point set, shuffled or shifted grids included, takes
+    spectrum_values. plan is a _ReplicationPlan for this frame and number
+    of levels; it serves the points it was built for (grid is plan.points),
+    which then skip the layout check and reuse the plan's phase table.
+    Other points, or no plan, get a one-use plan.
     """
     _check_structure(frame, coeffs)
     if plan is None or grid is not plan.points:
         plan = _ReplicationPlan(frame, None, coeffs.njlevels, points=grid)  # underived needlets
     plan.check(frame, coeffs.njlevels)
     n = plan.points.shape[0]
-    lead = coeffs.levels[0].shape[:-1] if coeffs.levels else ()
-    R = math.prod(lead)
-    live = [j for j, cvec in enumerate(coeffs.levels) if cvec.any()]
-    if not live:
+    lead = coeffs.lead
+    R, families = math.prod(lead), math.prod(lead[:-1])
+    # live[j, f]: level j holds a nonzero coefficient in family f
+    live = np.array(
+        [lv.reshape(families, -1, lv.shape[-1]).any(axis=(1, 2)) for lv in coeffs.levels]
+    )
+    if not live.any():
         return np.zeros(lead + (n,))
+    top = np.where(live.any(axis=0), len(live) - 1 - np.argmax(live[::-1], axis=0), -1)
     box = np.zeros((2 * plan.L + 1,) * frame.d + (R,), dtype=complex)
-    for j in live:
+    for j in np.flatnonzero(live.any(axis=1)):
         T = _shell_transform(coeffs.levels[j].reshape(R, -1), plan.npts[j], plan.cube[j])
         box[plan.gather[j]] += plan.synthesis[j][:, None] * T.T
-    # the band of the top live level: a box of half-width L' and its table rows
-    half = box_half_width(frame.B, live[-1])
-    band = slice(plan.L - half, plan.L + half + 1)
-    table = None if plan.table is None else plan.table[band]
-    return _family_values(box[(band,) * frame.d], plan.points, table).reshape(lead + (n,))
+    values = None
+    for t in sorted(set(top.tolist()) - {-1}):
+        # the band of the top live level: a box of half-width L' and its table rows
+        half = box_half_width(frame.B, t)
+        band = slice(plan.L - half, plan.L + half + 1)
+        table = None if plan.table is None else plan.table[band]
+        if (top == t).all():  # one band serves every family: its values are the result
+            return _family_values(box[(band,) * frame.d], plan.points, table).reshape(lead + (n,))
+        fams = np.flatnonzero(top == t)
+        family = box.reshape(box.shape[:-1] + (families, -1))[(band,) * frame.d + (fams,)]
+        family = family.reshape(family.shape[: frame.d] + (-1,))
+        part = _family_values(family, plan.points, table)
+        if values is None:
+            values = np.zeros(lead + (n,))
+        values.reshape(families, -1, n)[fams] = part.reshape(fams.size, -1, n)
+    return values
 
 
 def write_estimator_csv(est, path):

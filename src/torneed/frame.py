@@ -37,12 +37,13 @@ evaluates that spectrum once (_family_values): by grid_values when the
 points are exactly uniform_grid(G, d) for some G (same rows, same order,
 equal coordinates), by spectrum_values otherwise. R coefficient sets
 stacked as (R, K_j) per level (the rows of one replication's estimator, one
-per threshold rule) take the same single pass: one FFT per level over the
+per threshold rule), or C such families as (C, R, K_j) (a chunk of Monte
+Carlo replications), take the same single pass: one FFT per level over the
 stack, one box with the family axis trailing and one phase table, evaluated
-in chunks of rows that fit PHASE_BLOCK_BYTES. Coefficient levels may be
-views of one flat array of every level side by side
-(CoefficientArray.from_flat), which is how the estimator pipeline lays
-them out.
+in chunks of rows that fit PHASE_BLOCK_BYTES, each family on the band of
+its own top live level. Coefficient levels may be views of one flat array
+of every level side by side (CoefficientArray.from_flat), which is how the
+estimator pipeline lays them out.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
@@ -110,29 +111,44 @@ def exceeds_grid_cap(per_axis, d):
     return per_axis > 1 and (d >= MAX_GRID_POINTS.bit_length() or per_axis**d > MAX_GRID_POINTS)
 
 
-def size_violations(B, d, J, grid=None, band_limit=None):
+def _overflows(base, exponent):
+    """True when the float base**exponent is not finite; never forms a huge integer power."""
+    try:
+        return not float(base) ** exponent < math.inf
+    except OverflowError:
+        return True
+
+
+def size_violations(B, d, J, grid=None, band_limit=None, order=0):
     """Why a run with levels 0..J-1 at scale B in dimension d is too big to build, as messages.
 
     The one place sizes are decided, before anything is built or any
     per-level loop runs: B**J overflowing a float (reported alone, since no
-    size follows from it), more than MAX_LEVELS levels, the top cubature or
-    the sum of every level's cubature (the frame holds levels 0..max(J-1, 0))
-    above MAX_GRID_POINTS, and, when given, a uniform evaluation grid of
-    `grid` points per axis or the grid analyze uses for a function of band
-    `band_limit` above it. An empty list means the run fits.
+    size follows from it), a derivative order |m| = order whose top
+    threshold factor B**((J-1)|m|) or top frequency power L**|m| (L =
+    box_half_width(B, J-1)) overflows a float, more than MAX_LEVELS levels,
+    the top cubature or the sum of every level's cubature (the frame holds
+    levels 0..max(J-1, 0)) above MAX_GRID_POINTS, and, when given, a
+    uniform evaluation grid of `grid` points per axis or the grid analyze
+    uses for a function of band `band_limit` above it. An empty list means
+    the run fits.
     """
-    try:
-        finite = B ** max(J, 1) < math.inf
-    except OverflowError:
-        finite = False
-    if not finite:
+    if _overflows(B, max(J, 1)):
         return [f"B={B:g} with J={J} overflows a float in B**J"]
-    out = [f"{J} levels exceed the cap {MAX_LEVELS}"] if J > MAX_LEVELS else []
+    out = []
+    L = box_half_width(B, J - 1)
+    if _overflows(B, (J - 1) * order) or _overflows(L, order):
+        out.append(
+            f"derivative order |m|={order} with B={B:g} and J={J} overflows a float "
+            f"in B**((J-1)|m|) or {L}**|m|"
+        )
+    if J > MAX_LEVELS:
+        out.append(f"{J} levels exceed the cap {MAX_LEVELS}")
     jmax = max(J - 1, 0)
     top = cubature_size(B, jmax)
     if exceeds_grid_cap(top, d):
         out.append(f"cubature of {top}^{d} points at level {jmax} exceeds the cap {MAX_GRID_POINTS}")
-    elif not out:  # every level is within the cap, and there are few enough to sum
+    elif J <= MAX_LEVELS:  # every level is within the cap, and there are few enough to sum
         total = sum(cubature_size(B, j) ** d for j in range(jmax + 1))
         if total > MAX_GRID_POINTS:
             out.append(
@@ -580,21 +596,34 @@ def _family_values(box, points, table=None):
     spectrum_values. The family axis is evaluated in chunks of
     block_rows(R, n) rows, so the complex values of a chunk fit
     PHASE_BLOCK_BYTES; each chunk's imaginary residue is checked before its
-    real part is kept.
+    real part is kept. On the grid a row's values do not depend on the
+    family it is in, since grid_values puts the family on the row axis of
+    its matrix products; but in d = 1 a chunk of one row would reach numpy's
+    matrix-vector product, whose last bits differ from the matrix
+    product's, so while two rows fit a block a lone row is evaluated beside
+    a copy of itself. (Off the grid the family is the column axis of
+    spectrum_values' product, and its last bits may depend on the family.)
     """
     R, n = box.shape[-1], points.shape[0]
     rows = block_rows(R, n)
+    twin = table is not None and box.ndim == 2 and block_rows(2, n) == 2
     values = None
     for start in range(0, R, rows):
         chunk = box[..., start : start + rows]
+        count = chunk.shape[-1]
+        if twin and count == 1:
+            chunk = chunk[..., [0, 0]]
         part = spectrum_values(chunk, points) if table is None else grid_values(chunk, table)
         if values is None:
             # allocated once the first chunk's temporaries are gone: a family
             # of one peaks at its complex values plus the real result
             values = np.empty((R, n))
-        values[start : start + rows] = _checked_real(part, "synthesis")
+        values[start : start + count] = _checked_real(part[:count], "synthesis")
         del part  # the next chunk is formed without this one
     return values
+
+
+_STACK_ERROR = "coefficient levels must be 1-d finite arrays or (R, K_j) or (C, R, K_j) stacks"
 
 
 @dataclasses.dataclass(eq=False)
@@ -602,12 +631,15 @@ class CoefficientArray:
     """Per-level needlet coefficients for one derivative order.
 
     levels[j] is the length-K_j float array of coefficients at level j, or
-    an (R, K_j) stack of R coefficient sets, one per row, with the same R at
-    every level (the rows of a stacked estimator; synthesize evaluates every row).
-    Levels given one by one are checked one by one, and flat is None. The
-    estimator pipeline lays every level out side by side in one (K_total,)
-    or (R, K_total) array instead (from_flat): flat is that array, checked
-    once, and levels[j] is a view of its columns at the j-th slice.
+    a stack of coefficient sets with one or two leading axes, (R, K_j) or
+    (C, R, K_j), with the same leading shape at every level: the rows of a
+    stacked estimator, one per threshold rule, and for C replications one
+    such family per replication (synthesize evaluates every row). Levels
+    given one by one are checked one by one, and flat is None. The
+    estimator pipeline lays every level out side by side in one
+    (..., K_total) array instead (from_flat): flat is that array, checked
+    once, and levels[j] is a view of its columns at the j-th slice. lead is
+    the leading shape, () for a single coefficient set.
     """
 
     m: tuple
@@ -618,16 +650,16 @@ class CoefficientArray:
         self.m = tuple(int(v) for v in self.m)
         self.levels = [np.asarray(lv, dtype=float) for lv in self.levels]
         for lv in self.levels:
-            if lv.ndim not in (1, 2) or not np.all(np.isfinite(lv)):
-                raise ValueError("coefficient levels must be 1-d finite arrays or (R, K_j) stacks")
+            if lv.ndim not in (1, 2, 3) or not np.all(np.isfinite(lv)):
+                raise ValueError(_STACK_ERROR)
             if lv.shape[:-1] != self.levels[0].shape[:-1]:
                 raise ValueError("coefficient stacks must hold the same rows at every level")
 
     @classmethod
     def from_flat(cls, m, flat, slices):
         """Levels as views of one flat array, finite and shape checked once on it."""
-        if flat.ndim not in (1, 2) or not np.isfinite(flat).all():
-            raise ValueError("coefficient levels must be 1-d finite arrays or (R, K_j) stacks")
+        if flat.ndim not in (1, 2, 3) or not np.isfinite(flat).all():
+            raise ValueError(_STACK_ERROR)
         coeffs = cls.__new__(cls)
         coeffs.m, coeffs.flat = m, flat
         coeffs.levels = [flat[..., cols] for cols in slices]
@@ -636,6 +668,12 @@ class CoefficientArray:
     @property
     def njlevels(self):
         return len(self.levels)
+
+    @property
+    def lead(self):
+        if self.flat is not None:
+            return self.flat.shape[:-1]
+        return self.levels[0].shape[:-1] if self.levels else ()
 
 
 def _check_structure(frame, coeffs):
@@ -714,7 +752,7 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
         band_limit = getattr(f, "band_limit", None)
     if band_limit is not None and band_limit < 0:
         raise ValueError(f"band_limit must be nonnegative, got {band_limit}")
-    problems = size_violations(frame.B, frame.d, jmax + 1, band_limit=band_limit)
+    problems = size_violations(frame.B, frame.d, jmax + 1, band_limit=band_limit, order=sum(m))
     if problems:
         raise ValueError(problems[0])
     # a_l by FFT quadrature, exact once the grid resolves the shell band plus

@@ -1,5 +1,6 @@
 """Test seed derivation, config validation, risk metrics, and the benchmark loop."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -170,6 +171,23 @@ def test_config_lists_every_size_violation_with_the_others():
     assert "14625685 levels exceed the cap 4096" in msg
     assert "evaluation grid of 100000001^1 points exceeds the cap" in msg
     assert "grid must be at least" not in msg
+
+
+def test_config_lists_an_overflowing_derivative_order_with_the_others(tmp_path, capsys):
+    # 2**(2*1000) and 7**1000 leave float range: the order is refused with the
+    # other problems of the config, and bench exits 2 without a traceback
+    with pytest.raises(ConfigError) as err:
+        tn.config_from_dict(base_config(m=[1000], J=3, replications=0))
+    msg = str(err.value)
+    assert "derivative order |m|=1000 with B=2 and J=3 overflows a float" in msg
+    assert "replications must be at least 1" in msg
+    tn.config_from_dict(base_config(m=[1000], J="auto"))  # truncation_level gives J = 0
+    path = tmp_path / "huge_m.json"
+    path.write_text(json.dumps(base_config(m=[1000], J=3)))
+    out = tmp_path / "out"
+    assert main(["bench", str(path), "--out", str(out)]) == 2
+    assert "derivative order |m|=1000" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_rejects_analysis_grid_above_cap(tmp_path, capsys):
@@ -452,6 +470,50 @@ def test_run_experiment_thread_count_is_invisible_d2():
     pooled = run(over, threads=2)
     assert solo.count_rows == pooled.count_rows
     assert solo.risk_rows == pooled.risk_rows
+
+
+def test_chunk_sizes_of_the_benchmark_workloads():
+    # the paper's 8 rows on 257 points: 15 replications a chunk; the same rows
+    # on a 65^2 grid already pass the budget alone
+    assert tn.bench.chunk_replications(8, 257) == 15
+    assert tn.bench.chunk_replications(8, 65**2) == 1
+    assert tn.bench.chunk_replications(1, 64) == tn.bench.CHUNK_BYTES // (16 * 64)
+
+
+_D2_ROWS = {
+    "density": "product(wrapped_normal(1.0),wrapped_normal(0.7))",
+    "d": 2,
+    "m": [1, 0],
+    "n": 300,
+    "J": 3,
+    "grid": 33,
+    "kappa0": [0.5, 2.5],
+    "rules": ["hard", "soft"],
+    "p": [1, 2, "inf"],
+    "risk_method": "both",
+}
+
+
+@pytest.mark.parametrize(
+    "over", [{}, {"kappa0": [0.25]}, _D2_ROWS], ids=["one-row", "one-row-one-band", "d2-rows"]
+)
+def test_chunks_are_invisible(monkeypatch, over):
+    # a budget of three replications a chunk: every count from 1 to 5 puts the
+    # last replication at another place in its chunk (alone at the end of one
+    # at 4), and a replication's rows must not change with any of it. At
+    # kappa0 = 0.25 every replication keeps level 2, so all share one band
+    # and replication 3 is evaluated alone at 4 but beside replication 4 at 5
+    cfg = tn.config_from_dict(base_config(**over))
+    rows = len(cfg.kappa0) * len(cfg.rules)
+    monkeypatch.setattr(tn.bench, "CHUNK_BYTES", 3 * 16 * rows * cfg.grid**cfg.d)
+    assert tn.bench.chunk_replications(rows, cfg.grid**cfg.d) == 3
+    longest = tn.run_experiment(dataclasses.replace(cfg, replications=5))
+    for threads in (1, 2):
+        for reps in range(1, 6):
+            got = tn.run_experiment(dataclasses.replace(cfg, replications=reps), threads=threads)
+            assert got.count_rows == longest.count_rows[: len(got.count_rows)]
+            assert got.risk_rows == longest.risk_rows[: len(got.risk_rows)]
+            assert len(got.risk_rows) * 5 == len(longest.risk_rows) * reps
 
 
 def test_run_experiment_survivors_nonincreasing_in_kappa0():

@@ -382,6 +382,19 @@ def test_estimate_rejects_unusable_numbers_before_writing(tmp_path, capsys, flag
     assert not list(tmp_path.glob("bad*"))
 
 
+@pytest.mark.parametrize("m, J", [("1000", "3"), ("400", "3"), (str(10**30), "2")])
+def test_estimate_refuses_an_overflowing_derivative_order(tmp_path, capsys, m, J):
+    # the top threshold factor B**((J-1)|m|) or the top frequency power
+    # L**|m| leaves float range: refused input, not a traceback, and nothing written
+    data = tmp_path / "ok.csv"
+    data.write_text("0.5\n1.0\n1.5\n2.0\n")
+    argv = ["estimate", str(data), "--m", m, "--kappa", "1", "--J", J]
+    assert main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    message = f"derivative order |m|={m} with B=2 and J={J} overflows a float"
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("bad*"))
+
+
 # ---------------------------------------------------------------- bench
 
 
@@ -473,6 +486,33 @@ def test_a_failing_replication_exits_1_naming_it_and_its_cause(tmp_path, capsys,
     assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error: replication 0 failed: samples contain non-finite values" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_failure_names_its_replication_inside_a_chunk(tmp_path, capsys, monkeypatch):
+    # the five replications share one chunk; only replication 3 draws NaN,
+    # and the error names it, not the chunk
+    real = tn.bench.density_from_name
+    config = bench_config(replications=5)
+    bad = np.random.default_rng(tn.child_seed(config["seed"], 3)).bit_generator.state
+
+    def sampler_failing_at_3(name, d):
+        density = real(name, d)
+
+        def sampler(rng, n):
+            if rng.bit_generator.state == bad:
+                return np.full((n, d), np.nan)
+            return density.sampler(rng, n)
+
+        return dataclasses.replace(density, sampler=sampler)
+
+    monkeypatch.setattr(tn.bench, "density_from_name", sampler_failing_at_3)
+    assert tn.bench.chunk_replications(1, config["grid"]) >= 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: replication 3 failed: samples contain non-finite values" in err
     assert not (tmp_path / "o").exists()
 
 

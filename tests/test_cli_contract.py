@@ -2,7 +2,7 @@
 
 Valid inputs of every subcommand are mutated: flipped or truncated bytes, a
 prefix that is not UTF-8, NaN or inf tokens, missing or extra columns,
-extreme --B, --J, --grid and --kappa, and JSON values of the wrong type.
+extreme --B, --J, --grid, --kappa and --m, and JSON values of the wrong type.
 main runs on each in a fresh temporary directory. It must return 0, 1 or 2;
 a nonzero exit prints exactly one `error:` line and leaves no new file; and
 no exception escapes it. The flag values are either small or past a size
@@ -28,6 +28,8 @@ _EXTREME = {
     "--J": ["0", "1", "3", "-1", "5000", "10000000", str(10**18)],
     "--grid": ["1", "17", "0", "-5", str(10**8 + 1), str(10**12)],
     "--kappa": ["0", "1", "1e-300", "1e308", "-1", "inf", "nan"],
+    # the first axis's order; 400 overflows 7**|m| at J = 3 and 10**30 any B**((J-1)|m|)
+    "--m": ["0", "1", "3", "400", "1000", str(10**30)],
 }
 _BAD_TOKENS = ["nan", "inf", "-inf", "1e999", "NaN", ""]
 _WRONG_JSON = [None, True, "2", [1], {"x": 1}, 1.5, -1, 0, "inf", 1e308]
@@ -118,7 +120,7 @@ def _estimate(data, originals, work):
     _mutated_file(data, originals / f"x{d}.csv", work / "x.csv", _mutate_csv)
     flags = _flags(data, ["--B", "--J", "--grid", "--kappa"])
     flags += [] if "--kappa" in flags else ["--kappa", "1"]
-    m = "1" if d == 1 else "1,0"
+    m = data.draw(st.sampled_from(_EXTREME["--m"])) + ("" if d == 1 else ",0")
     return ["estimate", str(work / "x.csv"), "--d", str(d), "--m", m, *flags, "--out", str(work / "e")]
 
 

@@ -229,6 +229,41 @@ def test_family_equals_its_members(case):
             assert float(np.max(np.abs(stacked[i] - row))) <= 1e-12 * scale
 
 
+def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
+    # C = 3 replications of R = 2 rules in one (3, 2, K) estimator: the
+    # thresholded rows, survivors and values of each replication are those of
+    # its own estimator; each replication is evaluated on the band of its own
+    # top live level (1, 2 and, for the one with nothing left, none)
+    frame = tn.NeedletFrame(2.0, 1, 2)
+    rng = np.random.default_rng(3)
+    rules = [tn.ThresholdRule(kind, 0.1, (1,), 500, 2.0) for kind in ("hard", "soft")]
+    plan = _ReplicationPlan(frame, (1,), 3, rules, tn.uniform_grid(33, 1))
+    raws = rng.normal(size=(3, plan.size))
+    raws[0, plan.slices[2]] = 0.0  # replication 0 stops at level 1
+    raws[2] = 0.0  # replication 2 keeps nothing
+    def estimator(flat):
+        raw = tn.CoefficientArray.from_flat((1,), flat, plan.slices)
+        return thresholded_estimator(frame, raw, rules, plan=plan)
+
+    stacked = estimator(raws)
+    widths = []
+    original = tn.frame._family_values
+    monkeypatch.setattr(
+        tn.estimation,
+        "_family_values",
+        lambda box, *args: widths.append(box.shape[0]) or original(box, *args),
+    )
+    values = stacked.evaluate(plan.points)
+    assert sorted(widths) == [2 * box_half_width(2.0, 1) + 1, 2 * box_half_width(2.0, 2) + 1]
+    assert values.shape == (3, 2, 33) and stacked.survivors().shape == (3, 2, 3)
+    for c in range(3):
+        alone = estimator(raws[c])
+        assert stacked.coeffs.flat[c].tobytes() == alone.coeffs.flat.tobytes()
+        assert stacked.survivors()[c].tolist() == alone.survivors().tolist()
+        assert values[c].tobytes() == alone.evaluate(plan.points).tobytes()
+    assert not values[2].any()
+
+
 def test_family_of_no_levels_evaluates_every_row():
     frame = tn.NeedletFrame(2.0, 1, 0)
     rules = [tn.ThresholdRule(kind, 1.0, (0,), 100, 2.0) for kind in ("hard", "soft", "hard")]

@@ -21,6 +21,8 @@ from torneed import frame as frame_mod
 from torneed.frame import (
     PHASE_BLOCK_BYTES,
     _axis_phases,
+    _family_values,
+    _grid_axis,
     block_rows,
     box_half_width,
     grid_values,
@@ -269,6 +271,23 @@ def test_point_path_keeps_the_imaginary_residue_guard(monkeypatch):
         tn.synthesize(frame, coeffs, pts)
     with pytest.raises(ValueError, match="imaginary residue"):
         tn.needlet_eval(frame, 2, 3, pts)
+
+
+@pytest.mark.parametrize("d, L, npts", [(1, 15, 257), (1, 3, 9), (1, 7, 2), (2, 7, 33), (3, 2, 7)])
+def test_a_row_alone_equals_the_row_in_any_family(d, L, npts):
+    # a replication's values on the grid, where run_experiment scores it, may
+    # not depend on how many rows it is stacked with: a lone row must give
+    # the bits it gives inside a family of 2 to 5
+    rng = np.random.default_rng(10 * d + L)
+    raw = rng.normal(size=(2 * L + 1,) * d + (5,)) + 1j * rng.normal(size=(2 * L + 1,) * d + (5,))
+    box = raw + np.conj(np.flip(raw, axis=tuple(range(d))))  # Hermitian: real values
+    points = tn.uniform_grid(npts, d)
+    table = _axis_phases(_grid_axis(npts), L)
+    alone = [_family_values(box[..., i : i + 1].copy(), points, table) for i in range(5)]
+    for R in range(2, 6):
+        family = _family_values(box[..., :R], points, table)
+        for i in range(R):
+            assert family[i].tobytes() == alone[i][0].tobytes(), (R, i)
 
 
 @pytest.mark.parametrize("path", ["grid_values", "spectrum_values"])
