@@ -418,13 +418,13 @@ def synthesize(frame, coeffs, grid, *, plan=None):
         half = box_half_width(frame.B, t)
         band = slice(plan.L - half, plan.L + half + 1)
         table = None if plan.table is None else plan.table[band]
-        if (top == t).all():  # one band serves every family: its values are the result
-            return _family_values(box[(band,) * frame.d], plan.points, table).reshape(lead + (n,))
         fams = np.flatnonzero(top == t)
         family = box.reshape(box.shape[:-1] + (families, -1))[(band,) * frame.d + (fams,)]
         family = family.reshape(family.shape[: frame.d] + (-1,))
         part = _family_values(family, plan.points, table)
         if values is None:
+            # allocated once the first band's complex values are gone: one
+            # band peaks at them plus its real part, not plus the result too
             values = np.zeros(lead + (n,))
         values.reshape(families, -1, n)[fams] = part.reshape(fams.size, -1, n)
     return values

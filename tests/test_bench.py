@@ -511,8 +511,13 @@ def test_chunks_are_invisible(monkeypatch, over):
     for threads in (1, 2):
         for reps in range(1, 6):
             got = tn.run_experiment(dataclasses.replace(cfg, replications=reps), threads=threads)
-            assert got.count_rows == longest.count_rows[: len(got.count_rows)]
-            assert got.risk_rows == longest.risk_rows[: len(got.risk_rows)]
+            # the shapes in play, should a BLAS round a GEMM's rows by its row count
+            shapes = (
+                f"{reps} replications, threads={threads}: (chunk x {rows} rows, "
+                f"{cfg.grid}^{cfg.d} points) against (3 x {rows}, {cfg.grid}^{cfg.d})"
+            )
+            assert got.count_rows == longest.count_rows[: len(got.count_rows)], shapes
+            assert got.risk_rows == longest.risk_rows[: len(got.risk_rows)], shapes
             assert len(got.risk_rows) * 5 == len(longest.risk_rows) * reps
 
 

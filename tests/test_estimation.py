@@ -260,7 +260,8 @@ def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
         alone = estimator(raws[c])
         assert stacked.coeffs.flat[c].tobytes() == alone.coeffs.flat.tobytes()
         assert stacked.survivors()[c].tolist() == alone.survivors().tolist()
-        assert values[c].tobytes() == alone.evaluate(plan.points).tobytes()
+        # stacked (3, 2, 33) values against one replication's (2, 33)
+        assert values[c].tobytes() == alone.evaluate(plan.points).tobytes(), c
     assert not values[2].any()
 
 

@@ -287,7 +287,8 @@ def test_a_row_alone_equals_the_row_in_any_family(d, L, npts):
     for R in range(2, 6):
         family = _family_values(box[..., :R], points, table)
         for i in range(R):
-            assert family[i].tobytes() == alone[i][0].tobytes(), (R, i)
+            # (R, box) rows against (1, box), box = (2L+1)^d, on npts^d points
+            assert family[i].tobytes() == alone[i][0].tobytes(), (R, i, 2 * L + 1, npts, d)
 
 
 @pytest.mark.parametrize("path", ["grid_values", "spectrum_values"])
