@@ -404,12 +404,11 @@ def run_experiment(config, threads=1):
     need_proxy = config.risk_method in ("coefficient-proxy", "both")
     columns = [(p, "grid-quadrature") for p in config.p] if need_grid else []
     columns += [(2.0, "coefficient-proxy")] if need_proxy else []
-    # every replication shares the per-level constants, the thresholds and the grid phase table
-    plan = _ReplicationPlan(
-        frame, m, J, rules, uniform_grid(config.grid, config.d) if need_grid else None
-    )
+    # every replication shares one plan (per-level constants, thresholds) and one grid
+    plan = _ReplicationPlan(frame, m, J, rules)
     if need_grid:
-        truth_vals = density.derivative(m, plan.points[:, 0] if config.d == 1 else plan.points)
+        grid = uniform_grid(config.grid, config.d)
+        truth_vals = density.derivative(m, grid[:, 0] if config.d == 1 else grid)
     true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
     totals = [cols.stop - cols.start for cols in plan.slices]
 
@@ -427,7 +426,7 @@ def run_experiment(config, threads=1):
             est = thresholded_estimator(frame, raw, rules, plan=plan)
             risks = np.empty((len(reps), len(members), len(columns)))
             if need_grid:
-                est_vals = est.evaluate(plan.points)
+                est_vals = est.evaluate(grid)
                 for c, p in enumerate(config.p):
                     risks[..., c] = _lp_from_values(est_vals, truth_vals, p, config.d, config.grid)
             if need_proxy:

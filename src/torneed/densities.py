@@ -81,27 +81,15 @@ def _gaussian_derivative(order, x, sigma):
 
     Probabilists' Hermite polynomials: the q-th derivative of exp(-u^2/2) is
     (-1)^q He_q(u) exp(-u^2/2), and each theta-derivative contributes 1/sigma.
+    numpy.polynomial is imported here, so only a derivative pays for it.
     """
     u = x / sigma
     gauss = np.exp(-0.5 * u**2)
     if order == 0:
         return gauss
-    return (-1.0) ** order * sigma ** (-order) * _hermite_e(order, u) * gauss
+    from numpy.polynomial.hermite_e import hermeval
 
-
-def _hermite_e(order, u):
-    """He_order(u) for order >= 1 by the Clenshaw recurrence.
-
-    These are the operations, in their order, that numpy.polynomial's
-    hermite_e.hermeval runs for the unit coefficient vector of He_order, so
-    the values are the same bit for bit; "0.0 - v" and "0.0 + v" keep its
-    signs of zero. Stated here so that importing torneed does not import
-    numpy.polynomial.
-    """
-    c0, c1 = 0.0, 1.0
-    for nd in range(order, 1, -1):
-        c0, c1 = 0.0 - c1 * (nd - 1), c0 + c1 * u
-    return c0 + c1 * u
+    return (-1.0) ** order * sigma ** (-order) * hermeval(u, [0.0] * order + [1.0]) * gauss
 
 
 # the wrapped normal sums its series over the shifts 2pi k, k = -10..10

@@ -6,12 +6,14 @@ coefficient estimates, (b) deleting or shrinking coefficients below a
 level-dependent threshold, (c) synthesizing the survivors with underived
 needlets.
 
-Everything in these steps that does not depend on the sample (the per-level
-indices and amplitudes, the thresholds tau_j = kappa B^(j|m|) sqrt(ln n / n)
-of every rule, the evaluation points and their phase table) lives in one
-_ReplicationPlan, built once per Monte Carlo run for (frame, m, J, rules,
-points) and shared read-only by its replications; a single estimate builds a
-plan of its own. Coefficients of all levels lie side by side in one flat
+Everything in these steps that does not depend on the sample or on the
+points evaluated (the per-level indices and amplitudes, the thresholds
+tau_j = kappa B^(j|m|) sqrt(ln n / n) of every rule) lives in one
+_ReplicationPlan, built once per Monte Carlo run for (frame, m, J, rules)
+and shared read-only by its replications; a single estimate builds a plan
+of its own. The plan holds no points: each synthesis checks the layout of
+the points it is given and builds the phase table of the band it
+evaluates. Coefficients of all levels lie side by side in one flat
 array (K_total,), or (R, K_total) for R threshold rules, and the per-level
 arrays are views of it, so thresholding, survivor counting and the finite
 check run once on the flat stack rather than once per level. A Monte Carlo
@@ -29,13 +31,10 @@ import numpy as np
 
 from .frame import (
     CoefficientArray,
-    _axis_phases,
     _check_structure,
     _cube_index,
     _family_values,
-    _grid_axis,
-    _pixel_transform,
-    _shell_transform,
+    _level_fft,
     _uniform_grid_size,
     box_half_width,
     box_index,
@@ -153,7 +152,7 @@ def _freeze(value):
 
 
 class _ReplicationPlan:
-    """Everything the replications of one run share, built once for (frame, m, J, rules, points).
+    """Everything the replications of one run share, built once for (frame, m, J, rules).
 
     A Monte Carlo run builds one plan and passes it to empirical_coefficients,
     thresholded_estimator and synthesize; a call without one builds a
@@ -176,15 +175,12 @@ class _ReplicationPlan:
 
     The thresholds: taus[i, j] = threshold_value(rules[i], j), and by_kind,
     per rule kind its row mask and the (R_kind, size) taus that one
-    apply_threshold call on the flat raw coefficients takes. The points,
-    when given: points, and when they are exactly uniform_grid(G, d), the
-    (2L+1, G) phase table. A synthesis whose top live level has the
-    half-width L' < L reads the rows L-L'..L+L' of the table, which hold
-    the bits of a table built for L' (_axis_phases fills row l alike for
-    every L >= l).
+    apply_threshold call on the flat raw coefficients takes. Nothing here
+    depends on the points a synthesis evaluates, so one plan serves any
+    point set.
     """
 
-    def __init__(self, frame, m, J, rules=(), points=None):
+    def __init__(self, frame, m, J, rules=()):
         # the frame's sizes passed when it was built; a derivative order may still overflow
         problems = size_violations(frame.B, frame.d, J, order=sum(m or ()))
         if problems:
@@ -210,9 +206,6 @@ class _ReplicationPlan:
         repeated = np.repeat(self.taus, sizes, axis=1)
         rows = {kind: kinds == kind for kind in kinds.tolist()}
         self.by_kind = tuple((kind, mask, repeated[mask]) for kind, mask in rows.items())
-        self.points = None if points is None else as_points(points, frame.d).view()
-        npts = None if points is None else _uniform_grid_size(self.points)
-        self.table = None if npts is None else _axis_phases(_grid_axis(npts), self.L)
         _freeze(tuple(vars(self).values()))
 
     def check(self, frame, J, m=None, rules=None):
@@ -249,9 +242,10 @@ def empirical_coefficients(frame, samples, jmax=None, m=None, *, plan=None):
     S = sample_spectrum(X, plan.L)
     raw = np.empty(plan.size, dtype=complex)
     for j, cols in enumerate(plan.slices):
-        pixels = _pixel_transform(plan.analysis[j] * S[plan.gather[j]], plan.npts[j], plan.cube[j])
+        cube = np.zeros((plan.npts[j],) * frame.d, dtype=complex)
+        cube[plan.cube[j]] = plan.analysis[j] * S[plan.gather[j]]
         scale = (-1.0) ** sum(m) / n * plan.root_weight[j] * TWO_PI ** (-frame.d)
-        np.multiply(scale, pixels, out=raw[cols])
+        np.multiply(scale, _level_fft(cube, frame.d).reshape(-1), out=raw[cols])
     return CoefficientArray.from_flat(m, drop_imag(raw, "empirical coefficients"), plan.slices)
 
 
@@ -280,7 +274,7 @@ class DerivativeEstimator:
     density mean (2pi)^-d (with_density_mean), so it is the full density.
     plan is the _ReplicationPlan it was thresholded with
     (thresholded_estimator sets it): survivors reads its level offsets, and
-    evaluation at its points reuses their layout check and phase table.
+    evaluation at any points reuses its synthesis amplitudes.
     """
 
     frame: object
@@ -387,18 +381,19 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     the points (frame._family_values, in chunks of rows), so a row's values
     do not depend on the other replications stacked beside it. Points that
     are exactly uniform_grid(G, d) for some G (same row count, same row
-    order, equal coordinates) take the tensor-product form (grid_values);
-    any other point set, shuffled or shifted grids included, takes
-    spectrum_values. plan is a _ReplicationPlan for this frame and number
-    of levels; it serves the points it was built for (grid is plan.points),
-    which then skip the layout check and reuse the plan's phase table.
-    Other points, or no plan, get a one-use plan.
+    order, equal coordinates; checked on every call) take the
+    tensor-product form (grid_values), whose phase table has the 2L'+1
+    rows of the band alone; any other point set, shuffled or shifted grids
+    included, takes spectrum_values. plan is a _ReplicationPlan for this
+    frame and number of levels, whatever its m and rules, since synthesis
+    uses underived needlets; without one the call builds its own.
     """
     _check_structure(frame, coeffs)
-    if plan is None or grid is not plan.points:
-        plan = _ReplicationPlan(frame, None, coeffs.njlevels, points=grid)  # underived needlets
+    plan = plan or _ReplicationPlan(frame, None, coeffs.njlevels)  # underived needlets
     plan.check(frame, coeffs.njlevels)
-    n = plan.points.shape[0]
+    points = as_points(grid, frame.d)
+    npts = _uniform_grid_size(points)
+    n = points.shape[0]
     lead = coeffs.lead
     R, families = math.prod(lead), math.prod(lead[:-1])
     # live[j, f]: level j holds a nonzero coefficient in family f
@@ -410,18 +405,18 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     top = np.where(live.any(axis=0), len(live) - 1 - np.argmax(live[::-1], axis=0), -1)
     box = np.zeros((2 * plan.L + 1,) * frame.d + (R,), dtype=complex)
     for j in np.flatnonzero(live.any(axis=1)):
-        T = _shell_transform(coeffs.levels[j].reshape(R, -1), plan.npts[j], plan.cube[j])
+        cubes = coeffs.levels[j].reshape((R,) + (plan.npts[j],) * frame.d)
+        T = _level_fft(cubes, frame.d)[(slice(None),) + plan.cube[j]]
         box[plan.gather[j]] += plan.synthesis[j][:, None] * T.T
     values = None
     for t in sorted(set(top.tolist()) - {-1}):
-        # the band of the top live level: a box of half-width L' and its table rows
+        # the band of the top live level: the box cut to half-width L'
         half = box_half_width(frame.B, t)
         band = slice(plan.L - half, plan.L + half + 1)
-        table = None if plan.table is None else plan.table[band]
         fams = np.flatnonzero(top == t)
         family = box.reshape(box.shape[:-1] + (families, -1))[(band,) * frame.d + (fams,)]
         family = family.reshape(family.shape[: frame.d] + (-1,))
-        part = _family_values(family, plan.points, table)
+        part = _family_values(family, points, npts)
         if values is None:
             # allocated once the first band's complex values are gone: one
             # band peaks at them plus its real part, not plus the result too

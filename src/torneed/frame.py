@@ -20,30 +20,34 @@ highest shell in use:
 - spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
   points, contracting one axis at a time.
 - grid_values evaluates the same sum on the uniform grid x_k = 2 pi k / G
-  (uniform_grid(G, d)) as a tensor product: one (2L+1, G) phase table
-  serves every axis, contracted against the box one axis at a time; any
-  G >= 1 works, the table aliasing frequencies when G < 2L+1.
+  (uniform_grid(G, d)) as a tensor product: one (2L+1, G) phase table,
+  built for the half-width of the box it is given, serves every axis,
+  contracted against the box one axis at a time; any G >= 1 works, the
+  table aliasing frequencies when G < 2L+1.
 - Needlets are translates: psi_{j,k}(x) = psi_{j,0}(x - xi_k), and the box
   spectrum of psi_{j,0} (_needlet_box) is evaluated by spectrum_values
   (needlet_eval) or grid_values (needlet_lp_norm).
 - Pixel transforms in both directions are FFTs on the level's cubature cube,
-  whose points are xi_k = 2 pi k / N; analyze's quadrature is one more FFT.
-  These are the only FFTs.
+  whose points are xi_k = 2 pi k / N, over a whole stack of cubes at once
+  (_level_fft); analyze's quadrature is one more FFT. These are the only
+  FFTs.
 
 Synthesis (estimation.synthesize, which reads its per-level constants from
 a replication plan) therefore maps each live level's pixels back to its
-shell by FFT (_shell_transform), adds every level into one box spectrum and
+shell by FFT (_level_fft), adds every level into one box spectrum and
 evaluates that spectrum once (_family_values): by grid_values when the
 points are exactly uniform_grid(G, d) for some G (same rows, same order,
-equal coordinates), by spectrum_values otherwise. R coefficient sets
-stacked as (R, K_j) per level (the rows of one replication's estimator, one
-per threshold rule), or C such families as (C, R, K_j) (a chunk of Monte
-Carlo replications), take the same single pass: one FFT per level over the
-stack, one box with the family axis trailing and one phase table, evaluated
-in chunks of rows that fit PHASE_BLOCK_BYTES, each family on the band of
-its own top live level. Coefficient levels may be views of one flat array
-of every level side by side (CoefficientArray.from_flat), which is how the
-estimator pipeline lays them out.
+equal coordinates; checked on every call), by spectrum_values otherwise.
+R coefficient sets stacked as (R, K_j) per level (the rows of one
+replication's estimator, one per threshold rule), or C such families as
+(C, R, K_j) (a chunk of Monte Carlo replications), take the same single
+pass: one FFT per level over the stack and one box with the family axis
+trailing, evaluated in chunks of rows that fit PHASE_BLOCK_BYTES, each
+family on the band of its own top live level. On the grid a band of
+half-width L' forms only its own (2L'+1, G) phase table, so dead top
+levels cost no table rows. Coefficient levels may be views of one flat
+array of every level side by side (CoefficientArray.from_flat), which is
+how the estimator pipeline lays them out.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
@@ -52,7 +56,8 @@ cos/sin of a phase angle. Tables are frequency-major, (2L+1, rows); their
 error grows about linearly in |l| and stays below (|l|+1) * 1e-15, below
 that of cos/sin of the rounded angle l*x. sample_spectrum and
 spectrum_values cut their tables into row blocks of at most
-PHASE_BLOCK_BYTES each; grid_values needs one table of G columns.
+PHASE_BLOCK_BYTES each; grid_values needs one table of G columns, of
+2L+1 rows for the box it evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -529,18 +534,17 @@ def grid_values(box, npts):
     (R,), and the values come back as (R, npts**d), each row in uniform_grid's
     row order; one spectrum is a family of one. The tensor-product form of
     spectrum_values: every axis of the grid holds the same npts coordinates,
-    so one (2L+1, npts) phase table serves all d axes and all R spectra, and
-    the box is contracted against it one axis at a time (d GEMMs). Each
-    contraction moves the finished grid axis to the back, so after the last
-    one the family axis leads and the grid follows in row-major order. Any
-    npts >= 1 works, also below 2L+1, where the table itself aliases the
-    frequencies. A caller that already holds the table
-    _axis_phases(_grid_axis(npts), L) passes it in place of npts. Returns a
-    complex array.
+    so one (2L+1, npts) phase table, built for the half-width L of this box,
+    serves all d axes and all R spectra, and the box is contracted against
+    it one axis at a time (d GEMMs). Each contraction moves the finished
+    grid axis to the back, so after the last one the family axis leads and
+    the grid follows in row-major order. Any npts >= 1 works, also below
+    2L+1, where the table itself aliases the frequencies. Returns a complex
+    array.
     """
     box = np.asarray(box, dtype=complex)
     W = box.shape[0]
-    table = npts if np.ndim(npts) else _axis_phases(_grid_axis(npts), (W - 1) // 2)
+    table = _axis_phases(_grid_axis(npts), (W - 1) // 2)
     out = box
     for _ in range(box.ndim - 1):
         out = out.reshape(W, -1).T @ table
@@ -560,60 +564,48 @@ def _cube_index(freqs, npts):
     return tuple(np.mod(freqs[:, i], npts) for i in range(freqs.shape[1]))
 
 
-def _pixel_transform(amplitudes, npts, index, sign=-1.0):
-    """Shell to pixels: sum_l amplitudes_l * exp(sign * i * <l, xi_k>) at every cubature point k.
+def _level_fft(cubes, d, inverse=False):
+    """The DFT of every (N,)*d cube over the last d axes of a stack, last axis first as fftn does.
 
-    Fills the shell amplitudes into the level's N**d cube at its cube index
-    (_cube_index(freqs, N), N = npts) and runs fftn (sign -1) or N**d *
-    ifftn (sign +1).
+    Forward, sum_k c_k exp(-i <l, xi_k>) at every l mod N (pixels to shell);
+    inverse, N**d * ifftn, sum_l a_l exp(+i <l, xi_k>) at every cubature
+    point xi_k = 2 pi k / N (shell to pixels). One 1-d transform per axis
+    gives fftn's bits without fftn's argument handling (about 4 us per call
+    at N = 33 on a 2-core x86 VM). Callers fill or read a level's cube at
+    its cube index (_cube_index).
     """
-    cube = np.zeros((npts,) * len(index), dtype=complex)
-    cube[index] = amplitudes
-    if sign < 0:
-        return np.fft.fftn(cube).reshape(-1)
-    return (np.fft.ifftn(cube) * cube.size).reshape(-1)
+    transform = np.fft.ifft if inverse else np.fft.fft
+    for axis in range(-1, -d - 1, -1):
+        cubes = transform(cubes, axis=axis)
+    return cubes.shape[-1] ** d * cubes if inverse else cubes
 
 
-def _shell_transform(pixels, npts, index):
-    """Pixels to shell for every row of an (R, K) stack: sum_k pixels_k * exp(-i <l, xi_k>).
-
-    The d-dimensional FFT of each row's (N,)*d cube (N = npts), one axis at
-    a time over the whole stack, last axis first as fftn does, read at the
-    shell's cube index; returns (R, nf).
-    """
-    d = len(index)
-    spectrum = np.reshape(pixels, (-1,) + (npts,) * d)
-    for axis in range(d, 0, -1):
-        spectrum = np.fft.fft(spectrum, axis=axis)
-    return spectrum[(slice(None),) + index]
-
-
-def _family_values(box, points, table=None):
+def _family_values(box, points, npts=None):
     """(R, n) real values of R box spectra, (2L+1,)*d + (R,), at the n rows of points.
 
-    With table, the (2L+1, G) phase table of the uniform grid the points
-    are, the family goes through grid_values; otherwise through
-    spectrum_values. The family axis is evaluated in chunks of
-    block_rows(R, n) rows, so the complex values of a chunk fit
-    PHASE_BLOCK_BYTES; each chunk's imaginary residue is checked before its
-    real part is kept. On the grid a row's values do not depend on the
-    family it is in, since grid_values puts the family on the row axis of
-    its matrix products; but in d = 1 a chunk of one row would reach numpy's
-    matrix-vector product, whose last bits differ from the matrix
-    product's, so while two rows fit a block a lone row is evaluated beside
-    a copy of itself. (Off the grid the family is the column axis of
+    With npts, the points are uniform_grid(npts, d) and the family goes
+    through grid_values, which builds the (2L+1, npts) phase table of this
+    box's own half-width; otherwise through spectrum_values. The family axis
+    is evaluated in chunks of block_rows(R, n) rows, so the complex values
+    of a chunk fit PHASE_BLOCK_BYTES; each chunk's imaginary residue is
+    checked before its real part is kept. On the grid a row's values do not
+    depend on the family it is in, since grid_values puts the family on the
+    row axis of its matrix products; but in d = 1 a chunk of one row would
+    reach numpy's matrix-vector product, whose last bits differ from the
+    matrix product's, so while two rows fit a block a lone row is evaluated
+    beside a copy of itself. (Off the grid the family is the column axis of
     spectrum_values' product, and its last bits may depend on the family.)
     """
     R, n = box.shape[-1], points.shape[0]
     rows = block_rows(R, n)
-    twin = table is not None and box.ndim == 2 and block_rows(2, n) == 2
+    twin = npts is not None and box.ndim == 2 and block_rows(2, n) == 2
     values = None
     for start in range(0, R, rows):
         chunk = box[..., start : start + rows]
         count = chunk.shape[-1]
         if twin and count == 1:
             chunk = chunk[..., [0, 0]]
-        part = spectrum_values(chunk, points) if table is None else grid_values(chunk, table)
+        part = spectrum_values(chunk, points) if npts is None else grid_values(chunk, npts)
         if values is None:
             # allocated once the first chunk's temporaries are gone: a family
             # of one peaks at its complex values plus the real result
@@ -776,7 +768,9 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
         # multiplier, so no sign factor remains here
         amp = lev.bvals * mult * a
         N = lev.cubature.npts_per_dim
-        raw = _pixel_transform(amp, N, _cube_index(lev.freqs, N), sign=+1.0)
+        cube = np.zeros((N,) * frame.d, dtype=complex)
+        cube[_cube_index(lev.freqs, N)] = amp
+        raw = _level_fft(cube, frame.d, inverse=True).reshape(-1)
         scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d / 2.0)
         levels.append(drop_imag(scale * raw, what=f"analysis coefficients at level {j}"))
     return CoefficientArray(m, levels)

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -237,7 +238,8 @@ def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
     frame = tn.NeedletFrame(2.0, 1, 2)
     rng = np.random.default_rng(3)
     rules = [tn.ThresholdRule(kind, 0.1, (1,), 500, 2.0) for kind in ("hard", "soft")]
-    plan = _ReplicationPlan(frame, (1,), 3, rules, tn.uniform_grid(33, 1))
+    plan = _ReplicationPlan(frame, (1,), 3, rules)
+    grid = tn.uniform_grid(33, 1)
     raws = rng.normal(size=(3, plan.size))
     raws[0, plan.slices[2]] = 0.0  # replication 0 stops at level 1
     raws[2] = 0.0  # replication 2 keeps nothing
@@ -253,7 +255,7 @@ def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
         "_family_values",
         lambda box, *args: widths.append(box.shape[0]) or original(box, *args),
     )
-    values = stacked.evaluate(plan.points)
+    values = stacked.evaluate(grid)
     assert sorted(widths) == [2 * box_half_width(2.0, 1) + 1, 2 * box_half_width(2.0, 2) + 1]
     assert values.shape == (3, 2, 33) and stacked.survivors().shape == (3, 2, 3)
     for c in range(3):
@@ -261,8 +263,28 @@ def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
         assert stacked.coeffs.flat[c].tobytes() == alone.coeffs.flat.tobytes()
         assert stacked.survivors()[c].tolist() == alone.survivors().tolist()
         # stacked (3, 2, 33) values against one replication's (2, 33)
-        assert values[c].tobytes() == alone.evaluate(plan.points).tobytes(), c
+        assert values[c].tobytes() == alone.evaluate(grid).tobytes(), c
     assert not values[2].any()
+
+
+def test_dead_top_levels_cost_nothing():
+    # levels 0-1 live of 0-10 (L = 2047): the grid values are the bits of the
+    # two-level synthesis, and the phase table is the 7 rows of the live
+    # band, not the (4095, 4095) table of the whole box (256 MiB)
+    rng = np.random.default_rng(11)
+    big, small = tn.NeedletFrame(2.0, 1, 10), tn.NeedletFrame(2.0, 1, 1)
+    live = [rng.normal(size=small.cubature(j).K) for j in range(2)]
+    dead = [np.zeros(big.cubature(j).K) for j in range(2, 11)]
+    grid = tn.uniform_grid(4095, 1)
+    tracemalloc.start()
+    try:
+        values = tn.synthesize(big, tn.CoefficientArray((0,), live + dead), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    two_levels = tn.synthesize(small, tn.CoefficientArray((0,), live), grid)
+    assert values.tobytes() == two_levels.tobytes()
+    assert peak < 8 * 2**20
 
 
 def test_family_of_no_levels_evaluates_every_row():
@@ -339,14 +361,15 @@ def test_the_plan_equals_the_per_level_path(case):
     rng = np.random.default_rng(seed)
     grid = tn.uniform_grid(npts, frame.d)
     off_grid = rng.uniform(-1.0, 7.0, (9, frame.d))
+    # a synthesis whose top live level is lower builds the table of that
+    # level's band: the bits of the same rows of the full-width table
+    L = box_half_width(2.0, J - 1)
+    full = _axis_phases(_grid_axis(npts), L)
+    for half in (box_half_width(2.0, j) for j in range(J)):
+        rows = full[L - half : L + half + 1]
+        assert rows.tobytes() == _axis_phases(_grid_axis(npts), half).tobytes()
     for pts in (grid, off_grid):
-        plan = _ReplicationPlan(frame, m, J, rules, pts)
-        if plan.table is not None:
-            # a synthesis whose top live level is lower reads a slice of the
-            # table: the bits of a table built for that level
-            for half in (box_half_width(2.0, j) for j in range(J)):
-                rows = plan.table[plan.L - half : plan.L + half + 1]
-                assert rows.tobytes() == _axis_phases(_grid_axis(npts), half).tobytes()
+        plan = _ReplicationPlan(frame, m, J, rules)
         for _ in range(2):  # one plan serves every sample of a run
             X = rng.uniform(0.0, TWO_PI, (300, frame.d))
             raw = tn.empirical_coefficients(frame, X, J - 1, m, plan=plan)
@@ -368,7 +391,7 @@ def test_the_plan_equals_the_per_level_path(case):
                     assert alive[i, j] == np.count_nonzero(kept)
             once = thresholded_estimator(frame, fresh, rules)
             assert once.coeffs.flat.tobytes() == est.coeffs.flat.tobytes()
-            values = est.evaluate(plan.points)
+            values = est.evaluate(pts)
             assert values.tobytes() == once.evaluate(pts).tobytes()
 
 
@@ -384,12 +407,10 @@ def _plan_arrays(value):
 def test_the_shared_plan_is_read_only():
     frame = tn.NeedletFrame(2.0, 2, 2)
     rules = [tn.ThresholdRule(kind, 0.5, (1, 0), 300, 2.0) for kind in ("hard", "soft", "hard")]
-    grid = tn.uniform_grid(17, 2)
-    plan = _ReplicationPlan(frame, (1, 0), 3, rules, grid)
+    plan = _ReplicationPlan(frame, (1, 0), 3, rules)
     arrays = _plan_arrays(tuple(vars(plan).values()))
-    assert plan.table is not None and plan.taus.shape == (3, 3)
+    assert plan.taus.shape == (3, 3)
     assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
-    assert grid.flags.writeable  # the caller's points stay the caller's
 
 
 # ---------------------------------------------------------------- sample coercion

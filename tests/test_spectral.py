@@ -22,7 +22,7 @@ from torneed.frame import (
     PHASE_BLOCK_BYTES,
     _axis_phases,
     _family_values,
-    _grid_axis,
+    _level_fft,
     block_rows,
     box_half_width,
     grid_values,
@@ -273,6 +273,23 @@ def test_point_path_keeps_the_imaginary_residue_guard(monkeypatch):
         tn.needlet_eval(frame, 2, 3, pts)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_level_fft_is_the_fft_of_each_cube(d):
+    # one transform over a stack of level cubes gives each cube's own bits,
+    # for the complex shells of analysis and the real pixels of synthesis
+    N = (9, 7, 5)[d - 1]
+    rng = np.random.default_rng(d)
+    shape = (4,) + (N,) * d
+    cubes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    forward, inverse = _level_fft(cubes, d), _level_fft(cubes, d, inverse=True)
+    for cube, fwd, inv in zip(cubes, forward, inverse):
+        assert fwd.tobytes() == np.fft.fftn(cube).tobytes()
+        assert inv.tobytes() == (N**d * np.fft.ifftn(cube)).tobytes()
+    pixels = cubes.real.copy()
+    for cube, fwd in zip(pixels, _level_fft(pixels, d)):
+        assert fwd.tobytes() == np.fft.fftn(cube).tobytes()
+
+
 @pytest.mark.parametrize("d, L, npts", [(1, 15, 257), (1, 3, 9), (1, 7, 2), (2, 7, 33), (3, 2, 7)])
 def test_a_row_alone_equals_the_row_in_any_family(d, L, npts):
     # a replication's values on the grid, where run_experiment scores it, may
@@ -282,10 +299,9 @@ def test_a_row_alone_equals_the_row_in_any_family(d, L, npts):
     raw = rng.normal(size=(2 * L + 1,) * d + (5,)) + 1j * rng.normal(size=(2 * L + 1,) * d + (5,))
     box = raw + np.conj(np.flip(raw, axis=tuple(range(d))))  # Hermitian: real values
     points = tn.uniform_grid(npts, d)
-    table = _axis_phases(_grid_axis(npts), L)
-    alone = [_family_values(box[..., i : i + 1].copy(), points, table) for i in range(5)]
+    alone = [_family_values(box[..., i : i + 1].copy(), points, npts) for i in range(5)]
     for R in range(2, 6):
-        family = _family_values(box[..., :R], points, table)
+        family = _family_values(box[..., :R], points, npts)
         for i in range(R):
             # (R, box) rows against (1, box), box = (2L+1)^d, on npts^d points
             assert family[i].tobytes() == alone[i][0].tobytes(), (R, i, 2 * L + 1, npts, d)
