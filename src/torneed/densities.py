@@ -21,7 +21,7 @@ import re
 
 import numpy as np
 
-from .harmonics import TWO_PI, as_multi_index, as_points
+from .harmonics import TWO_PI, as_multi_index, as_points, wrap_angles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -115,7 +115,10 @@ def wrapped_normal(sigma=1.0, literal=False):
     is pdf(0). literal=True swaps in the prefactor 1/(2pi) instead; that
     shape integrates to sigma/sqrt(2pi), is NOT a density, and exists only
     for comparing against runs that used it verbatim. The sampler always
-    draws from the normalized law: wrap an exact normal draw modulo 2pi.
+    draws from the normalized law: an exact normal draw reduced to
+    [0, 2pi) by wrap_angles, which is np.mod(draw, 2pi) bit for bit except
+    that a tiny negative draw gives 0, not 2pi. Within one turn of 0 that
+    is one add, without np.mod's division.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -130,7 +133,7 @@ def wrapped_normal(sigma=1.0, literal=False):
     shifts = TWO_PI * np.arange(-_WRAP_TERMS, _WRAP_TERMS + 1)
 
     def _series(order, theta):
-        th = np.mod(as_points(theta, 1)[:, 0], TWO_PI)
+        th = wrap_angles(as_points(theta, 1)[:, 0])
         x = th[:, None] + shifts[None, :]
         return prefactor * _gaussian_derivative(order, x, sigma).sum(axis=1)
 
@@ -142,7 +145,7 @@ def wrapped_normal(sigma=1.0, literal=False):
         return _series(m[0], theta)
 
     def sampler(rng, n):
-        return np.mod(rng.normal(0.0, sigma, (n, 1)), TWO_PI)
+        return wrap_angles(rng.normal(0.0, sigma, (n, 1)))
 
     name = f"wrapped_normal_literal({sigma:g})" if literal else f"wrapped_normal({sigma:g})"
     return TestDensity(

@@ -15,7 +15,7 @@ one spectral core on the box |l_i| <= L, L = ceil(B**(j+1)) - 1 the top of the
 highest shell in use:
 
 - sample_spectrum sums exp(i l.x) over a point set once for the whole box
-  (per-axis phase tables contracted by a sum or a GEMM); each shell is then a
+  (two tables contracted by one GEMM per row block); each shell is then a
   gather from it.
 - spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
   points, contracting one axis at a time.
@@ -51,13 +51,14 @@ how the estimator pipeline lays them out.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
-l = 0..L, conjugates the negative l. It is the only place the module takes
-cos/sin of a phase angle. Tables are frequency-major, (2L+1, rows); their
-error grows about linearly in |l| and stays below (|l|+1) * 1e-15, below
-that of cos/sin of the rounded angle l*x. sample_spectrum and
-spectrum_values cut their tables into row blocks of at most
-PHASE_BLOCK_BYTES each; grid_values needs one table of G columns, of
-2L+1 rows for the box it evaluates.
+l = 0..L, conjugates the negative l; the d=1 sample spectrum reads two
+digit tables built the same way (_digit_tables). That is the only place
+the module takes cos/sin of a phase angle. Tables are frequency-major,
+(2L+1, rows); their error grows about linearly in |l| and stays below
+(|l|+1) * 1e-15, below that of cos/sin of the rounded angle l*x.
+sample_spectrum and spectrum_values cut their tables into row blocks of
+at most PHASE_BLOCK_BYTES each; grid_values needs one table of G columns,
+of 2L+1 rows for the box it evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -411,30 +412,59 @@ def block_rows(n, width):
     return max(1, min(int(n), PHASE_BLOCK_BYTES // (16 * max(int(width), 1))))
 
 
-def _axis_phases(x, L, full=True):
-    """exp(i l x) for l = -L..L (full) or l = 0..L, frequency-major.
-
-    Returns a complex (2L+1, n) array indexed by l + L, or (L+1, n) indexed
-    by l. Row 1 is cos(x) + i sin(x), the only transcendental call; the
-    positive powers follow by doubling (rows k+1..2k are rows 1..k times row
-    k, one in-place multiply per doubling) and the negative rows are their
-    conjugates. The error grows about linearly in |l|, below (|l|+1) * 1e-15.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((2 * L + 1 if full else L + 1, x.shape[0]), dtype=complex)
-    pos = out[L:] if full else out
-    pos[0] = 1.0
-    if L >= 1:
-        np.cos(x, out=pos[1].real)
-        np.sin(x, out=pos[1].imag)
+def _double(pos, L):
+    """Fill pos[2..L] with powers of pos[1] (pos[0] = 1): rows k+1..2k are rows 1..k times row k."""
     k = 1
     while k < L:
         top = min(2 * k, L)
         np.multiply(pos[1 : top - k + 1], pos[k], out=pos[k + 1 : top + 1])
         k = top
+
+
+def _exp_powers(pos, x):
+    """Fill row l of pos with exp(i l x): row 1 is cos(x) + i sin(x), the rest by _double."""
+    pos[0] = 1.0
+    if len(pos) > 1:
+        np.cos(x, out=pos[1].real)
+        np.sin(x, out=pos[1].imag)
+    _double(pos, len(pos) - 1)
+
+
+def _axis_phases(x, L, full=True):
+    """exp(i l x) for l = -L..L (full) or l = 0..L, frequency-major.
+
+    Returns a complex (2L+1, n) array indexed by l + L, or (L+1, n) indexed
+    by l; negative rows are conjugates. The error grows about linearly in
+    |l|, below (|l|+1) * 1e-15.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty((2 * L + 1 if full else L + 1, x.shape[0]), dtype=complex)
+    pos = out[L:] if full else out
+    _exp_powers(pos, x)
     if full:
         np.conjugate(pos[:0:-1], out=out[:L])
     return out
+
+
+def _digit_tables(x, q, r):
+    """exp(i a x) for a < q and exp(i q b x) for b < r, as (q, n) and (r, n) tables.
+
+    Every l < q r is a + q b for one pair of digits; the high table holds
+    the powers of exp(i q x) = exp(i (q-1) x) exp(i x), so the error stays
+    about linear in a + q b. Both are rows of one array: one allocation per
+    row block, whose pages glibc keeps (two arrays were refaulted on every
+    call). With r = 1 the high table is the low table's row of ones.
+    """
+    x = np.asarray(x, dtype=float)
+    tables = np.empty((q + r if r > 1 else q, x.shape[0]), dtype=complex)
+    low, high = tables[:q], tables[q:]
+    _exp_powers(low, x)
+    if r == 1:
+        return low, low[:1]
+    high[0] = 1.0
+    np.multiply(low[q - 1], low[1], out=high[1])
+    _double(high, r - 1)
+    return low, high
 
 
 def box_half_width(B, j):
@@ -460,7 +490,8 @@ def spectrum_block_shape(n, d, L):
     """(rows, width) of the widest phase block the spectral core forms for n points.
 
     The width is that of the leading-axes block: 2L+1 columns per axis
-    before the last one (2L+1 in all for d = 1).
+    before the last one (2L+1 in d = 1, at least the rows of both digit
+    tables).
     """
     width = (2 * L + 1) ** max(d - 1, 1)
     return block_rows(n, width), width
@@ -470,28 +501,37 @@ def sample_spectrum(points, L):
     """Type-1 sum S_l = sum_i exp(i l . x_i) on the box |l_i| <= L.
 
     Returns a complex array of shape (2L+1,)*d indexed by l + L. Per row
-    block, each coordinate gets one frequency-major phase table
-    exp(i l_a x_a) (_axis_phases); they are contracted by a row sum in d=1,
-    one GEMM in d=2, and an outer product of the leading axes followed by a
-    GEMM in d>=3. The last axis runs over l_d >= 0 only: the points are
-    real, so S_{-l} = conj(S_l) supplies the rest. Blocks are reduced in a
-    fixed order, so the sum does not depend on the thread count.
+    block, one GEMM lead @ last.T. In d>=2 last is the last axis's phase
+    table over l_d >= 0 and lead the first axis's (d=2) or the outer product
+    of the leading axes' (d>=3). In d=1 they are the digit tables exp(i a x),
+    a < q = isqrt(L) + 1, and exp(i q b x), b < r = L // q + 1: the (q, r)
+    result holds S_{a+qb}, read transposed, from q + r table rows, not L + 1.
+    The points are real, so S_{-l} = conj(S_l) supplies l < 0. Blocks are
+    reduced in a fixed order, so the sum does not depend on the thread
+    count; that BLAS's own threads leave its bits alone was measured (bench
+    reports at OPENBLAS_NUM_THREADS=1 and the default), not promised.
     """
     n, d = points.shape
     W = 2 * L + 1
-    S = np.zeros((W ** (d - 1), L + 1), dtype=complex)
+    if d == 1:
+        q = math.isqrt(L) + 1
+        S = np.zeros((q, L // q + 1), dtype=complex)
+    else:
+        S = np.zeros((W ** (d - 1), L + 1), dtype=complex)
     rows, _ = spectrum_block_shape(n, d, L)
     for start in range(0, n, rows):
         block = points[start : start + rows]
-        last = _axis_phases(block[:, -1], L, full=False)
         if d == 1:
-            S[0] += last.sum(axis=1)
-            continue
-        lead = _axis_phases(block[:, 0], L)
-        for a in range(1, d - 1):
-            axis = _axis_phases(block[:, a], L)
-            lead = (lead[:, None, :] * axis[None, :, :]).reshape(-1, block.shape[0])
+            lead, last = _digit_tables(block[:, 0], *S.shape)
+        else:
+            last = _axis_phases(block[:, -1], L, full=False)
+            lead = _axis_phases(block[:, 0], L)
+            for a in range(1, d - 1):
+                axis = _axis_phases(block[:, a], L)
+                lead = (lead[:, None, :] * axis[None, :, :]).reshape(-1, block.shape[0])
         S += lead @ last.T
+    if d == 1:
+        S = S.T.reshape(-1)[: L + 1]
     S = S.reshape((W,) * (d - 1) + (L + 1,))
     box = np.empty((W,) * d, dtype=complex)
     box[..., L:] = S

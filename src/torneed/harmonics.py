@@ -13,11 +13,26 @@ TWO_PI = 2.0 * np.pi
 
 
 def wrap_angles(theta):
-    """Reduce angles to [0, 2pi); shape is preserved."""
+    """Reduce angles to [0, 2pi); shape is preserved.
+
+    Equals np.mod(theta, 2pi) bit for bit, except that a tiny negative
+    angle, which np.mod rounds up to 2pi, gives 0. For |x| < 2pi np.mod is
+    exactly x + 2pi below 0 and x + 0.0 otherwise (-0.0 becomes 0.0): one
+    add, no division. Every other entry (|x| >= 2pi, NaN, inf) and every
+    sum that rounds to 2pi goes through np.mod.
+    """
     theta = np.asarray(theta, dtype=float)
-    out = np.mod(theta, TWO_PI)
-    # mod of a tiny negative float can round up to 2pi itself
-    return np.where(out >= TWO_PI, 0.0, out)
+    flat = theta.reshape(-1)
+    out = (flat < 0.0) * TWO_PI
+    out += flat
+    # an entry lands in [0, 2pi) exactly when the add reduced it as np.mod does
+    if out.size and not (out.min() >= 0.0 and out.max() < TWO_PI):
+        redo = ~((out >= 0.0) & (out < TWO_PI))
+        again = np.mod(flat[redo], TWO_PI)
+        # mod of a tiny negative float can round up to 2pi itself
+        again[again >= TWO_PI] = 0.0
+        out[redo] = again
+    return out.reshape(theta.shape)
 
 
 def as_points(theta, d):

@@ -1,5 +1,6 @@
 """Test densities: exact values, derivatives, samplers, and the name registry."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -192,6 +193,40 @@ def test_wrapped_normal_band_limit_truncates_spectrum():
     spectrum = np.fft.fft(vals) / 256
     assert abs(spectrum[wn.band_limit]) < 1e-15
     assert abs(spectrum[3]) > 1e-4  # the band is not vacuous
+
+
+@pytest.mark.parametrize(
+    "sigma,digest",
+    [
+        (1.0, "fbe5da5a43cd17c3203ac9d944941b48b7d0ea9a07e3c1fba4ace7d7972b7028"),
+        # about a third of these draws lie beyond 2pi and are reduced by np.mod
+        (6.9, "86d6f6466e9772c4285402ccc968681af63da1b65644895201822bdf1d1ec92b"),
+    ],
+)
+def test_wrapped_normal_sampler_bytes_are_pinned(sigma, digest):
+    # SHA-256 of 5000 draws, recorded when the sampler reduced by np.mod(draw, 2pi)
+    X = tn.wrapped_normal(sigma).sampler(np.random.default_rng(20261019), 5000)
+    assert X.shape == (5000, 1)
+    assert hashlib.sha256(X.tobytes()).hexdigest() == digest
+
+
+class _FixedNormal:
+    """Stands in for a Generator whose normal draws are fixed values."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def normal(self, loc, scale, size):
+        return self.values.reshape(size)
+
+
+def test_wrapped_normal_sampler_never_returns_two_pi():
+    # np.mod(x, 2pi) is 2pi itself for x in (-ulp(2pi)/2, 0)
+    draws = [-1e-17, -5e-324, -0.0, -TWO_PI, TWO_PI, -3.0]
+    X = tn.wrapped_normal(1.0).sampler(_FixedNormal(draws), len(draws))[:, 0]
+    assert np.all((X >= 0.0) & (X < TWO_PI))
+    assert X[:5].tolist() == [0.0] * 5
+    assert X[5] == -3.0 + TWO_PI
 
 
 def test_wrapped_normal_sampler_exact_distribution():

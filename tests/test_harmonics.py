@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torneed.harmonics import (
     TWO_PI,
@@ -43,6 +45,47 @@ def test_wrap_angles_range_and_identity():
     assert w[4] == 0.0  # exact 2pi folds to 0, not to 2pi itself
     np.testing.assert_allclose(w[0], TWO_PI - 0.25)
     np.testing.assert_allclose(w[5], 7.0 - TWO_PI)
+
+
+def _mod_reference(x):
+    """np.mod with the 2pi that rounding can leave folded to 0: what wrap_angles promises."""
+    with np.errstate(invalid="ignore"):  # np.mod of an infinity
+        m = np.mod(x, TWO_PI)
+    return np.where(m >= TWO_PI, 0.0, m)
+
+
+# signed zeros, the smallest subnormal, tiny negatives whose np.mod rounds to 2pi, NaN, infinities
+WRAP_EDGES = [0.0, -0.0, -5e-324, -1e-300, -(2.0**-60), math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    k=st.integers(-60, 60),
+    ulps=st.integers(-4, 4),
+    draws=st.lists(st.floats(-60 * 6.9, 60 * 6.9), max_size=16),
+)
+@example(k=0, ulps=-1, draws=[])
+@example(k=1, ulps=0, draws=[-TWO_PI, TWO_PI])
+def test_wrap_angles_is_mod_with_two_pi_folded_bit_for_bit(k, ulps, draws):
+    # k 2pi a few ulps either way, the edges, and draws out to 60 sigma at the
+    # widest wrapped normal (sigma = 6.9), which take np.mod's branch
+    near = k * TWO_PI
+    for _ in range(abs(ulps)):
+        near = np.nextafter(near, math.copysign(math.inf, ulps))
+    x = np.array([near, *WRAP_EDGES, *draws])
+    with np.errstate(invalid="ignore"):
+        got = wrap_angles(x)
+    assert got.view(np.uint64).tobytes() == _mod_reference(x).view(np.uint64).tobytes()
+    # any shape, and a point set already in [0, 2pi) on the fast path alone
+    with np.errstate(invalid="ignore"):
+        assert wrap_angles(x.reshape(-1, 1)).shape == (x.size, 1)
+    inside = _mod_reference(np.array(draws))
+    assert wrap_angles(inside).view(np.uint64).tobytes() == inside.view(np.uint64).tobytes()
+
+
+def test_wrap_angles_of_scalars_and_empty_arrays():
+    assert wrap_angles(-0.25).shape == () and float(wrap_angles(-0.25)) == TWO_PI - 0.25
+    assert wrap_angles(np.empty((0, 2))).shape == (0, 2)
 
 
 def test_as_multi_index_coercions():

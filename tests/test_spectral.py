@@ -126,7 +126,7 @@ def test_sample_spectrum_and_adjoint_match_dense_box_sums(d, L):
     assert_rel_close([spectrum_values(A, X)], [dense @ A.reshape(-1)])
 
 
-@pytest.mark.parametrize("d,L", [(1, 7), (2, 4), (3, 2)])
+@pytest.mark.parametrize("d,L", [(1, 7), (1, 16), (2, 4), (3, 2)])
 def test_row_blocking_does_not_change_the_core(monkeypatch, d, L):
     rng = np.random.default_rng(10 + d)
     X = rng.uniform(0.0, TWO_PI, (57, d))
@@ -345,6 +345,30 @@ def test_axis_phases_match_long_double_reference(L, full):
 @pytest.mark.parametrize("full", [True, False])
 def test_axis_phases_of_no_points(full):
     assert _axis_phases(np.empty(0), 4, full=full).shape == (9 if full else 5, 0)
+
+
+@pytest.mark.parametrize("samples", ["uniform", "equal"])
+@pytest.mark.parametrize("L", [0, 1, 2, 3, 15, 16, 255])
+def test_d1_sample_spectrum_matches_long_double_reference(L, samples):
+    # the digit tables' q * r covers 0..L with room to spare (20 > 17 at L = 16);
+    # 10^5 equal samples are the worst case, every product and sum adding up
+    if samples == "uniform":
+        x = np.random.default_rng(100 + L).uniform(0.0, TWO_PI, 2000)
+    else:
+        x = np.full(10**5, 3.1)
+    S = sample_spectrum(x[:, None], L)
+    freqs = np.arange(-L, L + 1)
+    assert S.shape == (2 * L + 1,)
+    ls = freqs.astype(np.longdouble)
+    if samples == "uniform":
+        angles = np.multiply.outer(ls, x.astype(np.longdouble))
+        ref_re, ref_im = np.cos(angles).sum(axis=1), np.sin(angles).sum(axis=1)
+    else:
+        angles = ls * np.longdouble(3.1)
+        ref_re, ref_im = x.size * np.cos(angles), x.size * np.sin(angles)
+    err = np.maximum(np.abs(S.real - ref_re), np.abs(S.imag - ref_im)).astype(float)
+    assert np.all(err <= x.size * (np.abs(freqs) + 1) * 4e-15)
+    assert S[L] == x.size
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[1] in (2.0, 1.5)])
