@@ -1,10 +1,11 @@
 """Needlet frames on the d-torus and thresholded density-derivative estimation.
 
 The pieces compose bottom-up: `harmonics` (Fourier basis, frequency shells),
-`frame` (window, cubature, needlets, analysis, the spectral core),
-`estimation` (empirical coefficients, thresholds, truncation, synthesis),
-`densities` (test densities with exact derivatives and samplers), `bench`
-(seeded Monte Carlo risk experiments), `cli` (command-line front end).
+`frame` (window, cubature, needlets, the spectral core), `estimation`
+(analysis and empirical coefficients through one level map, thresholds,
+truncation, synthesis), `densities` (test densities with exact derivatives
+and samplers), `bench` (seeded Monte Carlo risk experiments), `cli`
+(command-line front end).
 
 `bench` and its names load on first use (PEP 562 `__getattr__`), so that
 `import torneed.cli` for `estimate`, `eval-grid` or `frame-info` does not
@@ -22,6 +23,7 @@ from .densities import (
 from .estimation import (
     DerivativeEstimator,
     ThresholdRule,
+    analyze,
     apply_threshold,
     calibrated_rule,
     empirical_coefficients,
@@ -37,7 +39,6 @@ from .frame import (
     CoefficientArray,
     NeedletFrame,
     NeedletWindow,
-    analyze,
     besov_sequence_norm,
     localization_profile,
     needlet_eval,

@@ -39,6 +39,7 @@ import numpy as np
 from .densities import density_from_name
 from .estimation import (
     _ReplicationPlan,
+    analyze,
     apply_threshold,  # noqa: F401  (perfbench/spans.py wraps bench.apply_threshold)
     calibrated_rule,
     empirical_coefficients,
@@ -50,7 +51,6 @@ from .frame import (
     PHASE_BLOCK_BYTES,
     CoefficientArray,
     NeedletFrame,
-    analyze,
     min_grid_size,
     size_violations,
     uniform_grid,
@@ -79,23 +79,6 @@ def child_seed(master, index):
 class ConfigError(ValueError):
     """Raised with every schema violation listed at once."""
 
-
-_CONFIG_KEYS = (
-    "density",
-    "d",
-    "B",
-    "m",
-    "n",
-    "replications",
-    "kappa0",
-    "rules",
-    "J",
-    "grid",
-    "p",
-    "seed",
-    "risk_method",
-    "literal_paper_kappa",
-)
 
 _RISK_METHODS = ("grid-quadrature", "coefficient-proxy", "both")
 
@@ -129,6 +112,9 @@ class ExperimentConfig:
         out["rules"] = list(self.rules)
         out["p"] = ["inf" if math.isinf(v) else v for v in self.p]
         return out
+
+
+_CONFIG_KEYS = tuple(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
 def _norm_p(value):

@@ -1,19 +1,22 @@
-"""Empirical needlet coefficients and local-thresholding derivative estimators.
+"""Needlet analysis, empirical coefficients and local-thresholding derivative estimators.
 
 The m-th derivative of an unknown density f is estimated from an i.i.d.
 sample by (a) averaging derivative needlets over the sample to get unbiased
 coefficient estimates, (b) deleting or shrinking coefficients below a
 level-dependent threshold, (c) synthesizing the survivors with underived
-needlets.
+needlets. analyze computes the coefficients that (a) estimates, from f
+itself; both map per-level shell amplitudes to pixels through one method
+of the plan below (_ReplicationPlan.pixels), so truth and estimate share
+one code path and one flat layout.
 
 Everything in these steps that does not depend on the sample or on the
 points evaluated (the per-level indices and amplitudes, the thresholds
 tau_j = kappa B^(j|m|) sqrt(ln n / n) of every rule) lives in one
 _ReplicationPlan, built once per Monte Carlo run for (frame, m, J, rules)
-and shared read-only by its replications; a single estimate builds a plan
-of its own. The plan holds no points: each synthesis checks the layout of
-the points it is given and builds the phase table of the band it
-evaluates. Coefficients of all levels lie side by side in one flat
+and shared read-only by its replications; a single estimate or analysis
+builds a plan of its own. The plan holds no points: each synthesis checks
+the layout of the points it is given and builds the phase table of the
+band it evaluates. Coefficients of all levels lie side by side in one flat
 array (K_total,), or (R, K_total) for R threshold rules, and the per-level
 arrays are views of it, so thresholding, survivor counting and the finite
 check run once on the flat stack rather than once per level. A Monte Carlo
@@ -36,11 +39,13 @@ from .frame import (
     _family_values,
     _level_fft,
     _uniform_grid_size,
+    analysis_grid_size,
     box_half_width,
     box_index,
     drop_imag,
     sample_spectrum,
     size_violations,
+    uniform_grid,
 )
 from .harmonics import TWO_PI, as_multi_index, as_points, derivative_multiplier
 
@@ -155,20 +160,21 @@ class _ReplicationPlan:
     """Everything the replications of one run share, built once for (frame, m, J, rules).
 
     A Monte Carlo run builds one plan and passes it to empirical_coefficients,
-    thresholded_estimator and synthesize; a call without one builds a
-    one-use plan, so every estimate takes the same path. There is no cache:
-    a plan lives as long as its caller keeps it. Its arrays are read-only,
-    since replication threads share it. An order |m| whose thresholds or
-    frequency powers overflow a float (size_violations) is refused before
+    thresholded_estimator and synthesize; a call without one, and every
+    analyze, builds a one-use plan, so every estimate takes the same path.
+    There is no cache: a plan lives as long as its caller keeps it. Its
+    arrays are read-only, since replication threads share it. A rule whose
+    m or B is not the plan's, and an order |m| whose thresholds or
+    frequency powers overflow a float (size_violations), are refused before
     anything is built. For each level j < J:
 
     - cube[j], the level's FFT cube index, and npts[j], the cube's side;
     - gather[j], the shell's index in the box of half-width
       L = box_half_width(B, J-1), the box of the sample spectrum and of
       synthesis;
-    - analysis[j] = b_l mult_l(m) and root_weight[j] = sqrt(lambda_j) (the
-      sign and the 1/n of the sample join it per call), and synthesis[j] =
-      sqrt(lambda_j) (2pi)^-d b_l;
+    - analysis[j] = b_l mult_l(m) and root_weight[j] = sqrt(lambda_j),
+      which pixels applies (a sign, the 1/n of a sample and a power of 2pi
+      join them per call), and synthesis[j] = sqrt(lambda_j) (2pi)^-d b_l;
     - slices[j], the columns of level j when the K_j coefficients of every
       level lie side by side in one flat array of `size` columns, and
       starts[j], the first of them.
@@ -181,6 +187,11 @@ class _ReplicationPlan:
     """
 
     def __init__(self, frame, m, J, rules=()):
+        for rule in rules:  # taus are built here alone, so a rule is checked here
+            if rule.m != m or rule.B != frame.B:
+                raise ValueError(
+                    f"rule is for m={rule.m} and B={rule.B:g}, not m={m} and B={frame.B:g}"
+                )
         # the frame's sizes passed when it was built; a derivative order may still overflow
         problems = size_violations(frame.B, frame.d, J, order=sum(m or ()))
         if problems:
@@ -208,10 +219,36 @@ class _ReplicationPlan:
         self.by_kind = tuple((kind, mask, repeated[mask]) for kind, mask in rows.items())
         _freeze(tuple(vars(self).values()))
 
+    def pixels(self, shells, sign, power, inverse, what):
+        """Coefficients of every level from its shell amplitudes, as one CoefficientArray.
+
+        shells yields level j's amplitudes in the order of its shell. Each
+        is multiplied by analysis[j], scattered into a zero cube at cube[j],
+        transformed by one _level_fft (forward or inverse) and scaled by
+        (sign root_weight[j]) (2pi)^power into its slice of one flat complex
+        array, whose imaginary residue (refused as `what`) is dropped once.
+        """
+        d = self.frame.d
+        raw = np.empty(self.size, dtype=complex)
+        for j, (cols, amps) in enumerate(zip(self.slices, shells)):
+            cube = np.zeros((self.npts[j],) * d, dtype=complex)
+            cube[self.cube[j]] = self.analysis[j] * amps
+            scale = sign * self.root_weight[j] * TWO_PI**power
+            np.multiply(scale, _level_fft(cube, d, inverse).reshape(-1), out=raw[cols])
+        return CoefficientArray.from_flat(self.m, drop_imag(raw, what), self.slices)
+
     def check(self, frame, J, m=None, rules=None):
         """Refuse a plan built for another frame, number of levels, derivative order or rules."""
         if (frame, J, m or self.m, rules or self.rules) != (self.frame, self.J, self.m, self.rules):
             raise ValueError("the replication plan was built for another frame, J, m or rules")
+
+
+def _top_level(frame, jmax):
+    """The top level to compute: jmax, or the frame's own for None; -1 means none."""
+    jmax = frame.jmax if jmax is None else jmax
+    if not -1 <= jmax <= frame.jmax:
+        raise ValueError(f"jmax {jmax} outside -1..{frame.jmax}, the levels of the frame")
+    return jmax
 
 
 def empirical_coefficients(frame, samples, jmax=None, m=None, *, plan=None):
@@ -223,30 +260,67 @@ def empirical_coefficients(frame, samples, jmax=None, m=None, *, plan=None):
     enters only through S_l = sum_i exp(i l . X_i), computed once on the box
     holding every shell up to jmax and reduced in a fixed block order, so it
     is deterministic for any thread count. Each level gathers its shell from
-    S and maps it to pixels by FFT, into its slice of one flat array: the
-    levels of the result are views of it (CoefficientArray.from_flat),
-    checked for an imaginary residue and for finite values once. Levels
-    0..jmax are produced; jmax = -1 gives none. plan, the run's
-    _ReplicationPlan for this frame, m and jmax + 1 levels, supplies every
-    per-level constant; without one the call builds its own.
+    S, and the plan's pixels maps it to pixels by forward FFT, with sign
+    (-1)^|m| / n and (2pi)^-d, into its slice of one flat array: the levels
+    of the result are views of it, checked for an imaginary residue and for
+    finite values once. Levels 0..jmax are produced; jmax = -1 gives none.
+    plan, the run's _ReplicationPlan for this frame, m and jmax + 1 levels,
+    supplies every per-level constant; without one the call builds its own.
     """
-    if jmax is None:
-        jmax = frame.jmax
-    if jmax > frame.jmax:
-        raise ValueError(f"jmax {jmax} exceeds frame jmax {frame.jmax}")
+    jmax = _top_level(frame, jmax)
     m = as_multi_index(m, frame.d)
     plan = plan or _ReplicationPlan(frame, m, jmax + 1)
     plan.check(frame, jmax + 1, m)
     X = as_sample_array(samples, frame.d)
-    n = X.shape[0]
     S = sample_spectrum(X, plan.L)
-    raw = np.empty(plan.size, dtype=complex)
-    for j, cols in enumerate(plan.slices):
-        cube = np.zeros((plan.npts[j],) * frame.d, dtype=complex)
-        cube[plan.cube[j]] = plan.analysis[j] * S[plan.gather[j]]
-        scale = (-1.0) ** sum(m) / n * plan.root_weight[j] * TWO_PI ** (-frame.d)
-        np.multiply(scale, _level_fft(cube, frame.d).reshape(-1), out=raw[cols])
-    return CoefficientArray.from_flat(m, drop_imag(raw, "empirical coefficients"), plan.slices)
+    shells = (S[index] for index in plan.gather)
+    sign = (-1.0) ** sum(m) / X.shape[0]
+    return plan.pixels(shells, sign, -frame.d, False, "empirical coefficients")
+
+
+def analyze(frame, f, m=None, jmax=None, band_limit=None):
+    """Needlet coefficients of the m-th derivative of f, by exact quadrature.
+
+    Integration by parts moves the derivative onto the needlet, so only f
+    itself is evaluated:
+
+        beta^(m)_{j,k} = (-1)^|m| <f, psi^(m)_{j,k}>
+                       = sqrt(lambda_j) sum_l b_l mult_l(m) a_l e_l(xi_jk)
+
+    where a_l are the Fourier coefficients of f, taken by one FFT quadrature
+    and mapped to pixels by the _ReplicationPlan.pixels that maps the sample
+    spectrum in empirical_coefficients, here by inverse FFT with sign 1 and
+    (2pi)^(-d/2), so beta^(m) and its estimate share one layout. Accepts a
+    plain callable or an object with a `pdf` attribute (a test density); a
+    `band_limit` attribute, when present, widens the quadrature grid
+    accordingly.
+    """
+    jmax = _top_level(frame, jmax)
+    m = as_multi_index(m, frame.d)
+    fn = f.pdf if hasattr(f, "pdf") else f
+    if band_limit is None:
+        band_limit = getattr(f, "band_limit", None)
+    if band_limit is not None and band_limit < 0:
+        raise ValueError(f"band_limit must be nonnegative, got {band_limit}")
+    problems = size_violations(frame.B, frame.d, jmax + 1, band_limit=band_limit, order=sum(m))
+    if problems:
+        raise ValueError(problems[0])
+    plan = _ReplicationPlan(frame, m, jmax + 1)
+    # a_l by FFT quadrature, exact once the grid resolves the shell band plus
+    # the declared band of f
+    npts = analysis_grid_size(frame.B, jmax, band_limit)
+    grid = uniform_grid(npts, frame.d)
+    fvals = np.asarray(fn(grid[:, 0] if frame.d == 1 else grid), dtype=float)
+    if fvals.shape != (grid.shape[0],):
+        raise ValueError("function evaluation returned a wrong shape")
+    if not np.all(np.isfinite(fvals)):
+        raise ValueError("function evaluation produced non-finite values")
+    norm = (TWO_PI / npts) ** frame.d * TWO_PI ** (-frame.d / 2.0)
+    spectrum = np.fft.fftn(fvals.reshape((npts,) * frame.d))
+    shells = (norm * spectrum[_cube_index(frame.level(j).freqs, npts)] for j in range(jmax + 1))
+    # the (-1)^|m| of the integration by parts cancels against the conjugated
+    # multiplier, so no sign factor remains here
+    return plan.pixels(shells, 1.0, -frame.d / 2.0, True, "analysis coefficients")
 
 
 def with_density_mean(values, m):
@@ -325,12 +399,9 @@ def thresholded_estimator(frame, raw, rules, *, plan=None):
     rules = (rules,) if single else tuple(rules)
     plan = plan or _ReplicationPlan(frame, raw.m, raw.njlevels, rules)
     plan.check(frame, raw.njlevels, raw.m, rules)
-    flat = raw.flat
-    if flat is None:
-        flat = np.concatenate([np.zeros(raw.lead + (0,)), *raw.levels], axis=-1)
-    kept = np.empty(flat.shape[:-1] + (len(rules), plan.size))
+    kept = np.empty(raw.lead + (len(rules), plan.size))
     for kind, rows, taus in plan.by_kind:
-        kept[..., rows, :] = apply_threshold(kind, flat[..., None, :], taus)
+        kept[..., rows, :] = apply_threshold(kind, raw.flat[..., None, :], taus)
     taus, rule = (plan.taus[0], rules[0]) if single else (plan.taus, rules)
     kept = kept[..., 0, :] if single else kept
     coeffs = CoefficientArray.from_flat(raw.m, kept, plan.slices)
@@ -349,8 +420,6 @@ def estimate(frame, samples, m, rule, J_override=None):
     n = X.shape[0]
     if n < 3:
         raise ValueError("estimation needs n >= 3")
-    if tuple(rule.m) != m:
-        raise ValueError(f"rule is for m={rule.m}, estimator asked for m={m}")
     if rule.n != n:
         raise ValueError(f"rule was built for n={rule.n}, sample has n={n}")
     J = J_override if J_override is not None else truncation_level(n, frame.d, sum(m), frame.B)

@@ -29,8 +29,8 @@ highest shell in use:
   (needlet_eval) or grid_values (needlet_lp_norm).
 - Pixel transforms in both directions are FFTs on the level's cubature cube,
   whose points are xi_k = 2 pi k / N, over a whole stack of cubes at once
-  (_level_fft); analyze's quadrature is one more FFT. These are the only
-  FFTs.
+  (_level_fft); estimation.analyze's quadrature is one more FFT. These are
+  the only FFTs.
 
 Synthesis (estimation.synthesize, which reads its per-level constants from
 a replication plan) therefore maps each live level's pixels back to its
@@ -45,9 +45,10 @@ pass: one FFT per level over the stack and one box with the family axis
 trailing, evaluated in chunks of rows that fit PHASE_BLOCK_BYTES, each
 family on the band of its own top live level. On the grid a band of
 half-width L' forms only its own (2L'+1, G) phase table, so dead top
-levels cost no table rows. Coefficient levels may be views of one flat
-array of every level side by side (CoefficientArray.from_flat), which is
-how the estimator pipeline lays them out.
+levels cost no table rows. Coefficient levels are always views of one flat
+array of every level side by side (CoefficientArray.flat). Analysis and
+the empirical coefficients, which map shells to pixels through one level
+map of the replication plan, live in estimation.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for
@@ -666,26 +667,29 @@ class CoefficientArray:
     a stack of coefficient sets with one or two leading axes, (R, K_j) or
     (C, R, K_j), with the same leading shape at every level: the rows of a
     stacked estimator, one per threshold rule, and for C replications one
-    such family per replication (synthesize evaluates every row). Levels
-    given one by one are checked one by one, and flat is None. The
-    estimator pipeline lays every level out side by side in one
-    (..., K_total) array instead (from_flat): flat is that array, checked
-    once, and levels[j] is a view of its columns at the j-th slice. lead is
-    the leading shape, () for a single coefficient set.
+    such family per replication (synthesize evaluates every row). flat
+    holds every level side by side, (..., K_total), and levels[j] is a view
+    of its columns at the j-th slice. Levels given one by one are checked
+    one by one and copied into flat once; the estimator pipeline passes the
+    flat array itself (from_flat), checked once. lead is the leading shape,
+    () for a single coefficient set.
     """
 
     m: tuple
     levels: list
-    flat = None
 
     def __post_init__(self):
         self.m = tuple(int(v) for v in self.m)
-        self.levels = [np.asarray(lv, dtype=float) for lv in self.levels]
-        for lv in self.levels:
+        levels = [np.asarray(lv, dtype=float) for lv in self.levels]
+        for lv in levels:
             if lv.ndim not in (1, 2, 3) or not np.all(np.isfinite(lv)):
                 raise ValueError(_STACK_ERROR)
-            if lv.shape[:-1] != self.levels[0].shape[:-1]:
+            if lv.shape[:-1] != levels[0].shape[:-1]:
                 raise ValueError("coefficient stacks must hold the same rows at every level")
+        lead = levels[0].shape[:-1] if levels else ()
+        offsets = np.cumsum([0] + [lv.shape[-1] for lv in levels]).tolist()
+        self.flat = np.concatenate([np.zeros(lead + (0,)), *levels], axis=-1)
+        self.levels = [self.flat[..., a:b] for a, b in zip(offsets[:-1], offsets[1:])]
 
     @classmethod
     def from_flat(cls, m, flat, slices):
@@ -703,9 +707,7 @@ class CoefficientArray:
 
     @property
     def lead(self):
-        if self.flat is not None:
-            return self.flat.shape[:-1]
-        return self.levels[0].shape[:-1] if self.levels else ()
+        return self.flat.shape[:-1]
 
 
 def _check_structure(frame, coeffs):
@@ -759,61 +761,6 @@ def needlet_eval(frame, j, k, theta, m=None):
 def analysis_grid_size(B, jmax, band_limit=None):
     """Points per axis of the FFT grid analyze uses: levels 0..jmax plus the band of f."""
     return cubature_size(B, jmax) + 2 * (int(band_limit) if band_limit else 0)
-
-
-def analyze(frame, f, m=None, jmax=None, band_limit=None):
-    """Needlet coefficients of the m-th derivative of f, by exact quadrature.
-
-    Integration by parts moves the derivative onto the needlet, so only f
-    itself is evaluated:
-
-        beta^(m)_{j,k} = (-1)^|m| <f, psi^(m)_{j,k}>
-                       = sqrt(lambda_j) sum_l b_l mult_l(m) a_l e_l(xi_jk)
-
-    where a_l are the Fourier coefficients of f. Accepts a plain callable or
-    an object with a `pdf` attribute (a test density); a `band_limit`
-    attribute, when present, widens the quadrature grid accordingly.
-    """
-    if jmax is None:
-        jmax = frame.jmax
-    if jmax > frame.jmax:
-        raise ValueError(f"jmax {jmax} exceeds frame jmax {frame.jmax}")
-    m = as_multi_index(m, frame.d)
-    fn = f.pdf if hasattr(f, "pdf") else f
-    if band_limit is None:
-        band_limit = getattr(f, "band_limit", None)
-    if band_limit is not None and band_limit < 0:
-        raise ValueError(f"band_limit must be nonnegative, got {band_limit}")
-    problems = size_violations(frame.B, frame.d, jmax + 1, band_limit=band_limit, order=sum(m))
-    if problems:
-        raise ValueError(problems[0])
-    # a_l by FFT quadrature, exact once the grid resolves the shell band plus
-    # the declared band of f
-    npts = analysis_grid_size(frame.B, jmax, band_limit)
-    grid = uniform_grid(npts, frame.d)
-    fvals = np.asarray(fn(grid[:, 0] if frame.d == 1 else grid), dtype=float)
-    if fvals.shape != (grid.shape[0],):
-        raise ValueError("function evaluation returned a wrong shape")
-    if not np.all(np.isfinite(fvals)):
-        raise ValueError("function evaluation produced non-finite values")
-    norm = (TWO_PI / npts) ** frame.d * TWO_PI ** (-frame.d / 2.0)
-    spectrum = np.fft.fftn(fvals.reshape((npts,) * frame.d))
-    levels = []
-    for j in range(jmax + 1):
-        lev = frame.level(j)
-        a = norm * spectrum[_cube_index(lev.freqs, npts)]
-        mult = np.atleast_1d(derivative_multiplier(lev.freqs, m))
-        # beta^(m)_{j,k} = sqrt(lambda) sum_l b_l mult_l a_l e_l(xi_jk); the
-        # (-1)^|m| of the integration by parts cancels against the conjugated
-        # multiplier, so no sign factor remains here
-        amp = lev.bvals * mult * a
-        N = lev.cubature.npts_per_dim
-        cube = np.zeros((N,) * frame.d, dtype=complex)
-        cube[_cube_index(lev.freqs, N)] = amp
-        raw = _level_fft(cube, frame.d, inverse=True).reshape(-1)
-        scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-frame.d / 2.0)
-        levels.append(drop_imag(scale * raw, what=f"analysis coefficients at level {j}"))
-    return CoefficientArray(m, levels)
 
 
 def besov_sequence_norm(coeffs, s, r, q, B, d):

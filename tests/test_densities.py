@@ -72,8 +72,8 @@ def test_gaussian_derivative_matches_finite_differences():
 
 
 def test_gaussian_derivative_is_the_hermeval_form_bit_for_bit():
-    # the Clenshaw recurrence stands in for numpy.polynomial's hermeval at
-    # import; it must give the very bits of the form it replaced
+    # the derivative imports numpy.polynomial's hermeval on first use; its
+    # bits must be those of the closed form (-1)^q sigma^-q He_q(u) exp(-u^2/2)
     from numpy.polynomial import hermite_e
 
     x = np.random.default_rng(8).normal(0.0, 5.0, 10000)

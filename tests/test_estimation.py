@@ -552,6 +552,30 @@ def test_estimate_rejects_mismatched_rule(frame):
         tn.estimate(frame, X, (1,), wrong_n)
 
 
+def test_rules_for_another_scale_or_order_are_refused(frame):
+    # taus are built from the rule's B and m, so a rule for another frame or
+    # order would threshold every level but the first at the wrong height
+    X = tn.wrapped_normal(1.0).sampler(np.random.default_rng(3), 500)
+    other_B = tn.ThresholdRule("hard", 0.5, (1,), 500, 3.0)
+    with pytest.raises(ValueError, match=r"rule is for m=\(1,\) and B=3"):
+        tn.estimate(frame, X, (1,), other_B, J_override=4)
+    raw = tn.empirical_coefficients(frame, X, m=(1,))
+    other_m = tn.ThresholdRule("hard", 0.5, (2,), 500, 2.0)
+    with pytest.raises(ValueError, match=r"rule is for m=\(2,\)"):
+        thresholded_estimator(frame, raw, other_m)
+    with pytest.raises(ValueError, match=r"rule is for m=\(1,\) and B=3"):
+        thresholded_estimator(frame, raw, [tn.ThresholdRule("hard", 0.5, (1,), 500, 2.0), other_B])
+
+
+def test_levels_outside_the_frame_are_refused(frame):
+    # jmax = -1 asks for no level; below it or above the frame's top is refused
+    for fn, arg in ((tn.empirical_coefficients, [0.1, 0.2, 0.3]), (tn.analyze, np.cos)):
+        assert fn(frame, arg, jmax=-1).levels == []
+        for jmax in (-2, 4):
+            with pytest.raises(ValueError, match=rf"jmax {jmax} outside -1\.\.3"):
+                fn(frame, arg, jmax=jmax)
+
+
 def test_estimate_rejects_j_beyond_frame(frame):
     X = [0.1, 0.2, 0.3, 0.4]
     rule = tn.ThresholdRule("hard", 1.0, (1,), 4, 2.0)

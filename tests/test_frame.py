@@ -15,12 +15,16 @@ from torneed.frame import (
     _GL_NODES,
     _GL_WEIGHTS,
     _check_structure,
+    _cube_index,
+    _level_fft,
+    analysis_grid_size,
     block_rows,
     drop_imag,
     exceeds_grid_cap,
     size_violations,
+    uniform_grid,
 )
-from torneed.harmonics import TWO_PI
+from torneed.harmonics import TWO_PI, derivative_multiplier
 
 
 @pytest.fixture(scope="module")
@@ -306,6 +310,46 @@ def test_analyze_rejects_nonfinite(frame1):
 
     with pytest.raises(ValueError):
         tn.analyze(frame1, f, band_limit=1)
+
+
+def _per_level_analysis(frame, density, m, jmax):
+    """analyze written out level by level: the bits analyze must reproduce."""
+    d = frame.d
+    npts = analysis_grid_size(frame.B, jmax, density.band_limit)
+    grid = uniform_grid(npts, d)
+    fvals = np.asarray(density.pdf(grid[:, 0] if d == 1 else grid), dtype=float)
+    norm = (TWO_PI / npts) ** d * TWO_PI ** (-d / 2.0)
+    spectrum = np.fft.fftn(fvals.reshape((npts,) * d))
+    levels = []
+    for j in range(jmax + 1):
+        lev = frame.level(j)
+        a = norm * spectrum[_cube_index(lev.freqs, npts)]
+        mult = np.atleast_1d(derivative_multiplier(lev.freqs, m))
+        N = lev.cubature.npts_per_dim
+        cube = np.zeros((N,) * d, dtype=complex)
+        cube[_cube_index(lev.freqs, N)] = lev.bvals * mult * a
+        raw = _level_fft(cube, d, inverse=True).reshape(-1)
+        scale = math.sqrt(lev.cubature.weight) * TWO_PI ** (-d / 2.0)
+        levels.append((scale * raw).real)
+    return np.concatenate(levels)
+
+
+@pytest.mark.parametrize(
+    "name, d, m",
+    [
+        ("wrapped_normal(1.0)", 1, (0,)),
+        ("wrapped_normal(1.0)", 1, (1,)),
+        ("wrapped_normal(1.0)", 1, (2,)),
+        ("product(wrapped_normal(1.0),wrapped_normal(0.7))", 2, (1, 0)),
+    ],
+)
+def test_analyze_bits_are_the_per_level_quadrature(name, d, m):
+    # the Monte Carlo coefficient proxy compares estimates against these bits
+    frame = tn.NeedletFrame(2.0, d, jmax=4 if d == 1 else 3)
+    density = tn.density_from_name(name, d)
+    coeffs = tn.analyze(frame, density, m)
+    got = np.concatenate(coeffs.levels)
+    assert got.tobytes() == _per_level_analysis(frame, density, m, frame.jmax).tobytes()
 
 
 def test_synthesize_rejects_mismatched_structure(frame1):
