@@ -6,9 +6,14 @@ empirical coefficients, and the sample is freed before the next draw. The
 replications are scored in chunks: the raw coefficients of a chunk, stacked
 as (C, K_total), are thresholded by every (rule, kappa0) at once into one
 estimator with a (C, rows) leading shape (one row per pair: same data,
-varying threshold), synthesized, and scored together: surviving counts and
-L^p risks. C comes from a fixed byte budget, CHUNK_BYTES, on the chunk's
-complex grid values (chunk_replications); it is no option, and it does not
+varying threshold) and scored together: surviving counts and L^p risks.
+The p = 2 grid risk, the only one the paper's tables use, comes from the
+estimator's box spectrum (estimation.synthesis_box) by discrete Parseval
+against the truth's DFT on the grid, built once per run (truth_spectrum,
+_l2_from_box); no grid values are formed for it. Any other exponent
+synthesizes the chunk on the grid (_lp_from_values). C comes from a fixed
+byte budget, CHUNK_BYTES, on the widest complex array a chunk scores per
+row (chunk_width, chunk_replications); it is no option, and it does not
 depend on the thread count. With threads, the pool maps over chunks.
 
 Reproducibility contract: every replication r derives its own RNG stream
@@ -16,8 +21,9 @@ from a documented integer hash of (master seed, r), and the chunks do not
 depend on the thread count, so results are identical, bit for bit, whether
 replications run serially or on any number of threads. A replication's
 rows also do not depend on the chunk it lands in, so a longer run extends
-a shorter one: each replication is synthesized on the band of its own top
-live level, and a lone row is never evaluated by a matrix-vector product
+a shorter one: each row's box risk is reduced along its own contiguous
+row, each replication is synthesized on the band of its own top live
+level, and a lone row is never evaluated by a matrix-vector product
 (frame._family_values). That part rests on the BLAS giving each row of a
 GEMM the same bits whatever the row count, which no library promises; it
 was measured on OpenBLAS 0.3.31 on a Haswell-class CPU.
@@ -44,6 +50,7 @@ from .estimation import (
     calibrated_rule,
     empirical_coefficients,
     read_input,
+    synthesis_box,
     thresholded_estimator,
     truncation_level,
 )
@@ -51,13 +58,18 @@ from .frame import (
     PHASE_BLOCK_BYTES,
     CoefficientArray,
     NeedletFrame,
+    _largest_magnitude,
+    box_half_width,
+    cubature_size,
     min_grid_size,
+    refuse_residue,
     size_violations,
     uniform_grid,
 )
 from .harmonics import TWO_PI
 
-# bytes of one chunk's complex grid values: 15 replications of the paper's 8 rows on 257 points
+# bytes of the widest complex array one chunk scores (chunk_width): 132 replications of the
+# paper's 8 rows on its 31-column box, 15 of them on 257 grid points when p holds another exponent
 CHUNK_BYTES = PHASE_BLOCK_BYTES // 8
 
 _MASK64 = (1 << 64) - 1
@@ -318,6 +330,63 @@ class RiskReport:
         ]
 
 
+def truth_spectrum(truth_vals, m, grid_per_dim, L):
+    """The truth's DFT on uniform_grid(G, d), split at the box |l_i| <= L: (inside, outside).
+
+    T = fftn(t - mu) / G^d, where t is truth_vals in uniform_grid's row
+    order and mu the density mean (2pi)^-d for m = 0 (else 0): synthesis_box
+    holds no zero frequency, and with_density_mean adds the mean to the
+    estimator's values. Comparing against t - mu rather than adding mu to
+    the box keeps a risk that is exactly zero on the grid (a uniform truth,
+    nothing surviving) exactly zero. inside is T at every box frequency l
+    (cube index l mod G, distinct since G >= 2L+1), flat in the box's
+    row-major order; outside is sum |T|^2 over the other G^d - (2L+1)^d
+    indices, summed over that complement: total minus inside could round
+    below zero.
+    """
+    d = len(m)
+    if grid_per_dim < 2 * L + 1:
+        raise ValueError(f"grid {grid_per_dim} cannot resolve the box of half-width {L}")
+    centred = truth_vals - TWO_PI ** (-d) if sum(m) == 0 else truth_vals
+    spectrum = np.fft.fftn(centred.reshape((grid_per_dim,) * d)) / grid_per_dim**d
+    box = np.ix_(*[np.arange(-L, L + 1) % grid_per_dim] * d)
+    inside = spectrum[box].reshape(-1)
+    rest = np.ones(spectrum.shape, dtype=bool)
+    rest[box] = False
+    return inside, float(np.sum(np.square(spectrum[rest].view(float))))
+
+
+def _l2_from_box(box, truth, d):
+    """(R,) grid L^2 distances of R box spectra (2L+1,)*d + (R,) to the truth, by discrete Parseval.
+
+    On uniform_grid(G, d) with G >= 2L+1, the quadrature of _lp_from_values
+    at p = 2 is exactly
+
+        (2pi/G)^d sum_x |e(x) - t(x)|^2
+            = (2pi)^d (sum_{l in box} |E_l - T_l|^2 + sum_{l not in box} |T_l|^2),
+
+    E the box (the estimator's DFT on the grid) and (T inside, T outside)
+    = truth, from truth_spectrum. No grid values are formed. Each row is
+    moved to a contiguous last axis and reduced there, so its risk does not
+    depend on the rows beside it. The box is checked first: the estimator is
+    real exactly when E_{-l} = conj(E_l), so the largest |E_l - conj(E_{-l})|
+    is refused by refuse_residue against the largest |E_l|, as an imaginary
+    residue of the values would be.
+    """
+    inside, outside = truth
+    rows = np.array(box.reshape(-1, box.shape[-1]).T, order="C")  # a copy, even of one row
+    # l -> -l reverses every box axis, so the row-major index runs backwards;
+    # in place, since numpy's temporary-elision check on a binary op of large
+    # temporaries costs more than the arithmetic here
+    odd = np.conjugate(rows[:, ::-1], order="C")
+    odd -= rows
+    refuse_residue(_largest_magnitude(odd), rows, "the box spectrum")
+    rows -= inside
+    parts = rows.view(float)
+    energy = np.sum(np.square(parts, out=parts), axis=-1)
+    return np.sqrt(TWO_PI**d * (energy + outside))
+
+
 def _lp_from_values(est_vals, truth_vals, p, d, grid_per_dim):
     """Grid L^p distance along the last axis: a scalar for (G^d,) values, (R,) for (R, G^d)."""
     diff = np.abs(est_vals - truth_vals)
@@ -342,10 +411,13 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     G-per-dimension grid (max for p = inf). coefficient-proxy: the l2 norm of
     the coefficient differences over levels < J (p = 2 only). For m = 0 the
     estimator includes the density mean (DerivativeEstimator.evaluate).
+    p = 2 on the grid is taken by discrete Parseval on the estimator's box
+    spectrum (synthesis_box, _l2_from_box) without evaluating the estimator;
+    every other p synthesizes it on the grid (_lp_from_values).
     run_experiment scores every row of a replication's estimator through the
-    same two kernels (_lp_from_values, _proxy_distance): a row's proxy risk
-    is this distance for its rule on that replication's sample, and its grid
-    risks are too, up to the rounding of synthesizing all rows in one pass.
+    same kernels: a row's proxy risk is this distance for its rule on that
+    replication's sample, and its grid risks are too, up to the rounding of
+    synthesizing all rows in one pass.
     """
     d = est.frame.d
     if method == "coefficient-proxy":
@@ -358,19 +430,37 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     if grid_size < min_grid:
         raise ValueError(f"grid {grid_size} cannot resolve the estimator band (needs >= {min_grid})")
     grid = uniform_grid(grid_size, d)
-    est_vals = est.evaluate(grid)
     truth_vals = truth.derivative(est.m, grid[:, 0] if d == 1 else grid)
-    return float(_lp_from_values(est_vals, truth_vals, p, d, grid_size))
+    if p == 2:
+        box, _ = synthesis_box(est.frame, est.coeffs, plan=est.plan)
+        L = (box.shape[0] - 1) // 2
+        return float(_l2_from_box(box, truth_spectrum(truth_vals, est.m, grid_size, L), d)[0])
+    return float(_lp_from_values(est.evaluate(grid), truth_vals, p, d, grid_size))
 
 
 def chunk_replications(rows, width):
     """Replications scored together: their complex values, rows x width each, fit CHUNK_BYTES.
 
-    rows is a replication's estimator rows; width is the points of the
-    evaluation grid, or the coefficients of all levels when no grid is
-    evaluated. Never below one.
+    rows is a replication's estimator rows; width is chunk_width's columns
+    per row. Never below one.
     """
     return max(1, CHUNK_BYTES // (16 * rows * max(width, 1)))
+
+
+def chunk_width(config):
+    """Complex columns per estimator row that a chunk scores at once, from the config alone.
+
+    G^d grid values when some exponent in p is not 2; the (2L+1)^d box
+    spectrum, L = box_half_width(B, J-1), when the grid risk is p = 2 alone;
+    the coefficients of all levels, sum_j K_j, for the coefficient proxy
+    alone.
+    """
+    J, d = config.resolved_J(), config.d
+    if config.risk_method == "coefficient-proxy":
+        return sum(cubature_size(config.B, j) ** d for j in range(J))
+    if any(p != 2 for p in config.p):
+        return config.grid**d
+    return (2 * box_half_width(config.B, J - 1) + 1) ** d
 
 
 def run_experiment(config, threads=1):
@@ -390,11 +480,15 @@ def run_experiment(config, threads=1):
     need_proxy = config.risk_method in ("coefficient-proxy", "both")
     columns = [(p, "grid-quadrature") for p in config.p] if need_grid else []
     columns += [(2.0, "coefficient-proxy")] if need_proxy else []
-    # every replication shares one plan (per-level constants, thresholds) and one grid
+    # grid values are formed only for an exponent other than 2
+    need_values = need_grid and any(p != 2 for p in config.p)
+    # every replication shares one plan (per-level constants, thresholds) and one truth
     plan = _ReplicationPlan(frame, m, J, rules)
+    G = config.grid
     if need_grid:
-        grid = uniform_grid(config.grid, config.d)
+        grid = uniform_grid(G, config.d)
         truth_vals = density.derivative(m, grid[:, 0] if config.d == 1 else grid)
+        truth_box = truth_spectrum(truth_vals, m, G, plan.L)
     true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
     totals = [cols.stop - cols.start for cols in plan.slices]
 
@@ -412,9 +506,14 @@ def run_experiment(config, threads=1):
             est = thresholded_estimator(frame, raw, rules, plan=plan)
             risks = np.empty((len(reps), len(members), len(columns)))
             if need_grid:
-                est_vals = est.evaluate(grid)
+                box, _ = synthesis_box(frame, est.coeffs, plan=plan)
+                l2 = _l2_from_box(box, truth_box, config.d).reshape(risks.shape[:2])
+                est_vals = est.evaluate(grid) if need_values else None
                 for c, p in enumerate(config.p):
-                    risks[..., c] = _lp_from_values(est_vals, truth_vals, p, config.d, config.grid)
+                    if p == 2:
+                        risks[..., c] = l2
+                    else:
+                        risks[..., c] = _lp_from_values(est_vals, truth_vals, p, config.d, G)
             if need_proxy:
                 risks[..., -1] = _proxy_distance(est.coeffs, true_coeffs)
             alive = est.survivors().tolist()
@@ -432,8 +531,7 @@ def run_experiment(config, threads=1):
         return counts, risk_rows
 
     R = config.replications
-    width = config.grid**config.d if need_grid else plan.size
-    size = chunk_replications(len(members), width)
+    size = chunk_replications(len(members), chunk_width(config))
     chunks = [range(start, min(start + size, R)) for start in range(0, R, size)]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import

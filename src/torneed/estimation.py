@@ -21,7 +21,9 @@ array (K_total,), or (R, K_total) for R threshold rules, and the per-level
 arrays are views of it, so thresholding, survivor counting and the finite
 check run once on the flat stack rather than once per level. A Monte Carlo
 run stacks the raw coefficients of C replications as (C, K_total) and
-thresholds, synthesizes and scores them as one (C, R, K_total) estimator.
+thresholds and scores them as one (C, R, K_total) estimator; its p = 2
+grid risk reads the estimator's box spectrum (synthesis_box, the first half
+of synthesize) and never evaluates it.
 """
 
 from __future__ import annotations
@@ -432,6 +434,43 @@ def estimate(frame, samples, m, rule, J_override=None):
     return thresholded_estimator(frame, raw, rule, plan=plan)
 
 
+def synthesis_box(frame, coeffs, *, plan=None):
+    """The first half of synthesis: every live level's pixels mapped into one box spectrum.
+
+    Levels of (K_j,) arrays or stacks with leading axes (R, K_j) or
+    (C, R, K_j) give one box with the rows on a trailing axis, (2L+1,)*d +
+    (rows,), L = plan.L; a single coefficient set is a stack of one. Each
+    level with a nonzero coefficient in any row maps the pixels of every row
+    to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k) by one FFT over the
+    stack and adds sqrt(lambda_j) (2pi)^-d b_l T_l at its shell; a row's
+    dead levels add exact zeros, and a box with nothing live is all zeros.
+    So box[l + L] is the coefficient of exp(i l.x) in the synthesized
+    function, with no zero frequency: the spectrum synthesize evaluates and
+    the grid L^2 risk scores (bench). Also returns top, the (families,) top
+    live level of each family of rows that share every leading index but
+    the last (one replication's rows), -1 for a family with none. plan is a
+    _ReplicationPlan for this frame and number of levels, whatever its m and
+    rules, since synthesis uses underived needlets; without one the call
+    builds its own.
+    """
+    _check_structure(frame, coeffs)
+    plan = plan or _ReplicationPlan(frame, None, coeffs.njlevels)  # underived needlets
+    plan.check(frame, coeffs.njlevels)
+    lead = coeffs.lead
+    R, families = math.prod(lead), math.prod(lead[:-1])
+    # live[j, f]: level j holds a nonzero coefficient in family f
+    live = np.array(
+        [lv.reshape(families, -1, lv.shape[-1]).any(axis=(1, 2)) for lv in coeffs.levels]
+    ).reshape(-1, families)
+    top = np.max(live * np.arange(1, len(live) + 1)[:, None], axis=0, initial=0) - 1
+    box = np.zeros((2 * plan.L + 1,) * frame.d + (R,), dtype=complex)
+    for j in np.flatnonzero(live.any(axis=1)):
+        cubes = coeffs.levels[j].reshape((R,) + (plan.npts[j],) * frame.d)
+        T = _level_fft(cubes, frame.d)[(slice(None),) + plan.cube[j]]
+        box[plan.gather[j]] += plan.synthesis[j][:, None] * T.T
+    return box, top
+
+
 def synthesize(frame, coeffs, grid, *, plan=None):
     """sum_{j,k} c_{j,k} psi_{j,k}(theta) over the grid points, for one coefficient set or a family.
 
@@ -440,48 +479,31 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     on or off any uniform grid. Levels of (K_j,) arrays give (n,) values;
     stacks with leading axes give those axes + (n,), every row in one pass:
     (R, K_j) gives (R, n) and (C, R, K_j), C replications of R rows, gives
-    (C, R, n). Each level with a nonzero coefficient in any row maps the
-    pixels of every row to shell amplitudes T_l = sum_k c_k exp(-i l.xi_k)
-    by one FFT over the stack and adds sqrt(lambda_j) (2pi)^-d b_l T_l into
-    one box spectrum with the family axis trailing, (2L+1,)*d + (rows,).
-    Rows that share every leading index but the last (one replication's
-    family) share a band: the half-width L' of their top live level. Rows
-    of one band are evaluated together on the box cut to |l_i| <= L', at
-    the points (frame._family_values, in chunks of rows), so a row's values
-    do not depend on the other replications stacked beside it. Points that
-    are exactly uniform_grid(G, d) for some G (same row count, same row
-    order, equal coordinates; checked on every call) take the
-    tensor-product form (grid_values), whose phase table has the 2L'+1
+    (C, R, n). The first half is synthesis_box: one box spectrum of every
+    row, family axis trailing, and each family's top live level. The second
+    half evaluates it. Rows that share every leading index but the last (one
+    replication's family) share a band: the half-width L' of their top live
+    level. Rows of one band are evaluated together on the box cut to
+    |l_i| <= L', at the points (frame._family_values, in chunks of rows), so
+    a row's values do not depend on the other replications stacked beside
+    it. Points that are exactly uniform_grid(G, d) for some G (same row
+    count, same row order, equal coordinates; checked on every call) take
+    the tensor-product form (grid_values), whose phase table has the 2L'+1
     rows of the band alone; any other point set, shuffled or shifted grids
-    included, takes spectrum_values. plan is a _ReplicationPlan for this
-    frame and number of levels, whatever its m and rules, since synthesis
-    uses underived needlets; without one the call builds its own.
+    included, takes spectrum_values. plan is as in synthesis_box.
     """
-    _check_structure(frame, coeffs)
-    plan = plan or _ReplicationPlan(frame, None, coeffs.njlevels)  # underived needlets
-    plan.check(frame, coeffs.njlevels)
+    box, top = synthesis_box(frame, coeffs, plan=plan)
     points = as_points(grid, frame.d)
     npts = _uniform_grid_size(points)
     n = points.shape[0]
     lead = coeffs.lead
-    R, families = math.prod(lead), math.prod(lead[:-1])
-    # live[j, f]: level j holds a nonzero coefficient in family f
-    live = np.array(
-        [lv.reshape(families, -1, lv.shape[-1]).any(axis=(1, 2)) for lv in coeffs.levels]
-    )
-    if not live.any():
-        return np.zeros(lead + (n,))
-    top = np.where(live.any(axis=0), len(live) - 1 - np.argmax(live[::-1], axis=0), -1)
-    box = np.zeros((2 * plan.L + 1,) * frame.d + (R,), dtype=complex)
-    for j in np.flatnonzero(live.any(axis=1)):
-        cubes = coeffs.levels[j].reshape((R,) + (plan.npts[j],) * frame.d)
-        T = _level_fft(cubes, frame.d)[(slice(None),) + plan.cube[j]]
-        box[plan.gather[j]] += plan.synthesis[j][:, None] * T.T
+    families = math.prod(lead[:-1])
+    L = (box.shape[0] - 1) // 2
     values = None
     for t in sorted(set(top.tolist()) - {-1}):
         # the band of the top live level: the box cut to half-width L'
         half = box_half_width(frame.B, t)
-        band = slice(plan.L - half, plan.L + half + 1)
+        band = slice(L - half, L + half + 1)
         fams = np.flatnonzero(top == t)
         family = box.reshape(box.shape[:-1] + (families, -1))[(band,) * frame.d + (fams,)]
         family = family.reshape(family.shape[: frame.d] + (-1,))
@@ -491,7 +513,7 @@ def synthesize(frame, coeffs, grid, *, plan=None):
             # band peaks at them plus its real part, not plus the result too
             values = np.zeros(lead + (n,))
         values.reshape(families, -1, n)[fams] = part.reshape(fams.size, -1, n)
-    return values
+    return np.zeros(lead + (n,)) if values is None else values
 
 
 def write_estimator_csv(est, path):

@@ -29,15 +29,18 @@ highest shell in use:
   (needlet_eval) or grid_values (needlet_lp_norm).
 - Pixel transforms in both directions are FFTs on the level's cubature cube,
   whose points are xi_k = 2 pi k / N, over a whole stack of cubes at once
-  (_level_fft); estimation.analyze's quadrature is one more FFT. These are
-  the only FFTs.
+  (_level_fft); estimation.analyze's quadrature and the truth's DFT on a
+  risk grid (bench.truth_spectrum) are one more FFT each. These are the
+  only FFTs.
 
 Synthesis (estimation.synthesize, which reads its per-level constants from
 a replication plan) therefore maps each live level's pixels back to its
-shell by FFT (_level_fft), adds every level into one box spectrum and
-evaluates that spectrum once (_family_values): by grid_values when the
-points are exactly uniform_grid(G, d) for some G (same rows, same order,
-equal coordinates; checked on every call), by spectrum_values otherwise.
+shell by FFT (_level_fft), adds every level into one box spectrum
+(estimation.synthesis_box, which bench's p = 2 grid risk scores without
+evaluating it) and evaluates that spectrum once (_family_values): by
+grid_values when the points are exactly uniform_grid(G, d) for some G
+(same rows, same order, equal coordinates; checked on every call), by
+spectrum_values otherwise.
 R coefficient sets stacked as (R, K_j) per level (the rows of one
 replication's estimator, one per threshold rule), or C such families as
 (C, R, K_j) (a chunk of Monte Carlo replications), take the same single
@@ -74,7 +77,8 @@ frame, and the grids evaluated or analyzed with it, may be built at all.
 Fixed constants: the window ramp is tabulated on _RAMP_NODES = 4097 nodes
 with an 8-node Gauss-Legendre rule per cell, the window moments use
 _MOMENT_PANELS = 64 panels per side of u = 1, drop_imag refuses an
-imaginary residue above IMAG_RESIDUE_TOL = 1e-9 (on every evaluation
+imaginary residue above IMAG_RESIDUE_TOL = 1e-9 times the largest real
+magnitude, or 1 if that is smaller (refuse_residue, on every evaluation
 path), localization_profile samples 2048 points over its rays, and
 needlet_lp_norm integrates level j on the uniform grid of
 max(64, 8 ceil(B**(j+1))) points per axis, by grid_values.
@@ -169,22 +173,49 @@ def size_violations(B, d, J, grid=None, band_limit=None, order=0):
     return out
 
 
+def _largest_magnitude(values):
+    """max |v| of an array, 0 when empty; of a real one as max and -min, with no temporary."""
+    if not values.size:
+        return 0.0
+    if np.iscomplexobj(values):
+        return float(np.abs(values).max())
+    return max(float(values.max()), -float(values.min()))
+
+
+def refuse_residue(residue, values, what):
+    """The one imaginary-residue rule: refuse residue > IMAG_RESIDUE_TOL * max(1, max |values|).
+
+    values is what the residue rides on: the real part of nominally real
+    values, or a box spectrum. The rounding of a sum grows with its terms,
+    so the bound is relative; it is absolute below 1, where an array of
+    pure rounding (the analysis of a uniform density) has real parts as
+    small as its residue. A broken conjugate symmetry leaves a residue of
+    the size of the terms themselves and is refused. The scale of values is
+    read only when the residue passes IMAG_RESIDUE_TOL, the least the bound
+    can be.
+    """
+    if residue <= IMAG_RESIDUE_TOL:
+        return
+    scale = _largest_magnitude(values)
+    bound = IMAG_RESIDUE_TOL * max(1.0, scale)
+    if residue > bound:
+        raise ValueError(
+            f"imaginary residue {residue:.3e} exceeds {bound:.3e} = {IMAG_RESIDUE_TOL:g} "
+            f"x max(1, largest magnitude {scale:.3e}) in {what}"
+        )
+
+
 def _checked_real(values, what):
     """Real part of a nominally real array (a view of complex input), once its residue is checked.
 
-    Raises instead of truncating silently: a large residue means a broken
-    conjugate-symmetric sum, not a rounding artifact. The residue is the
-    larger of the imaginary part's max and -min, so no temporary is formed.
+    Raises instead of truncating silently: a residue beyond refuse_residue's
+    relative bound means a broken conjugate-symmetric sum, not a rounding
+    artifact.
     """
     values = np.asarray(values)
     if not np.iscomplexobj(values):
         return np.asarray(values, dtype=float)
-    imag = values.imag
-    residue = max(float(imag.max()), -float(imag.min())) if values.size else 0.0
-    if residue > IMAG_RESIDUE_TOL:
-        raise ValueError(
-            f"imaginary residue {residue:.3e} exceeds {IMAG_RESIDUE_TOL:g} in {what}"
-        )
+    refuse_residue(_largest_magnitude(values.imag), values.real, what)
     return values.real
 
 
@@ -744,7 +775,7 @@ def needlet_eval(frame, j, k, theta, m=None):
     (_needlet_box) is evaluated at theta - xi_k by spectrum_values, in row
     blocks. Returns a float for a single point, else a 1-d array. The sum
     over the shell is conjugate-symmetric, hence real; the imaginary residue
-    is checked against 1e-9 and dropped.
+    is checked (refuse_residue) and dropped.
     """
     lev = frame.level(j)
     K = lev.cubature.K

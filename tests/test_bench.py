@@ -473,8 +473,20 @@ def test_run_experiment_thread_count_is_invisible_d2():
 
 
 def test_chunk_sizes_of_the_benchmark_workloads():
-    # the paper's 8 rows on 257 points: 15 replications a chunk; the same rows
-    # on a 65^2 grid already pass the budget alone
+    # p = 2 alone is scored on the box spectrum: the paper's 8 rows on its
+    # 31 columns (J = 4, B = 2) give 132 replications a chunk, and the same
+    # rows on the d = 2 box of 31^2 columns give 4. An exponent other than 2
+    # forms the grid values: 8 rows on 257 points give 15, on 65^2 points 1
+    paper = tn.load_config(Path(__file__).resolve().parents[1] / "configs" / "paper_table3.json")
+    d2 = dataclasses.replace(paper, d=2, m=(1, 0), grid=65)
+    assert tn.bench.chunk_width(paper) == 31
+    assert tn.bench.chunk_width(d2) == 31**2
+    assert tn.bench.chunk_width(dataclasses.replace(paper, p=(1.0, 2.0))) == 257
+    assert tn.bench.chunk_width(dataclasses.replace(d2, p=(2.0, math.inf))) == 65**2
+    proxy = dataclasses.replace(paper, risk_method="coefficient-proxy")
+    assert tn.bench.chunk_width(proxy) == 5 + 9 + 17 + 33  # the cubatures of levels 0..3
+    assert tn.bench.chunk_replications(8, 31) == 132
+    assert tn.bench.chunk_replications(8, 31**2) == 4
     assert tn.bench.chunk_replications(8, 257) == 15
     assert tn.bench.chunk_replications(8, 65**2) == 1
     assert tn.bench.chunk_replications(1, 64) == tn.bench.CHUNK_BYTES // (16 * 64)
@@ -505,8 +517,10 @@ def test_chunks_are_invisible(monkeypatch, over):
     # and replication 3 is evaluated alone at 4 but beside replication 4 at 5
     cfg = tn.config_from_dict(base_config(**over))
     rows = len(cfg.kappa0) * len(cfg.rules)
-    monkeypatch.setattr(tn.bench, "CHUNK_BYTES", 3 * 16 * rows * cfg.grid**cfg.d)
-    assert tn.bench.chunk_replications(rows, cfg.grid**cfg.d) == 3
+    # the width run_experiment sizes its chunks by: the box for p = 2 alone
+    width = tn.bench.chunk_width(cfg)
+    monkeypatch.setattr(tn.bench, "CHUNK_BYTES", 3 * 16 * rows * width)
+    assert tn.bench.chunk_replications(rows, width) == 3
     longest = tn.run_experiment(dataclasses.replace(cfg, replications=5))
     for threads in (1, 2):
         for reps in range(1, 6):
@@ -514,11 +528,106 @@ def test_chunks_are_invisible(monkeypatch, over):
             # the shapes in play, should a BLAS round a GEMM's rows by its row count
             shapes = (
                 f"{reps} replications, threads={threads}: (chunk x {rows} rows, "
-                f"{cfg.grid}^{cfg.d} points) against (3 x {rows}, {cfg.grid}^{cfg.d})"
+                f"{width} columns) against (3 x {rows}, {width})"
             )
             assert got.count_rows == longest.count_rows[: len(got.count_rows)], shapes
             assert got.risk_rows == longest.risk_rows[: len(got.risk_rows)], shapes
             assert len(got.risk_rows) * 5 == len(longest.risk_rows) * reps
+
+
+def _stack_and_truth(d, m, J, L_extra, rows, seed):
+    # a random thresholded stack on NeedletFrame(2, d, J-1): normal
+    # coefficients with about half of each row's levels zeroed, and the
+    # wrapped-normal truth on the grid of 2L+1+L_extra points per axis
+    frame = tn.NeedletFrame(2.0, d, J - 1)
+    plan = tn.estimation._ReplicationPlan(frame, m, J)
+    rng = np.random.default_rng(seed)
+    flat = rng.normal(size=(rows, plan.size)) * (rng.random((rows, plan.size)) < 0.6)
+    for cols in plan.slices:
+        flat[rng.random(rows) < 0.5, cols] = 0.0
+    coeffs = tn.CoefficientArray.from_flat(m, flat, plan.slices)
+    sigmas = ",".join(f"wrapped_normal({0.6 + 0.2 * i})" for i in range(d))
+    density = tn.density_from_name(sigmas if d == 1 else f"product({sigmas})", d)
+    G = 2 * plan.L + 1 + L_extra
+    grid = tn.uniform_grid(G, d)
+    truth = density.derivative(m, grid[:, 0] if d == 1 else grid)
+    return frame, plan, coeffs, G, grid, truth
+
+
+@settings(max_examples=30, deadline=2000)
+@given(
+    d=st.sampled_from([1, 2]),
+    order=st.sampled_from([0, 1]),
+    J=st.integers(1, 3),
+    L_extra=st.integers(0, 6),
+    rows=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_box_risk_is_the_grid_quadrature(d, order, J, L_extra, rows, seed):
+    # discrete Parseval: on any uniform grid of G >= 2L+1 points per axis,
+    # odd or even, the p = 2 risk from the box spectrum is the quadrature of
+    # the synthesized values (with the density mean for m = 0)
+    m = (order,) + (0,) * (d - 1)
+    frame, plan, coeffs, G, grid, truth = _stack_and_truth(d, m, J, L_extra, rows, seed)
+    box, _ = tn.estimation.synthesis_box(frame, coeffs, plan=plan)
+    got = tn.bench._l2_from_box(box, tn.bench.truth_spectrum(truth, m, G, plan.L), d)
+    values = tn.estimation.with_density_mean(tn.synthesize(frame, coeffs, grid, plan=plan), m)
+    want = tn.bench._lp_from_values(values, truth, 2.0, d, G)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_box_risk_refuses_a_broken_symmetry(monkeypatch):
+    # a box that is not conjugate-symmetric synthesizes complex values: the
+    # risk refuses it as synthesis refuses their imaginary residue
+    frame, plan, coeffs, G, _, truth = _stack_and_truth(1, (1,), 3, 0, 2, 7)
+    box, _ = tn.estimation.synthesis_box(frame, coeffs, plan=plan)
+    spectrum = tn.bench.truth_spectrum(truth, (1,), G, plan.L)
+    tn.bench._l2_from_box(box, spectrum, 1)
+    box[plan.L + 2, 1] += 1e-6j
+    with pytest.raises(ValueError, match="imaginary residue 1.000e-06 exceeds"):
+        tn.bench._l2_from_box(box, spectrum, 1)
+    original = tn.bench.synthesis_box
+
+    def leaky(*args, **kwargs):
+        box, top = original(*args, **kwargs)
+        box[plan.L + 1] += 1e-6j  # at l = 1 in every row, not at l = -1
+        return box, top
+
+    rule = tn.ThresholdRule("hard", 0.0, (1,), 300, 2.0)
+    est = tn.estimate(frame, np.random.default_rng(3).uniform(0, 6, 300), (1,), rule, J_override=3)
+    monkeypatch.setattr(tn.bench, "synthesis_box", leaky)
+    with pytest.raises(RuntimeError, match="imaginary residue"):
+        run({"replications": 2})
+    with pytest.raises(ValueError, match="imaginary residue"):
+        tn.lp_distance(est, tn.wrapped_normal(1.0), 2.0, G)
+
+
+def test_p2_runs_form_no_grid_values(monkeypatch):
+    # p = 2 alone is scored on the box spectrum: nothing is evaluated on the
+    # grid, in run_experiment or in lp_distance
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid values formed for a p = 2 risk")
+
+    monkeypatch.setattr(tn.frame, "grid_values", refuse)
+    monkeypatch.setattr(tn.estimation, "synthesize", refuse)
+    mixed = {"risk_method": "both", "m": [0], "kappa0": [0.5, 5.0], "rules": ["hard", "soft"]}
+    for over in ({}, mixed):
+        report = run({"replications": 2, **over})
+        assert all(row.risk > 0 for row in report.risk_rows)
+    frame = tn.NeedletFrame(2.0, 1, 2)
+    rule = tn.ThresholdRule("hard", 0.0, (1,), 300, 2.0)
+    est = tn.estimate(frame, np.random.default_rng(3).uniform(0, 6, 300), (1,), rule, J_override=3)
+    assert tn.lp_distance(est, tn.wrapped_normal(1.0), 2.0, 65) > 0
+
+
+def test_uniform_density_with_nothing_surviving_scores_exactly_zero():
+    # m = 0: the truth minus its mean is exactly zero, and so is an empty
+    # box, so the p = 2 risk is 0.0 exactly, as on the grid
+    report = run(
+        {"density": "uniform", "m": [0], "n": 2000, "kappa0": [5.0], "replications": 4, "p": [2]}
+    )
+    assert all(row.surviving == 0 for row in report.count_rows)
+    assert [row.risk for row in report.risk_rows] == [0.0] * 4
 
 
 def test_run_experiment_survivors_nonincreasing_in_kappa0():

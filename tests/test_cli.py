@@ -395,6 +395,20 @@ def test_estimate_refuses_an_overflowing_derivative_order(tmp_path, capsys, m, J
     assert not list(tmp_path.glob("bad*"))
 
 
+@pytest.mark.parametrize("m, J", [("4", "8"), ("3", "10"), ("400", "2")])
+def test_estimate_runs_deep_derivative_orders(tmp_path, capsys, m, J):
+    # coefficients grow as about B^(j|m|) (1e5 at m = 4, J = 8; 1e188 at
+    # m = 400, J = 2), and so does their rounding: the imaginary residue is
+    # judged against the largest coefficient, not against 1e-9 alone
+    data = tmp_path / "wn.csv"
+    draws = np.mod(np.random.default_rng(3).normal(0.0, 1.0, 2000), 2 * np.pi)
+    np.savetxt(data, draws, fmt="%.17g")
+    argv = ["estimate", str(data), "--m", m, "--kappa", "1", "--J", J]
+    assert main(argv + ["--out", str(tmp_path / "deep")]) == 0, capsys.readouterr().err
+    raw, _, _ = tn.read_estimator_csv(tmp_path / "deep_coefficients.csv")
+    assert len(raw) == int(J) and all(np.isfinite(lv).all() for lv in raw)
+
+
 # ---------------------------------------------------------------- bench
 
 

@@ -366,6 +366,18 @@ def test_drop_imag_guards_residue():
         drop_imag(np.array([1.0 + 1e-6j]))
 
 
+def test_drop_imag_residue_is_relative_to_the_largest_real_part():
+    # rounding of 1e-14 relative on values of 1e5 passes; the same residue
+    # on values of order 1, or a residue of 1e-6 relative, does not. Below
+    # 1 the bound stays absolute: an array of pure rounding passes
+    assert drop_imag(np.array([1e5 + 1e-9j, -2e5 + 1.9e-4j]))[1] == -2e5
+    with pytest.raises(ValueError, match="imaginary residue 2.000e-03 exceeds 2.000e-04"):
+        drop_imag(np.array([1e5 + 1e-9j, -2e5 + 2e-3j]), "a test")
+    with pytest.raises(ValueError, match="exceeds 1.000e-09"):
+        drop_imag(np.array([1.0 + 2e-9j]))
+    assert drop_imag(np.array([1e-17 + 5e-10j]))[0] == 1e-17
+
+
 # ---------------------------------------------------------------- norms
 
 

@@ -1,5 +1,6 @@
 """Fourier basis, frequency shells, and multi-index plumbing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -182,6 +183,25 @@ def test_derivative_multiplier_values():
     freqs2 = np.array([[2, 3]])
     np.testing.assert_allclose(derivative_multiplier(freqs2, (1, 2)), [2j * (3j) ** 2])
     np.testing.assert_allclose(derivative_multiplier(freqs2, (0, 0)), [1.0])
+
+
+def test_derivative_multiplier_is_exact_at_high_orders():
+    # i^|m| prod l_i^m_i: the part that must vanish is exactly zero, also
+    # where numpy's complex power goes through exp and log (|m| >= 100)
+    freqs = np.array([[3], [-2], [5]])
+    for order in (100, 101, 102, 103, 400):
+        mult = derivative_multiplier(freqs, (order,))
+        sign = (1, 1, -1, -1)[order % 4]  # i^order is 1, i, -1 or -i
+        value, zero = (mult.imag, mult.real) if order % 2 else (mult.real, mult.imag)
+        np.testing.assert_array_equal(value, sign * freqs[:, 0].astype(float) ** order)
+        assert not zero.any()
+    # below that it equals the complex power, value for value
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3):
+        freqs = rng.integers(-1024, 1025, (50, d))
+        for m in itertools.product(range(4), repeat=d):
+            direct = np.prod((1j * freqs.astype(complex)) ** np.asarray(m), axis=-1)
+            np.testing.assert_array_equal(derivative_multiplier(freqs, m), direct)
 
 
 def test_derivative_multiplier_differentiates_basis():

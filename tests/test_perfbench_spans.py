@@ -29,7 +29,7 @@ def test_spans_install_trace_and_uninstall():
             {
                 "density": "wrapped_normal(1.0)", "d": 1, "B": 2, "m": [1], "n": 200,
                 "replications": 1, "kappa0": [1.0], "rules": ["hard", "soft"], "J": 2,
-                "grid": 17, "p": [2], "seed": 5, "risk_method": "both",
+                "grid": 17, "p": [1, 2], "seed": 5, "risk_method": "both",
                 "literal_paper_kappa": False,
             }
         )
@@ -44,7 +44,8 @@ def test_spans_install_trace_and_uninstall():
         assert getattr(owner, attr) is original, attr
     # run_experiment thresholds its estimator's rows through estimation: one
     # span per rule kind on the flat layout in the bench run, then one in the
-    # estimate call; the estimator's two rows are synthesized in one call
+    # estimate call; the estimator's two rows are synthesized in one call, for
+    # p = 1 (p = 2 is scored on the box spectrum, without synthesis)
     assert tracer.calls("estimation.threshold") == 2 + 1
     assert tracer.calls("estimation.empirical_coefficients") == 2
     assert tracer.calls("estimation.estimate") == 1
