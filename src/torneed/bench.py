@@ -22,11 +22,12 @@ depend on the thread count, so results are identical, bit for bit, whether
 replications run serially or on any number of threads. A replication's
 rows also do not depend on the chunk it lands in, so a longer run extends
 a shorter one: each row's box risk is reduced along its own contiguous
-row, each replication is synthesized on the band of its own top live
-level, and a lone row is never evaluated by a matrix-vector product
-(frame._family_values). That part rests on the BLAS giving each row of a
-GEMM the same bits whatever the row count, which no library promises; it
-was measured on OpenBLAS 0.3.31 on a Haswell-class CPU.
+row, each replication is synthesized on its chunk's top band, and a lone
+row is never evaluated by a matrix-vector product (frame._family_values).
+That part rests on the BLAS giving each row of a GEMM the same bits
+whatever the row count, and a box zero-padded to a wider band the bits of
+its own band, which no library promises; both were measured on OpenBLAS
+0.3.31 on a Haswell-class CPU.
 """
 
 from __future__ import annotations
@@ -553,14 +554,21 @@ def _fmt(value):
     return f"{value:.17g}"
 
 
+def _csv_field(text):
+    """text as one RFC 4180 field: quoted, inner quotes doubled, when it holds , " CR or LF."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _write_counts_csv(report, path):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("density,n,m,rule,kappa0,replication,j,surviving,total,fraction\n")
         cfg = report.config
-        mtag = ";".join(str(v) for v in cfg.m)
+        density, mtag = _csv_field(cfg.density), ";".join(str(v) for v in cfg.m)
         for row in report.count_rows:
             fh.write(
-                f"{cfg.density},{cfg.n},{mtag},{row.rule},{_fmt(row.kappa0)},"
+                f"{density},{cfg.n},{mtag},{row.rule},{_fmt(row.kappa0)},"
                 f"{row.replication},{row.j},{row.surviving},{row.total},{_fmt(row.fraction)}\n"
             )
 
@@ -569,13 +577,13 @@ def _write_risks_csv(report, path, method):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("density,n,m,rule,kappa0,replication,p,risk\n")
         cfg = report.config
-        mtag = ";".join(str(v) for v in cfg.m)
+        density, mtag = _csv_field(cfg.density), ";".join(str(v) for v in cfg.m)
         for row in report.risk_rows:
             if row.method != method:
                 continue
             ptag = "inf" if math.isinf(row.p) else _fmt(row.p)
             fh.write(
-                f"{cfg.density},{cfg.n},{mtag},{row.rule},{_fmt(row.kappa0)},"
+                f"{density},{cfg.n},{mtag},{row.rule},{_fmt(row.kappa0)},"
                 f"{row.replication},{ptag},{_fmt(row.risk)}\n"
             )
 

@@ -229,14 +229,23 @@ class _ReplicationPlan:
         transformed by one _level_fft (forward or inverse) and scaled by
         (sign root_weight[j]) (2pi)^power into its slice of one flat complex
         array, whose imaginary residue (refused as `what`) is dropped once.
+        The frequency power in analysis[j] is applied before the sign's 1/n,
+        so an order |m| that size_violations passes may still overflow on a
+        sample sum S_l near n: such a result is refused, naming the order.
         """
         d = self.frame.d
         raw = np.empty(self.size, dtype=complex)
-        for j, (cols, amps) in enumerate(zip(self.slices, shells)):
-            cube = np.zeros((self.npts[j],) * d, dtype=complex)
-            cube[self.cube[j]] = self.analysis[j] * amps
-            scale = sign * self.root_weight[j] * TWO_PI**power
-            np.multiply(scale, _level_fft(cube, d, inverse).reshape(-1), out=raw[cols])
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
+            for j, (cols, amps) in enumerate(zip(self.slices, shells)):
+                cube = np.zeros((self.npts[j],) * d, dtype=complex)
+                cube[self.cube[j]] = self.analysis[j] * amps
+                scale = sign * self.root_weight[j] * TWO_PI**power
+                np.multiply(scale, _level_fft(cube, d, inverse).reshape(-1), out=raw[cols])
+        if not np.isfinite(raw).all():
+            raise ValueError(
+                f"derivative order |m|={sum(self.m)} overflows a float in {what}: "
+                f"the frequency power {self.L}**|m| times the shell amplitudes"
+            )
         return CoefficientArray.from_flat(self.m, drop_imag(raw, what), self.slices)
 
     def check(self, frame, J, m=None, rules=None):
@@ -446,29 +455,22 @@ def synthesis_box(frame, coeffs, *, plan=None):
     dead levels add exact zeros, and a box with nothing live is all zeros.
     So box[l + L] is the coefficient of exp(i l.x) in the synthesized
     function, with no zero frequency: the spectrum synthesize evaluates and
-    the grid L^2 risk scores (bench). Also returns top, the (families,) top
-    live level of each family of rows that share every leading index but
-    the last (one replication's rows), -1 for a family with none. plan is a
-    _ReplicationPlan for this frame and number of levels, whatever its m and
-    rules, since synthesis uses underived needlets; without one the call
-    builds its own.
+    the grid L^2 risk scores (bench). Also returns top, the highest level
+    live in any row of the stack, -1 for none. plan is a _ReplicationPlan
+    for this frame and number of levels, whatever its m and rules, since
+    synthesis uses underived needlets; without one the call builds its own.
     """
     _check_structure(frame, coeffs)
     plan = plan or _ReplicationPlan(frame, None, coeffs.njlevels)  # underived needlets
     plan.check(frame, coeffs.njlevels)
-    lead = coeffs.lead
-    R, families = math.prod(lead), math.prod(lead[:-1])
-    # live[j, f]: level j holds a nonzero coefficient in family f
-    live = np.array(
-        [lv.reshape(families, -1, lv.shape[-1]).any(axis=(1, 2)) for lv in coeffs.levels]
-    ).reshape(-1, families)
-    top = np.max(live * np.arange(1, len(live) + 1)[:, None], axis=0, initial=0) - 1
+    R = math.prod(coeffs.lead)
+    live = [j for j, lv in enumerate(coeffs.levels) if lv.any()]
     box = np.zeros((2 * plan.L + 1,) * frame.d + (R,), dtype=complex)
-    for j in np.flatnonzero(live.any(axis=1)):
+    for j in live:
         cubes = coeffs.levels[j].reshape((R,) + (plan.npts[j],) * frame.d)
         T = _level_fft(cubes, frame.d)[(slice(None),) + plan.cube[j]]
         box[plan.gather[j]] += plan.synthesis[j][:, None] * T.T
-    return box, top
+    return box, max(live, default=-1)
 
 
 def synthesize(frame, coeffs, grid, *, plan=None):
@@ -480,40 +482,27 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     stacks with leading axes give those axes + (n,), every row in one pass:
     (R, K_j) gives (R, n) and (C, R, K_j), C replications of R rows, gives
     (C, R, n). The first half is synthesis_box: one box spectrum of every
-    row, family axis trailing, and each family's top live level. The second
-    half evaluates it. Rows that share every leading index but the last (one
-    replication's family) share a band: the half-width L' of their top live
-    level. Rows of one band are evaluated together on the box cut to
-    |l_i| <= L', at the points (frame._family_values, in chunks of rows), so
-    a row's values do not depend on the other replications stacked beside
-    it. Points that are exactly uniform_grid(G, d) for some G (same row
-    count, same row order, equal coordinates; checked on every call) take
-    the tensor-product form (grid_values), whose phase table has the 2L'+1
-    rows of the band alone; any other point set, shuffled or shifted grids
-    included, takes spectrum_values. plan is as in synthesis_box.
+    row, rows trailing, and the stack's top live level. The second half
+    evaluates the box cut to the band of that level, |l_i| <= L', at the
+    points (frame._family_values, in chunks of rows). A row whose own top
+    level is lower is evaluated on that band zero-padded; on the grid this
+    gives the bits of its own band (measured on OpenBLAS 0.3.31), so a row's
+    values do not depend on the replications stacked beside it. Points that
+    are exactly uniform_grid(G, d) for some G (same row count, same row
+    order, equal coordinates; checked on every call) take the tensor-product
+    form (grid_values), whose phase table has the 2L'+1 rows of the band
+    alone; any other point set, shuffled or shifted grids included, takes
+    spectrum_values. plan is as in synthesis_box.
     """
     box, top = synthesis_box(frame, coeffs, plan=plan)
     points = as_points(grid, frame.d)
-    npts = _uniform_grid_size(points)
     n = points.shape[0]
-    lead = coeffs.lead
-    families = math.prod(lead[:-1])
-    L = (box.shape[0] - 1) // 2
-    values = None
-    for t in sorted(set(top.tolist()) - {-1}):
-        # the band of the top live level: the box cut to half-width L'
-        half = box_half_width(frame.B, t)
-        band = slice(L - half, L + half + 1)
-        fams = np.flatnonzero(top == t)
-        family = box.reshape(box.shape[:-1] + (families, -1))[(band,) * frame.d + (fams,)]
-        family = family.reshape(family.shape[: frame.d] + (-1,))
-        part = _family_values(family, points, npts)
-        if values is None:
-            # allocated once the first band's complex values are gone: one
-            # band peaks at them plus its real part, not plus the result too
-            values = np.zeros(lead + (n,))
-        values.reshape(families, -1, n)[fams] = part.reshape(fams.size, -1, n)
-    return np.zeros(lead + (n,)) if values is None else values
+    if top < 0:
+        return np.zeros(coeffs.lead + (n,))
+    # the band of the top live level: the box cut to half-width L'
+    L, half = (box.shape[0] - 1) // 2, box_half_width(frame.B, top)
+    band = box[(slice(L - half, L + half + 1),) * frame.d]
+    return _family_values(band, points, _uniform_grid_size(points)).reshape(coeffs.lead + (n,))
 
 
 def write_estimator_csv(est, path):

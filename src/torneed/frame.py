@@ -44,14 +44,16 @@ spectrum_values otherwise.
 R coefficient sets stacked as (R, K_j) per level (the rows of one
 replication's estimator, one per threshold rule), or C such families as
 (C, R, K_j) (a chunk of Monte Carlo replications), take the same single
-pass: one FFT per level over the stack and one box with the family axis
-trailing, evaluated in chunks of rows that fit PHASE_BLOCK_BYTES, each
-family on the band of its own top live level. On the grid a band of
-half-width L' forms only its own (2L'+1, G) phase table, so dead top
-levels cost no table rows. Coefficient levels are always views of one flat
-array of every level side by side (CoefficientArray.flat). Analysis and
-the empirical coefficients, which map shells to pixels through one level
-map of the replication plan, live in estimation.
+pass: one FFT per level over the stack and one box with the rows
+trailing, evaluated in chunks of rows that fit PHASE_BLOCK_BYTES on the
+band of the stack's top live level. On the grid a band of half-width L'
+forms only its own (2L'+1, G) phase table, so dead top levels cost no
+table rows, and a row whose own band is narrower gets the bits of that
+band from the zero-padded box (measured on OpenBLAS 0.3.31). Coefficient
+levels are always views of one flat array of every level side by side
+(CoefficientArray.flat). Analysis and the empirical coefficients, which
+map shells to pixels through one level map of the replication plan, live
+in estimation.
 
 Every phase is read from a per-axis power table (_axis_phases): one cos and
 one sin per coordinate give exp(i x), doubling products give exp(i l x) for

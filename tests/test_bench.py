@@ -1,5 +1,6 @@
 """Test seed derivation, config validation, risk metrics, and the benchmark loop."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -745,6 +746,29 @@ def test_emit_csv_row_contents(tmp_path):
     assert cells[1] == "500" and cells[2] == "1"
     assert cells[3] == "hard" and cells[5] == "0" and cells[6] == "0"
     assert int(cells[8]) == 5  # coarsest level has 5 pixels
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"density": "product(wrapped_normal(1.0),wrapped_normal(0.7))", "d": 2, "m": [1, 0],
+         "J": 2, "grid": 17, "n": 100},
+        {"density": "wrapped_normal(1.0)\n", "risk_method": "both"},
+    ],
+    ids=["product", "newline"],
+)  # fmt: skip
+def test_emit_csv_quotes_the_density_field(tmp_path, over):
+    # a density name holding a comma or a line break is one quoted field, so
+    # csv.reader reads every row at the header's width and the name back
+    report = run({"replications": 2, **over})
+    tn.emit_report(report, tmp_path)
+    names = ["bench_counts.csv", "bench_risks.csv"]
+    names += ["bench_risks_proxy.csv"] if over.get("risk_method") == "both" else []
+    for name in names:
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and all(len(row) == len(header) for row in rows), name
+        assert {row[0] for row in rows} == {over["density"]}, name
 
 
 def test_emit_csv_proxy_companion(tmp_path):

@@ -6,22 +6,29 @@ extreme --B, --J, --grid, --kappa and --m, and JSON values of the wrong type.
 main runs on each in a fresh temporary directory. It must return 0, 1 or 2;
 a nonzero exit prints exactly one `error:` line and leaves no new file; and
 no exception escapes it. The flag values are either small or past a size
-cap, so no example asks for a large run that is valid.
+cap, so no example asks for a large run that is valid. A second test draws
+(B, d, m, J) that the size check passes, with |m| often at the top it
+allows: estimate then runs with finite coefficients or refuses the order by
+name.
 """
 
 import contextlib
 import io
 import json
+import math
 import shutil
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torneed.cli import main
+from torneed.estimation import read_estimator_csv
+from torneed.frame import box_half_width, size_violations
 
 _EXTREME = {
     "--B": ["2", "1.5", "1.0000001", "1", "0.5", "-2", "1e200", "1e308", "inf", "nan"],
@@ -162,3 +169,44 @@ def test_every_input_exits_0_1_or_2_and_a_refusal_writes_nothing(originals, comm
             assert sorted(work.iterdir()) == before, argv
         else:
             assert not errors, err.getvalue()
+
+
+@st.composite
+def _orders(draw):
+    """(B, d, m, J) inside the size caps, |m| either small or within 2 of the largest allowed."""
+    B = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    d = draw(st.sampled_from([1, 2]))
+    J = draw(st.integers(0, 4 if d == 1 else 3))
+    # size_violations refuses an order whose L**|m| or B**((J-1)|m|) overflows
+    base = max(box_half_width(B, J - 1), B ** (J - 1))
+    top = int(math.log(sys.float_info.max) / math.log(base)) if base > 1 else 2000
+    order = draw(st.one_of(st.integers(0, 6), st.integers(max(top - 2, 0), top)))
+    assume(not size_violations(B, d, J, order=order))
+    first = draw(st.integers(0, order)) if d == 2 else order
+    return B, d, (first, order - first)[:d], J
+
+
+@settings(max_examples=40, deadline=5000, derandomize=True, database=None)
+@given(case=_orders())
+@example(case=(2.0, 1, (645,), 2))  # S_l times 3**645 overflowed before the 1/n
+@example(case=(2.0, 2, (0, 646), 2))
+def test_an_order_the_size_check_passes_runs_or_is_refused_by_name(originals, case):
+    B, d, m, J = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "e"
+        argv = [
+            "estimate", str(originals / f"x{d}.csv"), "--d", str(d), "--B", str(B),
+            "--m", ",".join(map(str, m)), "--kappa", "1", "--J", str(J), "--out", str(out),
+        ]  # fmt: skip
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+        if code == 0:
+            raw, kept, taus = read_estimator_csv(f"{out}_coefficients.csv")
+            assert all(np.isfinite(level).all() for level in raw + kept), case
+            assert np.isfinite(taus).all(), case
+        else:
+            assert code == 2 and len(errors) == 1, (case, err.getvalue())
+            assert f"|m|={sum(m)}" in errors[0], (case, errors[0])
+            assert not any(Path(tmp).iterdir()), case

@@ -233,8 +233,8 @@ def test_family_equals_its_members(case):
 def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
     # C = 3 replications of R = 2 rules in one (3, 2, K) estimator: the
     # thresholded rows, survivors and values of each replication are those of
-    # its own estimator; each replication is evaluated on the band of its own
-    # top live level (1, 2 and, for the one with nothing left, none)
+    # its own estimator; the stack is evaluated in one call on the band of its
+    # top live level (2), replication 0 (top level 1) on that band zero-padded
     frame = tn.NeedletFrame(2.0, 1, 2)
     rng = np.random.default_rng(3)
     rules = [tn.ThresholdRule(kind, 0.1, (1,), 500, 2.0) for kind in ("hard", "soft")]
@@ -256,7 +256,7 @@ def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
         lambda box, *args: widths.append(box.shape[0]) or original(box, *args),
     )
     values = stacked.evaluate(grid)
-    assert sorted(widths) == [2 * box_half_width(2.0, 1) + 1, 2 * box_half_width(2.0, 2) + 1]
+    assert widths == [2 * box_half_width(2.0, 2) + 1]
     assert values.shape == (3, 2, 33) and stacked.survivors().shape == (3, 2, 3)
     for c in range(3):
         alone = estimator(raws[c])

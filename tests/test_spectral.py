@@ -307,6 +307,30 @@ def test_a_row_alone_equals_the_row_in_any_family(d, L, npts):
             assert family[i].tobytes() == alone[i][0].tobytes(), (R, i, 2 * L + 1, npts, d)
 
 
+@pytest.mark.parametrize(
+    "d, L, pad, npts",
+    [(1, 3, 1, 9), (1, 3, 4, 23), (1, 7, 8, 65), (1, 15, 13, 57), (2, 3, 1, 9), (2, 3, 4, 33),
+     (2, 7, 2, 19), (3, 1, 1, 5), (3, 2, 3, 13), (3, 3, 2, 16)],
+)  # fmt: skip
+def test_a_zero_padded_box_keeps_the_bits_of_its_own_band(d, L, pad, npts):
+    # synthesize evaluates a stack on the band of its top live level, so a
+    # row whose own top level is lower is evaluated on its box zero-padded:
+    # a family of 2 or more rows gives the bits of the narrower box, and so
+    # does a lone row through _family_values (beside a copy of itself in d = 1)
+    rng = np.random.default_rng(100 * d + 10 * L + pad)
+    raw = rng.normal(size=(2 * L + 1,) * d + (5,)) + 1j * rng.normal(size=(2 * L + 1,) * d + (5,))
+    box = raw + np.conj(np.flip(raw, axis=tuple(range(d))))  # Hermitian: real values
+    padded = np.pad(box, [(pad, pad)] * d + [(0, 0)])
+    points = tn.uniform_grid(npts, d)
+    for R in (2, 3, 5):
+        # (R, (2L+1)^d) against (R, (2(L+pad)+1)^d) on npts^d points
+        wide, own = grid_values(padded[..., :R], npts), grid_values(box[..., :R], npts)
+        assert wide.tobytes() == own.tobytes(), (R, d, L, pad, npts)
+    for R in (1, 2):
+        wide, own = (_family_values(b[..., :R], points, npts) for b in (padded, box))
+        assert wide.tobytes() == own.tobytes(), (R, d, L, pad, npts)
+
+
 @pytest.mark.parametrize("path", ["grid_values", "spectrum_values"])
 def test_family_synthesis_keeps_the_imaginary_residue_guard(monkeypatch, path):
     # a residue injected into one row of a 3-row family raises on either path
