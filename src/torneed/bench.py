@@ -1,33 +1,42 @@
 """Seeded Monte Carlo benchmark: estimate density derivatives, record risks.
 
 One experiment draws R independent samples of size n from a named test
-density. Each replication draws its sample and reduces it to one set of
-empirical coefficients, and the sample is freed before the next draw. The
-replications are scored in chunks: the raw coefficients of a chunk, stacked
-as (C, K_total), are thresholded by every (rule, kappa0) at once into one
-estimator with a (C, rows) leading shape (one row per pair: same data,
-varying threshold) and scored together: surviving counts and L^p risks.
+density. The replications run in chunks of C. Each replication draws its
+sample, checks it and reduces it to its sample spectrum on one box
+(frame.sample_spectrum), written into its row of the chunk's (C,) + box
+stack, and the sample is freed before the next draw. The chunk then maps
+all its spectra to raw coefficients at once, (C, K_total), through the
+plan's level map (one scatter, FFT and scale per level over every row; the
+second half of estimation.empirical_coefficients), thresholds them by
+every (rule, kappa0) at once into one estimator with a (C, rows) leading
+shape (one row per pair: same data, varying threshold) and scores them
+together: surviving counts and L^p risks.
 The p = 2 grid risk, the only one the paper's tables use, comes from the
 estimator's box spectrum (estimation.synthesis_box) by discrete Parseval
 against the truth's DFT on the grid, built once per run (truth_spectrum,
 _l2_from_box); no grid values are formed for it. Any other exponent
 synthesizes the chunk on the grid (_lp_from_values). C comes from a fixed
 byte budget, CHUNK_BYTES, on the widest complex array a chunk scores per
-row (chunk_width, chunk_replications); it is no option, and it does not
-depend on the thread count. With threads, the pool maps over chunks.
+row (chunk_width, chunk_replications), which also bounds the stack of
+sample spectra; it is no option, and it does not depend on the thread
+count. With threads, the pool maps over chunks. A truth whose derivative
+is not finite on the grid is refused at set-up (truth_on_grid).
 
 Reproducibility contract: every replication r derives its own RNG stream
 from a documented integer hash of (master seed, r), and the chunks do not
 depend on the thread count, so results are identical, bit for bit, whether
 replications run serially or on any number of threads. A replication's
 rows also do not depend on the chunk it lands in, so a longer run extends
-a shorter one: each row's box risk is reduced along its own contiguous
+a shorter one: the level map gives each row the bits of its replication
+alone and refuses a row (an imaginary residue, an overflowing order) by
+its own scale, each row's box risk is reduced along its own contiguous
 row, each replication is synthesized on its chunk's top band, and a lone
 row is never evaluated by a matrix-vector product (frame._family_values).
-That part rests on the BLAS giving each row of a GEMM the same bits
-whatever the row count, and a box zero-padded to a wider band the bits of
-its own band, which no library promises; both were measured on OpenBLAS
-0.3.31 on a Haswell-class CPU.
+That part rests on the FFT giving each cube of a stack the bits of that
+cube alone, the BLAS giving each row of a GEMM the same bits whatever the
+row count, and a box zero-padded to a wider band the bits of its own band,
+which no library promises; all three were measured with numpy's pocketfft
+and OpenBLAS 0.3.31 on x86-64.
 """
 
 from __future__ import annotations
@@ -45,11 +54,13 @@ import numpy as np
 
 from .densities import density_from_name
 from .estimation import (
+    RefusedRow,
     _ReplicationPlan,
     analyze,
     apply_threshold,  # noqa: F401  (perfbench/spans.py wraps bench.apply_threshold)
+    as_sample_array,
     calibrated_rule,
-    empirical_coefficients,
+    empirical_coefficients,  # noqa: F401  (perfbench/spans.py wraps bench.empirical_coefficients)
     read_input,
     synthesis_box,
     thresholded_estimator,
@@ -64,6 +75,7 @@ from .frame import (
     cubature_size,
     min_grid_size,
     refuse_residue,
+    sample_spectrum,
     size_violations,
     uniform_grid,
 )
@@ -331,6 +343,22 @@ class RiskReport:
         ]
 
 
+def truth_on_grid(truth, m, grid):
+    """The truth's m-th derivative at the rows of an (n, d) grid, refused when it is not finite.
+
+    An order |m| that size_violations passes may still overflow the truth's
+    derivative (a wrapped normal's Hermite polynomial at |m| = 640), which
+    would turn every grid risk into NaN; it is refused by name instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
+        values = truth.derivative(m, grid[:, 0] if grid.shape[1] == 1 else grid)
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"derivative order |m|={sum(m)} overflows a float in the truth's derivative on the grid"
+        )
+    return values
+
+
 def truth_spectrum(truth_vals, m, grid_per_dim, L):
     """The truth's DFT on uniform_grid(G, d), split at the box |l_i| <= L: (inside, outside).
 
@@ -431,7 +459,7 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     if grid_size < min_grid:
         raise ValueError(f"grid {grid_size} cannot resolve the estimator band (needs >= {min_grid})")
     grid = uniform_grid(grid_size, d)
-    truth_vals = truth.derivative(est.m, grid[:, 0] if d == 1 else grid)
+    truth_vals = truth_on_grid(truth, est.m, grid)
     if p == 2:
         box, _ = synthesis_box(est.frame, est.coeffs, plan=est.plan)
         L = (box.shape[0] - 1) // 2
@@ -488,20 +516,28 @@ def run_experiment(config, threads=1):
     G = config.grid
     if need_grid:
         grid = uniform_grid(G, config.d)
-        truth_vals = density.derivative(m, grid[:, 0] if config.d == 1 else grid)
+        truth_vals = truth_on_grid(density, m, grid)
         truth_box = truth_spectrum(truth_vals, m, G, plan.L)
     true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
     totals = [cols.stop - cols.start for cols in plan.slices]
 
     def one_chunk(reps):
-        raws = np.empty((len(reps), plan.size))
+        # each replication reduces its sample to one spectrum, in its row of
+        # the chunk's stack, and frees it before the next draw; the level map
+        # then runs once for the whole stack
+        spectra = np.empty((len(reps),) + (2 * plan.L + 1,) * config.d, dtype=complex)
         for i, r in enumerate(reps):
             try:
                 X = density.sampler(np.random.default_rng(child_seed(config.seed, r)), config.n)
-                raws[i] = empirical_coefficients(frame, X, jmax=J - 1, m=m, plan=plan).flat
+                spectra[i] = sample_spectrum(as_sample_array(X, config.d), plan.L)
             except Exception as exc:
                 raise RuntimeError(f"replication {r} failed: {exc}") from exc
             del X  # the next sample is drawn without this one
+        try:
+            raws = plan.sample_coefficients(spectra, config.n)
+        except RefusedRow as exc:
+            raise RuntimeError(f"replication {reps[exc.row]} failed: {exc}") from exc
+        del spectra
         try:
             raw = CoefficientArray.from_flat(m, raws, plan.slices)
             est = thresholded_estimator(frame, raw, rules, plan=plan)

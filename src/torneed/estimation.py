@@ -5,9 +5,17 @@ sample by (a) averaging derivative needlets over the sample to get unbiased
 coefficient estimates, (b) deleting or shrinking coefficients below a
 level-dependent threshold, (c) synthesizing the survivors with underived
 needlets. analyze computes the coefficients that (a) estimates, from f
-itself; both map per-level shell amplitudes to pixels through one method
-of the plan below (_ReplicationPlan.pixels), so truth and estimate share
-one code path and one flat layout.
+itself; both map per-level shell amplitudes to pixels through one level
+map of the plan below (_ReplicationPlan.pixels), so truth and estimate
+share one code path and one flat layout.
+
+Step (a) has two halves. A sample is reduced to its spectrum S_l = sum_i
+exp(i l.X_i) on one box (frame.sample_spectrum); the level map then turns a
+stack of such spectra, (C,) + box, into (C, K_total) coefficients with one
+scatter, one FFT and one scale per level over all C rows, and judges each
+row's finite values and imaginary residue on its own. empirical_coefficients
+runs both halves on a stack of one; a Monte Carlo chunk reduces each
+replication's sample to its spectrum and maps all the spectra at once.
 
 Everything in these steps that does not depend on the sample or on the
 points evaluated (the per-level indices and amplitudes, the thresholds
@@ -35,6 +43,7 @@ import math
 import numpy as np
 
 from .frame import (
+    IMAG_RESIDUE_TOL,
     CoefficientArray,
     _check_structure,
     _cube_index,
@@ -44,7 +53,7 @@ from .frame import (
     analysis_grid_size,
     box_half_width,
     box_index,
-    drop_imag,
+    refuse_residue,
     sample_spectrum,
     size_violations,
     uniform_grid,
@@ -158,12 +167,22 @@ def _freeze(value):
         value.flags.writeable = False
 
 
+class RefusedRow(ValueError):
+    """A row of a stack refused on its own by _ReplicationPlan.pixels; row is its index."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
 class _ReplicationPlan:
     """Everything the replications of one run share, built once for (frame, m, J, rules).
 
-    A Monte Carlo run builds one plan and passes it to empirical_coefficients,
-    thresholded_estimator and synthesize; a call without one, and every
-    analyze, builds a one-use plan, so every estimate takes the same path.
+    A Monte Carlo run builds one plan, maps each chunk's sample spectra
+    through it (sample_coefficients) and passes it to thresholded_estimator
+    and synthesis_box; a call of empirical_coefficients or synthesize
+    without one, and every analyze, builds a one-use plan, so every
+    estimate takes the same path.
     There is no cache: a plan lives as long as its caller keeps it. Its
     arrays are read-only, since replication threads share it. A rule whose
     m or B is not the plan's, and an order |m| whose thresholds or
@@ -221,32 +240,58 @@ class _ReplicationPlan:
         self.by_kind = tuple((kind, mask, repeated[mask]) for kind, mask in rows.items())
         _freeze(tuple(vars(self).values()))
 
-    def pixels(self, shells, sign, power, inverse, what):
-        """Coefficients of every level from its shell amplitudes, as one CoefficientArray.
+    def pixels(self, spectra, gather, sign, power, inverse, what):
+        """Coefficients of every level of a stack of C spectra, as one real (C, size) array.
 
-        shells yields level j's amplitudes in the order of its shell. Each
-        is multiplied by analysis[j], scattered into a zero cube at cube[j],
-        transformed by one _level_fft (forward or inverse) and scaled by
-        (sign root_weight[j]) (2pi)^power into its slice of one flat complex
-        array, whose imaginary residue (refused as `what`) is dropped once.
-        The frequency power in analysis[j] is applied before the sign's 1/n,
-        so an order |m| that size_violations passes may still overflow on a
-        sample sum S_l near n: such a result is refused, naming the order.
+        spectra is a (C,) + (N,)*d stack and gather[j] the index of level
+        j's shell in one spectrum. Per level, one pass over the whole stack:
+        the shells are multiplied by analysis[j], scattered into a zero stack
+        of cubes at cube[j], transformed by one _level_fft (forward or
+        inverse) and scaled by (sign root_weight[j]) (2pi)^power into the
+        level's columns of one flat complex (C, size) array; each row gets
+        the bits it would get alone. The frequency power in analysis[j] is
+        applied before the sign's 1/n, so an order |m| that size_violations
+        passes may still overflow on a sample sum S_l near n. Each row is
+        then judged on its own: one pass finds every row's largest |imag|
+        and whether it is finite, and only a row that is not finite or whose
+        residue passes IMAG_RESIDUE_TOL is refused (naming the order, or by
+        refuse_residue as `what`) against its own scale, never its
+        neighbours'. A refusal is a RefusedRow naming the row. The imaginary
+        part is then dropped.
         """
-        d = self.frame.d
-        raw = np.empty(self.size, dtype=complex)
+        C, d = spectra.shape[0], self.frame.d
+        raw = np.empty((C, self.size), dtype=complex)
+        rows = (slice(None),)
         with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
-            for j, (cols, amps) in enumerate(zip(self.slices, shells)):
-                cube = np.zeros((self.npts[j],) * d, dtype=complex)
-                cube[self.cube[j]] = self.analysis[j] * amps
+            for j, cols in enumerate(self.slices):
+                cube = np.zeros((C,) + (self.npts[j],) * d, dtype=complex)
+                cube[rows + self.cube[j]] = self.analysis[j] * spectra[rows + gather[j]]
                 scale = sign * self.root_weight[j] * TWO_PI**power
-                np.multiply(scale, _level_fft(cube, d, inverse).reshape(-1), out=raw[cols])
-        if not np.isfinite(raw).all():
-            raise ValueError(
-                f"derivative order |m|={sum(self.m)} overflows a float in {what}: "
-                f"the frequency power {self.L}**|m| times the shell amplitudes"
-            )
-        return CoefficientArray.from_flat(self.m, drop_imag(raw, what), self.slices)
+                np.multiply(scale, _level_fft(cube, d, inverse).reshape(C, -1), out=raw[:, cols])
+            finite = np.isfinite(raw).all(axis=-1)
+            residues = np.abs(raw.imag).max(axis=-1, initial=0.0)
+        for row in np.flatnonzero(~finite | (residues > IMAG_RESIDUE_TOL)).tolist():
+            if not finite[row]:
+                raise RefusedRow(
+                    f"derivative order |m|={sum(self.m)} overflows a float in {what}: "
+                    f"the frequency power {self.L}**|m| times the shell amplitudes",
+                    row,
+                )
+            try:
+                refuse_residue(float(residues[row]), raw[row].real, what)
+            except ValueError as exc:
+                raise RefusedRow(str(exc), row) from None
+        return np.ascontiguousarray(raw.real)
+
+    def sample_coefficients(self, spectra, n):
+        """Raw coefficients (C, size) of C samples of n points from their (C,) + box sample spectra.
+
+        The second half of empirical_coefficients, for a whole stack: pixels
+        with each level's shell gathered from the box, the sign
+        (-1)^|m| / n and (2pi)^-d, by forward FFT.
+        """
+        sign, what = (-1.0) ** sum(self.m) / n, "empirical coefficients"
+        return self.pixels(spectra, self.gather, sign, -self.frame.d, False, what)
 
     def check(self, frame, J, m=None, rules=None):
         """Refuse a plan built for another frame, number of levels, derivative order or rules."""
@@ -267,26 +312,28 @@ def empirical_coefficients(frame, samples, jmax=None, m=None, *, plan=None):
 
         beta^(m)_{j,k} = ((-1)^|m| / n) sum_i psi^(m)_{j,k}(X_i)
 
-    (derivative needlets are real, so the conjugate is dropped). The sample
-    enters only through S_l = sum_i exp(i l . X_i), computed once on the box
-    holding every shell up to jmax and reduced in a fixed block order, so it
-    is deterministic for any thread count. Each level gathers its shell from
-    S, and the plan's pixels maps it to pixels by forward FFT, with sign
-    (-1)^|m| / n and (2pi)^-d, into its slice of one flat array: the levels
-    of the result are views of it, checked for an imaginary residue and for
-    finite values once. Levels 0..jmax are produced; jmax = -1 gives none.
-    plan, the run's _ReplicationPlan for this frame, m and jmax + 1 levels,
-    supplies every per-level constant; without one the call builds its own.
+    (derivative needlets are real, so the conjugate is dropped). Two halves.
+    The sample enters only through its spectrum S_l = sum_i exp(i l . X_i),
+    computed once on the box holding every shell up to jmax and reduced in a
+    fixed block order, so it is deterministic for any thread count. The
+    plan's level map (sample_coefficients, then pixels) takes a stack of
+    such spectra, here a stack of one: each level gathers its shell from S
+    and maps it to pixels by forward FFT, with sign (-1)^|m| / n and
+    (2pi)^-d, into its slice of one flat array, and the result is checked
+    for finite values and an imaginary residue. The levels of the result
+    are views of that array. A Monte Carlo run (bench) calls the same two
+    halves, the second once per chunk of replications. Levels 0..jmax are
+    produced; jmax = -1 gives none. plan, the run's _ReplicationPlan for
+    this frame, m and jmax + 1 levels, supplies every per-level constant;
+    without one the call builds its own.
     """
     jmax = _top_level(frame, jmax)
     m = as_multi_index(m, frame.d)
     plan = plan or _ReplicationPlan(frame, m, jmax + 1)
     plan.check(frame, jmax + 1, m)
     X = as_sample_array(samples, frame.d)
-    S = sample_spectrum(X, plan.L)
-    shells = (S[index] for index in plan.gather)
-    sign = (-1.0) ** sum(m) / X.shape[0]
-    return plan.pixels(shells, sign, -frame.d, False, "empirical coefficients")
+    flat = plan.sample_coefficients(sample_spectrum(X, plan.L)[None], X.shape[0])
+    return CoefficientArray.from_flat(m, flat[0], plan.slices)
 
 
 def analyze(frame, f, m=None, jmax=None, band_limit=None):
@@ -328,10 +375,12 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
         raise ValueError("function evaluation produced non-finite values")
     norm = (TWO_PI / npts) ** frame.d * TWO_PI ** (-frame.d / 2.0)
     spectrum = np.fft.fftn(fvals.reshape((npts,) * frame.d))
-    shells = (norm * spectrum[_cube_index(frame.level(j).freqs, npts)] for j in range(jmax + 1))
+    np.multiply(norm, spectrum, out=spectrum)
+    gather = tuple(_cube_index(frame.level(j).freqs, npts) for j in range(jmax + 1))
     # the (-1)^|m| of the integration by parts cancels against the conjugated
     # multiplier, so no sign factor remains here
-    return plan.pixels(shells, 1.0, -frame.d / 2.0, True, "analysis coefficients")
+    flat = plan.pixels(spectrum[None], gather, 1.0, -frame.d / 2.0, True, "analysis coefficients")
+    return CoefficientArray.from_flat(m, flat[0], plan.slices)
 
 
 def with_density_mean(values, m):

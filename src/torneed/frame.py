@@ -16,7 +16,9 @@ highest shell in use:
 
 - sample_spectrum sums exp(i l.x) over a point set once for the whole box
   (two tables contracted by one GEMM per row block); each shell is then a
-  gather from it.
+  gather from it. A replication reduces its sample to this spectrum, and a
+  Monte Carlo chunk maps the spectra of all its replications at once
+  (estimation's level map, one _level_fft per level over the stack).
 - spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
   points, contracting one axis at a time.
 - grid_values evaluates the same sum on the uniform grid x_k = 2 pi k / G
@@ -63,8 +65,10 @@ the module takes cos/sin of a phase angle. Tables are frequency-major,
 (2L+1, rows); their error grows about linearly in |l| and stays below
 (|l|+1) * 1e-15, below that of cos/sin of the rounded angle l*x.
 sample_spectrum and spectrum_values cut their tables into row blocks of
-at most PHASE_BLOCK_BYTES each; grid_values needs one table of G columns,
-of 2L+1 rows for the box it evaluates.
+at most PHASE_BLOCK_BYTES each; sample_spectrum fills the tables of every
+block into one buffer allocated per call, so their pages are faulted in
+once. grid_values needs one table of G columns, of 2L+1 rows for the box
+it evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -464,15 +468,17 @@ def _exp_powers(pos, x):
     _double(pos, len(pos) - 1)
 
 
-def _axis_phases(x, L, full=True):
+def _axis_phases(x, L, full=True, out=None):
     """exp(i l x) for l = -L..L (full) or l = 0..L, frequency-major.
 
     Returns a complex (2L+1, n) array indexed by l + L, or (L+1, n) indexed
     by l; negative rows are conjugates. The error grows about linearly in
-    |l|, below (|l|+1) * 1e-15.
+    |l|, below (|l|+1) * 1e-15. out, when given, is that array, filled in
+    place and returned.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((2 * L + 1 if full else L + 1, x.shape[0]), dtype=complex)
+    if out is None:
+        out = np.empty((2 * L + 1 if full else L + 1, x.shape[0]), dtype=complex)
     pos = out[L:] if full else out
     _exp_powers(pos, x)
     if full:
@@ -480,18 +486,17 @@ def _axis_phases(x, L, full=True):
     return out
 
 
-def _digit_tables(x, q, r):
+def _digit_tables(x, q, r, out):
     """exp(i a x) for a < q and exp(i q b x) for b < r, as (q, n) and (r, n) tables.
 
     Every l < q r is a + q b for one pair of digits; the high table holds
     the powers of exp(i q x) = exp(i (q-1) x) exp(i x), so the error stays
-    about linear in a + q b. Both are rows of one array: one allocation per
-    row block, whose pages glibc keeps (two arrays were refaulted on every
-    call). With r = 1 the high table is the low table's row of ones.
+    about linear in a + q b. Both are filled as the rows of out, a complex
+    (q + r, n) array (q rows when r = 1, where the high table is the low
+    table's row of ones).
     """
     x = np.asarray(x, dtype=float)
-    tables = np.empty((q + r if r > 1 else q, x.shape[0]), dtype=complex)
-    low, high = tables[:q], tables[q:]
+    low, high = out[:q], out[q:]
     _exp_powers(low, x)
     if r == 1:
         return low, low[:1]
@@ -499,6 +504,15 @@ def _digit_tables(x, q, r):
     np.multiply(low[q - 1], low[1], out=high[1])
     _double(high, r - 1)
     return low, high
+
+
+def _carve(buffer, cols, heights):
+    """C-contiguous (h, cols) tables, one per height, end to end at the front of a flat buffer."""
+    tables, start = [], 0
+    for h in heights:
+        tables.append(buffer[start : start + h * cols].reshape(h, cols))
+        start += h * cols
+    return tables
 
 
 def box_half_width(B, j):
@@ -540,29 +554,40 @@ def sample_spectrum(points, L):
     of the leading axes' (d>=3). In d=1 they are the digit tables exp(i a x),
     a < q = isqrt(L) + 1, and exp(i q b x), b < r = L // q + 1: the (q, r)
     result holds S_{a+qb}, read transposed, from q + r table rows, not L + 1.
-    The points are real, so S_{-l} = conj(S_l) supplies l < 0. Blocks are
-    reduced in a fixed order, so the sum does not depend on the thread
-    count; that BLAS's own threads leave its bits alone was measured (bench
-    reports at OPENBLAS_NUM_THREADS=1 and the default), not promised.
+    The points are real, so S_{-l} = conj(S_l) supplies l < 0. Every
+    block's tables are contiguous views of one buffer, sized for the widest
+    block and allocated once per call (_carve). Blocks are reduced in a
+    fixed order, so the sum does not depend on the thread count; that
+    BLAS's own threads leave its bits alone was measured (bench reports at
+    OPENBLAS_NUM_THREADS=1 and the default), not promised.
     """
     n, d = points.shape
     W = 2 * L + 1
     if d == 1:
         q = math.isqrt(L) + 1
         S = np.zeros((q, L // q + 1), dtype=complex)
+        heights = (q + S.shape[1] if S.shape[1] > 1 else q,)
     else:
         S = np.zeros((W ** (d - 1), L + 1), dtype=complex)
+        # the last axis's table, each leading axis's, then their running outer products
+        heights = (L + 1,) + (W,) * (d - 1) + tuple(W**a for a in range(2, d))
     rows, _ = spectrum_block_shape(n, d, L)
+    # one buffer for every block: its pages are faulted in once per call, not once per block
+    buffer = np.empty(sum(heights) * rows, dtype=complex)
     for start in range(0, n, rows):
         block = points[start : start + rows]
+        b = block.shape[0]
+        tables = _carve(buffer, b, heights)
         if d == 1:
-            lead, last = _digit_tables(block[:, 0], *S.shape)
+            lead, last = _digit_tables(block[:, 0], *S.shape, tables[0])
         else:
-            last = _axis_phases(block[:, -1], L, full=False)
-            lead = _axis_phases(block[:, 0], L)
+            last = _axis_phases(block[:, -1], L, full=False, out=tables[0])
+            lead = _axis_phases(block[:, 0], L, out=tables[1])
             for a in range(1, d - 1):
-                axis = _axis_phases(block[:, a], L)
-                lead = (lead[:, None, :] * axis[None, :, :]).reshape(-1, block.shape[0])
+                axis = _axis_phases(block[:, a], L, out=tables[1 + a])
+                product = tables[d - 1 + a]
+                np.multiply(lead[:, None, :], axis[None, :, :], out=product.reshape(-1, W, b))
+                lead = product
         S += lead @ last.T
     if d == 1:
         S = S.T.reshape(-1)[: L + 1]

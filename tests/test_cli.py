@@ -530,6 +530,52 @@ def test_a_failure_names_its_replication_inside_a_chunk(tmp_path, capsys, monkey
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("order", [640, 645])
+def test_an_order_that_overflows_the_truth_exits_2_at_set_up(tmp_path, capsys, order):
+    # the size check passes both orders, but the wrapped normal's derivative of
+    # order 640 overflows on the grid, which would make every risk NaN, and at
+    # 645 the sample sum overflows as well: both are refused by name at
+    # set-up, before any replication runs or any file is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(m=[order], n=60, grid=17)))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: derivative order |m|={order} overflows a float in the truth" in err
+    assert "replication" not in err and "Warning" not in err
+    assert not (tmp_path / "o").exists()
+    if order == 640:  # the estimator itself is finite; lp_distance refuses the truth
+        frame = tn.NeedletFrame(2.0, 1, 1)
+        X = np.random.default_rng(1).uniform(0.0, 2 * np.pi, (60, 1))
+        rule = tn.ThresholdRule("hard", 1.0, (order,), 60, 2.0)
+        est = tn.estimate(frame, X, (order,), rule, J_override=2)
+        density = tn.density_from_name("wrapped_normal(1.0)", 1)
+        with pytest.raises(ValueError, match=rf"\|m\|={order} overflows a float in the truth"):
+            tn.lp_distance(est, density, 2, 17)
+
+
+def test_a_row_the_level_map_refuses_names_its_replication(tmp_path, capsys, monkeypatch):
+    # the five replications share one chunk and one level map; only
+    # replication 3's spectrum breaks S_{-l} = conj(S_l), and the refusal of
+    # its imaginary residue names it, not the chunk
+    real, calls = tn.bench.sample_spectrum, []
+
+    def spectrum_broken_at_3(X, L):
+        S = real(X, L)
+        calls.append(L)
+        if len(calls) == 4:
+            S[L + 1] += 1e-3j
+        return S
+
+    monkeypatch.setattr(tn.bench, "sample_spectrum", spectrum_broken_at_3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(replications=5)))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: replication 3 failed: imaginary residue" in err
+    assert "in empirical coefficients" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_bench_seed_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bench_config()))

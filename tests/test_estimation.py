@@ -15,12 +15,20 @@ from hypothesis import strategies as st
 import direct_oracle as oracle
 import torneed as tn
 from torneed.estimation import (
+    RefusedRow,
     _ReplicationPlan,
     as_sample_array,
     threshold_value,
     thresholded_estimator,
 )
-from torneed.frame import _axis_phases, _grid_axis, box_half_width, min_grid_size
+from torneed.frame import (
+    IMAG_RESIDUE_TOL,
+    _axis_phases,
+    _grid_axis,
+    box_half_width,
+    min_grid_size,
+    sample_spectrum,
+)
 from torneed.harmonics import TWO_PI
 
 
@@ -411,6 +419,65 @@ def test_the_shared_plan_is_read_only():
     arrays = _plan_arrays(tuple(vars(plan).values()))
     assert plan.taus.shape == (3, 3)
     assert len(arrays) > 20 and not any(a.flags.writeable for a in arrays)
+
+
+_FRAMES = {d: tn.NeedletFrame(2.0, d, jmax) for d, jmax in ((1, 3), (2, 2), (3, 1))}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.sampled_from([1, 2, 3]),
+    J=st.integers(0, 4),
+    orders=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    C=st.integers(1, 9),
+    position=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_chunk_level_map_gives_each_row_its_bytes_alone(d, J, orders, C, position, seed):
+    # a chunk's level map runs once over the stacked sample spectra of C
+    # replications; each row must hold the bytes of its replication alone,
+    # wherever it sits in the chunk and whatever samples sit beside it
+    frame = _FRAMES[d]
+    J, m = min(J, frame.jmax + 1), tuple(orders[:d])
+    plan = _ReplicationPlan(frame, m, J)
+    rng = np.random.default_rng(seed)
+    n = 40
+    samples = [rng.uniform(-1.0, 7.0, (n, d)) for _ in range(C)]
+    # a concentrated sample, whose coefficients are the largest, at a random
+    # position among uniform ones
+    target = min(position, C - 1)
+    samples[target] = rng.normal(3.0, 0.3, (n, d))
+    spectra = np.stack([sample_spectrum(X, plan.L) for X in samples])
+    chunk = plan.sample_coefficients(spectra, n)
+    assert chunk.shape == (C, plan.size)
+    for X, row in zip(samples, chunk):
+        alone = tn.empirical_coefficients(frame, X, J - 1, m)
+        shared = tn.empirical_coefficients(frame, X, J - 1, m, plan=plan)
+        assert alone.flat.tobytes() == shared.flat.tobytes() == row.tobytes()
+
+
+def test_a_refused_row_stays_refused_beside_a_large_chunk_mate():
+    # the residue rule is per row: a row whose spectrum breaks S_{-l} = conj(S_l)
+    # is refused against its own scale, so a chunk-mate a billion times larger,
+    # whose real parts would lift a chunk-wide bound far above the residue,
+    # changes nothing
+    frame = tn.NeedletFrame(2.0, 1, 2)
+    plan = _ReplicationPlan(frame, (1,), 3)
+    X = np.random.default_rng(8).uniform(0.0, TWO_PI, (200, 1))
+    good = sample_spectrum(X, plan.L)
+    bad = good.copy()
+    bad[plan.L + 2] += 1e-4j  # S_2 alone: its pixels carry an imaginary residue
+    big = 1e9 * good
+    scale = np.abs(plan.sample_coefficients(big[None], 200)).max()
+    assert IMAG_RESIDUE_TOL * scale > 1e-4  # a bound from the chunk's largest row would pass it
+    with pytest.raises(RefusedRow, match="imaginary residue .* in empirical coefficients") as alone:
+        plan.sample_coefficients(bad[None], 200)
+    assert alone.value.row == 0
+    for stack, row in (([big, bad], 1), ([bad, big], 0), ([good, big, bad, big], 2)):
+        with pytest.raises(RefusedRow, match="imaginary residue") as refused:
+            plan.sample_coefficients(np.stack(stack), 200)
+        assert refused.value.row == row
+        assert str(refused.value) == str(alone.value)
 
 
 # ---------------------------------------------------------------- sample coercion

@@ -8,6 +8,7 @@ relative. Example generation is derandomized so a failure reproduces.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,29 @@ def test_block_rows_bounds():
     assert block_rows(3, 1) == 3  # never more rows than there are
     assert block_rows(10**9, 10**9) == 1  # never fewer than one
     assert block_rows(10**9, 4) == PHASE_BLOCK_BYTES // 64
+
+
+@pytest.mark.parametrize(
+    "d,L,n,table_rows",
+    [(1, 15, 100_000, 4 + 4), (2, 15, 20_000, 16 + 31), (3, 3, 20_000, 4 + 7 + 7 + 49)],
+)
+def test_sample_spectrum_fills_one_table_buffer_for_every_block(d, L, n, table_rows):
+    # the tables of every row block are views of one buffer, sized for the
+    # widest block: a call over 3 or more blocks peaks near one block's table
+    # bytes (digit tables q + r = 4 + 4 rows in d = 1; the last axis's L + 1
+    # rows, each leading axis's 2L + 1 and their outer product otherwise),
+    # where a fresh table per block peaked at two, the last block's still alive
+    X = np.random.default_rng(d).uniform(0.0, TWO_PI, (n, d))
+    rows, _ = spectrum_block_shape(n, d, L)
+    assert math.ceil(n / rows) >= 3
+    table_bytes = 16 * table_rows * rows
+    tracemalloc.start()
+    try:
+        sample_spectrum(X, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_bytes <= peak <= 1.1 * table_bytes
 
 
 @st.composite
