@@ -9,18 +9,26 @@ all its spectra to raw coefficients at once, (C, K_total), through the
 plan's level map (one scatter, FFT and scale per level over every row; the
 second half of estimation.empirical_coefficients), thresholds them by
 every (rule, kappa0) at once into one estimator with a (C, rows) leading
-shape (one row per pair: same data, varying threshold) and scores them
-together: surviving counts and L^p risks.
-The p = 2 grid risk, the only one the paper's tables use, comes from the
+shape (one row per pair: same data, varying threshold), counts its
+survivors and scores it with the run's one _Scorer. The scorer is built
+once per run from the (p, method) columns the config asks for, and
+lp_distance scores a single estimator through a one-column scorer. The
+p = 2 grid risk, the only one the paper's tables use, comes from the
 estimator's box spectrum (estimation.synthesis_box) by discrete Parseval
-against the truth's DFT on the grid, built once per run (truth_spectrum,
-_l2_from_box); no grid values are formed for it. Any other exponent
-synthesizes the chunk on the grid (_lp_from_values). C comes from a fixed
-byte budget, CHUNK_BYTES, on the widest complex array a chunk scores per
-row (chunk_width, chunk_replications), which also bounds the stack of
-sample spectra; it is no option, and it does not depend on the thread
-count. With threads, the pool maps over chunks. A truth whose derivative
-is not finite on the grid is refused at set-up (truth_on_grid).
+against the truth's DFT on the grid (truth_spectrum, _l2_from_box); no
+grid values are formed for it. Any other exponent synthesizes the
+estimator on the grid (_lp_from_values). C comes from a fixed byte budget,
+CHUNK_BYTES, on the widest complex array a chunk scores per row
+(chunk_width, chunk_replications), which also bounds the stack of sample
+spectra; it is no option, and it does not depend on the thread count. With
+threads, the pool maps over chunks. A truth whose derivative is not finite
+on the grid is refused at set-up (densities.truth_on_grid).
+
+The report holds arrays, key-major: surviving counts (members, J, R) and
+risks (members, columns, R), each key's R draws contiguous and in
+replication order, written by each chunk into its own replications'
+slice. The aggregates reduce those rows; count_rows and risk_rows list the
+same values as named tuples, replication-major, for the CSV and JSON files.
 
 Reproducibility contract: every replication r derives its own RNG stream
 from a documented integer hash of (master seed, r), and the chunks do not
@@ -52,7 +60,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .densities import density_from_name
+from .densities import density_from_name, truth_on_grid
 from .estimation import (
     RefusedRow,
     _ReplicationPlan,
@@ -304,59 +312,83 @@ class RiskRow(NamedTuple):
 
 @dataclasses.dataclass
 class RiskReport:
-    """Everything one experiment produced, ordered deterministically."""
+    """Everything one experiment produced, key-major, ordered deterministically.
+
+    members are the estimator rows' (kappa0, rule) pairs, kappa0 outer, and
+    columns the (p, method) pairs scored (risk_columns). surviving holds the
+    (members, J, R) surviving counts per level and risks the (members,
+    columns, R) risks: the R draws of every key are contiguous and in
+    replication order, so each aggregate reduces one contiguous 1-d row.
+    count_rows and risk_rows list the same values as rows, built on demand.
+    """
 
     config: ExperimentConfig
-    count_rows: list
-    risk_rows: list
+    members: tuple
+    columns: tuple
+    surviving: np.ndarray
+    risks: np.ndarray
     child_seeds: tuple
+
+    def _totals(self):
+        """The coefficients of each level, K_j = cubature_size(B, j)^d."""
+        cfg = self.config
+        return [cubature_size(cfg.B, j) ** cfg.d for j in range(self.surviving.shape[1])]
+
+    @property
+    def count_rows(self):
+        """One CountRow per (replication, member, level), replication-major."""
+        totals = self._totals()
+        return [
+            CountRow(kind, k0, r, j, kept, total, kept / total)
+            for r, alive in enumerate(self.surviving.transpose(2, 0, 1).tolist())
+            for (k0, kind), levels in zip(self.members, alive)
+            for j, (kept, total) in enumerate(zip(levels, totals))
+        ]
+
+    @property
+    def risk_rows(self):
+        """One RiskRow per (replication, member, column), replication-major."""
+        return [
+            RiskRow(kind, k0, r, p, risk, method)
+            for r, risks in enumerate(self.risks.transpose(2, 0, 1).tolist())
+            for (k0, kind), values in zip(self.members, risks)
+            for (p, method), risk in zip(self.columns, values)
+        ]
+
+    def _by_rule(self, draws):
+        """(rule, kappa0, that member's draws) in config order, rule outer; none for R = 0."""
+        rows = dict(zip(self.members, draws))
+        keys = itertools.product(self.config.rules, self.config.kappa0) if draws.shape[-1] else ()
+        return [(kind, k0, rows[k0, kind]) for kind, k0 in keys]
 
     def risk_aggregates(self):
         """Mean and standard error per (method, rule, kappa0, p), config order."""
-        draws = {}
-        for r in self.risk_rows:
-            draws.setdefault((r.method, r.rule, r.kappa0, r.p), []).append(r.risk)
-        cfg, out = self.config, []
+        R, out = self.risks.shape[-1], []
         methods = ("grid-quadrature", "coefficient-proxy")
-        for method, kind, k0, p in itertools.product(methods, cfg.rules, cfg.kappa0, cfg.p):
-            vals = draws.get((method, kind, k0, p))
-            if vals:
-                n = len(vals)
-                stderr = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-                stats = {"mean": float(np.mean(vals)), "stderr": stderr, "replications": n}
-                ptag = "inf" if math.isinf(p) else p
-                out.append({"method": method, "rule": kind, "kappa0": k0, "p": ptag, **stats})
+        for method, (kind, k0, draws) in itertools.product(methods, self._by_rule(self.risks)):
+            for (p, how), vals in zip(self.columns, draws):
+                if how == method:
+                    stderr = float(np.std(vals, ddof=1) / math.sqrt(R)) if R > 1 else 0.0
+                    stats = {"mean": float(np.mean(vals)), "stderr": stderr, "replications": R}
+                    ptag = "inf" if math.isinf(p) else p
+                    out.append({"method": method, "rule": kind, "kappa0": k0, "p": ptag, **stats})
         return out
 
     def count_aggregates(self):
         """Mean surviving fraction per (rule, kappa0, j), config order."""
-        draws = {}
-        for r in self.count_rows:
-            draws.setdefault((r.rule, r.kappa0, r.j), []).append(r.fraction)
-        means = {key: float(np.mean(vals)) for key, vals in draws.items()}
-        levels = sorted({j for _, _, j in means})
-        keys = itertools.product(self.config.rules, self.config.kappa0, levels)
+        fractions = self.surviving / np.array(self._totals())[:, None]
         return [
-            {"rule": kind, "kappa0": k0, "j": j, "mean_fraction": means[kind, k0, j]}
-            for kind, k0, j in keys
-            if (kind, k0, j) in means
+            {"rule": kind, "kappa0": k0, "j": j, "mean_fraction": float(np.mean(vals))}
+            for kind, k0, levels in self._by_rule(fractions)
+            for j, vals in enumerate(levels)
         ]
 
 
-def truth_on_grid(truth, m, grid):
-    """The truth's m-th derivative at the rows of an (n, d) grid, refused when it is not finite.
-
-    An order |m| that size_violations passes may still overflow the truth's
-    derivative (a wrapped normal's Hermite polynomial at |m| = 640), which
-    would turn every grid risk into NaN; it is refused by name instead.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
-        values = truth.derivative(m, grid[:, 0] if grid.shape[1] == 1 else grid)
-    if not np.isfinite(values).all():
-        raise ValueError(
-            f"derivative order |m|={sum(m)} overflows a float in the truth's derivative on the grid"
-        )
-    return values
+def risk_columns(config):
+    """The (p, method) pairs a run scores: the grid exponents in config order, then the proxy."""
+    method = config.risk_method
+    grid = [] if method == "coefficient-proxy" else [(p, "grid-quadrature") for p in config.p]
+    return tuple(grid + ([] if method == "grid-quadrature" else [(2.0, "coefficient-proxy")]))
 
 
 def truth_spectrum(truth_vals, m, grid_per_dim, L):
@@ -433,6 +465,46 @@ def _proxy_distance(kept, true_coeffs):
     return np.sqrt(total)
 
 
+class _Scorer:
+    """Risks of estimators against one truth, one per (p, method) column; built once per run.
+
+    It builds only what its columns need: the grid and the truth's
+    derivative on it (truth_on_grid) for a grid column, the truth's DFT split
+    at the box of levels 0..J-1 (truth_spectrum) for p = 2 on the grid, and
+    the truth's coefficients on those levels (analyze) for the coefficient
+    proxy. Called on an estimator, it gives est.coeffs.lead + (columns,)
+    risks: p = 2 on the grid by discrete Parseval on the estimator's box
+    spectrum (synthesis_box, _l2_from_box), any other p from the estimator's
+    values on the grid (est.evaluate, once for every such column,
+    _lp_from_values), and the proxy by _proxy_distance.
+    """
+
+    def __init__(self, frame, truth, m, J, G, columns):
+        self.columns, self.G, self.d = tuple(columns), G, frame.d
+        grid_ps = [p for p, method in self.columns if method == "grid-quadrature"]
+        if grid_ps:
+            self.grid = uniform_grid(G, frame.d)
+            self.truth_vals = truth_on_grid(truth, m, self.grid)
+        if 2 in grid_ps:
+            self.truth_box = truth_spectrum(self.truth_vals, m, G, box_half_width(frame.B, J - 1))
+        if len(grid_ps) < len(self.columns):
+            self.true_coeffs = analyze(frame, truth, m, jmax=J - 1)
+
+    def __call__(self, est):
+        lead, values = est.coeffs.lead, None
+        risks = np.empty(lead + (len(self.columns),))
+        for c, (p, method) in enumerate(self.columns):
+            if method == "coefficient-proxy":
+                risks[..., c] = _proxy_distance(est.coeffs, self.true_coeffs)
+            elif p == 2:
+                box, _ = synthesis_box(est.frame, est.coeffs, plan=est.plan)
+                risks[..., c] = _l2_from_box(box, self.truth_box, self.d).reshape(lead)
+            else:
+                values = est.evaluate(self.grid) if values is None else values
+                risks[..., c] = _lp_from_values(values, self.truth_vals, p, self.d, self.G)
+        return risks
+
+
 def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     """Distance between a single estimator and the true m-th derivative.
 
@@ -440,31 +512,21 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     G-per-dimension grid (max for p = inf). coefficient-proxy: the l2 norm of
     the coefficient differences over levels < J (p = 2 only). For m = 0 the
     estimator includes the density mean (DerivativeEstimator.evaluate).
-    p = 2 on the grid is taken by discrete Parseval on the estimator's box
-    spectrum (synthesis_box, _l2_from_box) without evaluating the estimator;
-    every other p synthesizes it on the grid (_lp_from_values).
-    run_experiment scores every row of a replication's estimator through the
-    same kernels: a row's proxy risk is this distance for its rule on that
-    replication's sample, and its grid risks are too, up to the rounding of
-    synthesizing all rows in one pass.
+    The distance is the one column of a _Scorer: p = 2 on the grid is taken
+    by discrete Parseval on the estimator's box spectrum without evaluating
+    the estimator, and every other p synthesizes it on the grid.
+    run_experiment scores every row of a chunk's estimator through the same
+    scorer, so a row's risks are this distance for its rule on that
+    replication's sample.
     """
-    d = est.frame.d
-    if method == "coefficient-proxy":
-        if p != 2:
-            raise ValueError("coefficient-proxy risk is defined for p = 2 only")
-        return float(_proxy_distance(est.coeffs, analyze(est.frame, truth, est.m, jmax=est.J - 1)))
-    if method != "grid-quadrature":
+    if method not in ("grid-quadrature", "coefficient-proxy"):
         raise ValueError(f"unknown risk method {method!r}")
+    if method == "coefficient-proxy" and p != 2:
+        raise ValueError("coefficient-proxy risk is defined for p = 2 only")
     min_grid = min_grid_size(est.frame.B, est.J)
-    if grid_size < min_grid:
+    if method == "grid-quadrature" and grid_size < min_grid:
         raise ValueError(f"grid {grid_size} cannot resolve the estimator band (needs >= {min_grid})")
-    grid = uniform_grid(grid_size, d)
-    truth_vals = truth_on_grid(truth, est.m, grid)
-    if p == 2:
-        box, _ = synthesis_box(est.frame, est.coeffs, plan=est.plan)
-        L = (box.shape[0] - 1) // 2
-        return float(_l2_from_box(box, truth_spectrum(truth_vals, est.m, grid_size, L), d)[0])
-    return float(_lp_from_values(est.evaluate(grid), truth_vals, p, d, grid_size))
+    return float(_Scorer(est.frame, truth, est.m, est.J, grid_size, [(p, method)])(est)[0])
 
 
 def chunk_replications(rows, width):
@@ -477,19 +539,20 @@ def chunk_replications(rows, width):
 
 
 def chunk_width(config):
-    """Complex columns per estimator row that a chunk scores at once, from the config alone.
+    """Complex columns per estimator row that a chunk scores at once, from the run's columns.
 
-    G^d grid values when some exponent in p is not 2; the (2L+1)^d box
+    G^d grid values when some grid exponent is not 2; the (2L+1)^d box
     spectrum, L = box_half_width(B, J-1), when the grid risk is p = 2 alone;
     the coefficients of all levels, sum_j K_j, for the coefficient proxy
     alone.
     """
     J, d = config.resolved_J(), config.d
-    if config.risk_method == "coefficient-proxy":
-        return sum(cubature_size(config.B, j) ** d for j in range(J))
-    if any(p != 2 for p in config.p):
+    grid_ps = [p for p, method in risk_columns(config) if method == "grid-quadrature"]
+    if any(p != 2 for p in grid_ps):
         return config.grid**d
-    return (2 * box_half_width(config.B, J - 1) + 1) ** d
+    if grid_ps:
+        return (2 * box_half_width(config.B, J - 1) + 1) ** d
+    return sum(cubature_size(config.B, j) ** d for j in range(J))
 
 
 def run_experiment(config, threads=1):
@@ -499,27 +562,20 @@ def run_experiment(config, threads=1):
     frame = NeedletFrame(config.B, config.d, jmax=max(J - 1, 0))
     m = config.m
     # one estimator row per member, kappa0 outer: the order its rows are emitted in
-    members = [(k0, kind) for k0 in config.kappa0 for kind in config.rules]
+    members = tuple((k0, kind) for k0 in config.kappa0 for kind in config.rules)
     literal = config.literal_paper_kappa
     rules = [
         calibrated_rule(kind, k0, density.sup_norm, frame.window, m, config.n, config.B, literal)
         for k0, kind in members
     ]
-    need_grid = config.risk_method in ("grid-quadrature", "both")
-    need_proxy = config.risk_method in ("coefficient-proxy", "both")
-    columns = [(p, "grid-quadrature") for p in config.p] if need_grid else []
-    columns += [(2.0, "coefficient-proxy")] if need_proxy else []
-    # grid values are formed only for an exponent other than 2
-    need_values = need_grid and any(p != 2 for p in config.p)
-    # every replication shares one plan (per-level constants, thresholds) and one truth
+    # every replication shares one plan (per-level constants, thresholds) and one scorer
     plan = _ReplicationPlan(frame, m, J, rules)
-    G = config.grid
-    if need_grid:
-        grid = uniform_grid(G, config.d)
-        truth_vals = truth_on_grid(density, m, grid)
-        truth_box = truth_spectrum(truth_vals, m, G, plan.L)
-    true_coeffs = analyze(frame, density, m, jmax=J - 1) if need_proxy else None
-    totals = [cols.stop - cols.start for cols in plan.slices]
+    columns = risk_columns(config)
+    scorer = _Scorer(frame, density, m, J, config.grid, columns)
+    R = config.replications
+    # key-major: each chunk fills its own replications' slice of every key's row
+    surviving = np.empty((len(members), J, R), dtype=np.int64)
+    risks = np.empty((len(members), len(columns), R))
 
     def one_chunk(reps):
         # each replication reduces its sample to one spectrum, in its row of
@@ -541,53 +597,37 @@ def run_experiment(config, threads=1):
         try:
             raw = CoefficientArray.from_flat(m, raws, plan.slices)
             est = thresholded_estimator(frame, raw, rules, plan=plan)
-            risks = np.empty((len(reps), len(members), len(columns)))
-            if need_grid:
-                box, _ = synthesis_box(frame, est.coeffs, plan=plan)
-                l2 = _l2_from_box(box, truth_box, config.d).reshape(risks.shape[:2])
-                est_vals = est.evaluate(grid) if need_values else None
-                for c, p in enumerate(config.p):
-                    if p == 2:
-                        risks[..., c] = l2
-                    else:
-                        risks[..., c] = _lp_from_values(est_vals, truth_vals, p, config.d, G)
-            if need_proxy:
-                risks[..., -1] = _proxy_distance(est.coeffs, true_coeffs)
-            alive = est.survivors().tolist()
+            surviving[..., reps.start : reps.stop] = np.moveaxis(est.survivors(), 0, -1)
+            risks[..., reps.start : reps.stop] = np.moveaxis(scorer(est), 0, -1)
         except Exception as exc:
             first, last = reps[0], reps[-1]
             which = f"replication {first}" if first == last else f"replications {first}-{last}"
             raise RuntimeError(f"{which} failed: {exc}") from exc
-        counts, risk_rows = [], []
-        for r, rep_alive, rep_risks in zip(reps, alive, risks.tolist()):
-            for (k0, kind), row_alive, row_risks in zip(members, rep_alive, rep_risks):
-                for j, (kept, total) in enumerate(zip(row_alive, totals)):
-                    counts.append(CountRow(kind, k0, r, j, kept, total, kept / total))
-                for (p, method), risk in zip(columns, row_risks):
-                    risk_rows.append(RiskRow(kind, k0, r, p, risk, method))
-        return counts, risk_rows
 
-    R = config.replications
     size = chunk_replications(len(members), chunk_width(config))
     chunks = [range(start, min(start + size, R)) for start in range(0, R, size)]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_chunk = list(pool.map(one_chunk, chunks))
+            list(pool.map(one_chunk, chunks))  # raises the first failing chunk's error
     else:
-        per_chunk = [one_chunk(reps) for reps in chunks]
-
-    count_rows, risk_rows = [], []
-    for counts, risks in per_chunk:  # already in replication order
-        count_rows.extend(counts)
-        risk_rows.extend(risks)
+        for reps in chunks:
+            one_chunk(reps)
     seeds = tuple(child_seed(config.seed, r) for r in range(R))
-    return RiskReport(config, count_rows, risk_rows, seeds)
+    return RiskReport(config, members, columns, surviving, risks, seeds)
 
 
 def _fmt(value):
-    return f"{value:.17g}"
+    return f"{value:.17g}"  # "inf" for an infinite p
+
+
+def _count_fields(row):
+    return f"{row.j},{row.surviving},{row.total},{_fmt(row.fraction)}"
+
+
+def _risk_fields(row):
+    return f"{_fmt(row.p)},{_fmt(row.risk)}"
 
 
 def _csv_field(text):
@@ -597,31 +637,12 @@ def _csv_field(text):
     return text
 
 
-def _write_counts_csv(report, path):
+def _write_csv(path, config, fields, rows, rest):
+    """One bench CSV: the run's density, n and m, each row's rule, kappa0 and replication, rest(row)."""
+    lead = f"{_csv_field(config.density)},{config.n},{';'.join(str(v) for v in config.m)},"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("density,n,m,rule,kappa0,replication,j,surviving,total,fraction\n")
-        cfg = report.config
-        density, mtag = _csv_field(cfg.density), ";".join(str(v) for v in cfg.m)
-        for row in report.count_rows:
-            fh.write(
-                f"{density},{cfg.n},{mtag},{row.rule},{_fmt(row.kappa0)},"
-                f"{row.replication},{row.j},{row.surviving},{row.total},{_fmt(row.fraction)}\n"
-            )
-
-
-def _write_risks_csv(report, path, method):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("density,n,m,rule,kappa0,replication,p,risk\n")
-        cfg = report.config
-        density, mtag = _csv_field(cfg.density), ";".join(str(v) for v in cfg.m)
-        for row in report.risk_rows:
-            if row.method != method:
-                continue
-            ptag = "inf" if math.isinf(row.p) else _fmt(row.p)
-            fh.write(
-                f"{density},{cfg.n},{mtag},{row.rule},{_fmt(row.kappa0)},"
-                f"{row.replication},{ptag},{_fmt(row.risk)}\n"
-            )
+        fh.write(f"density,n,m,rule,kappa0,replication,{fields}\n")
+        fh.writelines(f"{lead}{r.rule},{_fmt(r.kappa0)},{r.replication},{rest(r)}\n" for r in rows)
 
 
 def emit_report(report, destination):
@@ -630,25 +651,23 @@ def emit_report(report, destination):
     bench_counts.csv, bench_risks.csv (the grid risks, or the proxy risks
     of a proxy-only run), bench_risks_proxy.csv when both risk methods ran,
     and bench_report.json mirroring rows, aggregates, config, and seed
-    provenance.
+    provenance. Each list of rows is built once, for its CSVs and the JSON.
     """
     os.makedirs(destination, exist_ok=True)
-    _write_counts_csv(report, os.path.join(destination, "bench_counts.csv"))
-    method = report.config.risk_method
-    primary = method if method == "coefficient-proxy" else "grid-quadrature"
-    _write_risks_csv(report, os.path.join(destination, "bench_risks.csv"), primary)
-    if method == "both":
-        _write_risks_csv(
-            report, os.path.join(destination, "bench_risks_proxy.csv"), "coefficient-proxy"
-        )
+    cfg, counts, risks = report.config, report.count_rows, report.risk_rows
+    path = os.path.join(destination, "bench_counts.csv")
+    _write_csv(path, cfg, "j,surviving,total,fraction", counts, _count_fields)
+    primary = cfg.risk_method if cfg.risk_method == "coefficient-proxy" else "grid-quadrature"
+    files = [("bench_risks.csv", primary)]
+    files += [("bench_risks_proxy.csv", "coefficient-proxy")] if cfg.risk_method == "both" else []
+    for name, method in files:
+        rows = (r for r in risks if r.method == method)
+        _write_csv(os.path.join(destination, name), cfg, "p,risk", rows, _risk_fields)
     payload = {
-        "config": report.config.to_dict(),
+        "config": cfg.to_dict(),
         "child_seeds": [str(s) for s in report.child_seeds],
-        "counts": [row._asdict() for row in report.count_rows],
-        "risks": [
-            {**row._asdict(), "p": "inf" if math.isinf(row.p) else row.p}
-            for row in report.risk_rows
-        ],
+        "counts": [row._asdict() for row in counts],
+        "risks": [{**row._asdict(), "p": "inf" if math.isinf(row.p) else row.p} for row in risks],
         "aggregates": {
             "risks": report.risk_aggregates(),
             "counts": report.count_aggregates(),

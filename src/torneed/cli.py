@@ -20,7 +20,7 @@ from array import array
 
 import numpy as np
 
-from .densities import density_from_name
+from .densities import density_from_name, truth_on_grid
 from .estimation import (
     ThresholdRule,
     calibrated_rule,
@@ -197,13 +197,14 @@ def _cmd_estimate(args):
             args.rule, args.kappa0, args.M, frame.window, m, n, args.B, args.literal_paper_kappa
         )
     est = estimate(frame, X, m, rule, J_override=J)
+    grid = uniform_grid(args.grid, args.d) if args.grid is not None else None
+    # a truth that overflows is refused before any file is written
+    truth = truth_on_grid(density, m, grid) if grid is not None and density is not None else None
 
     write_estimator_csv(est, f"{args.out}_coefficients.csv")
     write_estimator_meta(est, f"{args.out}_meta.json")
     written = [f"{args.out}_coefficients.csv", f"{args.out}_meta.json"]
-    if args.grid is not None:
-        grid = uniform_grid(args.grid, args.d)
-        truth = density.derivative(m, grid) if density is not None else None
+    if grid is not None:
         _write_grid_csv(f"{args.out}_grid.csv", grid, est.evaluate(grid), truth)
         written.append(f"{args.out}_grid.csv")
     print(f"n={n}  J={est.J}  kappa={est.rule.kappa:.6g}  rule={est.rule.kind}")
@@ -227,7 +228,7 @@ def _cmd_bench(args):
     emit_report(report, args.out)
     print(
         f"ran {config.replications} replication(s): "
-        f"{len(report.count_rows)} count rows, {len(report.risk_rows)} risk rows -> {args.out}"
+        f"{report.surviving.size} count rows, {report.risks.size} risk rows -> {args.out}"
     )
     return 0
 
@@ -271,8 +272,8 @@ def _cmd_eval_grid(args):
         )
     coeffs = CoefficientArray(m, kept_levels)
     grid = uniform_grid(args.grid, d)
+    truth = truth_on_grid(density, m, grid) if density is not None else None
     vals = with_density_mean(synthesize(frame, coeffs, grid), m)
-    truth = density.derivative(m, grid) if density is not None else None
     _write_grid_csv(args.out, grid, vals, truth)
     print(f"wrote {args.out}")
     return 0

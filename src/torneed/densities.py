@@ -273,3 +273,20 @@ def density_from_name(name, d=None):
     if d is not None and density.d != d:
         raise ValueError(f"density {density.name} has d={density.d}, config says d={d}")
     return density
+
+
+def truth_on_grid(truth, m, grid):
+    """The truth's m-th derivative at the rows of an (n, d) grid, refused when it is not finite.
+
+    An order |m| that size_violations passes may still overflow the truth's
+    derivative (a wrapped normal's Hermite polynomial at |m| = 640), which
+    would turn every grid risk, and every truth column the CLI writes, into
+    NaN; it is refused by name instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
+        values = truth.derivative(m, grid)
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"derivative order |m|={sum(m)} overflows a float in the truth's derivative on the grid"
+        )
+    return values

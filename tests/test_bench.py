@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,26 @@ def test_run_experiment_thread_count_is_invisible_d2():
     assert solo.risk_rows == pooled.risk_rows
 
 
+def test_threads_fill_their_own_slices_of_the_report(monkeypatch):
+    # every chunk writes its replications' slice of the report's two arrays
+    # from a pool thread; with one replication a chunk, more threads than
+    # cores and a short switch interval, a slice written twice, or not at
+    # all, would differ from the serial run
+    over = {"replications": 12, "kappa0": [0.5, 2.5], "rules": ["hard", "soft"]}
+    cfg = tn.config_from_dict(base_config(**over, p=[1, 2], risk_method="both"))
+    monkeypatch.setattr(tn.bench, "CHUNK_BYTES", 1)
+    assert tn.bench.chunk_replications(4, tn.bench.chunk_width(cfg)) == 1
+    solo = tn.run_experiment(cfg)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = tn.run_experiment(cfg, threads=6)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(pooled.surviving, solo.surviving)
+    np.testing.assert_array_equal(pooled.risks, solo.risks)
+
+
 def test_chunk_sizes_of_the_benchmark_workloads():
     # p = 2 alone is scored on the box spectrum: the paper's 8 rows on its
     # 31 columns (J = 4, B = 2) give 132 replications a chunk, and the same
@@ -722,12 +743,51 @@ def test_risk_aggregates_mean_and_stderr():
     assert single["stderr"] == 0.0
 
 
+
+def test_aggregates_are_the_per_key_reductions_bit_for_bit():
+    # R = 40 runs past numpy's 8-wide pairwise unroll: each aggregate must be
+    # np.mean / np.std(ddof=1) of its key's draws in replication order, the
+    # 1-d lists the rows give, to the bit
+    cfg = {"replications": 40, "kappa0": [0.5, 2.5], "rules": ["hard", "soft"]}
+    report = run({**cfg, "p": [1, 2, "inf"], "risk_method": "both"})
+    risks, fractions = {}, {}
+    for r in report.risk_rows:
+        risks.setdefault((r.method, r.rule, r.kappa0, r.p), []).append(r.risk)
+    for c in report.count_rows:
+        fractions.setdefault((c.rule, c.kappa0, c.j), []).append(c.fraction)
+    aggregates = report.risk_aggregates()
+    keys = [(a["method"], a["rule"], a["kappa0"], a["p"]) for a in aggregates]
+    grid = [("grid-quadrature", k, k0, p) for k in cfg["rules"] for k0 in cfg["kappa0"]
+            for p in (1.0, 2.0, "inf")]  # fmt: skip
+    proxy = [("coefficient-proxy", k, k0, 2.0) for k in cfg["rules"] for k0 in cfg["kappa0"]]
+    assert keys == grid + proxy
+    for a in aggregates:
+        vals = risks[a["method"], a["rule"], a["kappa0"], math.inf if a["p"] == "inf" else a["p"]]
+        assert len(vals) == a["replications"] == 40
+        assert a["mean"] == float(np.mean(vals))
+        assert a["stderr"] == float(np.std(vals, ddof=1) / math.sqrt(40))
+    counts = report.count_aggregates()
+    levels = [(k, k0, j) for k in cfg["rules"] for k0 in cfg["kappa0"] for j in range(3)]
+    assert [(a["rule"], a["kappa0"], a["j"]) for a in counts] == levels
+    for a in counts:
+        assert a["mean_fraction"] == float(np.mean(fractions[a["rule"], a["kappa0"], a["j"]]))
+    # a report of no replications has no aggregates
+    empty = dataclasses.replace(
+        report, surviving=report.surviving[..., :0], risks=report.risks[..., :0], child_seeds=()
+    )
+    assert empty.risk_aggregates() == [] and empty.count_aggregates() == []
+
+
 # ---------------------------------------------------------------- report I/O
 
 
 def test_emit_csv_files_and_header_only_when_empty(tmp_path):
     cfg = tn.config_from_dict(base_config())
-    empty = RiskReport(cfg, [], [], ())
+    members = tuple((k0, kind) for k0 in cfg.kappa0 for kind in cfg.rules)
+    columns = tn.bench.risk_columns(cfg)
+    surviving = np.zeros((len(members), cfg.resolved_J(), 0), dtype=np.int64)
+    risks = np.zeros((len(members), len(columns), 0))
+    empty = RiskReport(cfg, members, columns, surviving, risks, ())
     tn.emit_report(empty, tmp_path)
     counts = (tmp_path / "bench_counts.csv").read_text()
     risks = (tmp_path / "bench_risks.csv").read_text()

@@ -553,6 +553,31 @@ def test_an_order_that_overflows_the_truth_exits_2_at_set_up(tmp_path, capsys, o
             tn.lp_distance(est, density, 2, 17)
 
 
+
+def test_cli_refuses_a_truth_that_overflows_before_writing(tmp_path, capsys):
+    # the size check passes m = 200 and the estimator is finite, but the
+    # wrapped normal's derivative of that order overflows on a 17-point grid:
+    # estimate and eval-grid refuse the truth column by name, with no numpy
+    # warning, before writing any file
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.random.default_rng(1).uniform(0.0, 2 * np.pi, 60), fmt="%.17g")
+    flags = ["--m", "200", "--kappa", "1", "--J", "2"]
+    truth = ["--grid", "17", "--density", "wrapped_normal(1.0)"]
+    refusal = "error: derivative order |m|=200 overflows a float in the truth's derivative"
+
+    assert main(["estimate", str(data), *flags, *truth, "--out", str(tmp_path / "bad")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(refusal)
+    assert not list(tmp_path.glob("bad*"))
+
+    assert main(["estimate", str(data), *flags, "--out", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
+    assert main(["eval-grid", str(tmp_path / "e"), *truth, "--out", str(tmp_path / "g.csv")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(refusal)
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_a_row_the_level_map_refuses_names_its_replication(tmp_path, capsys, monkeypatch):
     # the five replications share one chunk and one level map; only
     # replication 3's spectrum breaks S_{-l} = conj(S_l), and the refusal of
