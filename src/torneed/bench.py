@@ -471,15 +471,16 @@ class _Scorer:
     It builds only what its columns need: the grid and the truth's
     derivative on it (truth_on_grid) for a grid column, the truth's DFT split
     at the box of levels 0..J-1 (truth_spectrum) for p = 2 on the grid, and
-    the truth's coefficients on those levels (analyze) for the coefficient
-    proxy. Called on an estimator, it gives est.coeffs.lead + (columns,)
-    risks: p = 2 on the grid by discrete Parseval on the estimator's box
-    spectrum (synthesis_box, _l2_from_box), any other p from the estimator's
-    values on the grid (est.evaluate, once for every such column,
-    _lp_from_values), and the proxy by _proxy_distance.
+    the truth's coefficients on those levels (analyze, through the run's
+    plan when given) for the coefficient proxy. Called on an estimator, it
+    gives est.coeffs.lead + (columns,) risks: p = 2 on the grid by discrete
+    Parseval on the estimator's box spectrum (synthesis_box, _l2_from_box),
+    any other p from the estimator's values on the grid (est.evaluate, once
+    for every such column, _lp_from_values), and the proxy by
+    _proxy_distance.
     """
 
-    def __init__(self, frame, truth, m, J, G, columns):
+    def __init__(self, frame, truth, m, J, G, columns, plan=None):
         self.columns, self.G, self.d = tuple(columns), G, frame.d
         grid_ps = [p for p, method in self.columns if method == "grid-quadrature"]
         if grid_ps:
@@ -488,7 +489,7 @@ class _Scorer:
         if 2 in grid_ps:
             self.truth_box = truth_spectrum(self.truth_vals, m, G, box_half_width(frame.B, J - 1))
         if len(grid_ps) < len(self.columns):
-            self.true_coeffs = analyze(frame, truth, m, jmax=J - 1)
+            self.true_coeffs = analyze(frame, truth, m, jmax=J - 1, plan=plan)
 
     def __call__(self, est):
         lead, values = est.coeffs.lead, None
@@ -526,7 +527,8 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     min_grid = min_grid_size(est.frame.B, est.J)
     if method == "grid-quadrature" and grid_size < min_grid:
         raise ValueError(f"grid {grid_size} cannot resolve the estimator band (needs >= {min_grid})")
-    return float(_Scorer(est.frame, truth, est.m, est.J, grid_size, [(p, method)])(est)[0])
+    scorer = _Scorer(est.frame, truth, est.m, est.J, grid_size, [(p, method)], est.plan)
+    return float(scorer(est)[0])
 
 
 def chunk_replications(rows, width):
@@ -571,7 +573,9 @@ def run_experiment(config, threads=1):
     # every replication shares one plan (per-level constants, thresholds) and one scorer
     plan = _ReplicationPlan(frame, m, J, rules)
     columns = risk_columns(config)
-    scorer = _Scorer(frame, density, m, J, config.grid, columns)
+    scorer = _Scorer(frame, density, m, J, config.grid, columns, plan)
+    # refused before any replication runs, so a refused run writes nothing
+    plan.refuse_sample_overflow(config.n)
     R = config.replications
     # key-major: each chunk fills its own replications' slice of every key's row
     surviving = np.empty((len(members), J, R), dtype=np.int64)

@@ -21,17 +21,18 @@ Everything in these steps that does not depend on the sample or on the
 points evaluated (the per-level indices and amplitudes, the thresholds
 tau_j = kappa B^(j|m|) sqrt(ln n / n) of every rule) lives in one
 _ReplicationPlan, built once per Monte Carlo run for (frame, m, J, rules)
-and shared read-only by its replications; a single estimate or analysis
-builds a plan of its own. The plan holds no points: each synthesis checks
-the layout of the points it is given and builds the phase table of the
-band it evaluates. Coefficients of all levels lie side by side in one flat
-array (K_total,), or (R, K_total) for R threshold rules, and the per-level
-arrays are views of it, so thresholding, survivor counting and the finite
-check run once on the flat stack rather than once per level. A Monte Carlo
-run stacks the raw coefficients of C replications as (C, K_total) and
-thresholds and scores them as one (C, R, K_total) estimator; its p = 2
-grid risk reads the estimator's box spectrum (synthesis_box, the first half
-of synthesize) and never evaluates it.
+and shared read-only by its replications and by the analysis of its truth;
+a single estimate or analysis without one builds a plan of its own. The
+plan holds no points: each synthesis checks the layout of the points it is
+given and builds the phase table of the band it evaluates. Coefficients of
+all levels lie side by side in one flat array (K_total,), or (R, K_total)
+for R threshold rules, and the per-level arrays are views of it, so
+thresholding, survivor counting and the finite check run once on the flat
+stack rather than once per level. A Monte Carlo run stacks the raw
+coefficients of C replications as (C, K_total) and thresholds and scores
+them as one (C, R, K_total) estimator; its p = 2 grid risk reads the
+estimator's box spectrum (synthesis_box, the first half of synthesize) and
+never evaluates it.
 """
 
 from __future__ import annotations
@@ -178,10 +179,12 @@ class RefusedRow(ValueError):
 class _ReplicationPlan:
     """Everything the replications of one run share, built once for (frame, m, J, rules).
 
-    A Monte Carlo run builds one plan, maps each chunk's sample spectra
-    through it (sample_coefficients) and passes it to thresholded_estimator
-    and synthesis_box; a call of empirical_coefficients or synthesize
-    without one, and every analyze, builds a one-use plan, so every
+    A Monte Carlo run builds one plan, refuses an order whose sample sums
+    could overflow (refuse_sample_overflow), maps each chunk's sample
+    spectra through it (sample_coefficients), analyzes its truth with it
+    (analyze) and passes it to thresholded_estimator and synthesis_box; a
+    call of empirical_coefficients, analyze, thresholded_estimator,
+    synthesis_box or synthesize without one builds a one-use plan, so every
     estimate takes the same path.
     There is no cache: a plan lives as long as its caller keeps it. Its
     arrays are read-only, since replication threads share it. A rule whose
@@ -251,7 +254,9 @@ class _ReplicationPlan:
         level's columns of one flat complex (C, size) array; each row gets
         the bits it would get alone. The frequency power in analysis[j] is
         applied before the sign's 1/n, so an order |m| that size_violations
-        passes may still overflow on a sample sum S_l near n. Each row is
+        passes may still overflow on a sample sum S_l near n; the callers
+        that map samples refuse such an order first (refuse_sample_overflow),
+        and a row that overflows anyway is refused here. Each row is
         then judged on its own: one pass finds every row's largest |imag|
         and whether it is finite, and only a row that is not finite or whose
         residue passes IMAG_RESIDUE_TOL is refused (naming the order, or by
@@ -282,6 +287,25 @@ class _ReplicationPlan:
             except ValueError as exc:
                 raise RefusedRow(str(exc), row) from None
         return np.ascontiguousarray(raw.real)
+
+    def refuse_sample_overflow(self, n):
+        """Refuse, before any sample is reduced, an order whose sums over n points could overflow.
+
+        |S_l| <= n bounds every sample sum, so level j's scatter and FFT of
+        analysis[j] S_l stay below n sum_l |analysis[j][l]|. When that bound
+        is not a finite float at some level, pixels might overflow before
+        its 1/n, and the order is refused here by name; otherwise no sample
+        of n points can overflow. The bound is conservative: a sample whose
+        sums stay smaller would have run.
+        """
+        with np.errstate(over="ignore"):  # an infinite sum is the refusal below
+            masses = [float(np.abs(amps).sum()) for amps in self.analysis]
+        for j, mass in enumerate(masses):
+            if not n * mass < math.inf:
+                raise ValueError(
+                    f"derivative order |m|={sum(self.m)} overflows a float in the sample sums "
+                    f"of n={n} points: n times the sum of |b_l mult_l(m)| over level {j}'s shell"
+                )
 
     def sample_coefficients(self, spectra, n):
         """Raw coefficients (C, size) of C samples of n points from their (C,) + box sample spectra.
@@ -325,18 +349,21 @@ def empirical_coefficients(frame, samples, jmax=None, m=None, *, plan=None):
     halves, the second once per chunk of replications. Levels 0..jmax are
     produced; jmax = -1 gives none. plan, the run's _ReplicationPlan for
     this frame, m and jmax + 1 levels, supplies every per-level constant;
-    without one the call builds its own.
+    without one the call builds its own. An order whose sums over the
+    sample's n points could overflow is refused first
+    (refuse_sample_overflow).
     """
     jmax = _top_level(frame, jmax)
     m = as_multi_index(m, frame.d)
     plan = plan or _ReplicationPlan(frame, m, jmax + 1)
     plan.check(frame, jmax + 1, m)
     X = as_sample_array(samples, frame.d)
+    plan.refuse_sample_overflow(X.shape[0])
     flat = plan.sample_coefficients(sample_spectrum(X, plan.L)[None], X.shape[0])
     return CoefficientArray.from_flat(m, flat[0], plan.slices)
 
 
-def analyze(frame, f, m=None, jmax=None, band_limit=None):
+def analyze(frame, f, m=None, jmax=None, band_limit=None, *, plan=None):
     """Needlet coefficients of the m-th derivative of f, by exact quadrature.
 
     Integration by parts moves the derivative onto the needlet, so only f
@@ -351,7 +378,9 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
     (2pi)^(-d/2), so beta^(m) and its estimate share one layout. Accepts a
     plain callable or an object with a `pdf` attribute (a test density); a
     `band_limit` attribute, when present, widens the quadrature grid
-    accordingly.
+    accordingly. plan, a _ReplicationPlan for this frame, m and jmax + 1
+    levels (a Monte Carlo run passes its own, whatever its rules), supplies
+    the level map; without one the call builds its own.
     """
     jmax = _top_level(frame, jmax)
     m = as_multi_index(m, frame.d)
@@ -363,7 +392,8 @@ def analyze(frame, f, m=None, jmax=None, band_limit=None):
     problems = size_violations(frame.B, frame.d, jmax + 1, band_limit=band_limit, order=sum(m))
     if problems:
         raise ValueError(problems[0])
-    plan = _ReplicationPlan(frame, m, jmax + 1)
+    plan = plan or _ReplicationPlan(frame, m, jmax + 1)
+    plan.check(frame, jmax + 1, m)
     # a_l by FFT quadrature, exact once the grid resolves the shell band plus
     # the declared band of f
     npts = analysis_grid_size(frame.B, jmax, band_limit)

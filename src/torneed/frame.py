@@ -81,18 +81,21 @@ size_violations(B, d, J) is the one place that decides whether such a
 frame, and the grids evaluated or analyzed with it, may be built at all.
 
 Fixed constants: the window ramp is tabulated on _RAMP_NODES = 4097 nodes
-with an 8-node Gauss-Legendre rule per cell, the window moments use
-_MOMENT_PANELS = 64 panels per side of u = 1, drop_imag refuses an
-imaginary residue above IMAG_RESIDUE_TOL = 1e-9 times the largest real
-magnitude, or 1 if that is smaller (refuse_residue, on every evaluation
-path), localization_profile samples 2048 points over its rays, and
-needlet_lp_norm integrates level j on the uniform grid of
+with an 8-node Gauss-Legendre rule per cell, a table that does not depend
+on B and is built once per process on first use (_ramp), the window moments
+use _MOMENT_PANELS = 64 panels per side of u = 1 and are integrated once per
+(B, q) in a process, since frames of one B share one window (_shared_window),
+drop_imag refuses an imaginary residue above IMAG_RESIDUE_TOL = 1e-9 times
+the largest real magnitude, or 1 if that is smaller (refuse_residue, on
+every evaluation path), localization_profile samples 2048 points over its
+rays, and needlet_lp_norm integrates level j on the uniform grid of
 max(64, 8 ceil(B**(j+1))) points per axis, by grid_values.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -267,6 +270,22 @@ def _gauss_legendre(fn, lo, hi):
     return half * (fn(nodes) @ _GL_WEIGHTS)
 
 
+@functools.cache
+def _ramp():
+    """The window ramp's table, (nodes, cumulative): built on first use, once per process.
+
+    nodes are _RAMP_NODES uniform points on [-1, 1] and cumulative[k] the
+    integral of psi0 from -1 to nodes[k], one Gauss-Legendre rule per cell,
+    accumulated. Nothing in it depends on B, so every window reads the same
+    read-only pair; importing the module builds nothing.
+    """
+    nodes = np.linspace(-1.0, 1.0, _RAMP_NODES)
+    cells = _gauss_legendre(_bump, nodes[:-1], nodes[1:])
+    cumulative = np.concatenate(([0.0], np.cumsum(cells)))
+    nodes.flags.writeable = cumulative.flags.writeable = False
+    return nodes, cumulative
+
+
 class NeedletWindow:
     """Smooth Littlewood-Paley window b supported on [1/B, B].
 
@@ -282,18 +301,20 @@ class NeedletWindow:
     on its plateaus, not an accurate interior integral.
 
     Psi is integrated exactly up to rounding: the integral of psi0 over each
-    cell of a uniform _RAMP_NODES grid on [-1, 1] is tabulated once by
+    cell of a uniform _RAMP_NODES grid on [-1, 1] is tabulated by
     Gauss-Legendre and accumulated, and Psi(u) adds the same rule on the
-    partial cell [x_k, u].
+    partial cell [x_k, u]. That table does not depend on B: it is built once
+    per process (_ramp) and shared by every window. Frames share their
+    windows too, one per B (_shared_window), so each moment I_q is integrated
+    once per (B, q) in a process; a window built directly has moments of its
+    own, with the same bits.
     """
 
     def __init__(self, B):
         if B <= 1:
             raise ValueError("scale B must exceed 1")
         self.B = float(B)
-        self._grid = np.linspace(-1.0, 1.0, _RAMP_NODES)
-        cells = _gauss_legendre(_bump, self._grid[:-1], self._grid[1:])
-        self._cumulative = np.concatenate(([0.0], np.cumsum(cells)))
+        self._grid, self._cumulative = _ramp()
         self._moments: dict[int, float] = {}
 
     def _smooth_step(self, u):
@@ -314,9 +335,17 @@ class NeedletWindow:
         return val
 
     def _squared(self, t):
-        """b(t)^2 = max(phi(t/B) - phi(t), 0), elementwise."""
+        """b(t)^2 = max(phi(t/B) - phi(t), 0), elementwise, from one plateau per point.
+
+        Where t <= 1, t/B <= 1/B also in floats (rounding is monotone), so
+        phi(t/B) is exactly 1; from 1 on, phi(t) is exactly 0. So phi is
+        evaluated once, at t or t/B, and 1 - phi or phi is the same
+        difference, bit for bit.
+        """
         t = np.asarray(t, dtype=float)
-        return np.maximum(self._plateau(t / self.B) - self._plateau(t), 0.0)
+        low = t <= 1.0
+        phi = self._plateau(np.where(low, t, t / self.B))
+        return np.maximum(np.where(low, 1.0 - phi, phi), 0.0)
 
     def __call__(self, t):
         out = np.sqrt(self._squared(t))  # max() above clips sub-epsilon negatives
@@ -327,7 +356,8 @@ class NeedletWindow:
 
         Composite Gauss-Legendre on equal panels of [1/B, 1] and [1, B]; b^2
         is C-infinity on each piece (1 - phi(u) on the first, phi(u/B) on the
-        second).
+        second). Threads that ask a shared window for a new q at once may
+        each integrate it; they store the same bits.
         """
         q = int(q)
         if q < 0:
@@ -342,6 +372,16 @@ class NeedletWindow:
             pieces = _gauss_legendre(lambda u: u**q * self._squared(u), edges[:-1], edges[1:])
             self._moments[q] = float(np.sum(pieces))
         return self._moments[q]
+
+
+@functools.cache
+def _shared_window(B):
+    """The one NeedletWindow at scale float(B) that every frame of that scale reads.
+
+    Kept for the life of the process: one small object per distinct scale,
+    holding its moments; the ramp arrays are _ramp's, shared.
+    """
+    return NeedletWindow(B)
 
 
 def _grid_axis(npts):
@@ -402,9 +442,11 @@ class NeedletFrame:
     """Toroidal needlet system at scale B, dimension d, levels 0..jmax.
 
     Immutable after construction; shells, window values and cubature grids
-    are precomputed per level. A frame that size_violations refuses raises
-    its first violation before any level is built; grid, the points per
-    axis of a uniform grid the caller will evaluate on, joins that check.
+    are precomputed per level, and the window is the one every frame of
+    scale B shares (_shared_window), with its moments. A frame that
+    size_violations refuses raises its first violation before any level is
+    built; grid, the points per axis of a uniform grid the caller will
+    evaluate on, joins that check.
     """
 
     def __init__(self, B, d, jmax, grid=None):
@@ -415,7 +457,7 @@ class NeedletFrame:
         self.B = float(B)
         self.d = int(d)
         self.jmax = int(jmax)
-        self.window = NeedletWindow(B)
+        self.window = _shared_window(self.B)
         problems = size_violations(self.B, self.d, self.jmax + 1, grid)
         if problems:
             raise ValueError(problems[0])

@@ -554,6 +554,29 @@ def test_an_order_that_overflows_the_truth_exits_2_at_set_up(tmp_path, capsys, o
 
 
 
+def test_an_order_whose_sample_sums_could_overflow_exits_2_at_set_up(tmp_path, capsys):
+    # the uniform truth's derivatives are all 0, so only the sample sums can
+    # overflow: |S_l| <= n, and 60 times the level-1 shell's amplitudes at
+    # |m| = 645 leave float range; bench refuses the order before any
+    # replication runs, creating no directory, and estimate refuses it on 60
+    # points before forming the sample spectrum
+    refusal = "error: derivative order |m|=645 overflows a float in the sample sums of n=60 points"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(density="uniform", m=[645], n=60, grid=17)))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(refusal), lines
+    assert not (tmp_path / "o").exists()
+
+    data = tmp_path / "x.csv"
+    np.savetxt(data, np.random.default_rng(1).uniform(0.0, 2 * np.pi, 60), fmt="%.17g")
+    argv = ["estimate", str(data), "--m", "645", "--kappa", "1", "--J", "2"]
+    assert main(argv + ["--out", str(tmp_path / "e")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(refusal), lines
+    assert not list(tmp_path.glob("e_*"))
+
+
 def test_cli_refuses_a_truth_that_overflows_before_writing(tmp_path, capsys):
     # the size check passes m = 200 and the estimator is finite, but the
     # wrapped normal's derivative of that order overflows on a 17-point grid:
@@ -1025,3 +1048,11 @@ def test_cli_import_leaves_bench_thread_pool_and_polynomials_unloaded():
     proc = _fresh_python(_COLD_IMPORT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "torneed.bench torneed.bench"]
+
+
+def test_cli_import_builds_no_window_ramp():
+    # the B-free ramp table is built on the first window's use, not at import,
+    # which every estimate and eval-grid process pays
+    proc = _fresh_python("import torneed.cli, torneed.frame as f; print(f._ramp.cache_info())")
+    assert proc.returncode == 0, proc.stderr
+    assert "currsize=0" in proc.stdout and "misses=0" in proc.stdout

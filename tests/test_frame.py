@@ -1,13 +1,18 @@
 """Window, cubature, needlet evaluation, analysis/synthesis, and norms."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import direct_oracle as oracle
 import torneed as tn
+import torneed.frame as frame_module
 from torneed.frame import (
     MAX_GRID_POINTS,
     MAX_LEVELS,
@@ -120,6 +125,90 @@ def test_gauss_legendre_literals_are_leggauss_bit_for_bit():
 def test_window_rejects_bad_base():
     with pytest.raises(ValueError):
         tn.NeedletWindow(1.0)
+
+
+def _two_plateau_squared(window, t):
+    """The reference b(t)^2: both plateaus at every point, max(phi(t/B) - phi(t), 0)."""
+    t = np.asarray(t, dtype=float)
+    return np.maximum(window._plateau(t / window.B) - window._plateau(t), 0.0)
+
+
+@st.composite
+def _scales_and_points(draw):
+    """B in (1, 8] and points in [-1, 2B], plus 1/B, 1 and B and their float neighbours."""
+    B = draw(st.floats(1.0, 8.0, exclude_min=True))
+    drawn = draw(st.lists(st.floats(-1.0, 2.0 * B), min_size=1, max_size=30))
+    edges = [1.0 / B, 1.0, B]
+    near = [float(np.nextafter(e, side)) for e in edges for side in (-math.inf, math.inf)]
+    return B, np.array(drawn + edges + near)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=_scales_and_points())
+def test_one_plateau_per_point_gives_the_bits_of_two(case):
+    # phi(t/B) is exactly 1 where t <= 1 and phi(t) exactly 0 from 1 on, so
+    # one plateau per point gives the two-plateau difference bit for bit
+    B, t = case
+    window = tn.NeedletWindow(B)
+    assert window._squared(t).tobytes() == _two_plateau_squared(window, t).tobytes()
+    for point in t:
+        alone = window._squared(point)
+        assert alone.shape == () and alone.tobytes() == _two_plateau_squared(window, point).tobytes()
+
+
+def test_frames_of_one_scale_share_one_window_and_its_moments(monkeypatch):
+    frame_module._ramp.cache_clear()
+    frame_module._shared_window.cache_clear()
+    real, integrations = frame_module._gauss_legendre, []
+
+    def spy(fn, lo, hi):
+        if fn is not frame_module._bump:  # the ramp and Psi integrate the bump, a moment b^2 u^q
+            integrations.append(fn)
+        return real(fn, lo, hi)
+
+    monkeypatch.setattr(frame_module, "_gauss_legendre", spy)
+    a, b, c = tn.NeedletFrame(2.0, 1, 3), tn.NeedletFrame(2, 2, 1), tn.NeedletFrame(1.5, 1, 4)
+    assert a.window is b.window and a.window is not c.window
+    for frame in (a, b, c, a, c):
+        moments = [frame.window.moment(q) for q in range(4)]
+    assert len(integrations) == 8  # once per (B, q): two scales, four orders
+    assert frame_module._ramp.cache_info().misses == 1
+    # a window built directly reads the same ramp, integrates its own moments, same bits
+    direct = tn.NeedletWindow(1.5)
+    assert direct is not c.window and direct._cumulative is c.window._cumulative
+    assert [direct.moment(q) for q in range(4)] == moments
+    assert len(integrations) == 12 and frame_module._ramp.cache_info().misses == 1
+
+
+def test_threads_build_frames_and_take_moments_with_the_serial_bits():
+    scales = (2.0, 1.5, 3.0, 2.0, 1.5, 1.7)
+
+    def bits(B):
+        frame = tn.NeedletFrame(B, 2, 2)
+        values = b"".join(frame.level(j).bvals.tobytes() for j in range(frame.jmax + 1))
+        return values, [frame.window.moment(q) for q in range(6)]
+
+    serial = [bits(B) for B in scales]
+    frame_module._ramp.cache_clear()
+    frame_module._shared_window.cache_clear()
+    results, start = [None] * len(scales), threading.Barrier(len(scales))
+
+    def work(i):
+        start.wait(timeout=60)
+        results[i] = bits(scales[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(scales))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == serial
 
 
 # ---------------------------------------------------------------- cubature
