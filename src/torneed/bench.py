@@ -12,16 +12,18 @@ every (rule, kappa0) at once into one estimator with a (C, rows) leading
 shape (one row per pair: same data, varying threshold), counts its
 survivors and scores it with the run's one _Scorer. The scorer is built
 once per run from the (p, method) columns the config asks for, and
-lp_distance scores a single estimator through a one-column scorer. The
-p = 2 grid risk, the only one the paper's tables use, comes from the
-estimator's box spectrum (estimation.synthesis_box) by discrete Parseval
-against the truth's DFT on the grid (truth_spectrum, _l2_from_box); no
-grid values are formed for it. Any other exponent synthesizes the
-estimator on the grid (_lp_from_values). C comes from a fixed byte budget,
-CHUNK_BYTES, on the widest complex array a chunk scores per row
-(chunk_width, chunk_replications), which also bounds the stack of sample
-spectra; it is no option, and it does not depend on the thread count. With
-threads, the pool maps over chunks. A truth whose derivative is not finite
+lp_distance scores a single estimator through a one-column scorer. It
+centres the truth on the grid once (less the density mean for m = 0) and
+builds one box spectrum of the chunk's estimator (estimation.synthesis_box)
+that every grid column reads. The p = 2 grid risk, the only one the
+paper's tables use, comes from that box by discrete Parseval against the
+centred truth's DFT on the grid (truth_spectrum, _l2_from_box); no grid
+values are formed for it. Any other exponent evaluates the same box on the
+grid once (estimation.box_values, _lp_from_values). C comes from a fixed
+byte budget, CHUNK_BYTES, on the widest complex array a chunk scores per
+row (chunk_width, chunk_replications), which also bounds the stack of
+sample spectra; it is no option, and it does not depend on the thread
+count. With threads, the pool maps over chunks. A truth whose derivative is not finite
 on the grid is refused at set-up (densities.truth_on_grid).
 
 The report holds arrays, key-major: surviving counts (members, J, R) and
@@ -67,6 +69,7 @@ from .estimation import (
     analyze,
     apply_threshold,  # noqa: F401  (perfbench/spans.py wraps bench.apply_threshold)
     as_sample_array,
+    box_values,
     calibrated_rule,
     empirical_coefficients,  # noqa: F401  (perfbench/spans.py wraps bench.empirical_coefficients)
     read_input,
@@ -391,30 +394,24 @@ def risk_columns(config):
     return tuple(grid + ([] if method == "grid-quadrature" else [(2.0, "coefficient-proxy")]))
 
 
-def truth_spectrum(truth_vals, m, grid_per_dim, L):
-    """The truth's DFT on uniform_grid(G, d), split at the box |l_i| <= L: (inside, outside).
+def truth_spectrum(centred, d, grid_per_dim, L):
+    """The centred truth's DFT on uniform_grid(G, d), split at the box |l_i| <= L: (inside, outside).
 
-    T = fftn(t - mu) / G^d, where t is truth_vals in uniform_grid's row
-    order and mu the density mean (2pi)^-d for m = 0 (else 0): synthesis_box
-    holds no zero frequency, and with_density_mean adds the mean to the
-    estimator's values. Comparing against t - mu rather than adding mu to
-    the box keeps a risk that is exactly zero on the grid (a uniform truth,
-    nothing surviving) exactly zero. inside is T at every box frequency l
-    (cube index l mod G, distinct since G >= 2L+1), flat in the box's
-    row-major order; outside is sum |T|^2 over the other G^d - (2L+1)^d
-    indices, summed over that complement: total minus inside could round
-    below zero.
+    T = fftn(centred) / G^d, where centred is the truth on the grid in
+    uniform_grid's row order with the density mean taken off for m = 0, as
+    _Scorer holds it (the box, like every needlet, has no zero frequency).
+    inside is T at every box frequency l (cube index l mod G, distinct
+    since G >= 2L+1), flat in the box's row-major order; outside is
+    sum |T|^2 over the other G^d - (2L+1)^d indices, summed over that
+    complement: total minus inside could round below zero.
     """
-    d = len(m)
     if grid_per_dim < 2 * L + 1:
         raise ValueError(f"grid {grid_per_dim} cannot resolve the box of half-width {L}")
-    centred = truth_vals - TWO_PI ** (-d) if sum(m) == 0 else truth_vals
     spectrum = np.fft.fftn(centred.reshape((grid_per_dim,) * d)) / grid_per_dim**d
     box = np.ix_(*[np.arange(-L, L + 1) % grid_per_dim] * d)
-    inside = spectrum[box].reshape(-1)
     rest = np.ones(spectrum.shape, dtype=bool)
     rest[box] = False
-    return inside, float(np.sum(np.square(spectrum[rest].view(float))))
+    return spectrum[box].reshape(-1), float(np.sum(np.square(spectrum[rest].view(float))))
 
 
 def _l2_from_box(box, truth, d):
@@ -468,41 +465,48 @@ def _proxy_distance(kept, true_coeffs):
 class _Scorer:
     """Risks of estimators against one truth, one per (p, method) column; built once per run.
 
-    It builds only what its columns need: the grid and the truth's
-    derivative on it (truth_on_grid) for a grid column, the truth's DFT split
-    at the box of levels 0..J-1 (truth_spectrum) for p = 2 on the grid, and
-    the truth's coefficients on those levels (analyze, through the run's
-    plan when given) for the coefficient proxy. Called on an estimator, it
-    gives est.coeffs.lead + (columns,) risks: p = 2 on the grid by discrete
-    Parseval on the estimator's box spectrum (synthesis_box, _l2_from_box),
-    any other p from the estimator's values on the grid (est.evaluate, once
-    for every such column, _lp_from_values), and the proxy by
-    _proxy_distance.
+    It builds only what its columns need: the grid and the centred truth on
+    it for a grid column, the centred truth's DFT split at the box of levels
+    0..J-1 (truth_spectrum) for p = 2 on the grid, and the truth's
+    coefficients on those levels (analyze, through the run's plan when
+    given) for the coefficient proxy. The truth is centred once, here: its
+    derivative on the grid (truth_on_grid), less the density mean (2pi)^-d
+    for m = 0, since the estimator's box spectrum has no zero frequency.
+    Comparing zero-mean values with it, rather than adding the mean to them,
+    keeps a risk that is exactly zero on the grid (a uniform truth, nothing
+    surviving) exactly zero. Called on an estimator, it gives
+    est.coeffs.lead + (columns,) risks from one box spectrum of the
+    estimator (synthesis_box) when a grid column is asked for: p = 2 by
+    discrete Parseval on the box (_l2_from_box), every other p from the
+    box's values on the grid (box_values, once for all such columns,
+    _lp_from_values), and the proxy by _proxy_distance.
     """
 
     def __init__(self, frame, truth, m, J, G, columns, plan=None):
-        self.columns, self.G, self.d = tuple(columns), G, frame.d
+        self.columns, self.G, self.d, self.grid = tuple(columns), G, frame.d, None
         grid_ps = [p for p, method in self.columns if method == "grid-quadrature"]
         if grid_ps:
             self.grid = uniform_grid(G, frame.d)
-            self.truth_vals = truth_on_grid(truth, m, self.grid)
+            values = truth_on_grid(truth, m, self.grid)
+            self.centred = values - TWO_PI ** (-frame.d) if sum(m) == 0 else values
         if 2 in grid_ps:
-            self.truth_box = truth_spectrum(self.truth_vals, m, G, box_half_width(frame.B, J - 1))
+            self.truth_box = truth_spectrum(self.centred, frame.d, G, box_half_width(frame.B, J - 1))
         if len(grid_ps) < len(self.columns):
             self.true_coeffs = analyze(frame, truth, m, jmax=J - 1, plan=plan)
 
     def __call__(self, est):
         lead, values = est.coeffs.lead, None
+        if self.grid is not None:  # one box for every grid column
+            box, top = synthesis_box(est.frame, est.coeffs, plan=est.plan)
         risks = np.empty(lead + (len(self.columns),))
         for c, (p, method) in enumerate(self.columns):
             if method == "coefficient-proxy":
                 risks[..., c] = _proxy_distance(est.coeffs, self.true_coeffs)
             elif p == 2:
-                box, _ = synthesis_box(est.frame, est.coeffs, plan=est.plan)
                 risks[..., c] = _l2_from_box(box, self.truth_box, self.d).reshape(lead)
             else:
-                values = est.evaluate(self.grid) if values is None else values
-                risks[..., c] = _lp_from_values(values, self.truth_vals, p, self.d, self.G)
+                values = box_values(est.frame, box, top, self.grid, lead) if values is None else values
+                risks[..., c] = _lp_from_values(values, self.centred, p, self.d, self.G)
         return risks
 
 
@@ -512,10 +516,12 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     grid-quadrature: ((2pi)^d/G^d sum |est - truth|^p)^(1/p) on the uniform
     G-per-dimension grid (max for p = inf). coefficient-proxy: the l2 norm of
     the coefficient differences over levels < J (p = 2 only). For m = 0 the
-    estimator includes the density mean (DerivativeEstimator.evaluate).
-    The distance is the one column of a _Scorer: p = 2 on the grid is taken
-    by discrete Parseval on the estimator's box spectrum without evaluating
-    the estimator, and every other p synthesizes it on the grid.
+    estimator is the full density (DerivativeEstimator.evaluate adds the
+    mean); its zero-mean values are scored against the centred truth, which
+    is the same distance. The distance is the one column of a _Scorer: p = 2
+    on the grid is taken by discrete Parseval on the estimator's box
+    spectrum without evaluating the estimator, and every other p evaluates
+    that box on the grid.
     run_experiment scores every row of a chunk's estimator through the same
     scorer, so a row's risks are this distance for its rule on that
     replication's sample.
@@ -527,8 +533,7 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     min_grid = min_grid_size(est.frame.B, est.J)
     if method == "grid-quadrature" and grid_size < min_grid:
         raise ValueError(f"grid {grid_size} cannot resolve the estimator band (needs >= {min_grid})")
-    scorer = _Scorer(est.frame, truth, est.m, est.J, grid_size, [(p, method)], est.plan)
-    return float(scorer(est)[0])
+    return float(_Scorer(est.frame, truth, est.m, est.J, grid_size, [(p, method)], est.plan)(est)[0])
 
 
 def chunk_replications(rows, width):

@@ -30,9 +30,10 @@ for R threshold rules, and the per-level arrays are views of it, so
 thresholding, survivor counting and the finite check run once on the flat
 stack rather than once per level. A Monte Carlo run stacks the raw
 coefficients of C replications as (C, K_total) and thresholds and scores
-them as one (C, R, K_total) estimator; its p = 2 grid risk reads the
-estimator's box spectrum (synthesis_box, the first half of synthesize) and
-never evaluates it.
+them as one (C, R, K_total) estimator. Its grid risks read one box
+spectrum of that estimator (synthesis_box, the first half of synthesize):
+p = 2 never evaluates it, and any other p evaluates it once on the grid
+(box_values, the second half).
 """
 
 from __future__ import annotations
@@ -533,11 +534,12 @@ def synthesis_box(frame, coeffs, *, plan=None):
     stack and adds sqrt(lambda_j) (2pi)^-d b_l T_l at its shell; a row's
     dead levels add exact zeros, and a box with nothing live is all zeros.
     So box[l + L] is the coefficient of exp(i l.x) in the synthesized
-    function, with no zero frequency: the spectrum synthesize evaluates and
-    the grid L^2 risk scores (bench). Also returns top, the highest level
-    live in any row of the stack, -1 for none. plan is a _ReplicationPlan
-    for this frame and number of levels, whatever its m and rules, since
-    synthesis uses underived needlets; without one the call builds its own.
+    function, with no zero frequency: the spectrum box_values evaluates and
+    every grid risk of a bench chunk reads. Also returns top, the highest
+    level live in any row of the stack, -1 for none. plan is a
+    _ReplicationPlan for this frame and number of levels, whatever its m and
+    rules, since synthesis uses underived needlets; without one the call
+    builds its own.
     """
     _check_structure(frame, coeffs)
     plan = plan or _ReplicationPlan(frame, None, coeffs.njlevels)  # underived needlets
@@ -560,10 +562,20 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     on or off any uniform grid. Levels of (K_j,) arrays give (n,) values;
     stacks with leading axes give those axes + (n,), every row in one pass:
     (R, K_j) gives (R, n) and (C, R, K_j), C replications of R rows, gives
-    (C, R, n). The first half is synthesis_box: one box spectrum of every
-    row, rows trailing, and the stack's top live level. The second half
-    evaluates the box cut to the band of that level, |l_i| <= L', at the
-    points (frame._family_values, in chunks of rows). A row whose own top
+    (C, R, n). Two halves: synthesis_box builds one box spectrum of every
+    row, rows trailing, and the stack's top live level; box_values
+    evaluates that box at the points. plan is as in synthesis_box.
+    """
+    return box_values(frame, *synthesis_box(frame, coeffs, plan=plan), grid, coeffs.lead)
+
+
+def box_values(frame, box, top, grid, lead):
+    """The second half of synthesis: a built (box, top) of synthesis_box evaluated at the points.
+
+    The box is cut to the band of level top, |l_i| <= L', and evaluated at
+    the points (frame._family_values, in chunks of rows); the values have
+    shape lead + (n,), lead the leading shape of the coefficients the box
+    was built from, and are all zeros when top is -1. A row whose own top
     level is lower is evaluated on that band zero-padded; on the grid this
     gives the bits of its own band (measured on OpenBLAS 0.3.31), so a row's
     values do not depend on the replications stacked beside it. Points that
@@ -571,17 +583,16 @@ def synthesize(frame, coeffs, grid, *, plan=None):
     order, equal coordinates; checked on every call) take the tensor-product
     form (grid_values), whose phase table has the 2L'+1 rows of the band
     alone; any other point set, shuffled or shifted grids included, takes
-    spectrum_values. plan is as in synthesis_box.
+    spectrum_values.
     """
-    box, top = synthesis_box(frame, coeffs, plan=plan)
     points = as_points(grid, frame.d)
-    n = points.shape[0]
+    shape = lead + (points.shape[0],)
     if top < 0:
-        return np.zeros(coeffs.lead + (n,))
+        return np.zeros(shape)
     # the band of the top live level: the box cut to half-width L'
     L, half = (box.shape[0] - 1) // 2, box_half_width(frame.B, top)
     band = box[(slice(L - half, L + half + 1),) * frame.d]
-    return _family_values(band, points, _uniform_grid_size(points)).reshape(coeffs.lead + (n,))
+    return _family_values(band, points, _uniform_grid_size(points)).reshape(shape)
 
 
 def write_estimator_csv(est, path):

@@ -36,13 +36,14 @@ highest shell in use:
   only FFTs.
 
 Synthesis (estimation.synthesize, which reads its per-level constants from
-a replication plan) therefore maps each live level's pixels back to its
-shell by FFT (_level_fft), adds every level into one box spectrum
-(estimation.synthesis_box, which bench's p = 2 grid risk scores without
-evaluating it) and evaluates that spectrum once (_family_values): by
-grid_values when the points are exactly uniform_grid(G, d) for some G
-(same rows, same order, equal coordinates; checked on every call), by
-spectrum_values otherwise.
+a replication plan) therefore has two halves. estimation.synthesis_box
+maps each live level's pixels back to its shell by FFT (_level_fft) and
+adds every level into one box spectrum; estimation.box_values evaluates a
+built box once (_family_values): by grid_values when the points are
+exactly uniform_grid(G, d) for some G (same rows, same order, equal
+coordinates; checked on every call), by spectrum_values otherwise. A bench
+chunk builds one box and every grid risk reads it: p = 2 without
+evaluating it, any other p through one box_values on the grid.
 R coefficient sets stacked as (R, K_j) per level (the rows of one
 replication's estimator, one per threshold rule), or C such families as
 (C, R, K_j) (a chunk of Monte Carlo replications), take the same single
@@ -64,11 +65,14 @@ digit tables built the same way (_digit_tables). That is the only place
 the module takes cos/sin of a phase angle. Tables are frequency-major,
 (2L+1, rows); their error grows about linearly in |l| and stays below
 (|l|+1) * 1e-15, below that of cos/sin of the rounded angle l*x.
-sample_spectrum and spectrum_values cut their tables into row blocks of
-at most PHASE_BLOCK_BYTES each; sample_spectrum fills the tables of every
-block into one buffer allocated per call, so their pages are faulted in
-once. grid_values needs one table of G columns, of 2L+1 rows for the box
-it evaluates.
+sample_spectrum and spectrum_values cut their tables into row blocks
+whose widest table fits PHASE_BLOCK_BYTES; sample_spectrum fills every
+table of a block into one buffer allocated per call, so their pages are
+faulted in once. That buffer is the sum of the table heights times the
+block's rows times 16 bytes, more than PHASE_BLOCK_BYTES when a block has
+several tables: (L+1) + (2L+1) rows in d = 2, 1.43 PHASE_BLOCK_BYTES at
+L = 15 and n = 8000. grid_values needs one table of G columns, of 2L+1
+rows for the box it evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -418,16 +422,27 @@ def _uniform_grid_size(points):
 
 @dataclasses.dataclass(frozen=True)
 class CubatureLevel:
-    """Uniform cubature exact for all frequency products of one shell."""
+    """Uniform cubature exact for all frequency products of one shell.
+
+    Its K_j points, uniform_grid(npts_per_dim, d), are built on first read
+    and read-only: the transforms use only K, weight and npts_per_dim.
+    """
 
     j: int
     npts_per_dim: int
-    points: np.ndarray  # (K_j, d)
+    d: int
     weight: float  # common weight lambda_jk = (2pi)^d / K_j
 
     @property
     def K(self):
-        return self.points.shape[0]
+        return self.npts_per_dim**self.d
+
+    @functools.cached_property
+    def points(self):
+        """(K_j, d) cubature points xi_k, in uniform_grid's row order."""
+        points = uniform_grid(self.npts_per_dim, self.d)
+        points.flags.writeable = False
+        return points
 
 
 @dataclasses.dataclass(frozen=True)
@@ -441,12 +456,12 @@ class _Level:
 class NeedletFrame:
     """Toroidal needlet system at scale B, dimension d, levels 0..jmax.
 
-    Immutable after construction; shells, window values and cubature grids
-    are precomputed per level, and the window is the one every frame of
-    scale B shares (_shared_window), with its moments. A frame that
-    size_violations refuses raises its first violation before any level is
-    built; grid, the points per axis of a uniform grid the caller will
-    evaluate on, joins that check.
+    Immutable after construction; shells and window values are precomputed
+    per level, each level's cubature points on their first read, and the
+    window is the one every frame of scale B shares (_shared_window), with
+    its moments. A frame that size_violations refuses raises its first
+    violation before any level is built; grid, the points per axis of a
+    uniform grid the caller will evaluate on, joins that check.
     """
 
     def __init__(self, B, d, jmax, grid=None):
@@ -466,11 +481,8 @@ class NeedletFrame:
             freqs = frequency_shell(j, self.B, self.d)
             bvals = np.asarray(self.window(eigenvalue(freqs) / self.B**j), dtype=float)
             npts = cubature_size(self.B, j)
-            pts = uniform_grid(npts, self.d)
-            weight = TWO_PI**self.d / pts.shape[0]
-            self._levels.append(
-                _Level(j, freqs, bvals, CubatureLevel(j, npts, pts, weight))
-            )
+            cubature = CubatureLevel(j, npts, self.d, TWO_PI**self.d / npts**self.d)
+            self._levels.append(_Level(j, freqs, bvals, cubature))
 
     def level(self, j):
         if not 0 <= j <= self.jmax:
@@ -598,7 +610,10 @@ def sample_spectrum(points, L):
     result holds S_{a+qb}, read transposed, from q + r table rows, not L + 1.
     The points are real, so S_{-l} = conj(S_l) supplies l < 0. Every
     block's tables are contiguous views of one buffer, sized for the widest
-    block and allocated once per call (_carve). Blocks are reduced in a
+    block and allocated once per call (_carve): sum(heights) * rows * 16
+    bytes, the rows those of spectrum_block_shape, whose width alone fits
+    PHASE_BLOCK_BYTES (so the buffer is at most sum(heights) / width times
+    it: (3L+2) / (2L+1) in d = 2). Blocks are reduced in a
     fixed order, so the sum does not depend on the thread count; that
     BLAS's own threads leave its bits alone was measured (bench reports at
     OPENBLAS_NUM_THREADS=1 and the default), not promised.

@@ -592,7 +592,8 @@ def test_box_risk_is_the_grid_quadrature(d, order, J, L_extra, rows, seed):
     m = (order,) + (0,) * (d - 1)
     frame, plan, coeffs, G, grid, truth = _stack_and_truth(d, m, J, L_extra, rows, seed)
     box, _ = tn.estimation.synthesis_box(frame, coeffs, plan=plan)
-    got = tn.bench._l2_from_box(box, tn.bench.truth_spectrum(truth, m, G, plan.L), d)
+    centred = truth - tn.TWO_PI**-d if order == 0 else truth
+    got = tn.bench._l2_from_box(box, tn.bench.truth_spectrum(centred, d, G, plan.L), d)
     values = tn.estimation.with_density_mean(tn.synthesize(frame, coeffs, grid, plan=plan), m)
     want = tn.bench._lp_from_values(values, truth, 2.0, d, G)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -603,7 +604,7 @@ def test_box_risk_refuses_a_broken_symmetry(monkeypatch):
     # risk refuses it as synthesis refuses their imaginary residue
     frame, plan, coeffs, G, _, truth = _stack_and_truth(1, (1,), 3, 0, 2, 7)
     box, _ = tn.estimation.synthesis_box(frame, coeffs, plan=plan)
-    spectrum = tn.bench.truth_spectrum(truth, (1,), G, plan.L)
+    spectrum = tn.bench.truth_spectrum(truth, 1, G, plan.L)
     tn.bench._l2_from_box(box, spectrum, 1)
     box[plan.L + 2, 1] += 1e-6j
     with pytest.raises(ValueError, match="imaginary residue 1.000e-06 exceeds"):
@@ -632,6 +633,7 @@ def test_p2_runs_form_no_grid_values(monkeypatch):
 
     monkeypatch.setattr(tn.frame, "grid_values", refuse)
     monkeypatch.setattr(tn.estimation, "synthesize", refuse)
+    monkeypatch.setattr(tn.bench, "box_values", refuse)
     mixed = {"risk_method": "both", "m": [0], "kappa0": [0.5, 5.0], "rules": ["hard", "soft"]}
     for over in ({}, mixed):
         report = run({"replications": 2, **over})
@@ -642,14 +644,39 @@ def test_p2_runs_form_no_grid_values(monkeypatch):
     assert tn.lp_distance(est, tn.wrapped_normal(1.0), 2.0, 65) > 0
 
 
+def test_a_mixed_p_run_builds_one_box_per_chunk(monkeypatch):
+    # p = 2 beside p = 1 and inf: every grid column of a chunk reads the one
+    # box the scorer builds, and no column builds it again through synthesize
+    builds = []
+    original = tn.estimation.synthesis_box
+
+    def spy(*args, **kwargs):
+        builds.append(args[1].lead)
+        return original(*args, **kwargs)
+
+    # the scorer's name for it, and synthesize's
+    monkeypatch.setattr(tn.bench, "synthesis_box", spy)
+    monkeypatch.setattr(tn.estimation, "synthesis_box", spy)
+    root = Path(__file__).resolve().parents[1]
+    golden = json.loads((root / "tests" / "golden" / "product_d2.json").read_text())["config"]
+    paper = json.loads((root / "configs" / "paper_table3.json").read_text())
+    # 10 replications in chunks of 7 and 3, and 50 in chunks of 15, 15, 15 and 5
+    for data, chunks in ((golden, 2), ({**paper, "p": [1, 2, "inf"], "replications": 50}, 4)):
+        config = tn.config_from_dict(data)
+        builds.clear()
+        tn.run_experiment(config)
+        assert len(builds) == chunks
+        assert sum(lead[0] for lead in builds) == config.replications
+
+
 def test_uniform_density_with_nothing_surviving_scores_exactly_zero():
     # m = 0: the truth minus its mean is exactly zero, and so is an empty
-    # box, so the p = 2 risk is 0.0 exactly, as on the grid
-    report = run(
-        {"density": "uniform", "m": [0], "n": 2000, "kappa0": [5.0], "replications": 4, "p": [2]}
-    )
-    assert all(row.surviving == 0 for row in report.count_rows)
-    assert [row.risk for row in report.risk_rows] == [0.0] * 4
+    # box and its values on the grid, so every grid risk is 0.0 exactly
+    for p in ([2], [1, 2, "inf"]):
+        over = {"density": "uniform", "m": [0], "n": 2000, "kappa0": [5.0], "replications": 4}
+        report = run({**over, "p": p})
+        assert all(row.surviving == 0 for row in report.count_rows)
+        assert [row.risk for row in report.risk_rows] == [0.0] * 4 * len(p)
 
 
 def test_run_experiment_survivors_nonincreasing_in_kappa0():

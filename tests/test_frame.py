@@ -232,6 +232,27 @@ def test_cubature_sizes_d2(frame2):
         assert cub.weight * cub.K == pytest.approx(TWO_PI**2)
 
 
+def test_cubature_points_are_built_on_first_read():
+    # a frame keeps its shells and window values; each level's points come on
+    # first read, read-only and with uniform_grid's bits: NeedletFrame(2, 3, 4)
+    # keeps 4.7 MiB, less than its level-4 points alone (6.3 MiB)
+    tn.NeedletFrame(2.0, 3, 0)  # the ramp table and the window are the process's, not the frame's
+    tracemalloc.start()
+    try:
+        frame = tn.NeedletFrame(2.0, 3, 4)
+        kept = tracemalloc.get_traced_memory()[0]
+        cub = frame.cubature(4)
+        assert kept < 5 * 2**20
+        assert cub.points is cub.points
+        assert tracemalloc.get_traced_memory()[0] - kept >= cub.points.nbytes
+    finally:
+        tracemalloc.stop()
+    assert cub.K == 65**3 and cub.weight == TWO_PI**3 / cub.K
+    assert cub.points.tobytes() == tn.uniform_grid(65, 3).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        cub.points[0, 0] = 1.0
+
+
 def test_cubature_exact_for_band_limited(frame1):
     # quadrature must integrate trig polynomials of per-coordinate degree < N
     rng = np.random.default_rng(5)

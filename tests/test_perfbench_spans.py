@@ -37,15 +37,16 @@ def test_spans_install_trace_and_uninstall():
         frame = torneed.NeedletFrame(2.0, 1, 1)
         X = np.random.default_rng(5).uniform(0, 2 * np.pi, (200, 1))
         rule = torneed.ThresholdRule("hard", 1.0, (1,), 200, 2.0)
-        torneed.cli.estimate(frame, X, (1,), rule, J_override=2)
+        est = torneed.cli.estimate(frame, X, (1,), rule, J_override=2)
+        bench_syntheses = tracer.calls("frame.synthesize")
+        est.evaluate(torneed.uniform_grid(17, 1))
     finally:
         tracer.uninstall()
     for owner, attr, original in installed:
         assert getattr(owner, attr) is original, attr
     # run_experiment thresholds its estimator's rows through estimation: one
     # span per rule kind on the flat layout in the bench run, then one in the
-    # estimate call; the estimator's two rows are synthesized in one call, for
-    # p = 1 (p = 2 is scored on the box spectrum, without synthesis)
+    # estimate call
     assert tracer.calls("estimation.threshold") == 2 + 1
     # the bench run reduces each sample to its spectrum and maps a whole chunk
     # through the replication plan, never entering empirical_coefficients; only
@@ -53,5 +54,8 @@ def test_spans_install_trace_and_uninstall():
     assert tracer.calls("estimation.empirical_coefficients") == 1
     assert tracer.calls("estimation.estimate") == 1
     assert tracer.calls("frame.analyze") == 1
+    # the bench run scores p = 1 and p = 2 from one box spectrum per chunk and
+    # never enters synthesize; the estimator's own evaluation does, once
+    assert bench_syntheses == 0
     assert tracer.calls("frame.synthesize") == 1
     assert tracer.calls("frame.build") == 2

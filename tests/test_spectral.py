@@ -185,6 +185,28 @@ def test_sample_spectrum_fills_one_table_buffer_for_every_block(d, L, n, table_r
     assert table_bytes <= peak <= 1.1 * table_bytes
 
 
+@pytest.mark.parametrize("d,L,table_rows", [(2, 15, 16 + 31), (3, 7, 8 + 15 + 15 + 225)])
+def test_sample_spectrum_buffer_holds_every_table_of_a_block(d, L, table_rows):
+    # the buffer is the sum of the table heights times the block's rows
+    # times 16 bytes: the widest table of a block fits PHASE_BLOCK_BYTES, the
+    # buffer need not (5.74 MiB, 1.43 times it, at product_d2's L = 15 and
+    # n = 8000; 4.68 MiB at d = 3, L = 7), and the call peaks at it
+    X = np.random.default_rng(d).uniform(0.0, TWO_PI, (8000, d))
+    rows, width = spectrum_block_shape(8000, d, L)
+    buffer = 16 * table_rows * rows
+    assert 16 * width * rows <= PHASE_BLOCK_BYTES
+    assert buffer <= table_rows / width * PHASE_BLOCK_BYTES
+    tracemalloc.start()
+    try:
+        sample_spectrum(X, L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert buffer <= peak <= buffer + (1 << 18)
+    if d == 2:
+        assert buffer > 1.4 * PHASE_BLOCK_BYTES
+
+
 @st.composite
 def folded_box_case(draw):
     """1 to 3 random complex boxes (not Hermitian) on a trailing axis; a grid size up to 2L+3."""
