@@ -1,10 +1,14 @@
 """Seeded Monte Carlo benchmark: estimate density derivatives, record risks.
 
 One experiment draws R independent samples of size n from a named test
-density. The replications run in chunks of C. Each replication draws its
-sample, checks it and reduces it to its sample spectrum on one box
-(frame.sample_spectrum), written into its row of the chunk's (C,) + box
-stack, and the sample is freed before the next draw. The chunk then maps
+density. The replications run in chunks of C. A chunk allocates one
+workspace before its first draw: a raw-draw and a points array of n x d
+floats, and the phase-table buffer of frame.spectrum_buffer. Each
+replication draws and wraps its sample into it (the sampler's work), checks
+it and reduces it to its sample spectrum on one box (frame.sample_spectrum)
+in the same table buffer, written into its row of the chunk's (C,) + box
+stack; the next draw overwrites it, so no replication allocates an array
+of n rows, and the workspace is released before the level map. The chunk then maps
 all its spectra to raw coefficients at once, (C, K_total), through the
 plan's level map (one scatter, FFT and scale per level over every row; the
 second half of estimation.empirical_coefficients), thresholds them by
@@ -88,6 +92,7 @@ from .frame import (
     refuse_residue,
     sample_spectrum,
     size_violations,
+    spectrum_buffer,
     uniform_grid,
 )
 from .harmonics import TWO_PI
@@ -587,19 +592,22 @@ def run_experiment(config, threads=1):
     risks = np.empty((len(members), len(columns), R))
 
     def one_chunk(reps):
-        # each replication reduces its sample to one spectrum, in its row of
-        # the chunk's stack, and frees it before the next draw; the level map
-        # then runs once for the whole stack
+        # each replication draws, wraps and reduces its sample to one spectrum
+        # inside the chunk's one workspace, in its row of the chunk's stack;
+        # the level map then runs once for the whole stack
         spectra = np.empty((len(reps),) + (2 * plan.L + 1,) * config.d, dtype=complex)
-        for i, r in enumerate(reps):
-            try:
-                X = density.sampler(np.random.default_rng(child_seed(config.seed, r)), config.n)
-                spectra[i] = sample_spectrum(as_sample_array(X, config.d), plan.L)
-            except Exception as exc:
-                raise RuntimeError(f"replication {r} failed: {exc}") from exc
-            del X  # the next sample is drawn without this one
+        n, d, r = config.n, config.d, reps[0]  # a failed allocation names the first replication
         try:
-            raws = plan.sample_coefficients(spectra, config.n)
+            work = (np.empty((n, d)), np.empty((n, d)))  # the raw draw and the points
+            tables = spectrum_buffer(n, d, plan.L)
+            for i, r in enumerate(reps):
+                X = density.sampler(np.random.default_rng(child_seed(config.seed, r)), n, work=work)
+                spectra[i] = sample_spectrum(as_sample_array(X, d), plan.L, buffer=tables)
+        except Exception as exc:
+            raise RuntimeError(f"replication {r} failed: {exc}") from exc
+        del work, tables, X  # released before the level map, as the stack is after it
+        try:
+            raws = plan.sample_coefficients(spectra, n)
         except RefusedRow as exc:
             raise RuntimeError(f"replication {reps[exc.row]} failed: {exc}") from exc
         del spectra

@@ -30,7 +30,13 @@ class TestDensity:
 
     pdf(theta) and derivative(m, theta) accept an (n, d) array, or (n,) when
     d == 1, and return (n,). sampler(rng, n) returns (n, d) points in
-    [0, 2pi).
+    [0, 2pi). sampler(rng, n, work=(draw, points)) takes a caller-owned
+    workspace, two float arrays of shape (n, d), draw C-contiguous and
+    points of any strides: it draws into draw, writes the points into
+    points and returns points itself, with the bytes the call without work
+    returns, so a caller that reuses one workspace allocates nothing per
+    sample. A sampler may ignore work and return an array of its own; it
+    is used as returned.
 
     Row-by-row contract: pdf and derivative compute each row from that row's
     coordinates alone, with the same floating-point result whatever the
@@ -63,8 +69,10 @@ def uniform_density(d=1):
         pts = as_points(theta, d)
         return np.full(pts.shape[0], value if sum(m) == 0 else 0.0)
 
-    def sampler(rng, n):
-        return rng.random((n, d)) * TWO_PI
+    def sampler(rng, n, work=None):
+        draw, points = (np.empty((n, d)), np.empty((n, d))) if work is None else work
+        rng.random(out=draw)
+        return np.multiply(draw, TWO_PI, out=points)
 
     return TestDensity(
         name="uniform" if d == 1 else f"uniform(d={d})",
@@ -144,8 +152,14 @@ def wrapped_normal(sigma=1.0, literal=False):
         m = as_multi_index(m, 1)
         return _series(m[0], theta)
 
-    def sampler(rng, n):
-        return wrap_angles(rng.normal(0.0, sigma, (n, 1)))
+    def sampler(rng, n, work=None):
+        if work is None:
+            return wrap_angles(rng.normal(0.0, sigma, (n, 1)))
+        draw, points = work
+        rng.standard_normal(out=draw)
+        # the bits of rng.normal(0.0, sigma) but for -0.0, which the wrap turns into 0.0 alike
+        draw *= sigma
+        return wrap_angles(draw, out=points)
 
     name = f"wrapped_normal_literal({sigma:g})" if literal else f"wrapped_normal({sigma:g})"
     return TestDensity(
@@ -212,8 +226,16 @@ def product_density(components):
             theta, [functools.partial(comp.derivative, (mi,)) for comp, mi in zip(components, m)]
         )
 
-    def sampler(rng, n):
-        return np.column_stack([comp.sampler(rng, n)[:, 0] for comp in components])
+    def sampler(rng, n, work=None):
+        draw, points = (np.empty((n, d)), np.empty((n, d))) if work is None else work
+        # factor i draws into the i-th n contiguous entries of draw and writes column i
+        flat = draw.reshape(-1)
+        for i, comp in enumerate(components):
+            column = points[:, i : i + 1]
+            got = comp.sampler(rng, n, work=(flat[i * n : (i + 1) * n].reshape(n, 1), column))
+            if got is not column:  # a factor that ignores work
+                column[...] = got
+        return points
 
     return TestDensity(
         name="product(" + ",".join(comp.name for comp in components) + ")",

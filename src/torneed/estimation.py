@@ -72,7 +72,8 @@ def as_sample_array(samples, d):
     pts = as_points(samples, d)
     if pts.shape[0] < 1:
         raise ValueError("sample set is empty")
-    if not np.all(np.isfinite(pts)):
+    # NaN and +-inf reach min or max: the check allocates nothing of the sample's size
+    if not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
         raise ValueError("samples contain non-finite values")
     return pts
 

@@ -67,8 +67,10 @@ the module takes cos/sin of a phase angle. Tables are frequency-major,
 (|l|+1) * 1e-15, below that of cos/sin of the rounded angle l*x.
 sample_spectrum and spectrum_values cut their tables into row blocks
 whose widest table fits PHASE_BLOCK_BYTES; sample_spectrum fills every
-table of a block into one buffer allocated per call, so their pages are
-faulted in once. That buffer is the sum of the table heights times the
+table of a block into one buffer (spectrum_buffer), which a Monte Carlo
+chunk allocates once and passes to each replication's call, so its pages
+are faulted in once per chunk; a call given none allocates its own. That
+buffer is the sum of the table heights times the
 block's rows times 16 bytes, more than PHASE_BLOCK_BYTES when a block has
 several tables: (L+1) + (2L+1) rows in d = 2, 1.43 PHASE_BLOCK_BYTES at
 L = 15 and n = 8000. grid_values needs one table of G columns, of 2L+1
@@ -599,7 +601,29 @@ def spectrum_block_shape(n, d, L):
     return block_rows(n, width), width
 
 
-def sample_spectrum(points, L):
+def _spectrum_shape(d, L):
+    """sample_spectrum's sum, (q, r) or (W^(d-1), L+1), and the heights of a block's tables."""
+    W = 2 * L + 1
+    if d == 1:
+        q = math.isqrt(L) + 1
+        r = L // q + 1
+        return (q, r), (q + r if r > 1 else q,)
+    # the last axis's table, each leading axis's, then their running outer products
+    return (W ** (d - 1), L + 1), (L + 1,) + (W,) * (d - 1) + tuple(W**a for a in range(2, d))
+
+
+def spectrum_buffer(n, d, L):
+    """An uninitialized complex buffer that holds every table of sample_spectrum's widest block.
+
+    sum(table heights) * rows entries, rows those of spectrum_block_shape(n,
+    d, L). A caller that reduces many samples of one shape allocates it
+    once and passes it to each sample_spectrum call.
+    """
+    rows, _ = spectrum_block_shape(n, d, L)
+    return np.empty(sum(_spectrum_shape(d, L)[1]) * rows, dtype=complex)
+
+
+def sample_spectrum(points, L, buffer=None):
     """Type-1 sum S_l = sum_i exp(i l . x_i) on the box |l_i| <= L.
 
     Returns a complex array of shape (2L+1,)*d indexed by l + L. Per row
@@ -609,28 +633,28 @@ def sample_spectrum(points, L):
     a < q = isqrt(L) + 1, and exp(i q b x), b < r = L // q + 1: the (q, r)
     result holds S_{a+qb}, read transposed, from q + r table rows, not L + 1.
     The points are real, so S_{-l} = conj(S_l) supplies l < 0. Every
-    block's tables are contiguous views of one buffer, sized for the widest
-    block and allocated once per call (_carve): sum(heights) * rows * 16
-    bytes, the rows those of spectrum_block_shape, whose width alone fits
-    PHASE_BLOCK_BYTES (so the buffer is at most sum(heights) / width times
-    it: (3L+2) / (2L+1) in d = 2). Blocks are reduced in a
-    fixed order, so the sum does not depend on the thread count; that
-    BLAS's own threads leave its bits alone was measured (bench reports at
-    OPENBLAS_NUM_THREADS=1 and the default), not promised.
+    block's tables are contiguous views of one flat complex buffer, sized
+    for the widest block (_carve): sum(heights) * rows * 16 bytes, the rows
+    those of spectrum_block_shape, whose width alone fits PHASE_BLOCK_BYTES
+    (so the buffer is at most sum(heights) / width times it: (3L+2) / (2L+1)
+    in d = 2). buffer, when given, is that buffer or a larger one
+    (spectrum_buffer(n, d, L)), owned by the caller and overwritten: a
+    Monte Carlo chunk passes one to every replication, so no call faults in
+    fresh table pages. Otherwise the call allocates its own. Blocks are
+    reduced in a fixed order, so the sum does not depend on the thread
+    count; that BLAS's own threads leave its bits alone was measured (bench
+    reports at OPENBLAS_NUM_THREADS=1 and the default), not promised.
     """
     n, d = points.shape
     W = 2 * L + 1
-    if d == 1:
-        q = math.isqrt(L) + 1
-        S = np.zeros((q, L // q + 1), dtype=complex)
-        heights = (q + S.shape[1] if S.shape[1] > 1 else q,)
-    else:
-        S = np.zeros((W ** (d - 1), L + 1), dtype=complex)
-        # the last axis's table, each leading axis's, then their running outer products
-        heights = (L + 1,) + (W,) * (d - 1) + tuple(W**a for a in range(2, d))
+    shape, heights = _spectrum_shape(d, L)
+    S = np.zeros(shape, dtype=complex)
     rows, _ = spectrum_block_shape(n, d, L)
-    # one buffer for every block: its pages are faulted in once per call, not once per block
-    buffer = np.empty(sum(heights) * rows, dtype=complex)
+    # one buffer for every block: its pages are faulted in once, not once per block
+    if buffer is None:
+        buffer = spectrum_buffer(n, d, L)
+    elif buffer.size < sum(heights) * rows:
+        raise ValueError(f"table buffer of {buffer.size} entries is short of {sum(heights) * rows}")
     for start in range(0, n, rows):
         block = points[start : start + rows]
         b = block.shape[0]

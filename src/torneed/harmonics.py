@@ -12,27 +12,33 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def wrap_angles(theta):
+def wrap_angles(theta, out=None):
     """Reduce angles to [0, 2pi); shape is preserved.
 
     Equals np.mod(theta, 2pi) bit for bit, except that a tiny negative
     angle, which np.mod rounds up to 2pi, gives 0. For |x| < 2pi np.mod is
     exactly x + 2pi below 0 and x + 0.0 otherwise (-0.0 becomes 0.0): one
     add, no division. Every other entry (|x| >= 2pi, NaN, inf) and every
-    sum that rounds to 2pi goes through np.mod.
+    sum that rounds to 2pi goes through np.mod. out, when given, is a
+    second float array of theta's shape (any strides), filled and
+    returned; theta itself is only read, so a caller can reduce a draw
+    into a buffer it reuses.
     """
     theta = np.asarray(theta, dtype=float)
-    flat = theta.reshape(-1)
-    out = (flat < 0.0) * TWO_PI
-    out += flat
+    if out is None:
+        out = np.empty(theta.shape)
+    # (x < 0) * 2pi + x in out, with no temporary of theta's size
+    np.less(theta, 0.0, out=out)
+    out *= TWO_PI
+    out += theta
     # an entry lands in [0, 2pi) exactly when the add reduced it as np.mod does
     if out.size and not (out.min() >= 0.0 and out.max() < TWO_PI):
         redo = ~((out >= 0.0) & (out < TWO_PI))
-        again = np.mod(flat[redo], TWO_PI)
+        again = np.mod(theta[redo], TWO_PI)
         # mod of a tiny negative float can round up to 2pi itself
         again[again >= TWO_PI] = 0.0
         out[redo] = again
-    return out.reshape(theta.shape)
+    return out
 
 
 def as_points(theta, d):
@@ -89,12 +95,17 @@ def frequency_shell(j, B, d):
     if j < 0:
         raise ValueError("level j must be nonnegative")
     top = int(np.ceil(B ** (j + 1))) - 1
-    axis = np.arange(-top, top + 1, dtype=np.int64)
-    grid = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
-    # compare squared norms: the squares are exact integers
-    sq = np.sum(grid.astype(np.int64) ** 2, axis=-1)
+    squares = np.arange(-top, top + 1, dtype=np.int64) ** 2
+    # |l|^2 over the (2top+1)^d cube by outer sums of the per-axis squares:
+    # exact integers, and one int64 cube instead of d coordinate cubes
+    sq = squares
+    for _ in range(d - 1):
+        sq = np.add.outer(sq, squares)
     keep = (sq > B ** (2 * (j - 1))) & (sq < B ** (2 * (j + 1)))
-    return grid[keep]
+    # nonzero walks the cube in C order, which is lexicographic in l; index i is l = i - top
+    shell = np.column_stack(np.nonzero(keep))
+    shell -= top
+    return shell
 
 
 def derivative_multiplier(freqs, m):

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -709,11 +710,16 @@ def test_run_experiment_both_methods_and_proxy_rows():
             "J": 2,
             "grid": 17,
         },
+        # about a third of these draws take the wrap's np.mod branch
+        {"density": "wrapped_normal(6.9)"},
+        {"density": "uniform", "d": 2, "m": [1, 0], "J": 2, "grid": 17},
     ],
 )
 def test_run_experiment_rows_equal_single_estimators(over):
     # every row of a replication's stacked estimator is the estimator that
-    # estimate builds for its rule from the same child_seed sample
+    # estimate builds for its rule from the same child_seed sample; the
+    # replications share one chunk and its workspace, and each is redrawn
+    # here without one, so a workspace that kept an earlier draw would show
     cfg = tn.config_from_dict(
         base_config(
             **{
@@ -756,6 +762,39 @@ def test_run_experiment_rows_equal_single_estimators(over):
                     )
                     checked.add((kind, k0, r, p, "grid-quadrature"))
     assert checked == set(counts) | set(risks)
+
+
+@pytest.mark.parametrize(
+    "name,d",
+    [
+        ("wrapped_normal(1.0)", 1),
+        ("uniform", 2),
+        ("product(wrapped_normal(1.0),uniform)", 2),
+        ("uniform", 3),
+    ],
+)
+def test_a_replication_in_a_workspace_allocates_no_sample_sized_array(name, d):
+    # what one_chunk does per replication: draw and wrap into the chunk's
+    # workspace, check the sample, reduce it in the chunk's table buffer;
+    # all of it together allocates less than one byte per coordinate
+    n, L = 200_000, 15 if d < 3 else 7
+    density = tn.density_from_name(name, d)
+    work = (np.empty((n, d)), np.empty((n, d)))
+    tables = tn.bench.spectrum_buffer(n, d, L)
+
+    def replication(seed):
+        X = density.sampler(np.random.default_rng(seed), n, work=work)
+        return tn.bench.sample_spectrum(tn.bench.as_sample_array(X, d), L, buffer=tables)
+
+    first = replication(1)
+    tracemalloc.start()
+    try:
+        second = replication(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * d
+    assert second.shape == first.shape and not np.array_equal(first, second)
 
 
 def test_risk_aggregates_mean_and_stderr():

@@ -492,7 +492,9 @@ def test_a_failing_replication_exits_1_naming_it_and_its_cause(tmp_path, capsys,
     real = tn.bench.density_from_name
 
     def nan_sampler_density(name, d):
-        return dataclasses.replace(real(name, d), sampler=lambda rng, n: np.full((n, d), np.nan))
+        return dataclasses.replace(
+            real(name, d), sampler=lambda rng, n, work=None: np.full((n, d), np.nan)
+        )
 
     monkeypatch.setattr(tn.bench, "density_from_name", nan_sampler_density)
     cfg = tmp_path / "cfg.json"
@@ -513,7 +515,7 @@ def test_a_failure_names_its_replication_inside_a_chunk(tmp_path, capsys, monkey
     def sampler_failing_at_3(name, d):
         density = real(name, d)
 
-        def sampler(rng, n):
+        def sampler(rng, n, work=None):
             if rng.bit_generator.state == bad:
                 return np.full((n, d), np.nan)
             return density.sampler(rng, n)
@@ -601,14 +603,30 @@ def test_cli_refuses_a_truth_that_overflows_before_writing(tmp_path, capsys):
     assert not (tmp_path / "g.csv").exists()
 
 
+def test_a_workspace_that_cannot_be_allocated_exits_1_naming_the_replication(
+    tmp_path, capsys, monkeypatch
+):
+    # the chunk allocates its workspace before its first draw
+    def no_memory(n, d, L):
+        raise MemoryError(f"Unable to allocate the phase tables of {n} points")
+
+    monkeypatch.setattr(tn.bench, "spectrum_buffer", no_memory)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(replications=5)))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: replication 0 failed: Unable to allocate the phase tables of" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_a_row_the_level_map_refuses_names_its_replication(tmp_path, capsys, monkeypatch):
     # the five replications share one chunk and one level map; only
     # replication 3's spectrum breaks S_{-l} = conj(S_l), and the refusal of
     # its imaginary residue names it, not the chunk
     real, calls = tn.bench.sample_spectrum, []
 
-    def spectrum_broken_at_3(X, L):
-        S = real(X, L)
+    def spectrum_broken_at_3(X, L, buffer=None):
+        S = real(X, L, buffer)
         calls.append(L)
         if len(calls) == 4:
             S[L + 1] += 1e-3j

@@ -1,5 +1,6 @@
 """Test densities: exact values, derivatives, samplers, and the name registry."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -295,6 +296,44 @@ def test_product_sampler_independence():
     assert X.shape == (3000, 2)
     corr = np.corrcoef(np.cos(X[:, 0]), np.cos(X[:, 1]))[0, 1]
     assert abs(corr) < 0.08
+
+
+WORKSPACE_DENSITIES = [tn.uniform_density(d) for d in (1, 2, 3)] + [
+    tn.density_from_name(text)
+    for text in (
+        "wrapped_normal(0.05)",
+        "wrapped_normal(0.37)",
+        "wrapped_normal(1.0)",
+        "wrapped_normal(2.5)",
+        "wrapped_normal(6.9)",
+        "wrapped_normal_literal(1.0)",
+        "product(wrapped_normal(1.0),wrapped_normal(6.9))",
+        "product(uniform,wrapped_normal(0.05),product(wrapped_normal(2.5)))",
+    )
+]
+
+
+@pytest.mark.parametrize("density", WORKSPACE_DENSITIES, ids=lambda density: density.name)
+@pytest.mark.parametrize("n", [1, 5000])
+def test_a_sampler_in_a_workspace_gives_the_bytes_of_a_fresh_one(density, n):
+    # the workspace first holds garbage and an earlier call's draw; at the
+    # pinned seed and n = 5000 the wrapped normals' bytes are those that
+    # test_wrapped_normal_sampler_bytes_are_pinned pins (sigma = 1.0, 6.9)
+    want = density.sampler(np.random.default_rng(20261019), n)
+    work = (np.full((n, density.d), np.nan), np.full((n, density.d), -1e300))
+    density.sampler(np.random.default_rng(7), n, work=work)
+    got = density.sampler(np.random.default_rng(20261019), n, work=work)
+    assert got is work[1]
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_a_product_copies_a_factor_that_ignores_its_workspace():
+    wn = tn.wrapped_normal(1.0)
+    own = dataclasses.replace(wn, sampler=lambda rng, n, work=None: wn.sampler(rng, n))
+    prod = tn.product_density([own, tn.uniform_density(1)])
+    want = prod.sampler(np.random.default_rng(3), 100)
+    work = (np.empty((100, 2)), np.empty((100, 2)))
+    assert prod.sampler(np.random.default_rng(3), 100, work=work).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- registry

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from torneed.harmonics import (
@@ -89,6 +89,19 @@ def test_wrap_angles_of_scalars_and_empty_arrays():
     assert wrap_angles(np.empty((0, 2))).shape == (0, 2)
 
 
+def test_wrap_angles_into_a_second_array_gives_its_bytes():
+    # out may be a strided column of a larger array and start as garbage;
+    # the input is only read, and out itself is returned
+    x = np.array([-1e-17, -5e-324, -0.0, TWO_PI, -TWO_PI, -3.0, math.nan, math.inf, -math.inf, 7.0])
+    kept = x.copy()
+    for out in (np.full(x.shape, 99.0), np.full((x.size, 3), -1e300)[:, 1]):
+        with np.errstate(invalid="ignore"):
+            want, got = wrap_angles(x), wrap_angles(x, out=out)
+        assert got is out
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+        assert x.view(np.uint64).tobytes() == kept.view(np.uint64).tobytes()
+
+
 def test_as_multi_index_coercions():
     assert as_multi_index(None, 3) == (0, 0, 0)
     assert as_multi_index(2, 1) == (2,)
@@ -148,6 +161,31 @@ def test_frequency_shell_fractional_base():
     got = set(abs(v) for v in s.ravel().tolist())
     want = {l for l in range(1, 10) if lo < l < hi}
     assert got == want
+
+
+def _shell_by_brute_force(j, B, d):
+    """Every l of the (2top+1)^d cube, one by one in lexicographic order, within the bounds."""
+    top = math.ceil(B ** (j + 1)) - 1
+    lo, hi = B ** (2 * (j - 1)), B ** (2 * (j + 1))
+    cube = itertools.product(range(-top, top + 1), repeat=d)
+    return [l for l in cube if lo < sum(v * v for v in l) < hi]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    d=st.integers(1, 3),
+    j=st.integers(0, 5),
+    B=st.sampled_from([1.1, 1.5, 2.0, math.sqrt(2.0), 2.5, 3.0, 7.0]),
+)
+@example(d=3, j=3, B=2.0)
+@example(d=2, j=5, B=2.0)
+def test_frequency_shell_is_the_brute_force_shell(d, j, B):
+    # the outer sums of per-axis squares keep the cube's order and values
+    assume((2 * math.ceil(B ** (j + 1)) - 1) ** d <= 40_000)
+    shell, want = frequency_shell(j, B, d), _shell_by_brute_force(j, B, d)
+    assert shell.dtype == np.int64 and shell.flags.c_contiguous
+    assert shell.shape == (len(want), d)
+    assert shell.tolist() == [list(l) for l in want]
 
 
 def test_fourier_basis_orthonormal_on_grid():

@@ -207,6 +207,21 @@ def test_sample_spectrum_buffer_holds_every_table_of_a_block(d, L, table_rows):
         assert buffer > 1.4 * PHASE_BLOCK_BYTES
 
 
+@pytest.mark.parametrize("d,L,n", [(1, 15, 100_000), (2, 15, 20_000), (3, 3, 20_000), (1, 0, 3)])
+def test_sample_spectrum_in_a_given_buffer_gives_its_bits(d, L, n):
+    # a caller-owned buffer, garbage from an earlier call, or a larger one,
+    # gives the bytes of the call that allocates its own; a short one is refused
+    X = np.random.default_rng(d).uniform(0.0, TWO_PI, (n, d))
+    want = sample_spectrum(X, L)
+    buffer = frame_mod.spectrum_buffer(n, d, L)
+    sample_spectrum(X[::-1].copy(), L, buffer=buffer)
+    assert sample_spectrum(X, L, buffer=buffer).tobytes() == want.tobytes()
+    wider = np.full(buffer.size + 5, np.nan + 0j)
+    assert sample_spectrum(X, L, buffer=wider).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="short"):
+        sample_spectrum(X, L, buffer=buffer[:-1])
+
+
 @st.composite
 def folded_box_case(draw):
     """1 to 3 random complex boxes (not Hermitian) on a trailing axis; a grid size up to 2L+3."""
