@@ -58,13 +58,18 @@ levels are always views of one flat array of every level side by side
 map shells to pixels through one level map of the replication plan, live
 in estimation.
 
-Every phase is read from a per-axis power table (_axis_phases): one cos and
-one sin per coordinate give exp(i x), doubling products give exp(i l x) for
+Every phase is read from a per-axis power table (_axis_phases): one
+exp(i x) per coordinate (_exp_i), doubling products give exp(i l x) for
 l = 0..L, conjugates the negative l; the d=1 sample spectrum reads two
-digit tables built the same way (_digit_tables). That is the only place
-the module takes cos/sin of a phase angle. Tables are frequency-major,
-(2L+1, rows); their error grows about linearly in |l| and stays below
-(|l|+1) * 1e-15, below that of cos/sin of the rounded angle l*x.
+digit tables built the same way (_digit_tables). _exp_i is the only place
+the module takes cos/sin of a phase angle, and it takes them without libm:
+a 256-entry table exp(2 pi i j/256) built once per process on first use
+(_phase_table) times short polynomials in the reduced angle, within 2e-16
+of the true value (libm: 5.6e-17) at about half libm's cost; an angle
+beyond 2^20, NaN or inf gets np.cos/np.sin. The kernel writes its scratch
+into table rows filled after it, so it allocates nothing. Tables are
+frequency-major, (2L+1, rows); their error grows about linearly in |l| and
+stays below (|l|+1) * 1e-15, below that of cos/sin of the rounded angle l*x.
 sample_spectrum and spectrum_values cut their tables into row blocks
 whose widest table fits PHASE_BLOCK_BYTES; sample_spectrum fills every
 table of a block into one buffer (spectrum_buffer), which a Monte Carlo
@@ -515,12 +520,101 @@ def _double(pos, L):
         k = top
 
 
-def _exp_powers(pos, x):
-    """Fill row l of pos with exp(i l x): row 1 is cos(x) + i sin(x), the rest by _double."""
+# exp(i x) = T exp(i r), x = k 2pi/256 + r, k = rint(x 256/2pi): the step 2pi/256
+# is split in two (Cody-Waite), _STEP_HI of 24 significant bits, so k _STEP_HI is
+# exact, and _STEP_LO the rest of the true 2pi/256, not of TWO_PI / 256
+_STEP_HI = float.fromhex("0x1.921fb6p-6")
+_STEP_LO = float.fromhex("-0x1.777a5cf72cecep-31")
+# adding 1.5 * 2^52 rounds to the nearest integer, held in the float's low bits
+_ROUND = 1.5 * 2.0**52
+# the largest |x| the kernel reduces; beyond it, and for NaN and inf, libm's cos/sin
+_REDUCED_MAX = 2.0**20
+
+
+@functools.cache
+def _phase_table():
+    """cos and sin of 2pi j / 256 for j < 256: built on first use, once per process.
+
+    libm's cos/sin at the float angle a = j fl(2pi/256), corrected to first
+    order by the residual 2pi j/256 - a, which the split step gives exactly
+    enough; read-only.
+    """
+    j = np.arange(256.0)
+    a = j * (TWO_PI / 256)
+    rest = (j * _STEP_HI - a) + j * _STEP_LO
+    c, s = np.cos(a), np.sin(a)
+    cos, sin = c - rest * s, s + rest * c
+    cos.flags.writeable = sin.flags.writeable = False
+    return cos, sin
+
+
+def _exp_i(x, out, spare):
+    """out = exp(i x) elementwise: x a nonempty float array, out a complex array of its shape.
+
+    spare holds four float arrays of x's shape, overwritten. |x| <= 2^20 is
+    reduced to x = k 2pi/256 + r, |r| <= pi/256, and exp(i x) = T + (T (cos r
+    - 1) + i T sin r) with T = exp(2 pi i k / 256) read from _phase_table and
+    cos r - 1, sin r by their Taylor polynomials of degree 6 and 5: at most
+    2e-16 from the true value, exp(i 0) = 1 exactly. Every other entry (and
+    NaN, inf) gets np.cos/np.sin; only a block holding one builds a mask.
+    Each entry's bits depend on it alone, not on the block, offset or strides.
+    """
+    if not (-_REDUCED_MAX <= x.min() and x.max() <= _REDUCED_MAX):
+        far = ~(np.abs(x) <= _REDUCED_MAX)
+        _exp_i(np.where(far, 0.0, x), out, spare)
+        out.real[far] = np.cos(x[far])
+        out.imag[far] = np.sin(x[far])
+        return
+    k, a, b, c = spare
+    np.multiply(x, 256 / TWO_PI, out=k)
+    k += _ROUND
+    np.subtract(k, _ROUND, out=a)  # k itself
+    np.multiply(a, _STEP_HI, out=b)
+    np.subtract(x, b, out=b)  # exact
+    a *= _STEP_LO
+    b -= a  # r
+    idx = k.view(np.int64)
+    idx &= 255  # k mod 256, the float's low bits
+    np.multiply(b, b, out=a)  # r^2
+    np.multiply(a, 1 / 120, out=c)
+    c += -1 / 6
+    c *= a
+    c *= b
+    b += c  # sin r
+    re, im = out.real, out.imag
+    np.multiply(a, -1 / 720, out=c)
+    c += 1 / 24
+    c *= a
+    c += -0.5
+    np.multiply(c, a, out=re)  # cos r - 1
+    # T = exp(2 pi i k/256) into two contiguous rows (a strided out would be buffered)
+    cos, sin = _phase_table()
+    cos.take(idx, out=a, mode="clip")
+    sin.take(idx, out=c, mode="clip")
+    np.multiply(a, b, out=k)
+    np.multiply(c, re, out=im)
+    im += k
+    im += c  # Ts + (Ts (cos r - 1) + Tc sin r)
+    np.multiply(a, re, out=k)
+    b *= c
+    k -= b
+    np.add(k, a, out=re)  # Tc + (Tc (cos r - 1) - Ts sin r)
+
+
+def _exp_powers(pos, x, spare=()):
+    """Fill row l of pos with exp(i l x): row 1 by _exp_i, the rest by _double.
+
+    The kernel's scratch is two complex rows filled after it, as four float
+    rows: rows 2 and 3, rows 0 and 2, or two rows of spare (the d = 1 high
+    digit table); only a table of L <= 1 allocates them.
+    """
+    if len(pos) > 1 and x.size:
+        rows = pos[2:4] if len(pos) > 3 else pos[::2] if len(pos) == 3 else spare[:2]
+        if len(rows) < 2:
+            rows = np.empty((2, x.size), dtype=complex)
+        (k, a), (b, c) = rows.view(float).reshape(2, 2, -1)
+        _exp_i(x, pos[1], (k, a, b, c))
     pos[0] = 1.0
-    if len(pos) > 1:
-        np.cos(x, out=pos[1].real)
-        np.sin(x, out=pos[1].imag)
     _double(pos, len(pos) - 1)
 
 
@@ -528,9 +622,10 @@ def _axis_phases(x, L, full=True, out=None):
     """exp(i l x) for l = -L..L (full) or l = 0..L, frequency-major.
 
     Returns a complex (2L+1, n) array indexed by l + L, or (L+1, n) indexed
-    by l; negative rows are conjugates. The error grows about linearly in
-    |l|, below (|l|+1) * 1e-15. out, when given, is that array, filled in
-    place and returned.
+    by l; negative rows are conjugates. Row 1 is _exp_i's, within 2e-16;
+    the error grows about linearly in |l|, below (|l|+1) * 1e-15. out, when
+    given, is that array, filled in place and returned; the kernel's
+    scratch is its own rows.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
@@ -553,7 +648,7 @@ def _digit_tables(x, q, r, out):
     """
     x = np.asarray(x, dtype=float)
     low, high = out[:q], out[q:]
-    _exp_powers(low, x)
+    _exp_powers(low, x, high)
     if r == 1:
         return low, low[:1]
     high[0] = 1.0

@@ -18,8 +18,9 @@ def wrap_angles(theta, out=None):
     Equals np.mod(theta, 2pi) bit for bit, except that a tiny negative
     angle, which np.mod rounds up to 2pi, gives 0. For |x| < 2pi np.mod is
     exactly x + 2pi below 0 and x + 0.0 otherwise (-0.0 becomes 0.0): one
-    add, no division. Every other entry (|x| >= 2pi, NaN, inf) and every
-    sum that rounds to 2pi goes through np.mod. out, when given, is a
+    add, no division. When any entry is outside that (|x| >= 2pi, NaN,
+    inf) or its sum rounds to 2pi, the whole array goes through np.mod
+    twice, in out, with no temporary. out, when given, is a
     second float array of theta's shape (any strides), filled and
     returned; theta itself is only read, so a caller can reduce a draw
     into a buffer it reuses.
@@ -33,11 +34,10 @@ def wrap_angles(theta, out=None):
     out += theta
     # an entry lands in [0, 2pi) exactly when the add reduced it as np.mod does
     if out.size and not (out.min() >= 0.0 and out.max() < TWO_PI):
-        redo = ~((out >= 0.0) & (out < TWO_PI))
-        again = np.mod(theta[redo], TWO_PI)
-        # mod of a tiny negative float can round up to 2pi itself
-        again[again >= TWO_PI] = 0.0
-        out[redo] = again
+        np.mod(theta, TWO_PI, out=out)
+        # mod of a tiny negative float can round up to 2pi itself; a second
+        # mod maps that to 0 and leaves [0, 2pi) alone
+        np.mod(out, TWO_PI, out=out)
     return out
 
 

@@ -1074,3 +1074,10 @@ def test_cli_import_builds_no_window_ramp():
     proc = _fresh_python("import torneed.cli, torneed.frame as f; print(f._ramp.cache_info())")
     assert proc.returncode == 0, proc.stderr
     assert "currsize=0" in proc.stdout and "misses=0" in proc.stdout
+
+
+def test_cli_import_builds_no_phase_table():
+    # the exp(i x) kernel's 256-entry table is built by the first phase table, not at import
+    proc = _fresh_python("import torneed.cli, torneed.frame as f; print(f._phase_table.cache_info())")
+    assert proc.returncode == 0, proc.stderr
+    assert "currsize=0" in proc.stdout and "misses=0" in proc.stdout

@@ -9,6 +9,7 @@ relative. Example generation is derandomized so a failure reproduces.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -454,6 +455,115 @@ def test_d1_sample_spectrum_matches_long_double_reference(L, samples):
     err = np.maximum(np.abs(S.real - ref_re), np.abs(S.imag - ref_im)).astype(float)
     assert np.all(err <= x.size * (np.abs(freqs) + 1) * 4e-15)
     assert S[L] == x.size
+
+
+# ---------------------------------------------------------------- the exp(i x) kernel
+
+# pi to more digits than a long double holds
+_PI_LD = np.longdouble("3.14159265358979323846264338327950288419716939937510")
+_EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+needs_extended = pytest.mark.skipif(not _EXTENDED, reason="long double is no wider than double here")
+
+
+def _exp_i(x, out=None):
+    """frame._exp_i of x with fresh scratch rows, into out (a new complex array when None)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape, dtype=complex) if out is None else out
+    frame_mod._exp_i(x, out, [np.full(x.shape, np.nan) for _ in range(4)])
+    return out
+
+
+def _kernel_points():
+    """10^6 uniform angles in [-1e5, 1e5], then the edge cases of the reduction."""
+    steps = np.arange(-600, 601) * (TWO_PI / 256)
+    edges = [0.0, -0.0, 5e-324, -5e-324, math.pi / 2, -math.pi / 2, math.pi, -math.pi]
+    edges += [np.nextafter(TWO_PI, 0.0), TWO_PI, 2.0**20, -(2.0**20)]
+    return np.concatenate(
+        [
+            np.random.default_rng(30).uniform(-1e5, 1e5, 10**6),
+            edges,
+            steps,
+            np.nextafter(steps, np.inf),
+            np.nextafter(steps, -np.inf),
+        ]
+    )
+
+
+@needs_extended
+def test_exp_i_is_within_2e_16_of_the_true_value():
+    x = _kernel_points()
+    got = _axis_phases(x, 1, full=False)[1]
+    xl = x.astype(np.longdouble)
+    err = np.maximum(np.abs(got.real - np.cos(xl)), np.abs(got.imag - np.sin(xl)))
+    assert float(err.max()) <= 2e-16
+    # libm's own error is about 5.6e-17; the table's rounding and the last add's dominate
+    assert float(err.mean()) <= 6e-17
+    assert _exp_i([0.0])[0] == 1.0 + 0.0j
+    assert _exp_i([5e-324])[0] == 1.0 + 5e-324j
+
+
+@needs_extended
+def test_phase_table_is_within_an_ulp_of_the_true_value():
+    cos, sin = frame_mod._phase_table()
+    angles = 2 * _PI_LD * np.arange(256).astype(np.longdouble) / 256
+    assert float(np.max(np.abs(cos - np.cos(angles)))) <= 2.0**-53
+    assert float(np.max(np.abs(sin - np.sin(angles)))) <= 2.0**-53
+    assert (cos[0], sin[0]) == (1.0, 0.0)
+    assert not cos.flags.writeable and not sin.flags.writeable
+
+
+def test_exp_i_bits_depend_on_the_point_alone():
+    # SIMD loops and their scalar tails, any offset, strided input and a
+    # strided out: every entry is the kernel's value of that entry alone
+    x = np.concatenate([_kernel_points()[-4000:], np.random.default_rng(31).uniform(0, TWO_PI, 997)])
+    block = _exp_i(x)
+    assert _exp_i(x[3:]).tobytes() == block[3:].tobytes()
+    assert _exp_i(x[1::2]).tobytes() == block[1::2].tobytes()
+    column = np.random.default_rng(32).uniform(size=(x.size, 3))
+    column[:, 1] = x
+    into = np.full((x.size, 3), np.nan + 0j)
+    _exp_i(column[:, 1], out=into[:, 2])
+    assert into[:, 2].tobytes() == block.tobytes()
+    for i in range(0, x.size, 331):
+        assert _exp_i(x[i : i + 1]).tobytes() == block[i : i + 1].tobytes()
+
+
+def test_far_and_non_finite_points_take_libm_per_entry():
+    # beyond 2^20, NaN and inf get np.cos/np.sin's bytes; the entries beside
+    # them keep the kernel's, and no cast or invalid-value warning is raised
+    far = np.array([2.0**20 + 1.0, -3e7, 1e300, -(2.0**1000), math.nan])
+    near = np.array([1.0, 2.0**20, -(2.0**20), 0.0, 5.5])
+    x = np.stack([far, near], axis=1).reshape(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _axis_phases(x, 1, full=False)[1]
+    assert got[::2].real.tobytes() == np.cos(far).tobytes()
+    assert got[::2].imag.tobytes() == np.sin(far).tobytes()
+    assert got[1::2].tobytes() == _exp_i(near).tobytes()
+    # np.cos(inf) flags an invalid operation on its own, as it always has
+    x = np.array([math.inf, 2.0, -math.inf])
+    with np.errstate(invalid="ignore"):
+        got = _axis_phases(x, 1, full=False)[1]
+        want = np.cos(x[::2]), np.sin(x[::2])
+    assert got[::2].real.tobytes() == want[0].tobytes()
+    assert got[::2].imag.tobytes() == want[1].tobytes()
+    assert got[1] == _exp_i([2.0])[0]
+
+
+@needs_extended
+@pytest.mark.parametrize("d,L", [(1, 15), (1, 255), (2, 7)])
+def test_sample_spectrum_of_unreduced_points_keeps_its_bound(d, L):
+    # three turns out, every angle takes the table's reduction; the spectrum
+    # stays within the d = 1 long-double bound, n (|l| + 1) 4e-15 per entry
+    X = np.random.default_rng(33).uniform(0.0, TWO_PI, (3000, d)) + 3 * TWO_PI
+    S = sample_spectrum(X, L)
+    axes = np.meshgrid(*[np.arange(-L, L + 1)] * d, indexing="ij")
+    freqs = np.stack([a.reshape(-1) for a in axes], axis=1)
+    angles = freqs.astype(np.longdouble) @ X.T.astype(np.longdouble)
+    ref = np.cos(angles).sum(axis=1), np.sin(angles).sum(axis=1)
+    err = np.maximum(np.abs(S.real.reshape(-1) - ref[0]), np.abs(S.imag.reshape(-1) - ref[1]))
+    bound = X.shape[0] * (np.abs(freqs).sum(axis=1) + 1) * 4e-15
+    assert np.all(err.astype(float) <= bound)
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[1] in (2.0, 1.5)])
