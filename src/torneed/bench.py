@@ -15,20 +15,24 @@ second half of estimation.empirical_coefficients), thresholds them by
 every (rule, kappa0) at once into one estimator with a (C, rows) leading
 shape (one row per pair: same data, varying threshold), counts its
 survivors and scores it with the run's one _Scorer. The scorer is built
-once per run from the (p, method) columns the config asks for, and
-lp_distance scores a single estimator through a one-column scorer. It
-centres the truth on the grid once (less the density mean for m = 0) and
-builds one box spectrum of the chunk's estimator (estimation.synthesis_box)
-that every grid column reads. The p = 2 grid risk, the only one the
-paper's tables use, comes from that box by discrete Parseval against the
-centred truth's DFT on the grid (truth_spectrum, _l2_from_box); no grid
-values are formed for it. Any other exponent evaluates the same box on the
-grid once (estimation.box_values, _lp_from_values). C comes from a fixed
-byte budget, CHUNK_BYTES, on the widest complex array a chunk scores per
-row (chunk_width, chunk_replications), which also bounds the stack of
-sample spectra; it is no option, and it does not depend on the thread
-count. With threads, the pool maps over chunks. A truth whose derivative is not finite
-on the grid is refused at set-up (densities.truth_on_grid).
+once per run from the run's plan and the (p, method) columns the config
+asks for, and lp_distance scores a single estimator through a one-column
+scorer. It reads the frame, m, J, the box and the coefficient count from
+the plan, checks that the grid resolves the box, centres the truth on the
+grid once (less the density mean of estimation.with_density_mean for
+m = 0) and builds one box spectrum of the chunk's estimator
+(estimation.synthesis_box) that every grid column reads. The p = 2 grid
+risk, the only one the paper's tables use, comes from that box by discrete
+Parseval against the centred truth's DFT on the grid (truth_spectrum,
+_l2_from_box); no grid values are formed for it. Any other exponent
+evaluates the same box on the grid once (estimation.box_values,
+_lp_from_values, the quadrature of frame.grid_lp_norm). C comes from a
+fixed byte budget, CHUNK_BYTES, on the widest complex array a chunk scores
+per row (the scorer's width, chunk_replications), which also bounds the
+stack of sample spectra; it is no option, and it does not depend on the
+thread count. With threads, the pool maps over chunks. A truth whose
+derivative is not finite on the grid is refused at set-up
+(densities.truth_on_grid).
 
 The report holds arrays, key-major: surviving counts (members, J, R) and
 risks (members, columns, R), each key's R draws contiguous and in
@@ -80,14 +84,15 @@ from .estimation import (
     synthesis_box,
     thresholded_estimator,
     truncation_level,
+    with_density_mean,
 )
 from .frame import (
     PHASE_BLOCK_BYTES,
     CoefficientArray,
     NeedletFrame,
     _largest_magnitude,
-    box_half_width,
     cubature_size,
+    grid_lp_norm,
     min_grid_size,
     refuse_residue,
     sample_spectrum,
@@ -97,7 +102,7 @@ from .frame import (
 )
 from .harmonics import TWO_PI
 
-# bytes of the widest complex array one chunk scores (chunk_width): 132 replications of the
+# bytes of the widest complex array one chunk scores (_Scorer.width): 132 replications of the
 # paper's 8 rows on its 31-column box, 15 of them on 257 grid points when p holds another exponent
 CHUNK_BYTES = PHASE_BLOCK_BYTES // 8
 
@@ -406,12 +411,10 @@ def truth_spectrum(centred, d, grid_per_dim, L):
     uniform_grid's row order with the density mean taken off for m = 0, as
     _Scorer holds it (the box, like every needlet, has no zero frequency).
     inside is T at every box frequency l (cube index l mod G, distinct
-    since G >= 2L+1), flat in the box's row-major order; outside is
-    sum |T|^2 over the other G^d - (2L+1)^d indices, summed over that
-    complement: total minus inside could round below zero.
+    since G >= 2L+1, which _Scorer checks), flat in the box's row-major
+    order; outside is sum |T|^2 over the other G^d - (2L+1)^d indices,
+    summed over that complement: total minus inside could round below zero.
     """
-    if grid_per_dim < 2 * L + 1:
-        raise ValueError(f"grid {grid_per_dim} cannot resolve the box of half-width {L}")
     spectrum = np.fft.fftn(centred.reshape((grid_per_dim,) * d)) / grid_per_dim**d
     box = np.ix_(*[np.arange(-L, L + 1) % grid_per_dim] * d)
     rest = np.ones(spectrum.shape, dtype=bool)
@@ -451,12 +454,8 @@ def _l2_from_box(box, truth, d):
 
 
 def _lp_from_values(est_vals, truth_vals, p, d, grid_per_dim):
-    """Grid L^p distance along the last axis: a scalar for (G^d,) values, (R,) for (R, G^d)."""
-    diff = np.abs(est_vals - truth_vals)
-    if math.isinf(p):
-        return np.max(diff, axis=-1, initial=0.0)
-    cell = (TWO_PI / grid_per_dim) ** d
-    return (cell * np.sum(diff**p, axis=-1)) ** (1.0 / p)
+    """Grid L^p distance (grid_lp_norm) on the last axis: a scalar for (G^d,), (R,) for (R, G^d)."""
+    return grid_lp_norm(np.abs(est_vals - truth_vals), p, d, grid_per_dim)
 
 
 def _proxy_distance(kept, true_coeffs):
@@ -470,16 +469,25 @@ def _proxy_distance(kept, true_coeffs):
 class _Scorer:
     """Risks of estimators against one truth, one per (p, method) column; built once per run.
 
-    It builds only what its columns need: the grid and the centred truth on
-    it for a grid column, the centred truth's DFT split at the box of levels
-    0..J-1 (truth_spectrum) for p = 2 on the grid, and the truth's
-    coefficients on those levels (analyze, through the run's plan when
-    given) for the coefficient proxy. The truth is centred once, here: its
-    derivative on the grid (truth_on_grid), less the density mean (2pi)^-d
-    for m = 0, since the estimator's box spectrum has no zero frequency.
-    Comparing zero-mean values with it, rather than adding the mean to them,
-    keeps a risk that is exactly zero on the grid (a uniform truth, nothing
-    surviving) exactly zero. Called on an estimator, it gives
+    Everything about the run it scores comes from the run's
+    _ReplicationPlan: the frame, m, J, the box half-width plan.L and the
+    coefficient count plan.size. A grid column needs G >= 2 plan.L + 1
+    points per axis to resolve the estimator's band; the scorer refuses a
+    smaller G (config_from_dict refuses such a config before it). It builds
+    only what its columns need: the grid and the centred truth on it for a
+    grid column, the centred truth's DFT split at the box (truth_spectrum)
+    for p = 2 on the grid, and the truth's coefficients on levels 0..J-1
+    (analyze, through the plan) for the coefficient proxy. The truth is
+    centred once, here: its derivative on the grid (truth_on_grid) less the
+    density mean that estimation.with_density_mean adds for m = 0, since the
+    estimator's box spectrum has no zero frequency. Comparing zero-mean
+    values with it, rather than adding the mean to them, keeps a risk that
+    is exactly zero on the grid (a uniform truth, nothing surviving) exactly
+    zero. width is the complex columns per estimator row that a chunk scores
+    at once, the widest of those arrays: the G^d grid values when some grid
+    exponent is not 2, the (2L+1)^d box when the grid risk is p = 2 alone,
+    the plan's coefficients for the proxy alone; run_experiment sizes its
+    chunks by it (chunk_replications). Called on an estimator, it gives
     est.coeffs.lead + (columns,) risks from one box spectrum of the
     estimator (synthesis_box) when a grid column is asked for: p = 2 by
     discrete Parseval on the box (_l2_from_box), every other p from the
@@ -487,17 +495,25 @@ class _Scorer:
     _lp_from_values), and the proxy by _proxy_distance.
     """
 
-    def __init__(self, frame, truth, m, J, G, columns, plan=None):
-        self.columns, self.G, self.d, self.grid = tuple(columns), G, frame.d, None
+    def __init__(self, plan, truth, G, columns):
+        self.columns, self.G, self.d, self.grid = tuple(columns), G, plan.frame.d, None
         grid_ps = [p for p, method in self.columns if method == "grid-quadrature"]
+        self.width = plan.size  # the proxy alone scores the coefficients
         if grid_ps:
-            self.grid = uniform_grid(G, frame.d)
-            values = truth_on_grid(truth, m, self.grid)
-            self.centred = values - TWO_PI ** (-frame.d) if sum(m) == 0 else values
+            if G < 2 * plan.L + 1:
+                raise ValueError(
+                    f"grid {G} cannot resolve the estimator band (needs >= {2 * plan.L + 1})"
+                )
+            self.grid = uniform_grid(G, self.d)
+            # 0.0 plus the mean is the mean's bits; m != 0 subtracts 0.0, keeping -0.0
+            self.centred = truth_on_grid(truth, plan.m, self.grid) - with_density_mean(0.0, plan.m)
         if 2 in grid_ps:
-            self.truth_box = truth_spectrum(self.centred, frame.d, G, box_half_width(frame.B, J - 1))
+            self.truth_box = truth_spectrum(self.centred, self.d, G, plan.L)
+            self.width = self.truth_box[0].size  # p = 2 alone scores the box
+        if any(p != 2 for p in grid_ps):
+            self.width = len(self.grid)  # any other exponent scores the grid values
         if len(grid_ps) < len(self.columns):
-            self.true_coeffs = analyze(frame, truth, m, jmax=J - 1, plan=plan)
+            self.true_coeffs = analyze(plan.frame, truth, plan.m, jmax=plan.J - 1, plan=plan)
 
     def __call__(self, est):
         lead, values = est.coeffs.lead, None
@@ -523,10 +539,12 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
     the coefficient differences over levels < J (p = 2 only). For m = 0 the
     estimator is the full density (DerivativeEstimator.evaluate adds the
     mean); its zero-mean values are scored against the centred truth, which
-    is the same distance. The distance is the one column of a _Scorer: p = 2
-    on the grid is taken by discrete Parseval on the estimator's box
-    spectrum without evaluating the estimator, and every other p evaluates
-    that box on the grid.
+    is the same distance. The distance is the one column of a _Scorer built
+    on the estimator's plan (a one-use _ReplicationPlan for an estimator
+    built without one), which also refuses a grid that does not resolve the
+    estimator's band: p = 2 on the grid is taken by discrete Parseval on the
+    estimator's box spectrum without evaluating the estimator, and every
+    other p evaluates that box on the grid.
     run_experiment scores every row of a chunk's estimator through the same
     scorer, so a row's risks are this distance for its rule on that
     replication's sample.
@@ -535,36 +553,17 @@ def lp_distance(est, truth, p, grid_size, method="grid-quadrature"):
         raise ValueError(f"unknown risk method {method!r}")
     if method == "coefficient-proxy" and p != 2:
         raise ValueError("coefficient-proxy risk is defined for p = 2 only")
-    min_grid = min_grid_size(est.frame.B, est.J)
-    if method == "grid-quadrature" and grid_size < min_grid:
-        raise ValueError(f"grid {grid_size} cannot resolve the estimator band (needs >= {min_grid})")
-    return float(_Scorer(est.frame, truth, est.m, est.J, grid_size, [(p, method)], est.plan)(est)[0])
+    plan = est.plan or _ReplicationPlan(est.frame, est.m, est.J)
+    return float(_Scorer(plan, truth, grid_size, [(p, method)])(est)[0])
 
 
 def chunk_replications(rows, width):
     """Replications scored together: their complex values, rows x width each, fit CHUNK_BYTES.
 
-    rows is a replication's estimator rows; width is chunk_width's columns
-    per row. Never below one.
+    rows is a replication's estimator rows; width is the run's scorer's
+    columns per row (_Scorer.width). Never below one.
     """
     return max(1, CHUNK_BYTES // (16 * rows * max(width, 1)))
-
-
-def chunk_width(config):
-    """Complex columns per estimator row that a chunk scores at once, from the run's columns.
-
-    G^d grid values when some grid exponent is not 2; the (2L+1)^d box
-    spectrum, L = box_half_width(B, J-1), when the grid risk is p = 2 alone;
-    the coefficients of all levels, sum_j K_j, for the coefficient proxy
-    alone.
-    """
-    J, d = config.resolved_J(), config.d
-    grid_ps = [p for p, method in risk_columns(config) if method == "grid-quadrature"]
-    if any(p != 2 for p in grid_ps):
-        return config.grid**d
-    if grid_ps:
-        return (2 * box_half_width(config.B, J - 1) + 1) ** d
-    return sum(cubature_size(config.B, j) ** d for j in range(J))
 
 
 def run_experiment(config, threads=1):
@@ -583,7 +582,7 @@ def run_experiment(config, threads=1):
     # every replication shares one plan (per-level constants, thresholds) and one scorer
     plan = _ReplicationPlan(frame, m, J, rules)
     columns = risk_columns(config)
-    scorer = _Scorer(frame, density, m, J, config.grid, columns, plan)
+    scorer = _Scorer(plan, density, config.grid, columns)
     # refused before any replication runs, so a refused run writes nothing
     plan.refuse_sample_overflow(config.n)
     R = config.replications
@@ -621,7 +620,7 @@ def run_experiment(config, threads=1):
             which = f"replication {first}" if first == last else f"replications {first}-{last}"
             raise RuntimeError(f"{which} failed: {exc}") from exc
 
-    size = chunk_replications(len(members), chunk_width(config))
+    size = chunk_replications(len(members), scorer.width)
     chunks = [range(start, min(start + size, R)) for start in range(0, R, size)]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # only a threaded run pays its import
@@ -690,6 +689,7 @@ def emit_report(report, destination):
             "counts": report.count_aggregates(),
         },
     }
-    with open(os.path.join(destination, "bench_report.json"), "w", encoding="utf-8") as fh:
+    path = os.path.join(destination, "bench_report.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

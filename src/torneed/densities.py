@@ -153,9 +153,7 @@ def wrapped_normal(sigma=1.0, literal=False):
         return _series(m[0], theta)
 
     def sampler(rng, n, work=None):
-        if work is None:
-            return wrap_angles(rng.normal(0.0, sigma, (n, 1)))
-        draw, points = work
+        draw, points = (np.empty((n, 1)), np.empty((n, 1))) if work is None else work
         rng.standard_normal(out=draw)
         # the bits of rng.normal(0.0, sigma) but for -0.0, which the wrap turns into 0.0 alike
         draw *= sigma

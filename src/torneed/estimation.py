@@ -598,7 +598,7 @@ def box_values(frame, box, top, grid, lead):
 
 def write_estimator_csv(est, path):
     """One row per coefficient: `j,k,raw,thresholded,tau`, 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("j,k,raw,thresholded,tau\n")
         for j, (raw, kept, tau) in enumerate(zip(est.raw.levels, est.coeffs.levels, est.taus)):
             for k in range(raw.size):
@@ -606,7 +606,7 @@ def write_estimator_csv(est, path):
 
 
 def write_estimator_meta(est, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(est.metadata(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

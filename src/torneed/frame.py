@@ -100,7 +100,10 @@ drop_imag refuses an imaginary residue above IMAG_RESIDUE_TOL = 1e-9 times
 the largest real magnitude, or 1 if that is smaller (refuse_residue, on
 every evaluation path), localization_profile samples 2048 points over its
 rays, and needlet_lp_norm integrates level j on the uniform grid of
-max(64, 8 ceil(B**(j+1))) points per axis, by grid_values.
+max(64, 8 ceil(B**(j+1))) points per axis, by grid_values. grid_lp_norm is
+the one L^p quadrature on a uniform grid (cell (2pi/G)^d, the maximum at
+p = inf): needlet_lp_norm and every bench grid risk but p = 2, which takes
+discrete Parseval on the box instead, go through it.
 """
 
 from __future__ import annotations
@@ -1046,10 +1049,19 @@ def needlet_lp_norm(frame, j, m=None, p=2):
     grid_per_dim = max(64, 8 * math.ceil(frame.B ** (j + 1)))
     box = _needlet_box(frame, j, m)[..., None]
     vals = np.abs(drop_imag(grid_values(box, grid_per_dim)[0], what=f"needlet ({j},0) norm"))
-    cell = (TWO_PI / grid_per_dim) ** frame.d
+    return float(grid_lp_norm(vals, p, frame.d, grid_per_dim))
+
+
+def grid_lp_norm(magnitudes, p, d, grid_per_dim):
+    """The L^p quadrature on uniform_grid(G, d) of |f| values, along the last axis.
+
+    ((2pi/G)^d sum |f|^p)^(1/p), the largest value for p = inf: a scalar for
+    (G^d,) magnitudes, one norm per row of a stack. needlet_lp_norm and the
+    bench's grid risks (bench._lp_from_values) both take it.
+    """
     if math.isinf(p):
-        return float(np.max(vals))
-    return float((cell * np.sum(vals**p)) ** (1.0 / p))
+        return np.max(magnitudes, axis=-1, initial=0.0)
+    return ((TWO_PI / grid_per_dim) ** d * np.sum(magnitudes**p, axis=-1)) ** (1.0 / p)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -475,6 +475,15 @@ def test_run_experiment_thread_count_is_invisible_d2():
     assert solo.risk_rows == pooled.risk_rows
 
 
+def run_width(cfg):
+    """The columns per estimator row that run_experiment sizes cfg's chunks by: its scorer's width."""
+    J = cfg.resolved_J()
+    frame = tn.NeedletFrame(cfg.B, cfg.d, jmax=max(J - 1, 0))
+    plan = tn.estimation._ReplicationPlan(frame, cfg.m, J)
+    truth = tn.density_from_name(cfg.density, cfg.d)
+    return tn.bench._Scorer(plan, truth, cfg.grid, tn.bench.risk_columns(cfg)).width
+
+
 def test_threads_fill_their_own_slices_of_the_report(monkeypatch):
     # every chunk writes its replications' slice of the report's two arrays
     # from a pool thread; with one replication a chunk, more threads than
@@ -483,7 +492,7 @@ def test_threads_fill_their_own_slices_of_the_report(monkeypatch):
     over = {"replications": 12, "kappa0": [0.5, 2.5], "rules": ["hard", "soft"]}
     cfg = tn.config_from_dict(base_config(**over, p=[1, 2], risk_method="both"))
     monkeypatch.setattr(tn.bench, "CHUNK_BYTES", 1)
-    assert tn.bench.chunk_replications(4, tn.bench.chunk_width(cfg)) == 1
+    assert tn.bench.chunk_replications(4, run_width(cfg)) == 1
     solo = tn.run_experiment(cfg)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -501,13 +510,14 @@ def test_chunk_sizes_of_the_benchmark_workloads():
     # rows on the d = 2 box of 31^2 columns give 4. An exponent other than 2
     # forms the grid values: 8 rows on 257 points give 15, on 65^2 points 1
     paper = tn.load_config(Path(__file__).resolve().parents[1] / "configs" / "paper_table3.json")
-    d2 = dataclasses.replace(paper, d=2, m=(1, 0), grid=65)
-    assert tn.bench.chunk_width(paper) == 31
-    assert tn.bench.chunk_width(d2) == 31**2
-    assert tn.bench.chunk_width(dataclasses.replace(paper, p=(1.0, 2.0))) == 257
-    assert tn.bench.chunk_width(dataclasses.replace(d2, p=(2.0, math.inf))) == 65**2
+    product = "product(wrapped_normal(1.0),wrapped_normal(1.0))"
+    d2 = dataclasses.replace(paper, density=product, d=2, m=(1, 0), grid=65)
+    assert run_width(paper) == 31
+    assert run_width(d2) == 31**2
+    assert run_width(dataclasses.replace(paper, p=(1.0, 2.0))) == 257
+    assert run_width(dataclasses.replace(d2, p=(2.0, math.inf))) == 65**2
     proxy = dataclasses.replace(paper, risk_method="coefficient-proxy")
-    assert tn.bench.chunk_width(proxy) == 5 + 9 + 17 + 33  # the cubatures of levels 0..3
+    assert run_width(proxy) == 5 + 9 + 17 + 33  # the cubatures of levels 0..3
     assert tn.bench.chunk_replications(8, 31) == 132
     assert tn.bench.chunk_replications(8, 31**2) == 4
     assert tn.bench.chunk_replications(8, 257) == 15
@@ -541,7 +551,7 @@ def test_chunks_are_invisible(monkeypatch, over):
     cfg = tn.config_from_dict(base_config(**over))
     rows = len(cfg.kappa0) * len(cfg.rules)
     # the width run_experiment sizes its chunks by: the box for p = 2 alone
-    width = tn.bench.chunk_width(cfg)
+    width = run_width(cfg)
     monkeypatch.setattr(tn.bench, "CHUNK_BYTES", 3 * 16 * rows * width)
     assert tn.bench.chunk_replications(rows, width) == 3
     longest = tn.run_experiment(dataclasses.replace(cfg, replications=5))

@@ -448,6 +448,40 @@ def test_bench_outputs_and_thread_determinism(tmp_path, capsys):
     assert len(payload["risks"]) == 2
 
 
+def test_every_written_file_is_utf8_with_lf_line_ends(monkeypatch, tmp_path, uniform_8000):
+    # a text file opened without newline="\n" takes the platform's line end,
+    # CRLF on Windows, so its bytes would differ from those of a Linux run
+    written = {}
+
+    def recording_open(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None):
+        if "w" in mode:
+            written[os.path.basename(file)] = (encoding, newline)
+        return open(file, mode, buffering, encoding, errors, newline)
+
+    for module in (tn.bench, tn.estimation, tn.cli):
+        monkeypatch.setattr(module, "open", recording_open, raising=False)
+    stem, truth = str(tmp_path / "e"), ["--density", "wrapped_normal(1.0)"]
+    args = ["--m", "1", "--kappa", "0", "--J", "3", "--grid", "17", "--out", stem]
+    assert main(["estimate", str(uniform_8000), *args, *truth]) == 0
+    assert main(["eval-grid", stem, "--grid", "17", "--out", str(tmp_path / "g.csv"), *truth]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bench_config(p=[1, 2], risk_method="both")))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "b")]) == 0
+    assert written == {
+        name: ("utf-8", "\n")
+        for name in (
+            "e_coefficients.csv",
+            "e_meta.json",
+            "e_grid.csv",
+            "g.csv",
+            "bench_counts.csv",
+            "bench_risks.csv",
+            "bench_risks_proxy.csv",
+            "bench_report.json",
+        )
+    }
+
+
 def test_paper_table3_bench_report_identical_across_threads(tmp_path):
     # the paper's own config: the reproducibility contract covers the sample
     # spectrum's blocked contractions, so the report may not change by a byte

@@ -691,9 +691,18 @@ def test_thresholds_and_the_mean_have_one_home():
     thresholding = set().union(*(_callers(mod, {"apply_threshold"}) for mod in modules))
     assert thresholding == {"torneed.estimation.thresholded_estimator"}
     assert "taus" not in inspect.getsource(modules[0])
+    # the estimator adds the mean, eval-grid adds it, and the bench scorer takes it off the truth
     mean = set().union(*(_callers(mod, {"with_density_mean"}) for mod in modules))
-    assert mean == {"torneed.estimation.evaluate", "torneed.cli._cmd_eval_grid"}
+    assert mean == {
+        "torneed.estimation.evaluate",
+        "torneed.cli._cmd_eval_grid",
+        "torneed.bench.__init__",
+    }
+    assert "TWO_PI ** (-" not in inspect.getsource(modules[0])
     assert not hasattr(tn.wrapped_normal(1.0), "mass")
+    # one grid L^p quadrature: the needlet norms and the bench's grid risks
+    quadrature = set().union(*(_callers(mod, {"grid_lp_norm"}) for mod in modules))
+    assert quadrature == {"torneed.frame.needlet_lp_norm", "torneed.bench._lp_from_values"}
 
 
 def test_estimate_tiny_sample_gives_empty_estimator(frame):
