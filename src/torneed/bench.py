@@ -2,13 +2,15 @@
 
 One experiment draws R independent samples of size n from a named test
 density. The replications run in chunks of C. A chunk allocates one
-workspace before its first draw: a raw-draw and a points array of n x d
-floats, and the phase-table buffer of frame.spectrum_buffer. Each
-replication draws and wraps its sample into it (the sampler's work), checks
-it and reduces it to its sample spectrum on one box (frame.sample_spectrum)
-in the same table buffer, written into its row of the chunk's (C,) + box
-stack; the next draw overwrites it, so no replication allocates an array
-of n rows, and the workspace is released before the level map. The chunk then maps
+workspace before its first draw: one flat array of n x d floats, and the
+phase-table buffer of frame.spectrum_buffer. Each replication draws its
+sample into the array (TestDensity.draw), unreduced: every phase of the
+sample spectrum is 2pi-periodic, so no replication wraps its draw into
+[0, 2pi). It checks the draw and reduces it to its sample spectrum on one
+box (frame.sample_spectrum) in the table buffer, written into its row of
+the chunk's (C,) + box stack; the next draw overwrites it, so no
+replication allocates an array of n rows, and the workspace is released
+before the level map. The chunk then maps
 all its spectra to raw coefficients at once, (C, K_total), through the
 plan's level map (one scatter, FFT and scale per level over every row; the
 second half of estimation.empirical_coefficients), thresholds them by
@@ -91,7 +93,6 @@ from .frame import (
     CoefficientArray,
     NeedletFrame,
     _largest_magnitude,
-    cubature_size,
     grid_lp_norm,
     min_grid_size,
     refuse_residue,
@@ -332,7 +333,9 @@ class RiskReport:
     (members, J, R) surviving counts per level and risks the (members,
     columns, R) risks: the R draws of every key are contiguous and in
     replication order, so each aggregate reduces one contiguous 1-d row.
-    count_rows and risk_rows list the same values as rows, built on demand.
+    totals holds the J level sizes K_j that the counts are out of, as the
+    run's plan has them. count_rows and risk_rows list the same values as
+    rows, built on demand.
     """
 
     config: ExperimentConfig
@@ -341,21 +344,16 @@ class RiskReport:
     surviving: np.ndarray
     risks: np.ndarray
     child_seeds: tuple
-
-    def _totals(self):
-        """The coefficients of each level, K_j = cubature_size(B, j)^d."""
-        cfg = self.config
-        return [cubature_size(cfg.B, j) ** cfg.d for j in range(self.surviving.shape[1])]
+    totals: tuple
 
     @property
     def count_rows(self):
         """One CountRow per (replication, member, level), replication-major."""
-        totals = self._totals()
         return [
             CountRow(kind, k0, r, j, kept, total, kept / total)
             for r, alive in enumerate(self.surviving.transpose(2, 0, 1).tolist())
             for (k0, kind), levels in zip(self.members, alive)
-            for j, (kept, total) in enumerate(zip(levels, totals))
+            for j, (kept, total) in enumerate(zip(levels, self.totals))
         ]
 
     @property
@@ -389,7 +387,7 @@ class RiskReport:
 
     def count_aggregates(self):
         """Mean surviving fraction per (rule, kappa0, j), config order."""
-        fractions = self.surviving / np.array(self._totals())[:, None]
+        fractions = self.surviving / np.array(self.totals)[:, None]
         return [
             {"rule": kind, "kappa0": k0, "j": j, "mean_fraction": float(np.mean(vals))}
             for kind, k0, levels in self._by_rule(fractions)
@@ -591,16 +589,16 @@ def run_experiment(config, threads=1):
     risks = np.empty((len(members), len(columns), R))
 
     def one_chunk(reps):
-        # each replication draws, wraps and reduces its sample to one spectrum
-        # inside the chunk's one workspace, in its row of the chunk's stack;
-        # the level map then runs once for the whole stack
+        # each replication draws and reduces its sample to one spectrum inside
+        # the chunk's one workspace, in its row of the chunk's stack; the level
+        # map then runs once for the whole stack
         spectra = np.empty((len(reps),) + (2 * plan.L + 1,) * config.d, dtype=complex)
         n, d, r = config.n, config.d, reps[0]  # a failed allocation names the first replication
         try:
-            work = (np.empty((n, d)), np.empty((n, d)))  # the raw draw and the points
+            work = np.empty(n * d)
             tables = spectrum_buffer(n, d, plan.L)
             for i, r in enumerate(reps):
-                X = density.sampler(np.random.default_rng(child_seed(config.seed, r)), n, work=work)
+                X = density.draw(np.random.default_rng(child_seed(config.seed, r)), work)
                 spectra[i] = sample_spectrum(as_sample_array(X, d), plan.L, buffer=tables)
         except Exception as exc:
             raise RuntimeError(f"replication {r} failed: {exc}") from exc
@@ -631,7 +629,8 @@ def run_experiment(config, threads=1):
         for reps in chunks:
             one_chunk(reps)
     seeds = tuple(child_seed(config.seed, r) for r in range(R))
-    return RiskReport(config, members, columns, surviving, risks, seeds)
+    totals = tuple(cols.stop - cols.start for cols in plan.slices)
+    return RiskReport(config, members, columns, surviving, risks, seeds, totals)
 
 
 def _fmt(value):

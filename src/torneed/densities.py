@@ -1,7 +1,8 @@
-"""Test densities on the torus: exact derivatives, sup-norms, exact samplers.
+"""Test densities on the torus: exact derivatives, sup-norms, exact draws.
 
 Every density carries vectorized pdf and derivative evaluators, its sup-norm
-in closed form, an exact sampler driven by an external RNG, and an
+in closed form, an exact draw driven by an external RNG (and the sampler
+that reduces it to [0, 2pi)), and an
 effective per-coordinate band limit that analysis quadratures use to size
 their grids.
 
@@ -29,14 +30,13 @@ class TestDensity:
     """A known density with exact derivatives, its sup-norm, and a sampler.
 
     pdf(theta) and derivative(m, theta) accept an (n, d) array, or (n,) when
-    d == 1, and return (n,). sampler(rng, n) returns (n, d) points in
-    [0, 2pi). sampler(rng, n, work=(draw, points)) takes a caller-owned
-    workspace, two float arrays of shape (n, d), draw C-contiguous and
-    points of any strides: it draws into draw, writes the points into
-    points and returns points itself, with the bytes the call without work
-    returns, so a caller that reuses one workspace allocates nothing per
-    sample. A sampler may ignore work and return an array of its own; it
-    is used as returned.
+    d == 1, and return (n,). draw(rng, out) fills out, a caller-owned flat
+    float array of n * d entries, with n points of the law as drawn, not
+    reduced to [0, 2pi), and returns an (n, d) view of it: every phase the
+    estimator takes of a point is 2pi-periodic, so a Monte Carlo loop reduces
+    the draw as it is and reuses one out for every sample. sampler(rng, n)
+    returns (n, d) points in [0, 2pi): unless given, it is wrap_angles of a
+    draw into a fresh array, the one reduction rule of every density.
 
     Row-by-row contract: pdf and derivative compute each row from that row's
     coordinates alone, with the same floating-point result whatever the
@@ -50,8 +50,18 @@ class TestDensity:
     pdf: object
     derivative: object
     sup_norm: float
-    sampler: object
+    draw: object
+    sampler: object = None
     band_limit: int = 0
+
+    def __post_init__(self):
+        if self.sampler is None:
+            draw, d = self.draw, self.d
+
+            def sampler(rng, n):
+                return wrap_angles(draw(rng, np.empty(n * d)))
+
+            object.__setattr__(self, "sampler", sampler)
 
 
 def uniform_density(d=1):
@@ -69,10 +79,10 @@ def uniform_density(d=1):
         pts = as_points(theta, d)
         return np.full(pts.shape[0], value if sum(m) == 0 else 0.0)
 
-    def sampler(rng, n, work=None):
-        draw, points = (np.empty((n, d)), np.empty((n, d))) if work is None else work
-        rng.random(out=draw)
-        return np.multiply(draw, TWO_PI, out=points)
+    def draw(rng, out):
+        points = out.reshape(-1, d)
+        rng.random(out=points)
+        return np.multiply(points, TWO_PI, out=points)
 
     return TestDensity(
         name="uniform" if d == 1 else f"uniform(d={d})",
@@ -80,7 +90,7 @@ def uniform_density(d=1):
         pdf=pdf,
         derivative=derivative,
         sup_norm=value,
-        sampler=sampler,
+        draw=draw,
     )
 
 
@@ -122,11 +132,10 @@ def wrapped_normal(sigma=1.0, literal=False):
     function, symmetric and unimodal with its peak at its mean, so sup_norm
     is pdf(0). literal=True swaps in the prefactor 1/(2pi) instead; that
     shape integrates to sigma/sqrt(2pi), is NOT a density, and exists only
-    for comparing against runs that used it verbatim. The sampler always
-    draws from the normalized law: an exact normal draw reduced to
-    [0, 2pi) by wrap_angles, which is np.mod(draw, 2pi) bit for bit except
-    that a tiny negative draw gives 0, not 2pi. Within one turn of 0 that
-    is one add, without np.mod's division.
+    for comparing against runs that used it verbatim. draw always draws
+    from the normalized law: exact normal draws, unreduced, so a third of
+    them leave (-2pi, 2pi) at sigma = 6.9. The sampler reduces them to
+    [0, 2pi) by wrap_angles.
     """
     if not 0 < sigma < math.inf:
         raise ValueError("sigma must be positive and finite")
@@ -152,12 +161,11 @@ def wrapped_normal(sigma=1.0, literal=False):
         m = as_multi_index(m, 1)
         return _series(m[0], theta)
 
-    def sampler(rng, n, work=None):
-        draw, points = (np.empty((n, 1)), np.empty((n, 1))) if work is None else work
-        rng.standard_normal(out=draw)
+    def draw(rng, out):
+        points = out.reshape(-1, 1)
+        rng.standard_normal(out=points)
         # the bits of rng.normal(0.0, sigma) but for -0.0, which the wrap turns into 0.0 alike
-        draw *= sigma
-        return wrap_angles(draw, out=points)
+        return np.multiply(points, sigma, out=points)
 
     name = f"wrapped_normal_literal({sigma:g})" if literal else f"wrapped_normal({sigma:g})"
     return TestDensity(
@@ -166,7 +174,7 @@ def wrapped_normal(sigma=1.0, literal=False):
         pdf=pdf,
         derivative=derivative,
         sup_norm=float(pdf(np.zeros(1))[0]),
-        sampler=sampler,
+        draw=draw,
         band_limit=band,
     )
 
@@ -224,16 +232,12 @@ def product_density(components):
             theta, [functools.partial(comp.derivative, (mi,)) for comp, mi in zip(components, m)]
         )
 
-    def sampler(rng, n, work=None):
-        draw, points = (np.empty((n, d)), np.empty((n, d))) if work is None else work
-        # factor i draws into the i-th n contiguous entries of draw and writes column i
-        flat = draw.reshape(-1)
-        for i, comp in enumerate(components):
-            column = points[:, i : i + 1]
-            got = comp.sampler(rng, n, work=(flat[i * n : (i + 1) * n].reshape(n, 1), column))
-            if got is not column:  # a factor that ignores work
-                column[...] = got
-        return points
+    def draw(rng, out):
+        # factor i draws row i of a (d, n) view, in coordinate order; its transpose is the sample
+        rows = out.reshape(d, -1)
+        for comp, row in zip(components, rows):
+            comp.draw(rng, row)
+        return rows.T
 
     return TestDensity(
         name="product(" + ",".join(comp.name for comp in components) + ")",
@@ -241,7 +245,7 @@ def product_density(components):
         pdf=pdf,
         derivative=derivative,
         sup_norm=float(np.prod([comp.sup_norm for comp in components])),
-        sampler=sampler,
+        draw=draw,
         band_limit=max(comp.band_limit for comp in components),
     )
 

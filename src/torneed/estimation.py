@@ -202,8 +202,7 @@ class _ReplicationPlan:
       which pixels applies (a sign, the 1/n of a sample and a power of 2pi
       join them per call), and synthesis[j] = sqrt(lambda_j) (2pi)^-d b_l;
     - slices[j], the columns of level j when the K_j coefficients of every
-      level lie side by side in one flat array of `size` columns, and
-      starts[j], the first of them.
+      level lie side by side in one flat array of `size` columns.
 
     The thresholds: taus[i, j] = threshold_value(rules[i], j), and by_kind,
     per rule kind its row mask and the (R_kind, size) taus that one
@@ -235,7 +234,7 @@ class _ReplicationPlan:
         self.synthesis = tuple(scale * lev.bvals for scale, lev in zip(scales, levels))
         sizes = [lev.cubature.K for lev in levels]
         offsets = np.cumsum([0] + sizes).tolist()
-        self.size, self.starts = offsets[-1], np.array(offsets[:-1], dtype=np.int64)
+        self.size = offsets[-1]
         self.slices = tuple(map(slice, offsets[:-1], offsets[1:]))
         taus = [[threshold_value(rule, j) for j in range(J)] for rule in self.rules]
         self.taus = np.array(taus).reshape(len(self.rules), J)
@@ -439,8 +438,9 @@ class DerivativeEstimator:
     with underived needlets, every row in one pass; for m = 0 it adds the
     density mean (2pi)^-d (with_density_mean), so it is the full density.
     plan is the _ReplicationPlan it was thresholded with
-    (thresholded_estimator sets it): survivors reads its level offsets, and
-    evaluation at any points reuses its synthesis amplitudes.
+    (thresholded_estimator sets it), whose synthesis amplitudes evaluation
+    reuses at any points; an estimator built without one evaluates through
+    a one-use plan. survivors counts the thresholded levels themselves.
     """
 
     frame: object
@@ -458,7 +458,9 @@ class DerivativeEstimator:
 
     def survivors(self):
         """Counts of nonzero thresholded coefficients per level: the leading shape + (J,)."""
-        return np.add.reduceat(self.coeffs.flat != 0, self.plan.starts, axis=-1)
+        counts = [np.count_nonzero(lv, axis=-1) for lv in self.coeffs.levels]
+        # reshaped before the level axis moves last, so that J = 0 gives the leading shape + (0,)
+        return np.moveaxis(np.array(counts, dtype=np.int64).reshape((-1,) + self.coeffs.lead), 0, -1)
 
     def surviving_counts(self):
         """Per level of a single estimator: (j, surviving, total, surviving fraction)."""

@@ -12,22 +12,18 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def wrap_angles(theta, out=None):
-    """Reduce angles to [0, 2pi); shape is preserved.
+def wrap_angles(theta):
+    """Reduce angles to [0, 2pi) in a new array; shape is preserved.
 
     Equals np.mod(theta, 2pi) bit for bit, except that a tiny negative
     angle, which np.mod rounds up to 2pi, gives 0. For |x| < 2pi np.mod is
     exactly x + 2pi below 0 and x + 0.0 otherwise (-0.0 becomes 0.0): one
     add, no division. When any entry is outside that (|x| >= 2pi, NaN,
     inf) or its sum rounds to 2pi, the whole array goes through np.mod
-    twice, in out, with no temporary. out, when given, is a
-    second float array of theta's shape (any strides), filled and
-    returned; theta itself is only read, so a caller can reduce a draw
-    into a buffer it reuses.
+    twice, in the result, with no temporary. theta itself is only read.
     """
     theta = np.asarray(theta, dtype=float)
-    if out is None:
-        out = np.empty(theta.shape)
+    out = np.empty(theta.shape)
     # (x < 0) * 2pi + x in out, with no temporary of theta's size
     np.less(theta, 0.0, out=out)
     out *= TWO_PI

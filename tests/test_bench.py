@@ -325,6 +325,19 @@ def exact_estimator(density, J, m=(1,)):
     return tn.DerivativeEstimator(frame, m, rule, J, coeffs, coeffs, tuple(0.0 for _ in range(J)))
 
 
+def test_an_estimator_built_without_a_plan_counts_its_survivors(wn):
+    # exact_estimator builds its DerivativeEstimator directly, with no plan;
+    # its counts are those of the same coefficients thresholded through one
+    est = exact_estimator(wn, 3)
+    assert est.plan is None
+    planned = tn.estimation.thresholded_estimator(est.frame, est.raw, est.rule)
+    assert planned.plan is not None
+    alive = [int(np.count_nonzero(lv)) for lv in est.coeffs.levels]
+    want = [(j, a, lv.size, a / lv.size) for j, (a, lv) in enumerate(zip(alive, est.coeffs.levels))]
+    assert est.surviving_counts() == planned.surviving_counts() == want
+    assert est.survivors().tolist() == alive
+
+
 def test_lp_distance_zero_truth_zero_estimator():
     uni = tn.uniform_density(1)
     frame = tn.NeedletFrame(2.0, 1, 2)
@@ -750,7 +763,9 @@ def test_run_experiment_rows_equal_single_estimators(over):
     risks = {(r.rule, r.kappa0, r.replication, r.p, r.method): r.risk for r in report.risk_rows}
     checked = set()
     for r in range(cfg.replications):
-        X = density.sampler(np.random.default_rng(tn.child_seed(cfg.seed, r)), cfg.n)
+        # the run reduces each draw as drawn, unwrapped
+        rng = np.random.default_rng(tn.child_seed(cfg.seed, r))
+        X = density.draw(rng, np.empty(cfg.n * cfg.d))
         for kind in cfg.rules:
             for k0 in cfg.kappa0:
                 rule = tn.calibrated_rule(
@@ -786,16 +801,16 @@ def test_run_experiment_rows_equal_single_estimators(over):
     ],
 )
 def test_a_replication_in_a_workspace_allocates_no_sample_sized_array(name, d):
-    # what one_chunk does per replication: draw and wrap into the chunk's
-    # workspace, check the sample, reduce it in the chunk's table buffer;
-    # all of it together allocates less than one byte per coordinate
+    # what one_chunk does per replication: draw into the chunk's one n * d
+    # array, check the sample, reduce it in the chunk's table buffer; all of
+    # it together allocates less than one byte per coordinate
     n, L = 200_000, 15 if d < 3 else 7
     density = tn.density_from_name(name, d)
-    work = (np.empty((n, d)), np.empty((n, d)))
+    work = np.empty(n * d)
     tables = tn.bench.spectrum_buffer(n, d, L)
 
     def replication(seed):
-        X = density.sampler(np.random.default_rng(seed), n, work=work)
+        X = density.draw(np.random.default_rng(seed), work)
         return tn.bench.sample_spectrum(tn.bench.as_sample_array(X, d), L, buffer=tables)
 
     first = replication(1)
@@ -865,7 +880,8 @@ def test_emit_csv_files_and_header_only_when_empty(tmp_path):
     columns = tn.bench.risk_columns(cfg)
     surviving = np.zeros((len(members), cfg.resolved_J(), 0), dtype=np.int64)
     risks = np.zeros((len(members), len(columns), 0))
-    empty = RiskReport(cfg, members, columns, surviving, risks, ())
+    totals = tuple(tn.frame.cubature_size(cfg.B, j) ** cfg.d for j in range(cfg.resolved_J()))
+    empty = RiskReport(cfg, members, columns, surviving, risks, (), totals)
     tn.emit_report(empty, tmp_path)
     counts = (tmp_path / "bench_counts.csv").read_text()
     risks = (tmp_path / "bench_risks.csv").read_text()

@@ -521,16 +521,16 @@ def test_d2_bench_outputs_identical_across_threads(tmp_path):
 
 
 def test_a_failing_replication_exits_1_naming_it_and_its_cause(tmp_path, capsys, monkeypatch):
-    # a sampler that returns NaN fails inside replication 0: a runtime
-    # failure, not a usage error, and no report is written
+    # a draw of NaN fails inside replication 0: a runtime failure, not a
+    # usage error, and no report is written
     real = tn.bench.density_from_name
 
-    def nan_sampler_density(name, d):
+    def nan_draw_density(name, d):
         return dataclasses.replace(
-            real(name, d), sampler=lambda rng, n, work=None: np.full((n, d), np.nan)
+            real(name, d), draw=lambda rng, out: np.full((out.size // d, d), np.nan)
         )
 
-    monkeypatch.setattr(tn.bench, "density_from_name", nan_sampler_density)
+    monkeypatch.setattr(tn.bench, "density_from_name", nan_draw_density)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(bench_config()))
     assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
@@ -546,17 +546,17 @@ def test_a_failure_names_its_replication_inside_a_chunk(tmp_path, capsys, monkey
     config = bench_config(replications=5)
     bad = np.random.default_rng(tn.child_seed(config["seed"], 3)).bit_generator.state
 
-    def sampler_failing_at_3(name, d):
+    def draw_failing_at_3(name, d):
         density = real(name, d)
 
-        def sampler(rng, n, work=None):
+        def draw(rng, out):
             if rng.bit_generator.state == bad:
-                return np.full((n, d), np.nan)
-            return density.sampler(rng, n)
+                return np.full((out.size // d, d), np.nan)
+            return density.draw(rng, out)
 
-        return dataclasses.replace(density, sampler=sampler)
+        return dataclasses.replace(density, draw=draw)
 
-    monkeypatch.setattr(tn.bench, "density_from_name", sampler_failing_at_3)
+    monkeypatch.setattr(tn.bench, "density_from_name", draw_failing_at_3)
     assert tn.bench.chunk_replications(1, config["grid"]) >= 5
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))

@@ -32,7 +32,7 @@ from torneed.frame import (
     spectrum_block_shape,
     spectrum_values,
 )
-from torneed.harmonics import TWO_PI
+from torneed.harmonics import TWO_PI, wrap_angles
 
 REL_TOL = 1e-12
 
@@ -550,17 +550,38 @@ def test_far_and_non_finite_points_take_libm_per_entry():
     assert got[1] == _exp_i([2.0])[0]
 
 
-@needs_extended
-@pytest.mark.parametrize("d,L", [(1, 15), (1, 255), (2, 7)])
-def test_sample_spectrum_of_unreduced_points_keeps_its_bound(d, L):
+@pytest.mark.parametrize(
+    "source,d,L",
+    [pytest.param("three turns out", d, L, marks=needs_extended)
+     for d, L in [(1, 15), (1, 255), (2, 7)]]
+    + [
+        ("wrapped_normal(1.0)", 1, 15),
+        ("wrapped_normal(6.9)", 1, 255),
+        ("product(uniform,wrapped_normal(6.9))", 2, 7),
+        ("product(wrapped_normal(6.9),uniform,wrapped_normal(2.5))", 3, 4),
+    ],
+)  # fmt: skip
+def test_sample_spectrum_of_unreduced_points_keeps_its_bound(source, d, L):
     # three turns out, every angle takes the table's reduction; the spectrum
-    # stays within the d = 1 long-double bound, n (|l| + 1) 4e-15 per entry
-    X = np.random.default_rng(33).uniform(0.0, TWO_PI, (3000, d)) + 3 * TWO_PI
-    S = sample_spectrum(X, L)
+    # stays within the d = 1 long-double bound, n (|l| + 1) 4e-15 per entry.
+    # A density's draw, unwrapped as a Monte Carlo chunk reduces it (a
+    # product's in the transpose of its (d, n) rows), stays within that bound
+    # of the spectrum of its wrap; at sigma = 6.9 about a third of the normal
+    # draws leave (-2pi, 2pi)
     axes = np.meshgrid(*[np.arange(-L, L + 1)] * d, indexing="ij")
     freqs = np.stack([a.reshape(-1) for a in axes], axis=1)
-    angles = freqs.astype(np.longdouble) @ X.T.astype(np.longdouble)
-    ref = np.cos(angles).sum(axis=1), np.sin(angles).sum(axis=1)
+    if source == "three turns out":
+        X = np.random.default_rng(33).uniform(0.0, TWO_PI, (3000, d)) + 3 * TWO_PI
+        angles = freqs.astype(np.longdouble) @ X.T.astype(np.longdouble)
+        ref = np.cos(angles).sum(axis=1), np.sin(angles).sum(axis=1)
+    else:
+        X = tn.density_from_name(source, d).draw(np.random.default_rng(33), np.empty(3000 * d))
+        assert X.shape == (3000, d) and X.flags.c_contiguous == (d == 1)
+        if "6.9" in source:
+            assert np.mean(np.abs(X) >= TWO_PI) > 0.3 / d
+        wrapped = sample_spectrum(wrap_angles(X), L).reshape(-1)
+        ref = wrapped.real, wrapped.imag
+    S = sample_spectrum(X, L)
     err = np.maximum(np.abs(S.real.reshape(-1) - ref[0]), np.abs(S.imag.reshape(-1) - ref[1]))
     bound = X.shape[0] * (np.abs(freqs).sum(axis=1) + 1) * 4e-15
     assert np.all(err.astype(float) <= bound)
