@@ -7,10 +7,12 @@ effective per-coordinate band limit that analysis quadratures use to size
 their grids.
 
 Evaluators work row by row: a point's value depends on that point alone.
-Product densities use this to evaluate each factor once per distinct
-coordinate of its column and gather the values back, which is bit-identical
-to evaluating every row; on a tensor grid of G^d points that is G
-evaluations per factor, not G^d. Nothing is cached across calls.
+Product densities use this on uniform_grid(G, d), where every column holds
+the grid's axis: each factor is evaluated once on the G axis values and the
+values are the outer product of the factors, bit-identical to evaluating
+every row, so a grid of G^d points costs G evaluations per factor, not G^d.
+Any other point set evaluates each factor at every row. Nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import re
 
 import numpy as np
 
+from .frame import _grid_axis, _uniform_grid_size
 from .harmonics import TWO_PI, as_multi_index, as_points, wrap_angles
 
 
@@ -41,7 +44,8 @@ class TestDensity:
     Row-by-row contract: pdf and derivative compute each row from that row's
     coordinates alone, with the same floating-point result whatever the
     other rows are or how many there are. product_density relies on it to
-    evaluate a factor only at the distinct values of its column. Every
+    evaluate a factor only on the axis of a uniform grid: a factor's value
+    at an axis point equals its value at that point inside a column. Every
     density built here meets it.
     """
 
@@ -179,33 +183,17 @@ def wrapped_normal(sigma=1.0, literal=False):
     )
 
 
-def _distinct_values(column):
-    """The distinct bit patterns of a float column and the inverse index.
-
-    Returns (values, inverse) with values[inverse] equal to column bit for
-    bit. Groups by the float64 bits, not by value, so -0.0 and 0.0 (and NaNs
-    with different payloads) stay apart. A stable argsort stands in for
-    np.unique, whose first call imports numpy.ma.
-    """
-    bits = column.view(np.uint64)
-    order = np.argsort(bits, kind="stable")
-    ranked = bits[order]
-    first = np.ones(bits.shape, dtype=bool)
-    first[1:] = ranked[1:] != ranked[:-1]
-    inverse = np.empty(bits.shape, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return column[order[first]], inverse
-
-
 def product_density(components):
     """Independent product of 1-d densities, one per coordinate.
 
-    pdf and derivative evaluate each factor once per distinct coordinate of
-    its column (by bit pattern) and gather the values back, so a tensor grid
-    of G^d points costs G evaluations per factor. The factors are multiplied
-    into the result in coordinate order, so each row rounds exactly as a
-    row-by-row product; this relies on the factors' row-by-row contract
-    (see TestDensity).
+    On exactly uniform_grid(G, d) (frame._uniform_grid_size decides), pdf
+    and derivative evaluate each factor once on the grid's axis and take
+    the outer product of the factors; any other point set evaluates each
+    factor on its own column. Either way the factors multiply 1.0 in
+    coordinate order, so each row rounds as a row-by-row product (the
+    factors' row-by-row contract, see TestDensity). The grid check uses ==,
+    so a grid's -0.0 is evaluated at +0.0, which every factor here wraps
+    (wrap_angles maps -0.0 to 0.0) or ignores.
     """
     components = list(components)
     if not components:
@@ -217,10 +205,12 @@ def product_density(components):
 
     def _product(theta, factors):
         pts = as_points(theta, d)
-        out = np.ones(pts.shape[0])
+        npts = _uniform_grid_size(pts)
+        out = np.ones(1 if npts else pts.shape[0])
         for i, factor in enumerate(factors):
-            values, inverse = _distinct_values(pts[:, i])
-            out *= factor(values)[inverse]
+            # uniform_grid's rows are the outer product's: the last coordinate runs fastest
+            values = factor(_grid_axis(npts) if npts else pts[:, i])
+            out = np.multiply.outer(out, values).reshape(-1) if npts else out * values
         return out
 
     def pdf(theta):

@@ -1001,28 +1001,28 @@ def analysis_grid_size(B, jmax, band_limit=None):
 
 
 def besov_sequence_norm(coeffs, s, r, q, B, d):
-    """Sequence-space Besov norm of a coefficient array.
+    """Sequence-space Besov norm of a coefficient array, one per row of a stack.
 
     l^q over levels j of B**(j*(s + d*(1/2 - 1/r))) times the l^r norm over k
-    of level j. r or q equal to inf take suprema.
+    of level j. r or q equal to inf take suprema. A single coefficient set
+    gives a float; a stack gives an array of shape coeffs.lead, each entry
+    the bits of its row alone (every reduction runs along the last axis and
+    keeps it, so a single set rounds as one row of a stack).
     """
     if r < 1 or q < 1:
         raise ValueError("r and q must be at least 1 (inf allowed)")
-    level_terms = []
+    terms = np.zeros(coeffs.lead + (coeffs.njlevels,))
     for j, lv in enumerate(coeffs.levels):
         if math.isinf(r):
-            lnorm = float(np.max(np.abs(lv))) if lv.size else 0.0
-            rexp = 0.0
+            lnorm, rexp = np.max(np.abs(lv), axis=-1, keepdims=True, initial=0.0), 0.0
         else:
-            lnorm = float(np.sum(np.abs(lv) ** r) ** (1.0 / r))
-            rexp = 1.0 / r
-        level_terms.append(B ** (j * (s + d * (0.5 - rexp))) * lnorm)
-    if not level_terms:
-        return 0.0
-    terms = np.asarray(level_terms)
+            lnorm, rexp = np.sum(np.abs(lv) ** r, axis=-1, keepdims=True) ** (1.0 / r), 1.0 / r
+        terms[..., j : j + 1] = B ** (j * (s + d * (0.5 - rexp))) * lnorm
     if math.isinf(q):
-        return float(np.max(terms))
-    return float(np.sum(terms**q) ** (1.0 / q))
+        norms = np.max(terms, axis=-1, keepdims=True, initial=0.0)
+    else:
+        norms = np.sum(terms**q, axis=-1, keepdims=True) ** (1.0 / q)
+    return float(norms[0]) if norms.ndim == 1 else norms[..., 0]
 
 
 def needlet_l2_norm(frame, j, m=None):

@@ -238,6 +238,25 @@ def test_family_equals_its_members(case):
             assert float(np.max(np.abs(stacked[i] - row))) <= 1e-12 * scale
 
 
+def test_a_plan_built_for_another_run_is_refused(frame):
+    refused = "the replication plan was built for another frame, J, m or rules"
+    X = np.random.default_rng(4).uniform(0.0, TWO_PI, 200)
+    rules = (tn.ThresholdRule("hard", 0.5, (1,), 200, 2.0),)
+    raw = tn.empirical_coefficients(frame, X, jmax=2, m=(1,))
+    with pytest.raises(ValueError, match=refused):  # J: two levels, not three
+        tn.empirical_coefficients(frame, X, jmax=2, m=(1,), plan=_ReplicationPlan(frame, (1,), 2))
+    order_two = _ReplicationPlan(frame, (2,), 3)
+    with pytest.raises(ValueError, match=refused):  # m: order 2, not 1
+        tn.analyze(frame, tn.wrapped_normal(1.0), (1,), jmax=2, plan=order_two)
+    other_rules = _ReplicationPlan(frame, (1,), 3, (tn.ThresholdRule("soft", 0.5, (1,), 200, 2.0),))
+    with pytest.raises(ValueError, match=refused):  # rules: soft, not hard
+        thresholded_estimator(frame, raw, rules, plan=other_rules)
+    other_frame = _ReplicationPlan(tn.NeedletFrame(2.0, 1, 3), (1,), 3, rules)
+    est = thresholded_estimator(frame, raw, rules, plan=_ReplicationPlan(frame, (1,), 3, rules))
+    with pytest.raises(ValueError, match=refused):  # frame: an equal one, but another object
+        tn.estimation.synthesis_box(frame, est.coeffs, plan=other_frame)
+
+
 def test_stacked_replications_equal_their_estimators_alone(monkeypatch):
     # C = 3 replications of R = 2 rules in one (3, 2, K) estimator: the
     # thresholded rows, survivors and values of each replication are those of
@@ -703,6 +722,11 @@ def test_thresholds_and_the_mean_have_one_home():
     # one grid L^p quadrature: the needlet norms and the bench's grid risks
     quadrature = set().union(*(_callers(mod, {"grid_lp_norm"}) for mod in modules))
     assert quadrature == {"torneed.frame.needlet_lp_norm", "torneed.bench._lp_from_values"}
+    # one uniform-grid rule: synthesis and the product truth ask the frame's detector
+    grids = set().union(*(_callers(mod, {"_uniform_grid_size"}) for mod in modules))
+    assert grids == {"torneed.estimation.box_values", "torneed.densities._product"}
+    densities = inspect.getsource(modules[2])
+    assert "argsort" not in densities and "cumsum" not in densities
 
 
 def test_estimate_tiny_sample_gives_empty_estimator(frame):

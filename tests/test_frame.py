@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import direct_oracle as oracle
 import torneed as tn
 import torneed.frame as frame_module
+from torneed.estimation import thresholded_estimator
 from torneed.frame import (
     MAX_GRID_POINTS,
     MAX_LEVELS,
@@ -588,6 +589,26 @@ def test_besov_sequence_norm_hand_case():
     sup = tn.besov_sequence_norm(coeffs, s=1.0, r=np.inf, q=np.inf, B=2.0, d=1)
     # r=inf: level sup norms 4 and 1, weights 2^{j(1 + 1/2)}
     assert sup == pytest.approx(max(4.0, 2.0**1.5 * 1.0))
+
+
+@pytest.mark.parametrize("r, q", [(2, 2), (1, 3), (np.inf, 2), (3, np.inf), (np.inf, np.inf)])
+def test_besov_norm_of_a_stack_is_each_rows_own(r, q):
+    # a (C, R) stack of estimators: one norm per row, the bits of that row alone
+    frame = tn.NeedletFrame(2.0, 1, 3)
+    rng = np.random.default_rng(8)
+    raw = [tn.empirical_coefficients(frame, rng.normal(0.0, 1.0, 500), m=(1,)) for _ in range(3)]
+    stacked = tn.CoefficientArray((1,), [np.stack([c.levels[j] for c in raw]) for j in range(4)])
+    rules = [tn.ThresholdRule("hard", kappa, (1,), 500, 2.0) for kappa in (0.01, 0.3, 10.0)]
+    est = thresholded_estimator(frame, stacked, rules)
+    got = tn.besov_sequence_norm(est.coeffs, 1.0, r, q, 2.0, 1)
+    assert got.shape == (3, 3)
+    for c in range(3):
+        for i in range(3):
+            alone = tn.CoefficientArray((1,), [lv[c, i] for lv in est.coeffs.levels])
+            want = tn.besov_sequence_norm(alone, 1.0, r, q, 2.0, 1)
+            assert isinstance(want, float) and got[c, i] == want
+    # kappa = 10 keeps nothing; a lower threshold keeps at least what a higher one keeps
+    assert (got[:, 2] == 0.0).all() and (got[:, 0] >= got[:, 1]).all() and (got[:, 1] > 0).all()
 
 
 def test_besov_norm_empty_and_validation():

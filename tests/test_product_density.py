@@ -1,9 +1,10 @@
-"""Product densities: distinct-coordinate evaluation is exact, and imports nothing new.
+"""Product densities: the grid's outer product is exact, and imports nothing new.
 
-product_density evaluates each factor once per distinct bit pattern of its
-column and gathers the values back. The reference here is the row-by-row
-product, `out *= comp.derivative((m_i,), pts[:, i])` factor by factor, and the
-two must agree bit for bit on any point set.
+On exactly uniform_grid(G, d) product_density evaluates each factor once on
+the grid's axis and forms the outer product of the factors; on any other
+point set it evaluates each factor on its own column. The reference here is
+the row-by-row product, `out *= comp.derivative((m_i,), pts[:, i])` factor by
+factor, and the two must agree bit for bit on any point set, on the grid or off.
 """
 
 import os
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torneed as tn
-from torneed.densities import _distinct_values
+from torneed.frame import _uniform_grid_size
 from torneed.harmonics import TWO_PI
 
 FACTORS = ("uniform", "wrapped_normal(1)", "wrapped_normal(0.7)", "wrapped_normal(0.35)")
@@ -25,6 +26,9 @@ FACTORS = ("uniform", "wrapped_normal(1)", "wrapped_normal(0.7)", "wrapped_norma
 ANGLES = st.sampled_from([0.0, -0.0, TWO_PI, -TWO_PI, 3 * TWO_PI + 0.25]) | st.floats(
     -20.0, 20.0, allow_nan=False
 )
+
+SHUFFLED_GRID = tn.uniform_grid(5, 2)[np.random.default_rng(3).permutation(25)]
+NEGATED_ZEROS_GRID = np.where(tn.uniform_grid(4, 2) == 0.0, -0.0, tn.uniform_grid(4, 2))
 
 
 @st.composite
@@ -44,6 +48,7 @@ def product_cases(draw):
 
 
 def _row_by_row(components, m, pts):
+    pts = np.reshape(pts, (pts.shape[0], len(components)))
     pdf, der = np.ones(pts.shape[0]), np.ones(pts.shape[0])
     for i, comp in enumerate(components):
         pdf *= comp.pdf(pts[:, i])
@@ -57,6 +62,12 @@ def _row_by_row(components, m, pts):
 @example(case=(["wrapped_normal(0.7)", "uniform"], (2, 0), np.array([[-7.5, 13.0]])))
 @example(case=(["uniform", "wrapped_normal(1)", "uniform"], (0, 1, 1), np.empty((0, 3))))
 @example(case=(["wrapped_normal(1)"] * 3, (0, 2, 0), tn.uniform_grid(7, 3)))
+# a row-permuted grid is a plain point set: each factor on its own column
+@example(case=(["wrapped_normal(0.7)", "wrapped_normal(1)"], (1, 2), SHUFFLED_GRID))
+# the grid check compares with ==, so a grid with negated zeros takes the axis at +0.0
+@example(case=(["wrapped_normal(1)", "uniform"], (2, 0), NEGATED_ZEROS_GRID))
+# one factor on a grid given as a 1-d array
+@example(case=(["wrapped_normal(0.35)"], (3,), tn.uniform_grid(9, 1)[:, 0]))
 def test_product_matches_row_by_row_bit_for_bit(case):
     names, m, pts = case
     density = tn.density_from_name("product(" + ", ".join(names) + ")", d=len(names))
@@ -68,14 +79,10 @@ def test_product_matches_row_by_row_bit_for_bit(case):
     np.testing.assert_array_equal(got_der.view(np.int64), want_der.view(np.int64))
 
 
-def test_distinct_values_groups_by_bit_pattern():
-    # -0.0 and 0.0 compare equal and NaNs compare unequal; neither matters to bits
-    other_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-    pts = np.zeros((8, 2))
-    pts[:, 1] = [0.0, -0.0, np.nan, other_nan, 0.0, 1.5, np.nan, -0.0]
-    values, inverse = _distinct_values(pts[:, 1])
-    assert len(values) == 5  # 0.0, -0.0, two NaN payloads, 1.5
-    np.testing.assert_array_equal(values[inverse].view(np.int64), pts[:, 1].view(np.int64))
+def test_the_examples_take_the_branch_they_name():
+    assert _uniform_grid_size(SHUFFLED_GRID) is None
+    assert _uniform_grid_size(NEGATED_ZEROS_GRID) == 4
+    assert np.signbit(NEGATED_ZEROS_GRID).sum() == 8
 
 
 # ---------------------------------------------------------------- no numpy.ma
@@ -84,6 +91,7 @@ _FRESH = """
 import sys
 import numpy as np
 import torneed as tn
+from torneed.frame import _uniform_grid_size
 from torneed.cli import main
 
 work, product = sys.argv[1], "product(wrapped_normal(1.0),wrapped_normal(0.7))"
