@@ -3,7 +3,9 @@
 One experiment draws R independent samples of size n from a named test
 density. The replications run in chunks of C. A chunk allocates one
 workspace before its first draw: one flat array of n x d floats, and the
-phase-table buffer of frame.spectrum_buffer. Each replication draws its
+phase-table buffer of frame.spectrum_buffer, within PHASE_BLOCK_BYTES in
+d >= 2 (the half box's table heights, (L+1) + (L+1) in d = 2, times the
+rows of a block sized to fit). Each replication draws its
 sample into the array (TestDensity.draw), unreduced: every phase of the
 sample spectrum is 2pi-periodic, so no replication wraps its draw into
 [0, 2pi). It checks the draw and reduces it to its sample spectrum on one

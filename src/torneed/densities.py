@@ -103,15 +103,19 @@ def _gaussian_derivative(order, x, sigma):
 
     Probabilists' Hermite polynomials: the q-th derivative of exp(-u^2/2) is
     (-1)^q He_q(u) exp(-u^2/2), and each theta-derivative contributes 1/sigma.
-    numpy.polynomial is imported here, so only a derivative pays for it.
+    He_q(u) is the Clenshaw recurrence that numpy.polynomial.hermite_e.hermeval
+    runs for the coefficients (0, ..., 0, 1), written out step for step, so
+    it has hermeval's bits and no process imports numpy.polynomial for it.
     """
     u = x / sigma
     gauss = np.exp(-0.5 * u**2)
     if order == 0:
         return gauss
-    from numpy.polynomial.hermite_e import hermeval
-
-    return (-1.0) ** order * sigma ** (-order) * hermeval(u, [0.0] * order + [1.0]) * gauss
+    c0, c1 = 0.0, 1.0
+    for k in range(order - 1, 0, -1):
+        c0, c1 = 0.0 - c1 * k, c0 + c1 * u  # 0.0 - y, not -y: +0.0 where y is a zero
+    hermite = c0 + c1 * u
+    return (-1.0) ** order * sigma ** (-order) * hermite * gauss
 
 
 # the wrapped normal sums its series over the shifts 2pi k, k = -10..10

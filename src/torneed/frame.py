@@ -15,8 +15,9 @@ one spectral core on the box |l_i| <= L, L = ceil(B**(j+1)) - 1 the top of the
 highest shell in use:
 
 - sample_spectrum sums exp(i l.x) over a point set once for the whole box
-  (two tables contracted by one GEMM per row block); each shell is then a
-  gather from it. A replication reduces its sample to this spectrum, and a
+  (GEMMs of per-axis tables per row block, over the half box l_1 >= 0 in
+  d >= 2, the rest by conjugate symmetry); each shell is then a gather
+  from it. A replication reduces its sample to this spectrum, and a
   Monte Carlo chunk maps the spectra of all its replications at once
   (estimation's level map, one _level_fft per level over the stack).
 - spectrum_values is its adjoint: it evaluates sum_l A_l exp(i l.x) at any
@@ -71,15 +72,17 @@ into table rows filled after it, so it allocates nothing. Tables are
 frequency-major, (2L+1, rows); their error grows about linearly in |l| and
 stays below (|l|+1) * 1e-15, below that of cos/sin of the rounded angle l*x.
 sample_spectrum and spectrum_values cut their tables into row blocks
-whose widest table fits PHASE_BLOCK_BYTES; sample_spectrum fills every
-table of a block into one buffer (spectrum_buffer), which a Monte Carlo
-chunk allocates once and passes to each replication's call, so its pages
-are faulted in once per chunk; a call given none allocates its own. That
-buffer is the sum of the table heights times the
-block's rows times 16 bytes, more than PHASE_BLOCK_BYTES when a block has
-several tables: (L+1) + (2L+1) rows in d = 2, 1.43 PHASE_BLOCK_BYTES at
-L = 15 and n = 8000. grid_values needs one table of G columns, of 2L+1
-rows for the box it evaluates.
+that fit PHASE_BLOCK_BYTES; sample_spectrum fills every table of a block
+into one buffer (spectrum_buffer), which a Monte Carlo chunk allocates
+once and passes to each replication's call, so its pages are faulted in
+once per chunk; a call given none allocates its own. That buffer is the
+sum of the table heights times the block's rows times 16 bytes. In d >= 2
+the first and last axes' tables hold l >= 0 only, (L+1) + (L+1) rows in
+d = 2 and (L+1) + (L+1) + W + (L+1) W in d = 3 (W = 2L+1), and the rows
+are sized so that the whole buffer fits PHASE_BLOCK_BYTES: 3.91 MiB at
+d = 2, L = 15 and n = 8000, one block. In d = 1 the rows are those of a
+(2L+1)-wide block, and the q + r digit table rows take less. grid_values
+needs one table of G columns, of 2L+1 rows for the box it evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -689,32 +692,36 @@ def min_grid_size(B, J):
 
 
 def spectrum_block_shape(n, d, L):
-    """(rows, width) of the widest phase block the spectral core forms for n points.
+    """(rows, width) of sample_spectrum's row blocks for n points; rows * width * 16 fits PHASE_BLOCK_BYTES.
 
-    The width is that of the leading-axes block: 2L+1 columns per axis
-    before the last one (2L+1 in d = 1, at least the rows of both digit
-    tables).
+    In d >= 2 the width is the sum of the table heights (_spectrum_shape),
+    so a block's whole table buffer fits; in d = 1 it is 2L+1, at least the
+    rows of both digit tables.
     """
-    width = (2 * L + 1) ** max(d - 1, 1)
+    width = 2 * L + 1 if d == 1 else sum(_spectrum_shape(d, L)[1])
     return block_rows(n, width), width
 
 
 def _spectrum_shape(d, L):
-    """sample_spectrum's sum, (q, r) or (W^(d-1), L+1), and the heights of a block's tables."""
+    """sample_spectrum's sum, (q, r) or (2, (L+1) W^(d-2), L+1), and the heights of a block's tables."""
     W = 2 * L + 1
     if d == 1:
         q = math.isqrt(L) + 1
         r = L // q + 1
         return (q, r), (q + r if r > 1 else q,)
-    # the last axis's table, each leading axis's, then their running outer products
-    return (W ** (d - 1), L + 1), (L + 1,) + (W,) * (d - 1) + tuple(W**a for a in range(2, d))
+    # the last and first axes' tables over l >= 0, each middle axis's over
+    # -L..L, then their running outer products
+    half = L + 1
+    heights = (half, half) + (W,) * (d - 2) + tuple(half * W**a for a in range(1, d - 1))
+    return (2, half * W ** (d - 2), half), heights
 
 
 def spectrum_buffer(n, d, L):
     """An uninitialized complex buffer that holds every table of sample_spectrum's widest block.
 
     sum(table heights) * rows entries, rows those of spectrum_block_shape(n,
-    d, L). A caller that reduces many samples of one shape allocates it
+    d, L): in d >= 2 at most PHASE_BLOCK_BYTES (unless one row alone is
+    wider). A caller that reduces many samples of one shape allocates it
     once and passes it to each sample_spectrum call.
     """
     rows, _ = spectrum_block_shape(n, d, L)
@@ -724,24 +731,31 @@ def spectrum_buffer(n, d, L):
 def sample_spectrum(points, L, buffer=None):
     """Type-1 sum S_l = sum_i exp(i l . x_i) on the box |l_i| <= L.
 
-    Returns a complex array of shape (2L+1,)*d indexed by l + L. Per row
-    block, one GEMM lead @ last.T. In d>=2 last is the last axis's phase
-    table over l_d >= 0 and lead the first axis's (d=2) or the outer product
-    of the leading axes' (d>=3). In d=1 they are the digit tables exp(i a x),
-    a < q = isqrt(L) + 1, and exp(i q b x), b < r = L // q + 1: the (q, r)
-    result holds S_{a+qb}, read transposed, from q + r table rows, not L + 1.
-    The points are real, so S_{-l} = conj(S_l) supplies l < 0. Every
-    block's tables are contiguous views of one flat complex buffer, sized
-    for the widest block (_carve): sum(heights) * rows * 16 bytes, the rows
-    those of spectrum_block_shape, whose width alone fits PHASE_BLOCK_BYTES
-    (so the buffer is at most sum(heights) / width times it: (3L+2) / (2L+1)
-    in d = 2). buffer, when given, is that buffer or a larger one
-    (spectrum_buffer(n, d, L)), owned by the caller and overwritten: a
-    Monte Carlo chunk passes one to every replication, so no call faults in
-    fresh table pages. Otherwise the call allocates its own. Blocks are
-    reduced in a fixed order, so the sum does not depend on the thread
-    count; that BLAS's own threads leave its bits alone was measured (bench
-    reports at OPENBLAS_NUM_THREADS=1 and the default), not promised.
+    Returns a complex array of shape (2L+1,)*d indexed by l + L. The points
+    are real, so S_{-l} = conj(S_l), and only the half box l_1 >= 0 is
+    summed. In d >= 2, per row block, lead is the first axis's phase table
+    over l_1 >= 0 (d = 2) or its running outer product with the middle
+    axes' tables over -L..L (d >= 3, (L+1) W^(d-2) rows, W = 2L+1), and
+    last the last axis's table over l_d >= 0; two GEMMs add P += lead @
+    last.T and, with last conjugated in place, Q += lead @ last.T, which is
+    S at -l_d. The half box takes l_d >= 0 from P and l_d < 0 from Q, the
+    other half its conjugate mirror. In d = 1, one GEMM of the digit tables
+    exp(i a x), a < q = isqrt(L) + 1, and exp(i q b x), b < r = L // q + 1:
+    the (q, r) result holds S_{a+qb}, read transposed, from q + r table
+    rows, not L + 1. Every block's tables are contiguous views of one flat
+    complex buffer, sized for the widest block (_carve): sum(heights) *
+    rows * 16 bytes, the rows those of spectrum_block_shape. In d >= 2 that
+    is within PHASE_BLOCK_BYTES: heights (L+1) + (L+1) in d = 2, 3.91 MiB
+    at L = 15 and n = 8000; (L+1) + (L+1) + W + (L+1) W in d = 3. In d = 1
+    the rows are those of a (2L+1)-wide block, wider than q + r. buffer,
+    when given, is that buffer or a larger one (spectrum_buffer(n, d, L)),
+    owned by the caller and overwritten: a Monte Carlo chunk passes one to
+    every replication, so no call faults in fresh table pages. Otherwise
+    the call allocates its own. Blocks are reduced in a fixed order, so the
+    sum does not depend on the thread count. That BLAS's own threads leave
+    its bits alone was measured for samples of one block (bench reports at
+    OPENBLAS_NUM_THREADS=1 and the default), not promised; over several
+    d >= 2 blocks the last bits were seen to move with them.
     """
     n, d = points.shape
     W = 2 * L + 1
@@ -759,21 +773,26 @@ def sample_spectrum(points, L, buffer=None):
         tables = _carve(buffer, b, heights)
         if d == 1:
             lead, last = _digit_tables(block[:, 0], *S.shape, tables[0])
-        else:
-            last = _axis_phases(block[:, -1], L, full=False, out=tables[0])
-            lead = _axis_phases(block[:, 0], L, out=tables[1])
-            for a in range(1, d - 1):
-                axis = _axis_phases(block[:, a], L, out=tables[1 + a])
-                product = tables[d - 1 + a]
-                np.multiply(lead[:, None, :], axis[None, :, :], out=product.reshape(-1, W, b))
-                lead = product
-        S += lead @ last.T
-    if d == 1:
-        S = S.T.reshape(-1)[: L + 1]
-    S = S.reshape((W,) * (d - 1) + (L + 1,))
+            S += lead @ last.T
+            continue
+        last = _axis_phases(block[:, -1], L, full=False, out=tables[0])
+        lead = _axis_phases(block[:, 0], L, full=False, out=tables[1])
+        for a in range(1, d - 1):
+            axis = _axis_phases(block[:, a], L, out=tables[1 + a])
+            product = tables[d - 1 + a]
+            np.multiply(lead[:, None, :], axis[None, :, :], out=product.reshape(-1, W, b))
+            lead = product
+        S[0] += lead @ last.T
+        np.conjugate(last, out=last)
+        S[1] += lead @ last.T
     box = np.empty((W,) * d, dtype=complex)
-    box[..., L:] = S
-    box[..., :L] = np.conj(np.flip(S)[..., :L])
+    if d == 1:
+        box[L:] = S.T.reshape(-1)[: L + 1]
+    else:
+        quadrant = (L + 1,) + (W,) * (d - 2) + (L + 1,)
+        box[L:, ..., L:] = S[0].reshape(quadrant)
+        box[L:, ..., :L] = S[1].reshape(quadrant)[..., :0:-1]
+    np.conjugate(np.flip(box[L + 1 :]), out=box[:L])
     return box
 
 

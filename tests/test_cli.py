@@ -1089,6 +1089,8 @@ def test_cli_runs_without_scipy(tmp_path):
 _COLD_IMPORT = """
 import sys
 import torneed.cli
+from torneed.densities import density_from_name
+density_from_name("wrapped_normal(1.0)").derivative((3,), [0.5, 2.0])
 print(sorted(m for m in ("torneed.bench", "concurrent.futures", "numpy.polynomial") if m in sys.modules))
 import torneed as tn
 print(tn.bench.__name__, tn.run_experiment.__module__)
@@ -1096,7 +1098,8 @@ print(tn.bench.__name__, tn.run_experiment.__module__)
 
 
 def test_cli_import_leaves_bench_thread_pool_and_polynomials_unloaded():
-    # estimate, eval-grid and frame-info need none of them; bench loads on first use
+    # estimate, eval-grid and frame-info need none of them, a wrapped-normal
+    # derivative (the --density truth) included; bench loads on first use
     proc = _fresh_python(_COLD_IMPORT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["[]", "torneed.bench torneed.bench"]

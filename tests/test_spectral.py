@@ -128,17 +128,48 @@ def test_sample_spectrum_and_adjoint_match_dense_box_sums(d, L):
     assert_rel_close([spectrum_values(A, X)], [dense @ A.reshape(-1)])
 
 
+def table_rows(d, L):
+    """Table rows per point of a d >= 2 sample_spectrum block: the half box's heights.
+
+    The last and first axes over l >= 0 (L+1 rows each), each middle axis
+    over -L..L (W = 2L+1 rows) and the running outer products (L+1) W^a.
+    """
+    W, half = 2 * L + 1, L + 1
+    return 2 * half + (d - 2) * W + sum(half * W**a for a in range(1, d - 1))
+
+
 @pytest.mark.parametrize("d,L", [(1, 7), (1, 16), (2, 4), (3, 2)])
 def test_row_blocking_does_not_change_the_core(monkeypatch, d, L):
     rng = np.random.default_rng(10 + d)
     X = rng.uniform(0.0, TWO_PI, (57, d))
     A = rng.normal(size=(2 * L + 1,) * d) + 1j * rng.normal(size=(2 * L + 1,) * d)
     whole_S, whole_f = sample_spectrum(X, L), spectrum_values(A, X)
-    # a budget of a few rows forces many blocks, including a ragged last one
-    monkeypatch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * 5 * (2 * L + 1) ** max(d - 1, 1))
+    # a budget of a few rows forces many blocks, including a ragged last one:
+    # d = 1 blocks are 2L+1 entries a point wide, d >= 2 blocks their table rows
+    width = 2 * L + 1 if d == 1 else table_rows(d, L)
+    monkeypatch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * 5 * width)
     assert spectrum_block_shape(57, d, L)[0] == 5
     assert_rel_close([sample_spectrum(X, L)], [whole_S])
     assert_rel_close([spectrum_values(A, X)], [whole_f])
+
+
+@PROPERTY
+@given(st.integers(2, 4), st.data())
+def test_half_box_sample_spectrum_matches_the_dense_sum_over_several_blocks(d, data):
+    # two to four full row blocks and a short last one; the summed half box
+    # l_1 >= 0 takes l_d < 0 from the conjugated last table, and every
+    # l_1 < 0 entry is the exact conjugate of its mirror
+    L = data.draw(st.integers(0, (4, 2, 1)[d - 2]))
+    rows = data.draw(st.integers(2, 6))
+    n = rows * data.draw(st.integers(2, 4)) + data.draw(st.integers(1, rows - 1))
+    X = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-7.0, 7.0, (n, d))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * rows * table_rows(d, L))
+        assert spectrum_block_shape(n, d, L)[0] == rows
+        S = sample_spectrum(X, L)
+    box = np.array(list(itertools.product(range(-L, L + 1), repeat=d)), dtype=float)
+    assert_rel_close([S.reshape(-1)], [np.exp(1j * X @ box.T).sum(axis=0)])
+    assert S[:L].tobytes() == np.conj(np.flip(S[L + 1 :])).tobytes()
 
 
 def test_phase_blocks_stay_under_the_byte_budget():
@@ -150,6 +181,9 @@ def test_phase_blocks_stay_under_the_byte_budget():
         rows, width = spectrum_block_shape(n, d, L)
         assert 1 <= rows < n
         assert 16 * rows * width <= PHASE_BLOCK_BYTES
+        if d >= 2:  # the whole table buffer of a block fits, not only its widest table
+            assert width == table_rows(d, L)
+            assert frame_mod.spectrum_buffer(n, d, L).nbytes <= PHASE_BLOCK_BYTES
     nf = tn.frequency_shell(3, 2.0, 3).shape[0]  # block_rows caps any width, a level-3 shell's too
     rows = block_rows(n, nf)
     assert 16 * rows * nf <= PHASE_BLOCK_BYTES
@@ -164,19 +198,20 @@ def test_block_rows_bounds():
 
 
 @pytest.mark.parametrize(
-    "d,L,n,table_rows",
-    [(1, 15, 100_000, 4 + 4), (2, 15, 20_000, 16 + 31), (3, 3, 20_000, 4 + 7 + 7 + 49)],
+    "d,L,n,heights",
+    [(1, 15, 100_000, 4 + 4), (2, 15, 20_000, 16 + 16), (3, 3, 20_000, 4 + 4 + 7 + 28)],
 )
-def test_sample_spectrum_fills_one_table_buffer_for_every_block(d, L, n, table_rows):
+def test_sample_spectrum_fills_one_table_buffer_for_every_block(d, L, n, heights):
     # the tables of every row block are views of one buffer, sized for the
     # widest block: a call over 3 or more blocks peaks near one block's table
-    # bytes (digit tables q + r = 4 + 4 rows in d = 1; the last axis's L + 1
-    # rows, each leading axis's 2L + 1 and their outer product otherwise),
-    # where a fresh table per block peaked at two, the last block's still alive
+    # bytes (digit tables q + r = 4 + 4 rows in d = 1; the last and first
+    # axes' L + 1 rows, each middle axis's 2L + 1 and their running outer
+    # product otherwise), where a fresh table per block peaked at two, the
+    # last block's still alive
     X = np.random.default_rng(d).uniform(0.0, TWO_PI, (n, d))
     rows, _ = spectrum_block_shape(n, d, L)
     assert math.ceil(n / rows) >= 3
-    table_bytes = 16 * table_rows * rows
+    table_bytes = 16 * heights * rows
     tracemalloc.start()
     try:
         sample_spectrum(X, L)
@@ -186,17 +221,18 @@ def test_sample_spectrum_fills_one_table_buffer_for_every_block(d, L, n, table_r
     assert table_bytes <= peak <= 1.1 * table_bytes
 
 
-@pytest.mark.parametrize("d,L,table_rows", [(2, 15, 16 + 31), (3, 7, 8 + 15 + 15 + 225)])
-def test_sample_spectrum_buffer_holds_every_table_of_a_block(d, L, table_rows):
+@pytest.mark.parametrize("d,L,heights", [(2, 15, 16 + 16), (3, 7, 8 + 8 + 15 + 120)])
+def test_sample_spectrum_buffer_holds_every_table_of_a_block(d, L, heights):
     # the buffer is the sum of the table heights times the block's rows
-    # times 16 bytes: the widest table of a block fits PHASE_BLOCK_BYTES, the
-    # buffer need not (5.74 MiB, 1.43 times it, at product_d2's L = 15 and
-    # n = 8000; 4.68 MiB at d = 3, L = 7), and the call peaks at it
+    # times 16 bytes, and the rows are sized so that it fits
+    # PHASE_BLOCK_BYTES (3.91 MiB in one block at product_d2's L = 15 and
+    # n = 8000; 4.00 MiB over five blocks at d = 3, L = 7); the call peaks
+    # at it, within 256 KiB for the sums, the GEMM products and the box
     X = np.random.default_rng(d).uniform(0.0, TWO_PI, (8000, d))
     rows, width = spectrum_block_shape(8000, d, L)
-    buffer = 16 * table_rows * rows
-    assert 16 * width * rows <= PHASE_BLOCK_BYTES
-    assert buffer <= table_rows / width * PHASE_BLOCK_BYTES
+    assert width == heights == table_rows(d, L)
+    buffer = 16 * heights * rows
+    assert buffer <= PHASE_BLOCK_BYTES
     tracemalloc.start()
     try:
         sample_spectrum(X, L)
@@ -204,8 +240,7 @@ def test_sample_spectrum_buffer_holds_every_table_of_a_block(d, L, table_rows):
     finally:
         tracemalloc.stop()
     assert buffer <= peak <= buffer + (1 << 18)
-    if d == 2:
-        assert buffer > 1.4 * PHASE_BLOCK_BYTES
+    assert peak <= PHASE_BLOCK_BYTES + (1 << 18)
 
 
 @pytest.mark.parametrize("d,L,n", [(1, 15, 100_000), (2, 15, 20_000), (3, 3, 20_000), (1, 0, 3)])
