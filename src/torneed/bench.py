@@ -2,18 +2,24 @@
 
 One experiment draws R independent samples of size n from a named test
 density. The replications run in chunks of C. A chunk allocates one
-workspace before its first draw: one flat array of n x d floats, and the
-phase-table buffer of frame.spectrum_buffer, within PHASE_BLOCK_BYTES in
-d >= 2 (the half box's table heights, (L+1) + (L+1) in d = 2, times the
-rows of a block sized to fit). Each replication draws its
-sample into the array (TestDensity.draw), unreduced: every phase of the
-sample spectrum is 2pi-periodic, so no replication wraps its draw into
-[0, 2pi). It checks the draw and reduces it to its sample spectrum on one
-box (frame.sample_spectrum) in the table buffer, written into its row of
-the chunk's (C,) + box stack; the next draw overwrites it, so no
-replication allocates an array of n rows, and the workspace is released
-before the level map. The chunk then maps
-all its spectra to raw coefficients at once, (C, K_total), through the
+workspace before its first draw: a draw array, and the phase-table buffer
+of frame.spectrum_buffer, within PHASE_BLOCK_BYTES in d >= 2 (the half
+box's table heights, (L+1) + (L+1) in d = 2, times the rows of a block
+sized to fit). For a law whose draw streams (TestDensity.streams: uniform
+in any d and the wrapped normal) the draw array is one row block of the
+sample spectrum, spectrum_block_shape(n, d, L) rows x d floats: each
+replication draws its sample block by block into it (TestDensity.draw,
+through a frame.RowStream), and each block is checked and reduced before
+the next is drawn, so the workspace is bounded in bytes whatever n is. A
+product fills factor-major, so it draws all its n x d floats into a flat
+array first. Draws are unreduced: every phase of the sample spectrum is
+2pi-periodic, so no replication wraps its draw into [0, 2pi). A
+replication's sample spectrum on one box (frame.sample_spectrum), reduced
+in the table buffer, is written into its row of the chunk's (C,) + box
+stack; the next draw overwrites the draw array, so no replication
+allocates an array of n rows, and the workspace is released before the
+level map. The chunk then maps all its spectra to raw coefficients at
+once, (C, K_total), through the
 plan's level map (one scatter, FFT and scale per level over every row; the
 second half of estimation.empirical_coefficients), thresholds them by
 every (rule, kappa0) at once into one estimator with a (C, rows) leading
@@ -94,12 +100,14 @@ from .frame import (
     PHASE_BLOCK_BYTES,
     CoefficientArray,
     NeedletFrame,
+    RowStream,
     _largest_magnitude,
     grid_lp_norm,
     min_grid_size,
     refuse_residue,
     sample_spectrum,
     size_violations,
+    spectrum_block_shape,
     spectrum_buffer,
     uniform_grid,
 )
@@ -566,6 +574,31 @@ def chunk_replications(rows, width):
     return max(1, CHUNK_BYTES // (16 * rows * max(width, 1)))
 
 
+def _draw_workspace(density, n, L):
+    """A chunk's draw workspace: one sample_spectrum row block if the law streams, else n rows.
+
+    The rows are spectrum_block_shape(n, d, L)'s, so a replication of a law
+    that streams (TestDensity.streams) holds at most one block of its sample
+    whatever n is; any other law fills all n rows of its draw at once.
+    """
+    rows = spectrum_block_shape(n, density.d, L)[0] if density.streams else n
+    return np.empty(rows * density.d)
+
+
+def _drawn(density, rng, n, work):
+    """A replication's n points for sample_spectrum, drawn into work and checked (as_sample_array).
+
+    A law that streams gives a RowStream whose every block is drawn into the
+    front of work when sample_spectrum asks for it, so the draw, the check
+    and the reduction go block by block in one pass; any other law draws and
+    checks all n rows first.
+    """
+    d = density.d
+    if density.streams:
+        return RowStream((n, d), lambda b: as_sample_array(density.draw(rng, work[: b * d]), d))
+    return as_sample_array(density.draw(rng, work), d)
+
+
 def run_experiment(config, threads=1):
     """Execute the Monte Carlo protocol; deterministic for a given master seed."""
     density = density_from_name(config.density, config.d)
@@ -595,16 +628,16 @@ def run_experiment(config, threads=1):
         # the chunk's one workspace, in its row of the chunk's stack; the level
         # map then runs once for the whole stack
         spectra = np.empty((len(reps),) + (2 * plan.L + 1,) * config.d, dtype=complex)
-        n, d, r = config.n, config.d, reps[0]  # a failed allocation names the first replication
+        n, r = config.n, reps[0]  # a failed allocation names the first replication
         try:
-            work = np.empty(n * d)
-            tables = spectrum_buffer(n, d, plan.L)
+            work = _draw_workspace(density, n, plan.L)
+            tables = spectrum_buffer(n, config.d, plan.L)
             for i, r in enumerate(reps):
-                X = density.draw(np.random.default_rng(child_seed(config.seed, r)), work)
-                spectra[i] = sample_spectrum(as_sample_array(X, d), plan.L, buffer=tables)
+                rng = np.random.default_rng(child_seed(config.seed, r))
+                spectra[i] = sample_spectrum(_drawn(density, rng, n, work), plan.L, buffer=tables)
         except Exception as exc:
             raise RuntimeError(f"replication {r} failed: {exc}") from exc
-        del work, tables, X  # released before the level map, as the stack is after it
+        del work, tables  # released before the level map, as the stack is after it
         try:
             raws = plan.sample_coefficients(spectra, n)
         except RefusedRow as exc:

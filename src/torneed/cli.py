@@ -66,7 +66,10 @@ def _load_samples(path, d):
     file, text that is not UTF-8) goes to the line reader, which reads the same
     handle again from the start and decides the result or the message
     (read_input names a file that is not UTF-8).
-    Returns (points, number of rows that needed wrapping).
+    When every value is in [0, 2pi) the parsed array itself is returned, with
+    wrap_angles' bits (x + 0.0, done in place), so the load holds one n x d
+    array; only a file with a row outside takes wrap_angles' copy and the
+    count. Returns (points, number of rows that needed wrapping).
     """
 
     def parse(fh):
@@ -78,6 +81,9 @@ def _load_samples(path, d):
         return _read_sample_lines(fh, path, d)
 
     X = read_input(path, parse)
+    if 0 <= X.min() and X.max() < TWO_PI:
+        X += 0.0  # wrap_angles' in-range rule: -0.0 becomes 0.0
+        return X, 0
     outside = int(np.count_nonzero(np.any((X < 0) | (X >= TWO_PI), axis=1)))
     return wrap_angles(X), outside
 

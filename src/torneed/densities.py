@@ -2,9 +2,9 @@
 
 Every density carries vectorized pdf and derivative evaluators, its sup-norm
 in closed form, an exact draw driven by an external RNG (and the sampler
-that reduces it to [0, 2pi)), and an
-effective per-coordinate band limit that analysis quadratures use to size
-their grids.
+that reduces it to [0, 2pi)), whether that draw streams (TestDensity), and
+an effective per-coordinate band limit that analysis quadratures use to
+size their grids.
 
 Evaluators work row by row: a point's value depends on that point alone.
 Product densities use this on uniform_grid(G, d), where every column holds
@@ -37,9 +37,23 @@ class TestDensity:
     float array of n * d entries, with n points of the law as drawn, not
     reduced to [0, 2pi), and returns an (n, d) view of it: every phase the
     estimator takes of a point is 2pi-periodic, so a Monte Carlo loop reduces
-    the draw as it is and reuses one out for every sample. sampler(rng, n)
-    returns (n, d) points in [0, 2pi): unless given, it is wrap_angles of a
-    draw into a fresh array, the one reduction rule of every density.
+    the draw as it is and reuses one out for every sample or block.
+    sampler(rng, n) returns (n, d) points in [0, 2pi): unless given, it is
+    wrap_angles of a draw into a fresh array, the one reduction rule of
+    every density.
+
+    streams states the row-order stream contract, a property of the law
+    that its constructor sets: consecutive draws on one generator, of b_1,
+    b_2, ... points, give the bytes of one draw of b_1 + b_2 + ... points,
+    row after row. A Monte Carlo replication of a law that streams draws
+    its sample one spectrum row block at a time into a workspace of one
+    block (bench, frame.RowStream); any other law draws all n points at
+    once. uniform fills its points in row order from one stream of doubles
+    and the wrapped normal from one stream of normals, so both stream. A
+    product does not: it fills factor-major (factor i draws all n of its
+    coordinates before factor i + 1), so with two factors or more the
+    second coordinate of its first row follows the first factor's n-th
+    draw.
 
     Row-by-row contract: pdf and derivative compute each row from that row's
     coordinates alone, with the same floating-point result whatever the
@@ -57,6 +71,7 @@ class TestDensity:
     draw: object
     sampler: object = None
     band_limit: int = 0
+    streams: bool = False
 
     def __post_init__(self):
         if self.sampler is None:
@@ -95,6 +110,7 @@ def uniform_density(d=1):
         derivative=derivative,
         sup_norm=value,
         draw=draw,
+        streams=True,
     )
 
 
@@ -184,6 +200,7 @@ def wrapped_normal(sigma=1.0, literal=False):
         sup_norm=float(pdf(np.zeros(1))[0]),
         draw=draw,
         band_limit=band,
+        streams=True,
     )
 
 

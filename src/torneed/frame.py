@@ -81,8 +81,12 @@ the first and last axes' tables hold l >= 0 only, (L+1) + (L+1) rows in
 d = 2 and (L+1) + (L+1) + W + (L+1) W in d = 3 (W = 2L+1), and the rows
 are sized so that the whole buffer fits PHASE_BLOCK_BYTES: 3.91 MiB at
 d = 2, L = 15 and n = 8000, one block. In d = 1 the rows are those of a
-(2L+1)-wide block, and the q + r digit table rows take less. grid_values
-needs one table of G columns, of 2L+1 rows for the box it evaluates.
+(2L+1)-wide block, and the q + r digit table rows take less. The blocks'
+points come from an array or, one block per call, from a RowStream: a
+Monte Carlo replication whose law draws in row order draws each block
+into a workspace of one block just before it is reduced, so no sample
+needs n rows of memory. grid_values needs one table of G columns, of
+2L+1 rows for the box it evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -114,6 +118,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -728,9 +733,25 @@ def spectrum_buffer(n, d, L):
     return np.empty(sum(_spectrum_shape(d, L)[1]) * rows, dtype=complex)
 
 
+class RowStream(NamedTuple):
+    """n points of d coordinates, shape = (n, d), that sample_spectrum reads in row order.
+
+    next_rows(b) returns the next b rows as a (b, d) float array, which the
+    following call may overwrite: sample_spectrum calls it once per row
+    block of spectrum_block_shape(n, d, L), in order, the last block short,
+    and reduces each block before it asks for the next. A Monte Carlo
+    replication draws its sample this way into a workspace of one block.
+    """
+
+    shape: tuple
+    next_rows: object
+
+
 def sample_spectrum(points, L, buffer=None):
     """Type-1 sum S_l = sum_i exp(i l . x_i) on the box |l_i| <= L.
 
+    points is an (n, d) array or a RowStream of n such rows, read block by
+    block; either gives the same blocks in the same order, so the same bits.
     Returns a complex array of shape (2L+1,)*d indexed by l + L. The points
     are real, so S_{-l} = conj(S_l), and only the half box l_1 >= 0 is
     summed. In d >= 2, per row block, lead is the first axis's phase table
@@ -768,7 +789,10 @@ def sample_spectrum(points, L, buffer=None):
     elif buffer.size < sum(heights) * rows:
         raise ValueError(f"table buffer of {buffer.size} entries is short of {sum(heights) * rows}")
     for start in range(0, n, rows):
-        block = points[start : start + rows]
+        if isinstance(points, RowStream):
+            block = points.next_rows(min(rows, n - start))
+        else:
+            block = points[start : start + rows]
         b = block.shape[0]
         tables = _carve(buffer, b, heights)
         if d == 1:

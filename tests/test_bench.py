@@ -790,28 +790,33 @@ def test_run_experiment_rows_equal_single_estimators(over):
 
 
 @pytest.mark.parametrize(
-    "name,d",
+    "name,d,n",
     [
-        ("wrapped_normal(1.0)", 1),
+        ("wrapped_normal(1.0)", 1, 100_000),
+        ("wrapped_normal(1.0)", 1, 2_000_000),
         # about a third of these draws leave (-2pi, 2pi): the wrap's np.mod branch
-        ("wrapped_normal(6.9)", 1),
-        ("uniform", 2),
-        ("product(wrapped_normal(1.0),uniform)", 2),
-        ("uniform", 3),
+        ("wrapped_normal(6.9)", 1, 100_000),
+        ("uniform", 2, 100_000),
+        ("uniform", 2, 2_000_000),
+        ("product(wrapped_normal(1.0),uniform)", 2, 100_000),
+        ("uniform", 3, 100_000),
     ],
 )
-def test_a_replication_in_a_workspace_allocates_no_sample_sized_array(name, d):
-    # what one_chunk does per replication: draw into the chunk's one n * d
-    # array, check the sample, reduce it in the chunk's table buffer; all of
-    # it together allocates less than one byte per coordinate
-    n, L = 200_000, 15 if d < 3 else 7
+def test_a_replication_in_a_workspace_allocates_no_sample_sized_array(name, d, n):
+    # what one_chunk does: allocate the chunk's draw workspace, then per
+    # replication draw into it, check the sample and reduce it in the chunk's
+    # table buffer. A law whose draw streams holds one spectrum row block of
+    # its sample at a time, so its workspace and replication together stay
+    # within a byte bound whatever n is; a product draws all n rows into an
+    # n x d workspace, beside which its replication allocates as little
+    L = 15 if d < 3 else 7
     density = tn.density_from_name(name, d)
-    work = np.empty(n * d)
     tables = tn.bench.spectrum_buffer(n, d, L)
 
     def replication(seed):
-        X = density.draw(np.random.default_rng(seed), work)
-        return tn.bench.sample_spectrum(tn.bench.as_sample_array(X, d), L, buffer=tables)
+        work = tn.bench._draw_workspace(density, n, L)
+        points = tn.bench._drawn(density, np.random.default_rng(seed), n, work)
+        return tn.bench.sample_spectrum(points, L, buffer=tables)
 
     first = replication(1)
     tracemalloc.start()
@@ -820,8 +825,32 @@ def test_a_replication_in_a_workspace_allocates_no_sample_sized_array(name, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < n * d
+    assert density.streams == ("product" not in name)
+    assert peak < (0 if density.streams else 8 * n * d) + (512 << 10)
     assert second.shape == first.shape and not np.array_equal(first, second)
+
+
+def test_a_large_n_replication_peaks_within_one_mib():
+    # large_n_d1's shape at n = 4e6: the wrapped normal, m = 1, J = auto (6
+    # levels, L = 63). A chunk of one replication allocates its table buffer
+    # and draw workspace, draws its sample block by block and reduces it;
+    # a draw of all n rows would be 30.5 MiB on its own
+    n = 4_000_000
+    J = tn.truncation_level(n, 1, 1, 2.0)
+    L = tn.frame.box_half_width(2.0, J - 1)
+    density = tn.wrapped_normal(1.0)
+    tracemalloc.start()
+    try:
+        tables = tn.bench.spectrum_buffer(n, 1, L)
+        work = tn.bench._draw_workspace(density, n, L)
+        points = tn.bench._drawn(density, np.random.default_rng(5), n, work)
+        S = tn.bench.sample_spectrum(points, L, buffer=tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (J, L) == (6, 63)
+    assert S[L].real == n and np.isfinite(S).all()
+    assert peak <= 1 << 20
 
 
 def test_risk_aggregates_mean_and_stderr():

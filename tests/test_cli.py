@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,25 @@ def test_load_samples_reads_a_pipe_once(tmp_path, monkeypatch):
     assert (X.tobytes(), X.shape, outside) == (Xref.tobytes(), Xref.shape, outside_ref)
 
 
+def test_load_samples_in_range_holds_one_array(tmp_path):
+    # every value in [0, 2pi), -0.0 among them: the parsed array is returned
+    # itself with wrap_angles' bits, so the load holds one n x d array (and
+    # the C reader's buffers), not a second wrapped copy beside it
+    n = 100_000
+    X = np.random.default_rng(11).uniform(0.0, tn.TWO_PI, n)
+    X[::7] = -0.0
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{v:.17g}\n" for v in X.tolist()), encoding="utf-8")  # "-0" rows
+    tracemalloc.start()
+    try:
+        got, outside = _load_samples(path, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outside == 0 and got.tobytes() == wrap_angles(X[:, None]).tobytes()
+    assert peak < 1.5 * got.nbytes
+
+
 def test_estimate_reads_only_the_named_file(tmp_path, capsys):
     # a compressed neighbour of a missing file is not read in its place
     with gzip.open(tmp_path / "s.csv.gz", "wt") as fh:
@@ -563,6 +583,44 @@ def test_a_failure_names_its_replication_inside_a_chunk(tmp_path, capsys, monkey
     assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "error: replication 3 failed: samples contain non-finite values" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_nan_in_the_last_block_of_a_streamed_draw_names_its_replication(
+    tmp_path, capsys, monkeypatch
+):
+    # the wrapped normal's draw streams: replication 1 draws its 100000 points
+    # in three spectrum row blocks, each reduced before the next is drawn, and
+    # only the last point of its last block is NaN; the run still exits 1
+    # naming it, and no report is written
+    real = tn.bench.density_from_name
+    config = bench_config(n=100_000, replications=2)
+    bad = np.random.default_rng(tn.child_seed(config["seed"], 1)).bit_generator.state
+    target, blocks = [], []
+
+    def nan_in_the_last_block(name, d):
+        density = real(name, d)
+
+        def draw(rng, out):
+            if rng.bit_generator.state == bad:
+                target.append(rng)
+            points = density.draw(rng, out)
+            if target and rng is target[0]:
+                blocks.append(len(points))
+                if sum(blocks) == config["n"]:
+                    points[-1] = np.nan
+            return points
+
+        return dataclasses.replace(density, draw=draw)
+
+    monkeypatch.setattr(tn.bench, "density_from_name", nan_in_the_last_block)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["bench", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error: replication 1 failed: samples contain non-finite values" in err
+    rows, _ = tn.frame.spectrum_block_shape(config["n"], 1, 3)  # J = 2: L = 3
+    assert blocks == [rows, rows, config["n"] - 2 * rows]
     assert not (tmp_path / "o").exists()
 
 

@@ -326,6 +326,52 @@ def test_a_sampler_in_a_workspace_gives_the_bytes_of_a_fresh_one(density, n):
     assert wrap_angles(got).tobytes() == want.tobytes()
 
 
+def _drawn_in_blocks(density, seed, n, rows):
+    """n points drawn in consecutive blocks of `rows` rows (the last one short), one workspace."""
+    rng, d = np.random.default_rng(seed), density.d
+    work, blocks = np.full(rows * d, np.nan), []
+    for start in range(0, n, rows):
+        b = min(rows, n - start)
+        blocks.append(density.draw(rng, work[: b * d]).copy())
+    return np.concatenate(blocks)
+
+
+STREAMING_DENSITIES = [tn.uniform_density(d) for d in (1, 2, 3)] + [
+    tn.density_from_name(text)
+    for text in (
+        "wrapped_normal(0.05)",
+        "wrapped_normal(1.0)",
+        "wrapped_normal(6.9)",
+        "wrapped_normal_literal(1.0)",
+    )
+]
+
+
+@pytest.mark.parametrize("density", STREAMING_DENSITIES, ids=lambda density: density.name)
+@pytest.mark.parametrize("rows", [1, 7, 64])
+def test_a_streaming_draw_in_blocks_gives_the_bytes_of_one_draw(density, rows):
+    # the row-order stream contract that lets a Monte Carlo replication draw
+    # its sample one spectrum row block at a time: blocks of one row, of an
+    # odd size and with a short last block (300 = 42 * 7 + 6 = 4 * 64 + 44)
+    n = 300
+    assert density.streams
+    whole = density.draw(np.random.default_rng(20261020), np.empty(n * density.d))
+    assert _drawn_in_blocks(density, 20261020, n, rows).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "text", ["product(wrapped_normal(1.0),wrapped_normal(1.0))", "product(uniform,uniform,uniform)"]
+)
+def test_a_product_does_not_stream(text):
+    # a product fills factor-major: the first block's second coordinates come
+    # from the stream's first draws, not from those after the first factor's n
+    density = tn.density_from_name(text)
+    n = 300
+    assert not density.streams
+    whole = density.draw(np.random.default_rng(20261020), np.empty(n * density.d))
+    assert _drawn_in_blocks(density, 20261020, n, 64).tobytes() != whole.tobytes()
+
+
 # ---------------------------------------------------------------- registry
 
 

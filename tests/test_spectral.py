@@ -258,6 +258,26 @@ def test_sample_spectrum_in_a_given_buffer_gives_its_bits(d, L, n):
         sample_spectrum(X, L, buffer=buffer[:-1])
 
 
+@pytest.mark.parametrize("d,L,n", [(1, 15, 100_000), (2, 15, 20_000), (3, 3, 20_000), (1, 0, 3)])
+def test_sample_spectrum_of_a_row_stream_gives_the_bits_of_the_array(d, L, n):
+    # a RowStream hands sample_spectrum the array's row blocks one call at a
+    # time, each overwriting the last in one workspace of one block: the
+    # same blocks in the same order give the bytes of the whole array
+    X = np.random.default_rng(d).uniform(-7.0, 7.0, (n, d))
+    rows, _ = spectrum_block_shape(n, d, L)
+    work, asked = np.full((rows, d), np.nan), []
+
+    def next_rows(b):
+        start = sum(asked)
+        asked.append(b)
+        work[:b] = X[start : start + b]
+        return work[:b]
+
+    got = sample_spectrum(frame_mod.RowStream((n, d), next_rows), L)
+    assert got.tobytes() == sample_spectrum(X, L).tobytes()
+    assert asked == [rows] * (n // rows) + ([n % rows] if n % rows else [])
+
+
 @st.composite
 def folded_box_case(draw):
     """1 to 3 random complex boxes (not Hermitian) on a trailing axis; a grid size up to 2L+3."""
