@@ -736,6 +736,10 @@ def test_run_experiment_both_methods_and_proxy_rows():
         # about a third of these draws take the wrap's np.mod branch
         {"density": "wrapped_normal(6.9)"},
         {"density": "uniform", "d": 2, "m": [1, 0], "J": 2, "grid": 17},
+        # three spectrum row blocks, each drawn just before it is reduced,
+        # against estimate's one draw of all n points
+        {"n": 40_000},
+        {"density": "uniform", "d": 2, "m": [1, 0], "J": 2, "grid": 17, "n": 70_000},
     ],
 )
 def test_run_experiment_rows_equal_single_estimators(over):
