@@ -9,18 +9,20 @@ sized to fit). For a law whose draw streams (TestDensity.streams: uniform
 in any d and the wrapped normal) the draw array is one row block of the
 sample spectrum, spectrum_block_shape(n, d, L) rows x d floats: each
 replication draws its sample block by block into it (TestDensity.draw,
-through a frame.RowStream), and each block is checked and reduced before
-the next is drawn, so the workspace is bounded in bytes whatever n is. A
-product fills factor-major, so it draws all its n x d floats into a flat
-array first. Draws are unreduced: every phase of the sample spectrum is
-2pi-periodic, so no replication wraps its draw into [0, 2pi). A
-replication's sample spectrum on one box (frame.sample_spectrum), reduced
-in the table buffer, is written into its row of the chunk's (C,) + box
-stack; the next draw overwrites the draw array, so no replication
-allocates an array of n rows, and the workspace is released before the
-level map. The chunk then maps all its spectra to raw coefficients at
-once, (C, K_total), through the
-plan's level map (one scatter, FFT and scale per level over every row; the
+through a frame.RowStream), and sample_spectrum checks and reduces each
+block before it asks for the next, so the workspace is bounded in bytes
+whatever n is. A product fills factor-major, so it draws all its n x d
+floats into a flat array first. No draw is checked here: sample_spectrum
+is the one place that refuses a sample (a NaN or inf, a block of the
+wrong shape), and a refusal fails its replication by name. Draws are
+unreduced: every phase of the sample spectrum is 2pi-periodic, so no
+replication wraps its draw into [0, 2pi). A replication's sample
+spectrum on one box (frame.sample_spectrum), reduced in the table buffer,
+is written into its row of the chunk's (C,) + box stack; the next draw
+overwrites the draw array, so no replication allocates an array of n
+rows, and the workspace is released before the level map. The chunk then
+maps all its spectra to raw coefficients at once, (C, K_total), through
+the plan's level map (one scatter, FFT and scale per level over every row; the
 second half of estimation.empirical_coefficients), thresholds them by
 every (rule, kappa0) at once into one estimator with a (C, rows) leading
 shape (one row per pair: same data, varying threshold), counts its
@@ -86,7 +88,6 @@ from .estimation import (
     _ReplicationPlan,
     analyze,
     apply_threshold,  # noqa: F401  (perfbench/spans.py wraps bench.apply_threshold)
-    as_sample_array,
     box_values,
     calibrated_rule,
     empirical_coefficients,  # noqa: F401  (perfbench/spans.py wraps bench.empirical_coefficients)
@@ -586,17 +587,17 @@ def _draw_workspace(density, n, L):
 
 
 def _drawn(density, rng, n, work):
-    """A replication's n points for sample_spectrum, drawn into work and checked (as_sample_array).
+    """A replication's n points for sample_spectrum, drawn into work as they are.
 
     A law that streams gives a RowStream whose every block is drawn into the
-    front of work when sample_spectrum asks for it, so the draw, the check
-    and the reduction go block by block in one pass; any other law draws and
-    checks all n rows first.
+    front of work when sample_spectrum asks for it, so the draw and the
+    reduction go block by block in one pass; any other law draws all n rows
+    first. sample_spectrum checks every block, so nothing is checked here.
     """
     d = density.d
     if density.streams:
-        return RowStream((n, d), lambda b: as_sample_array(density.draw(rng, work[: b * d]), d))
-    return as_sample_array(density.draw(rng, work), d)
+        return RowStream((n, d), lambda b: density.draw(rng, work[: b * d]))
+    return density.draw(rng, work)
 
 
 def run_experiment(config, threads=1):

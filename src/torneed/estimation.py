@@ -63,21 +63,6 @@ from .frame import (
 from .harmonics import TWO_PI, as_multi_index, as_points, derivative_multiplier
 
 
-def as_sample_array(samples, d):
-    """Coerce samples to a nonempty, finite (n, d) array of torus points.
-
-    Angles are not reduced into [0, 2pi): every phase is 2pi-periodic, so a
-    sample and its reduction give the same coefficients up to rounding.
-    """
-    pts = as_points(samples, d)
-    if pts.shape[0] < 1:
-        raise ValueError("sample set is empty")
-    # NaN and +-inf reach min or max: the check allocates nothing of the sample's size
-    if not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
-        raise ValueError("samples contain non-finite values")
-    return pts
-
-
 def truncation_level(n, d, m_total, B):
     """Highest estimated level: floor(log_B(n / ln n) / (d + 2|m|)).
 
@@ -350,15 +335,16 @@ def empirical_coefficients(frame, samples, jmax=None, m=None, *, plan=None):
     halves, the second once per chunk of replications. Levels 0..jmax are
     produced; jmax = -1 gives none. plan, the run's _ReplicationPlan for
     this frame, m and jmax + 1 levels, supplies every per-level constant;
-    without one the call builds its own. An order whose sums over the
-    sample's n points could overflow is refused first
-    (refuse_sample_overflow).
+    without one the call builds its own. The sample is coerced to (n, d)
+    points (as_points refuses another column count), an order whose sums
+    over its n points could overflow is refused (refuse_sample_overflow),
+    and sample_spectrum then refuses an empty or non-finite sample.
     """
     jmax = _top_level(frame, jmax)
     m = as_multi_index(m, frame.d)
     plan = plan or _ReplicationPlan(frame, m, jmax + 1)
     plan.check(frame, jmax + 1, m)
-    X = as_sample_array(samples, frame.d)
+    X = as_points(samples, frame.d)
     plan.refuse_sample_overflow(X.shape[0])
     flat = plan.sample_coefficients(sample_spectrum(X, plan.L)[None], X.shape[0])
     return CoefficientArray.from_flat(m, flat[0], plan.slices)
@@ -510,7 +496,7 @@ def estimate(frame, samples, m, rule, J_override=None):
     which needs a frame with jmax >= J-1.
     """
     m = as_multi_index(m, frame.d)
-    X = as_points(samples, frame.d)  # empirical_coefficients checks the values
+    X = as_points(samples, frame.d)  # sample_spectrum refuses non-finite values
     n = X.shape[0]
     if n < 3:
         raise ValueError("estimation needs n >= 3")

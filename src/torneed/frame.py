@@ -85,8 +85,11 @@ d = 2, L = 15 and n = 8000, one block. In d = 1 the rows are those of a
 points come from an array or, one block per call, from a RowStream: a
 Monte Carlo replication whose law draws in row order draws each block
 into a workspace of one block just before it is reduced, so no sample
-needs n rows of memory. grid_values needs one table of G columns, of
-2L+1 rows for the box it evaluates.
+needs n rows of memory. The block loop is the one place in the package
+that refuses a sample: an empty one, a block holding NaN or inf, or a
+stream's block of the wrong shape, the same checks for an array and a
+stream. grid_values needs one table of G columns, of 2L+1 rows for the
+box it evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -739,8 +742,9 @@ class RowStream(NamedTuple):
     next_rows(b) returns the next b rows as a (b, d) float array, which the
     following call may overwrite: sample_spectrum calls it once per row
     block of spectrum_block_shape(n, d, L), in order, the last block short,
-    and reduces each block before it asks for the next. A Monte Carlo
-    replication draws its sample this way into a workspace of one block.
+    and checks and reduces each block before it asks for the next, so a
+    refused block is the last one asked for. A Monte Carlo replication
+    draws its sample this way into a workspace of one block.
     """
 
     shape: tuple
@@ -752,6 +756,12 @@ def sample_spectrum(points, L, buffer=None):
 
     points is an (n, d) array or a RowStream of n such rows, read block by
     block; either gives the same blocks in the same order, so the same bits.
+    This is the only code that refuses a sample, with the same checks for
+    both: an empty one ("sample set is empty"), a row block holding NaN or
+    +-inf ("samples contain non-finite values", from one min and one max of
+    the block, before its tables are filled) and a RowStream block whose
+    shape is not (rows asked, d). Angles need not lie in [0, 2pi): every
+    phase is 2pi-periodic, and _exp_i reduces them itself.
     Returns a complex array of shape (2L+1,)*d indexed by l + L. The points
     are real, so S_{-l} = conj(S_l), and only the half box l_1 >= 0 is
     summed. In d >= 2, per row block, lead is the first axis's phase table
@@ -779,6 +789,8 @@ def sample_spectrum(points, L, buffer=None):
     d >= 2 blocks the last bits were seen to move with them.
     """
     n, d = points.shape
+    if n < 1:
+        raise ValueError("sample set is empty")
     W = 2 * L + 1
     shape, heights = _spectrum_shape(d, L)
     S = np.zeros(shape, dtype=complex)
@@ -789,11 +801,16 @@ def sample_spectrum(points, L, buffer=None):
     elif buffer.size < sum(heights) * rows:
         raise ValueError(f"table buffer of {buffer.size} entries is short of {sum(heights) * rows}")
     for start in range(0, n, rows):
+        b = min(rows, n - start)
         if isinstance(points, RowStream):
-            block = points.next_rows(min(rows, n - start))
+            block = points.next_rows(b)
+            if block.shape != (b, d):
+                raise ValueError(f"row stream gave a block of shape {block.shape}, not {(b, d)}")
         else:
             block = points[start : start + rows]
-        b = block.shape[0]
+        # NaN and +-inf reach min or max: the check allocates nothing of the block's size
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            raise ValueError("samples contain non-finite values")
         tables = _carve(buffer, b, heights)
         if d == 1:
             lead, last = _digit_tables(block[:, 0], *S.shape, tables[0])

@@ -17,7 +17,6 @@ import torneed as tn
 from torneed.estimation import (
     RefusedRow,
     _ReplicationPlan,
-    as_sample_array,
     threshold_value,
     thresholded_estimator,
 )
@@ -502,16 +501,15 @@ def test_a_refused_row_stays_refused_beside_a_large_chunk_mate():
 # ---------------------------------------------------------------- sample coercion
 
 
-def test_as_sample_array_validates_without_wrapping():
-    # angles outside [0, 2pi) pass through: every phase is 2pi-periodic
-    pts = as_sample_array([-0.5, TWO_PI + 0.25], 1)
-    np.testing.assert_array_equal(pts, [[-0.5], [TWO_PI + 0.25]])
-    with pytest.raises(ValueError, match="empty"):
-        as_sample_array(np.empty((0, 1)), 1)
-    with pytest.raises(ValueError, match="finite"):
-        as_sample_array([0.1, np.nan], 1)
-    with pytest.raises(ValueError, match="2 coordinates"):
-        as_sample_array(np.zeros((4, 3)), 2)
+def test_empirical_coefficients_refuse_an_empty_a_nonfinite_or_a_misshapen_sample(frame):
+    # as_points refuses another column count; sample_spectrum, the one place
+    # that checks a sample's values, refuses an empty sample and a NaN
+    with pytest.raises(ValueError, match="sample set is empty"):
+        tn.empirical_coefficients(frame, np.empty((0, 1)))
+    with pytest.raises(ValueError, match="samples contain non-finite values"):
+        tn.empirical_coefficients(frame, [0.1, np.nan])
+    with pytest.raises(ValueError, match="expected points with 2 coordinates"):
+        tn.empirical_coefficients(tn.NeedletFrame(2.0, 2, 1), np.zeros((4, 3)))
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -278,6 +278,60 @@ def test_sample_spectrum_of_a_row_stream_gives_the_bits_of_the_array(d, L, n):
     assert asked == [rows] * (n // rows) + ([n % rows] if n % rows else [])
 
 
+def test_sample_spectrum_takes_unreduced_angles_as_given():
+    # angles outside [0, 2pi) are neither refused nor wrapped: every phase
+    # is 2pi-periodic, and the spectrum is the dense sum over those points
+    x = np.array([-0.5, TWO_PI + 0.25])
+    L = 2
+    dense = np.exp(1j * np.outer(np.arange(-L, L + 1), x)).sum(axis=1)
+    np.testing.assert_allclose(sample_spectrum(x[:, None], L), dense, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("source", ["array", "stream"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("row", [2, 7, 16])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sample_spectrum_refuses_a_nonfinite_block(monkeypatch, bad, row, d, source):
+    # 17 points in row blocks of 5, 5, 5 and 2; one coordinate of a row in
+    # the first, a middle or the last block is NaN or +-inf. An array and a
+    # RowStream are refused by the same check, and a stream is never asked
+    # for the block after the bad one. An empty sample, and a stream whose
+    # block holding that row comes one row short, are refused too
+    L, n = 2, 17
+    width = 2 * L + 1 if d == 1 else table_rows(d, L)
+    monkeypatch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * 5 * width)
+    assert spectrum_block_shape(n, d, L)[0] == 5
+    X = np.random.default_rng(d).uniform(-7.0, 7.0, (n, d))
+    X[row, row % d] = bad
+    want, asked = [5, 5, 5, 2][: row // 5 + 1], []
+
+    def stream(cut):
+        def next_rows(b):
+            start = sum(asked)
+            asked.append(b)
+            return X[start : start + b - cut * (start <= row < start + b)]
+
+        asked.clear()
+        return frame_mod.RowStream((n, d), next_rows)
+
+    if source == "array":
+        points, empty = X, np.empty((0, d))
+    else:
+        points, empty = stream(0), frame_mod.RowStream((0, d), asked.append)
+    with pytest.raises(ValueError, match="samples contain non-finite values"):
+        sample_spectrum(points, L)
+    assert asked == (want if source == "stream" else [])
+    asked.clear()
+    with pytest.raises(ValueError, match="sample set is empty"):
+        sample_spectrum(empty, L)
+    assert asked == []
+    if source == "stream":
+        b = want[-1]
+        with pytest.raises(ValueError, match=rf"shape \({b - 1}, {d}\), not \({b}, {d}\)"):
+            sample_spectrum(stream(1), L)
+        assert asked == want
+
+
 @st.composite
 def folded_box_case(draw):
     """1 to 3 random complex boxes (not Hermitian) on a trailing axis; a grid size up to 2L+3."""
