@@ -3,8 +3,8 @@
 One experiment draws R independent samples of size n from a named test
 density. The replications run in chunks of C. A chunk allocates one
 workspace before its first draw: a draw array, and the phase-table buffer
-of frame.spectrum_buffer, within PHASE_BLOCK_BYTES in d >= 2 (the half
-box's table heights, (L+1) + (L+1) in d = 2, times the rows of a block
+of frame.spectrum_buffer, within PHASE_BLOCK_BYTES // 2 in d >= 2 (the
+half box's table heights times the rows of a block of whole 8-row groups
 sized to fit). For a law whose draw streams (TestDensity.streams: uniform
 in any d and the wrapped normal) the draw array is one row block of the
 sample spectrum, spectrum_block_shape(n, d, L) rows x d floats: each
@@ -66,7 +66,12 @@ That part rests on the FFT giving each cube of a stack the bits of that
 cube alone, the BLAS giving each row of a GEMM the same bits whatever the
 row count, and a box zero-padded to a wider band the bits of its own band,
 which no library promises; all three were measured with numpy's pocketfft
-and OpenBLAS 0.3.31 on x86-64.
+and OpenBLAS 0.3.31 on x86-64. The same OpenBLAS gave the same bits at
+one and two BLAS threads (OPENBLAS_NUM_THREADS) for every sample spectrum
+measured: in a sweep, a complex GEMM moved with the thread count only when
+its inner dimension was 4 (mod 8), and the d >= 2 spectrum's row blocks
+hold whole 8-row groups, the last one padded with rows that add zeros
+(frame.sample_spectrum). That too is a measurement, not a promise.
 """
 
 from __future__ import annotations

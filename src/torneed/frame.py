@@ -78,18 +78,23 @@ once and passes to each replication's call, so its pages are faulted in
 once per chunk; a call given none allocates its own. That buffer is the
 sum of the table heights times the block's rows times 16 bytes. In d >= 2
 the first and last axes' tables hold l >= 0 only, (L+1) + (L+1) rows in
-d = 2 and (L+1) + (L+1) + W + (L+1) W in d = 3 (W = 2L+1), and the rows
-are sized so that the whole buffer fits PHASE_BLOCK_BYTES: 3.91 MiB at
-d = 2, L = 15 and n = 8000, one block. In d = 1 the rows are those of a
-(2L+1)-wide block, and the q + r digit table rows take less. The blocks'
-points come from an array or, one block per call, from a RowStream: a
-Monte Carlo replication whose law draws in row order draws each block
-into a workspace of one block just before it is reduced, so no sample
-needs n rows of memory. The block loop is the one place in the package
-that refuses a sample: an empty one, a block holding NaN or inf, or a
-stream's block of the wrong shape, the same checks for an array and a
-stream. grid_values needs one table of G columns, of 2L+1 rows for the
-box it evaluates.
+d = 2 and (L+1) + (L+1) + W + (L+1) W in d = 3 (W = 2L+1), and a block
+holds whole groups of 8 rows, as many as fit the whole buffer in
+PHASE_BLOCK_BYTES // 2: 2.00 MiB at d = 2, L = 15 and n = 8000, blocks of
+4096 and 3904 rows. A last block of other rows is padded to whole groups
+with rows that add exact zeros, so every GEMM's inner dimension is a
+multiple of 8 (on OpenBLAS 0.3.31, one of 4 (mod 8) moved the bits with
+the BLAS thread count). In d = 1 the rows are those of a (2L+1)-wide
+block, and the q + r digit table rows take less. The blocks' points come
+from an array or, one block per call, from a RowStream: a Monte Carlo
+replication whose law draws in row order draws each block into a
+workspace of one block just before it is reduced, so no sample needs n
+rows of memory. The block loop is the one place in the package that
+refuses a sample: an empty one, a block holding NaN or inf (one min and
+one max per column, which _exp_i's range test reuses), or a stream's
+block of the wrong shape, the same checks for an array and a stream.
+grid_values needs one table of G columns, of 2L+1 rows for the box it
+evaluates.
 
 The frame cannot represent the mean (the zero frequency is in no shell), so
 analysis/synthesis act on the zero-mean part of a function. For derivative
@@ -562,10 +567,12 @@ def _phase_table():
     return cos, sin
 
 
-def _exp_i(x, out, spare):
+def _exp_i(x, out, spare, span=None):
     """out = exp(i x) elementwise: x a nonempty float array, out a complex array of its shape.
 
-    spare holds four float arrays of x's shape, overwritten. |x| <= 2^20 is
+    spare holds four float arrays of x's shape, overwritten. span, when
+    given, is the (min, max) the caller already took of x's entries, zeros
+    it padded x with aside; otherwise it is taken here. |x| <= 2^20 is
     reduced to x = k 2pi/256 + r, |r| <= pi/256, and exp(i x) = T + (T (cos r
     - 1) + i T sin r) with T = exp(2 pi i k / 256) read from _phase_table and
     cos r - 1, sin r by their Taylor polynomials of degree 6 and 5: at most
@@ -573,7 +580,8 @@ def _exp_i(x, out, spare):
     NaN, inf) gets np.cos/np.sin; only a block holding one builds a mask.
     Each entry's bits depend on it alone, not on the block, offset or strides.
     """
-    if not (-_REDUCED_MAX <= x.min() and x.max() <= _REDUCED_MAX):
+    lo, hi = (x.min(), x.max()) if span is None else span
+    if not (-_REDUCED_MAX <= lo and hi <= _REDUCED_MAX):
         far = ~(np.abs(x) <= _REDUCED_MAX)
         _exp_i(np.where(far, 0.0, x), out, spare)
         out.real[far] = np.cos(x[far])
@@ -615,54 +623,55 @@ def _exp_i(x, out, spare):
     np.add(k, a, out=re)  # Tc + (Tc (cos r - 1) - Ts sin r)
 
 
-def _exp_powers(pos, x, spare=()):
+def _exp_powers(pos, x, spare=(), span=None):
     """Fill row l of pos with exp(i l x): row 1 by _exp_i, the rest by _double.
 
     The kernel's scratch is two complex rows filled after it, as four float
     rows: rows 2 and 3, rows 0 and 2, or two rows of spare (the d = 1 high
-    digit table); only a table of L <= 1 allocates them.
+    digit table); only a table of L <= 1 allocates them. span is handed
+    to _exp_i.
     """
     if len(pos) > 1 and x.size:
         rows = pos[2:4] if len(pos) > 3 else pos[::2] if len(pos) == 3 else spare[:2]
         if len(rows) < 2:
             rows = np.empty((2, x.size), dtype=complex)
         (k, a), (b, c) = rows.view(float).reshape(2, 2, -1)
-        _exp_i(x, pos[1], (k, a, b, c))
+        _exp_i(x, pos[1], (k, a, b, c), span)
     pos[0] = 1.0
     _double(pos, len(pos) - 1)
 
 
-def _axis_phases(x, L, full=True, out=None):
+def _axis_phases(x, L, full=True, out=None, span=None):
     """exp(i l x) for l = -L..L (full) or l = 0..L, frequency-major.
 
     Returns a complex (2L+1, n) array indexed by l + L, or (L+1, n) indexed
     by l; negative rows are conjugates. Row 1 is _exp_i's, within 2e-16;
     the error grows about linearly in |l|, below (|l|+1) * 1e-15. out, when
     given, is that array, filled in place and returned; the kernel's
-    scratch is its own rows.
+    scratch is its own rows. span is _exp_i's: x's (min, max), if taken.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty((2 * L + 1 if full else L + 1, x.shape[0]), dtype=complex)
     pos = out[L:] if full else out
-    _exp_powers(pos, x)
+    _exp_powers(pos, x, span=span)
     if full:
         np.conjugate(pos[:0:-1], out=out[:L])
     return out
 
 
-def _digit_tables(x, q, r, out):
+def _digit_tables(x, q, r, out, span=None):
     """exp(i a x) for a < q and exp(i q b x) for b < r, as (q, n) and (r, n) tables.
 
     Every l < q r is a + q b for one pair of digits; the high table holds
     the powers of exp(i q x) = exp(i (q-1) x) exp(i x), so the error stays
     about linear in a + q b. Both are filled as the rows of out, a complex
     (q + r, n) array (q rows when r = 1, where the high table is the low
-    table's row of ones).
+    table's row of ones). span is _exp_i's: x's (min, max), if taken.
     """
     x = np.asarray(x, dtype=float)
     low, high = out[:q], out[q:]
-    _exp_powers(low, x, high)
+    _exp_powers(low, x, high, span)
     if r == 1:
         return low, low[:1]
     high[0] = 1.0
@@ -700,14 +709,30 @@ def min_grid_size(B, J):
 
 
 def spectrum_block_shape(n, d, L):
-    """(rows, width) of sample_spectrum's row blocks for n points; rows * width * 16 fits PHASE_BLOCK_BYTES.
+    """(rows, width) of sample_spectrum's row blocks for n points.
 
-    In d >= 2 the width is the sum of the table heights (_spectrum_shape),
-    so a block's whole table buffer fits; in d = 1 it is 2L+1, at least the
-    rows of both digit tables.
+    In d = 1 the width is 2L+1, at least the rows of both digit tables, and
+    rows * width * 16 fits PHASE_BLOCK_BYTES (block_rows). In d >= 2 the
+    width is the sum of the table heights (_spectrum_shape), and rows is the
+    largest multiple of 8 whose tables fit PHASE_BLOCK_BYTES // 2, never
+    fewer than 8, and never more than _whole_groups(n): the rows a block's
+    tables hold, padding included.
     """
-    width = 2 * L + 1 if d == 1 else sum(_spectrum_shape(d, L)[1])
-    return block_rows(n, width), width
+    if d == 1:
+        return block_rows(n, 2 * L + 1), 2 * L + 1
+    width = sum(_spectrum_shape(d, L)[1])
+    fit = PHASE_BLOCK_BYTES // 2 // (16 * width) // 8 * 8
+    return max(8, min(fit, _whole_groups(n))), width
+
+
+def _whole_groups(rows):
+    """rows rounded up to a multiple of 8, the table columns of a d >= 2 block (its GEMMs' K).
+
+    OpenBLAS 0.3.31 on x86-64 gave a complex GEMM other bits at one and at
+    two threads when K was 4 (mod 8), so a block of other rows is padded
+    with columns that add exact zeros.
+    """
+    return -(-rows // 8) * 8
 
 
 def _spectrum_shape(d, L):
@@ -728,9 +753,10 @@ def spectrum_buffer(n, d, L):
     """An uninitialized complex buffer that holds every table of sample_spectrum's widest block.
 
     sum(table heights) * rows entries, rows those of spectrum_block_shape(n,
-    d, L): in d >= 2 at most PHASE_BLOCK_BYTES (unless one row alone is
-    wider). A caller that reduces many samples of one shape allocates it
-    once and passes it to each sample_spectrum call.
+    d, L), padding included: in d >= 2 at most PHASE_BLOCK_BYTES // 2
+    (unless 8 rows alone are wider). A caller that reduces many
+    samples of one shape allocates it once and passes it to each
+    sample_spectrum call.
     """
     rows, _ = spectrum_block_shape(n, d, L)
     return np.empty(sum(_spectrum_shape(d, L)[1]) * rows, dtype=complex)
@@ -742,9 +768,10 @@ class RowStream(NamedTuple):
     next_rows(b) returns the next b rows as a (b, d) float array, which the
     following call may overwrite: sample_spectrum calls it once per row
     block of spectrum_block_shape(n, d, L), in order, the last block short,
-    and checks and reduces each block before it asks for the next, so a
-    refused block is the last one asked for. A Monte Carlo replication
-    draws its sample this way into a workspace of one block.
+    for real rows only (a d >= 2 block padded to whole 8-row groups asks
+    for no padding), and checks and reduces each block before it asks for
+    the next, so a refused block is the last one asked for. A Monte Carlo
+    replication draws its sample this way into a workspace of one block.
     """
 
     shape: tuple
@@ -759,9 +786,10 @@ def sample_spectrum(points, L, buffer=None):
     This is the only code that refuses a sample, with the same checks for
     both: an empty one ("sample set is empty"), a row block holding NaN or
     +-inf ("samples contain non-finite values", from one min and one max of
-    the block, before its tables are filled) and a RowStream block whose
-    shape is not (rows asked, d). Angles need not lie in [0, 2pi): every
-    phase is 2pi-periodic, and _exp_i reduces them itself.
+    each of the block's columns, before its tables are filled; _exp_i's
+    range test reads the same pair) and a RowStream block whose shape is
+    not (rows asked, d). Angles need not lie in [0, 2pi): every phase is
+    2pi-periodic, and _exp_i reduces them itself.
     Returns a complex array of shape (2L+1,)*d indexed by l + L. The points
     are real, so S_{-l} = conj(S_l), and only the half box l_1 >= 0 is
     summed. In d >= 2, per row block, lead is the first axis's phase table
@@ -776,17 +804,25 @@ def sample_spectrum(points, L, buffer=None):
     rows, not L + 1. Every block's tables are contiguous views of one flat
     complex buffer, sized for the widest block (_carve): sum(heights) *
     rows * 16 bytes, the rows those of spectrum_block_shape. In d >= 2 that
-    is within PHASE_BLOCK_BYTES: heights (L+1) + (L+1) in d = 2, 3.91 MiB
-    at L = 15 and n = 8000; (L+1) + (L+1) + W + (L+1) W in d = 3. In d = 1
-    the rows are those of a (2L+1)-wide block, wider than q + r. buffer,
-    when given, is that buffer or a larger one (spectrum_buffer(n, d, L)),
-    owned by the caller and overwritten: a Monte Carlo chunk passes one to
-    every replication, so no call faults in fresh table pages. Otherwise
-    the call allocates its own. Blocks are reduced in a fixed order, so the
-    sum does not depend on the thread count. That BLAS's own threads leave
-    its bits alone was measured for samples of one block (bench reports at
-    OPENBLAS_NUM_THREADS=1 and the default), not promised; over several
-    d >= 2 blocks the last bits were seen to move with them.
+    is within PHASE_BLOCK_BYTES // 2 in blocks of whole 8-row groups:
+    heights (L+1) + (L+1) in d = 2, 2.00 MiB at L = 15 and n = 8000 (blocks
+    of 4096 and 3904 rows); (L+1) + (L+1) + W + (L+1) W in d = 3. A last or
+    lone block of b rows not a multiple of 8 fills its tables for b rounded
+    up to one: the extra columns take the angle 0 and their columns of last
+    are zeroed, so they add exact zeros, and a RowStream is asked for the b
+    real rows only. In d = 1 the rows are those of a (2L+1)-wide block,
+    wider than q + r, and no block is padded. buffer, when given, is that
+    buffer or a larger one (spectrum_buffer(n, d, L)), owned by the caller
+    and overwritten: a Monte Carlo chunk passes one to every replication,
+    so no call faults in fresh table pages. Otherwise the call allocates
+    its own. Blocks are reduced in a fixed order, so the sum does not
+    depend on the thread count. BLAS's own threads leave the bits alone on
+    OpenBLAS 0.3.31 on x86-64, as measured, not promised: there a complex
+    GEMM whose inner dimension was 4 (mod 8) gave other bits at one and at
+    two threads, and the whole 8-row groups of the d >= 2 blocks keep every
+    GEMM's inner dimension a multiple of 8. The d = 1 digit GEMMs, q x r
+    (8 x 8 at L = 63), gave the same bits either way, blocks of 4 (mod 8)
+    rows included.
     """
     n, d = points.shape
     if n < 1:
@@ -808,20 +844,26 @@ def sample_spectrum(points, L, buffer=None):
                 raise ValueError(f"row stream gave a block of shape {block.shape}, not {(b, d)}")
         else:
             block = points[start : start + rows]
-        # NaN and +-inf reach min or max: the check allocates nothing of the block's size
-        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+        # one min and one max per column, NaN and +-inf reaching one of them: the
+        # check allocates nothing of the block's size, and _exp_i reads the same pair
+        spans = [(column.min(), column.max()) for column in block.T]
+        if not all(math.isfinite(value) for span in spans for value in span):
             raise ValueError("samples contain non-finite values")
-        tables = _carve(buffer, b, heights)
+        cols = b if d == 1 else _whole_groups(b)
+        tables = _carve(buffer, cols, heights)
         if d == 1:
-            lead, last = _digit_tables(block[:, 0], *S.shape, tables[0])
+            lead, last = _digit_tables(block[:, 0], *S.shape, tables[0], spans[0])
             S += lead @ last.T
             continue
-        last = _axis_phases(block[:, -1], L, full=False, out=tables[0])
-        lead = _axis_phases(block[:, 0], L, full=False, out=tables[1])
+        if cols > b:  # padded rows at angle 0: every table column of theirs is 1
+            block = np.concatenate((block, np.zeros((cols - b, d))))
+        last = _axis_phases(block[:, -1], L, full=False, out=tables[0], span=spans[-1])
+        last[:, b:] = 0.0  # so the padded rows add exact zeros
+        lead = _axis_phases(block[:, 0], L, full=False, out=tables[1], span=spans[0])
         for a in range(1, d - 1):
-            axis = _axis_phases(block[:, a], L, out=tables[1 + a])
+            axis = _axis_phases(block[:, a], L, out=tables[1 + a], span=spans[a])
             product = tables[d - 1 + a]
-            np.multiply(lead[:, None, :], axis[None, :, :], out=product.reshape(-1, W, b))
+            np.multiply(lead[:, None, :], axis[None, :, :], out=product.reshape(-1, W, cols))
             lead = product
         S[0] += lead @ last.T
         np.conjugate(last, out=last)

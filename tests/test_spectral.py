@@ -8,8 +8,12 @@ relative. Example generation is derandomized so a failure reproduces.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -138,17 +142,31 @@ def table_rows(d, L):
     return 2 * half + (d - 2) * W + sum(half * W**a for a in range(1, d - 1))
 
 
+def force_block_rows(patch, d, L):
+    """Patch PHASE_BLOCK_BYTES so that sample_spectrum's blocks hold a few rows, and return them.
+
+    5 rows of 2L+1 entries in d = 1; in d >= 2 one whole group of 8 rows of
+    table rows, within half the budget.
+    """
+    if d == 1:
+        patch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * 5 * (2 * L + 1))
+        return 5
+    patch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 2 * 16 * 8 * table_rows(d, L))
+    return 8
+
+
 @pytest.mark.parametrize("d,L", [(1, 7), (1, 16), (2, 4), (3, 2)])
 def test_row_blocking_does_not_change_the_core(monkeypatch, d, L):
+    # a budget of a few rows forces twelve blocks, the last a ragged one of
+    # two rows: d = 1 blocks of 5 rows, d >= 2 blocks of one 8-row group
+    rows = 5 if d == 1 else 8
+    n = 11 * rows + 2
     rng = np.random.default_rng(10 + d)
-    X = rng.uniform(0.0, TWO_PI, (57, d))
+    X = rng.uniform(0.0, TWO_PI, (n, d))
     A = rng.normal(size=(2 * L + 1,) * d) + 1j * rng.normal(size=(2 * L + 1,) * d)
     whole_S, whole_f = sample_spectrum(X, L), spectrum_values(A, X)
-    # a budget of a few rows forces many blocks, including a ragged last one:
-    # d = 1 blocks are 2L+1 entries a point wide, d >= 2 blocks their table rows
-    width = 2 * L + 1 if d == 1 else table_rows(d, L)
-    monkeypatch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * 5 * width)
-    assert spectrum_block_shape(57, d, L)[0] == 5
+    assert force_block_rows(monkeypatch, d, L) == rows
+    assert spectrum_block_shape(n, d, L)[0] == rows
     assert_rel_close([sample_spectrum(X, L)], [whole_S])
     assert_rel_close([spectrum_values(A, X)], [whole_f])
 
@@ -156,20 +174,49 @@ def test_row_blocking_does_not_change_the_core(monkeypatch, d, L):
 @PROPERTY
 @given(st.integers(2, 4), st.data())
 def test_half_box_sample_spectrum_matches_the_dense_sum_over_several_blocks(d, data):
-    # two to four full row blocks and a short last one; the summed half box
-    # l_1 >= 0 takes l_d < 0 from the conjugated last table, and every
-    # l_1 < 0 entry is the exact conjugate of its mirror
+    # two to four full row blocks of one or two 8-row groups and a short
+    # last one, padded to whole groups; the summed half box l_1 >= 0 takes
+    # l_d < 0 from the conjugated last table, and every l_1 < 0 entry is the
+    # exact conjugate of its mirror
     L = data.draw(st.integers(0, (4, 2, 1)[d - 2]))
-    rows = data.draw(st.integers(2, 6))
+    rows = 8 * data.draw(st.integers(1, 2))
     n = rows * data.draw(st.integers(2, 4)) + data.draw(st.integers(1, rows - 1))
     X = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).uniform(-7.0, 7.0, (n, d))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * rows * table_rows(d, L))
+        patch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 2 * 16 * rows * table_rows(d, L))
         assert spectrum_block_shape(n, d, L)[0] == rows
         S = sample_spectrum(X, L)
     box = np.array(list(itertools.product(range(-L, L + 1), repeat=d)), dtype=float)
     assert_rel_close([S.reshape(-1)], [np.exp(1j * X @ box.T).sum(axis=0)])
     assert S[:L].tobytes() == np.conj(np.flip(S[L + 1 :])).tobytes()
+
+
+@pytest.mark.parametrize("source", ["array", "stream"])
+@pytest.mark.parametrize(
+    "d,L,n,forced", [(2, 4, 21, False), (2, 3, 45, True), (3, 2, 13, False), (3, 1, 30, True)]
+)
+def test_a_padded_last_block_adds_exact_zeros(monkeypatch, source, d, L, n, forced):
+    # a lone block of n rows, or the last of several 8-row blocks, fills its
+    # tables for n rounded up to a whole 8-row group: the extra columns take
+    # the angle 0 and add exact zeros, whatever the buffer held before, and
+    # a stream is asked for the real rows only
+    rows = force_block_rows(monkeypatch, d, L) if forced else -(-n // 8) * 8
+    assert spectrum_block_shape(n, d, L)[0] == rows and n % 8
+    X = np.random.default_rng(n).uniform(-7.0, 7.0, (n, d))
+    asked = []
+
+    def next_rows(b):
+        start = sum(asked)
+        asked.append(b)
+        return X[start : start + b].copy()
+
+    points = X if source == "array" else frame_mod.RowStream((n, d), next_rows)
+    garbage = np.full(frame_mod.spectrum_buffer(n, d, L).size, np.nan + 0j)
+    S = sample_spectrum(points, L, buffer=garbage)
+    box = np.array(list(itertools.product(range(-L, L + 1), repeat=d)), dtype=float)
+    assert_rel_close([S.reshape(-1)], [np.exp(1j * X @ box.T).sum(axis=0)])
+    assert S.tobytes() == sample_spectrum(X, L).tobytes()
+    assert asked == ([] if source == "array" else [rows] * (n // rows) + [n % rows])
 
 
 def test_phase_blocks_stay_under_the_byte_budget():
@@ -181,9 +228,10 @@ def test_phase_blocks_stay_under_the_byte_budget():
         rows, width = spectrum_block_shape(n, d, L)
         assert 1 <= rows < n
         assert 16 * rows * width <= PHASE_BLOCK_BYTES
-        if d >= 2:  # the whole table buffer of a block fits, not only its widest table
+        if d >= 2:  # the whole table buffer of a block fits half, in whole 8-row groups
             assert width == table_rows(d, L)
-            assert frame_mod.spectrum_buffer(n, d, L).nbytes <= PHASE_BLOCK_BYTES
+            assert rows % 8 == 0
+            assert frame_mod.spectrum_buffer(n, d, L).nbytes <= PHASE_BLOCK_BYTES // 2
     nf = tn.frequency_shell(3, 2.0, 3).shape[0]  # block_rows caps any width, a level-3 shell's too
     rows = block_rows(n, nf)
     assert 16 * rows * nf <= PHASE_BLOCK_BYTES
@@ -224,15 +272,17 @@ def test_sample_spectrum_fills_one_table_buffer_for_every_block(d, L, n, heights
 @pytest.mark.parametrize("d,L,heights", [(2, 15, 16 + 16), (3, 7, 8 + 8 + 15 + 120)])
 def test_sample_spectrum_buffer_holds_every_table_of_a_block(d, L, heights):
     # the buffer is the sum of the table heights times the block's rows
-    # times 16 bytes, and the rows are sized so that it fits
-    # PHASE_BLOCK_BYTES (3.91 MiB in one block at product_d2's L = 15 and
-    # n = 8000; 4.00 MiB over five blocks at d = 3, L = 7); the call peaks
-    # at it, within 256 KiB for the sums, the GEMM products and the box
+    # times 16 bytes, and the rows, whole 8-row groups, are sized so that it
+    # fits PHASE_BLOCK_BYTES // 2 (2.00 MiB over blocks of 4096 and 3904 rows
+    # at product_d2's L = 15 and n = 8000; 1.99 MiB over ten blocks at d = 3,
+    # L = 7); the call peaks at it, within 256 KiB for the sums, the GEMM
+    # products and the box
     X = np.random.default_rng(d).uniform(0.0, TWO_PI, (8000, d))
     rows, width = spectrum_block_shape(8000, d, L)
     assert width == heights == table_rows(d, L)
+    assert rows % 8 == 0
     buffer = 16 * heights * rows
-    assert buffer <= PHASE_BLOCK_BYTES
+    assert buffer <= PHASE_BLOCK_BYTES // 2
     tracemalloc.start()
     try:
         sample_spectrum(X, L)
@@ -240,7 +290,7 @@ def test_sample_spectrum_buffer_holds_every_table_of_a_block(d, L, heights):
     finally:
         tracemalloc.stop()
     assert buffer <= peak <= buffer + (1 << 18)
-    assert peak <= PHASE_BLOCK_BYTES + (1 << 18)
+    assert peak <= PHASE_BLOCK_BYTES // 2 + (1 << 18)
 
 
 @pytest.mark.parametrize("d,L,n", [(1, 15, 100_000), (2, 15, 20_000), (3, 3, 20_000), (1, 0, 3)])
@@ -278,6 +328,58 @@ def test_sample_spectrum_of_a_row_stream_gives_the_bits_of_the_array(d, L, n):
     assert asked == [rows] * (n // rows) + ([n % rows] if n % rows else [])
 
 
+# (d, L, n): d = 1 to 4, n = 0 and 4 (mod 8), one block and several. While d >= 2
+# blocks could hold 4 (mod 8) rows, the d >= 3 cases and d = 2 at L = 31 and 63 gave
+# other bits at one and at two OpenBLAS 0.3.31 threads (x86-64)
+_BLAS_CASES = [
+    (1, 15, 8000), (1, 15, 100_004), (1, 31, 5004), (1, 63, 30_004),
+    (2, 15, 8000), (2, 15, 8004), (2, 31, 20_004), (2, 7, 1236), (2, 63, 6004),
+    (3, 15, 3000), (3, 15, 8000), (3, 7, 1236), (3, 7, 8004), (3, 31, 2004), (3, 7, 700),
+    (4, 3, 5000), (4, 3, 1004), (4, 5, 3004), (4, 3, 404),
+]  # fmt: skip
+
+_BLAS_BOXES = """
+import hashlib, sys
+import numpy as np
+from torneed.frame import sample_spectrum, spectrum_block_shape
+for case in sys.argv[1:]:
+    d, L, n = map(int, case.split(","))
+    X = np.random.default_rng(n + d).uniform(0.0, 2 * np.pi, (n, d))
+    rows = spectrum_block_shape(n, d, L)[0]
+    print(case, -(-n // rows), hashlib.sha256(sample_spectrum(X, L).tobytes()).hexdigest())
+"""
+
+
+def _blas_name():
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+def test_sample_spectrum_bits_do_not_depend_on_the_blas_thread_count():
+    # the box bytes of each case, in a fresh interpreter at one and at two
+    # OpenBLAS threads (the variable is read when numpy loads)
+    if "openblas" not in _blas_name().lower():
+        pytest.skip(f"numpy's BLAS is {_blas_name()}, which OPENBLAS_NUM_THREADS does not set")
+    src = str(Path(tn.__file__).resolve().parents[1])
+    cases = [f"{d},{L},{n}" for d, L, n in _BLAS_CASES]
+    boxes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLAS_BOXES, *cases],
+            capture_output=True, text=True, env=env, timeout=120,
+        )  # fmt: skip
+        assert proc.returncode == 0, proc.stderr
+        boxes.append(proc.stdout.splitlines())
+    assert len(boxes[0]) == len(cases)
+    # n = 0 and 4 (mod 8), one block and several, in every d
+    for d in range(1, 5):
+        assert {n % 8 for e, _, n in _BLAS_CASES if e == d} == {0, 4}
+        assert {int(line.split()[1]) > 1 for line in boxes[0] if line[0] == str(d)} == {False, True}
+    moved = [one.split()[0] for one, two in zip(*boxes) if one != two]
+    assert not moved, f"(d, L, n) whose box bytes move with the BLAS thread count: {moved}"
+
+
 def test_sample_spectrum_takes_unreduced_angles_as_given():
     # angles outside [0, 2pi) are neither refused nor wrapped: every phase
     # is 2pi-periodic, and the spectrum is the dense sum over those points
@@ -292,24 +394,27 @@ def test_sample_spectrum_takes_unreduced_angles_as_given():
 @pytest.mark.parametrize("row", [2, 7, 16])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_sample_spectrum_refuses_a_nonfinite_block(monkeypatch, bad, row, d, source):
-    # 17 points in row blocks of 5, 5, 5 and 2; one coordinate of a row in
-    # the first, a middle or the last block is NaN or +-inf. An array and a
-    # RowStream are refused by the same check, and a stream is never asked
-    # for the block after the bad one. An empty sample, and a stream whose
-    # block holding that row comes one row short, are refused too
-    L, n = 2, 17
-    width = 2 * L + 1 if d == 1 else table_rows(d, L)
-    monkeypatch.setattr(frame_mod, "PHASE_BLOCK_BYTES", 16 * 5 * width)
-    assert spectrum_block_shape(n, d, L)[0] == 5
+    # four row blocks, the last of two rows: 5, 5, 5 and 2 in d = 1, 8, 8,
+    # 8 and 2 in d >= 2. One coordinate of a row in the first, a middle or
+    # the last block (row 2, 7 or 16 of the 5-row layout, the same place in
+    # its block in the 8-row one) is NaN or +-inf. An array and a RowStream
+    # are refused by the same check, and a stream is never asked for the
+    # block after the bad one. An empty sample, and a stream whose block
+    # holding that row comes one row short, are refused too
+    L = 2
+    rows = force_block_rows(monkeypatch, d, L)
+    n = 3 * rows + 2
+    assert spectrum_block_shape(n, d, L)[0] == rows
+    at = row // 5 * rows + row % 5
     X = np.random.default_rng(d).uniform(-7.0, 7.0, (n, d))
-    X[row, row % d] = bad
-    want, asked = [5, 5, 5, 2][: row // 5 + 1], []
+    X[at, at % d] = bad
+    want, asked = [rows, rows, rows, 2][: row // 5 + 1], []
 
     def stream(cut):
         def next_rows(b):
             start = sum(asked)
             asked.append(b)
-            return X[start : start + b - cut * (start <= row < start + b)]
+            return X[start : start + b - cut * (start <= at < start + b)]
 
         asked.clear()
         return frame_mod.RowStream((n, d), next_rows)
@@ -330,6 +435,23 @@ def test_sample_spectrum_refuses_a_nonfinite_block(monkeypatch, bad, row, d, sou
         with pytest.raises(ValueError, match=rf"shape \({b - 1}, {d}\), not \({b}, {d}\)"):
             sample_spectrum(stream(1), L)
         assert asked == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_each_block_column_range_decides_the_far_path(monkeypatch, d):
+    # the min and max of each block column, taken once for the finite check,
+    # are the range _exp_i tests for angles beyond 2^20: a far angle in any
+    # column of any block, the padded last block included, gets the bytes of
+    # a kernel that takes the range itself
+    L, n = 2, 45
+    rows = force_block_rows(monkeypatch, d, L)
+    X = np.random.default_rng(40 + d).uniform(-7.0, 7.0, (n, d))
+    for i, row in enumerate(range(1, n, rows)):
+        X[row, i % d] = (-1) ** i * (2.0**21 + i)
+    got = sample_spectrum(X, L)
+    kernel = frame_mod._exp_i
+    monkeypatch.setattr(frame_mod, "_exp_i", lambda x, out, spare, span=None: kernel(x, out, spare))
+    assert got.tobytes() == sample_spectrum(X, L).tobytes()
 
 
 @st.composite
